@@ -6,13 +6,21 @@ largest part or the number of parts, so the rank (largest part minus number
 of parts) of an overpartition is the rank of its underlying partition, and
 every underlying partition with d distinct part values accounts for 2^d
 overpartitions.  All counts in this module are exact Python integers.
+
+Both production counts come from generating functions.  `pbar_series` runs
+the recurrence from Gauss's theta identity, and `rank_class_table` multiplies
+it by Lovejoy's overpartition rank generating function (Lovejoy, Ann. Comb. 9
+(2005) 321-334) taken modulo z^c - 1.  The brute-force enumeration here and
+the O(c N^2) dynamic program and product-form series in tests/oracles.py are
+the independent checks on them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from dataclasses import dataclass, field
-from math import gcd
 
 from mpmath import mp, mpc, mpf
 
@@ -39,20 +47,22 @@ TABLE_FORMAT_VERSION = 1
 def pbar_series(n_max: int) -> list[int]:
     """Coefficients of prod_{v>=1} (1+q^v)/(1-q^v) through degree n_max.
 
-    Entry n is the number of overpartitions of n.  Plain truncated product:
-    one ascending and one descending in-place pass per factor, all integer.
+    Entry n is the number of overpartitions of n.  The product is the
+    reciprocal of Gauss's theta series 1 + 2 sum_{k>=1} (-1)^k q^{k^2}, so
+    pbar(n) = 2 sum_{k>=1, k^2<=n} (-1)^{k+1} pbar(n - k^2): O(n_max^1.5)
+    integer additions.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     f = [0] * (n_max + 1)
     f[0] = 1
-    for v in range(1, n_max + 1):
-        # multiply by (1 + q^v)
-        for k in range(n_max, v - 1, -1):
-            f[k] += f[k - v]
-        # multiply by 1/(1 - q^v)
-        for k in range(v, n_max + 1):
-            f[k] += f[k - v]
+    odd, even = [], []  # k^2 <= n for odd and for even k >= 1
+    k = 1
+    for n in range(1, n_max + 1):
+        if k * k == n:
+            (odd if k & 1 else even).append(n)
+            k += 1
+        f[n] = 2 * (sum([f[n - s] for s in odd]) - sum([f[n - s] for s in even]))
     return f
 
 
@@ -77,8 +87,8 @@ class RankDistribution:
 def brute_force_rank_counts(n: int, limit: int = BRUTE_FORCE_LIMIT) -> RankDistribution:
     """Oracle: enumerate every partition of n, weight 2^{#distinct parts}.
 
-    Independent of the table DP; kept deliberately naive.  Rejects n above
-    `limit` because the enumeration grows superpolynomially.
+    Independent of the generating functions; kept deliberately naive.  Rejects
+    n above `limit` because the enumeration grows superpolynomially.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -141,48 +151,73 @@ class RankClassTable:
         return h.hexdigest()
 
 
+def _bracket_columns(n_max: int, c: int) -> list[list[int]]:
+    """Residue columns 0..c//2 of the bracket in Lovejoy's rank generating function.
+
+    O(z;q) = (-q)_inf/(q)_inf * [1 + 2 sum_{n>=1} (-1)^n q^{n^2+n} (1-z)(1-1/z)
+    / ((1-zq^n)(1-q^n/z))].  Expanding the last factor as sum_s q^{ns} S_s(z),
+    with S_s = sum_{i+j=s} z^{i-j} = S_{s-2} + z^s + z^-s, the bracket is
+    1 + 2 sum_{n,s} (-1)^n q^{n^2+n+ns} V_s(z) with V_s = (2 - z - 1/z) S_s.
+    Modulo z^c - 1 each V_s is a c-vector of small integers; column r of the
+    result holds the q-series of the coefficient of z^r, through degree n_max.
+    Columns r and c - r agree, because the bracket is symmetric in z and 1/z.
+    """
+    half = c // 2
+    vs = []  # vs[s] = V_s mod z^c - 1, columns 0..half
+    runs = ([0] * c, [0] * c)  # V_s for the last even and the last odd s
+    for s in range(n_max - 1):
+        v = runs[s & 1]
+        for e in ((0,) if s == 0 else (s, -s)):
+            v[e % c] += 2
+            v[(e + 1) % c] -= 1
+            v[(e - 1) % c] -= 1
+        vs.append(v[:half + 1])
+    cols = [[0] * (n_max + 1) for _ in range(half + 1)]
+    cols[0][0] = 1
+    n = 1
+    while n * n + n <= n_max:
+        w = 2 if n % 2 == 0 else -2
+        for v, d in zip(vs, range(n * n + n, n_max + 1, n)):
+            for r in range(half + 1):
+                cols[r][d] += w * v[r]
+        n += 1
+    return cols
+
+
+def _pack(values: list[int], width: int) -> int:
+    """Kronecker substitution: sum values[i] * 256^(width*i) for values in [0, 256^width)."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
 def rank_class_table(n_max: int, c: int) -> RankClassTable:
     """Count overpartitions of each n <= n_max by rank residue mod c.
 
-    DP over the largest part v.  State: partitions using parts < v, keyed by
-    (sum, number-of-parts mod c); each part value present picks up the
-    overline factor 2.  For largest part exactly v with multiplicity m >= 1
-    and w = (#parts) mod c, the rank class is (v - w) mod c.  The geometric
-    recurrence over m keeps the whole build at O(c * n_max^2) integer adds.
+    Column r of the table is pbar(q) times column r of the bracket from
+    `_bracket_columns`, truncated at degree n_max.  Each product is a single
+    big-integer multiplication of the two series packed into `width`-byte
+    slots.  Every count through degree n_max is nonnegative and at most
+    pbar(n_max) < 256^width, so those coefficients occupy their slots exactly;
+    the signed coefficients above degree n_max are cut off by reducing the
+    product modulo 256^(width*(n_max+1)) before unpacking.
     """
     if c < 2:
         raise ValueError("modulus c must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    N = n_max + 1
-    # column layout during the build: cls[t][s], prefix[t][s]
-    cls = [[0] * N for _ in range(c)]
-    cls[0][0] = 1  # empty overpartition has rank 0
-    prefix = [[0] * N for _ in range(c)]
-    prefix[0][0] = 1
-    for v in range(1, N):
-        # G[w][s] = sum_{m>=1} prefix[(w-m) mod c][s - m*v]
-        G = [[0] * N for _ in range(c)]
-        for s in range(v, N):
-            sv = s - v
-            for w in range(c):
-                wp = (w - 1) % c
-                G[w][s] = prefix[wp][sv] + G[wp][sv]
-        for w in range(c):
-            dst = cls[(v - w) % c]
-            src = G[w]
-            for s in range(v, N):
-                g = src[s]
-                if g:
-                    dst[s] += g + g
-        for w in range(c):
-            dst = prefix[w]
-            src = G[w]
-            for s in range(v, N):
-                g = src[s]
-                if g:
-                    dst[s] += g + g
-    counts = [[cls[r][n] for r in range(c)] for n in range(N)]
+    pbar = pbar_series(n_max)
+    width = (pbar[-1].bit_length() + 7) // 8
+    size = width * (n_max + 1)
+    mask = (1 << (8 * size)) - 1
+    packed = _pack(pbar, width)
+    cols = []
+    for bracket in _bracket_columns(n_max, c):
+        signed = (_pack([max(b, 0) for b in bracket], width)
+                  - _pack([max(-b, 0) for b in bracket], width))
+        buf = ((packed * signed) & mask).to_bytes(size, "little")
+        cols.append([int.from_bytes(buf[i:i + width], "little")
+                     for i in range(0, size, width)])
+    cols += cols[1:(c + 1) // 2][::-1]  # column c - r is column r
+    counts = [list(row) for row in zip(*cols)]
     return RankClassTable(c=c, n_max=n_max, counts=counts)
 
 
@@ -297,38 +332,62 @@ def verify_orthogonality(a: int, c: int, n: int, table: RankClassTable,
 # ---------------------------------------------------------------------------
 
 def save_table(table: RankClassTable, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
-                 f"c={table.c} n_max={table.n_max}\n")
-        for n in range(table.n_max + 1):
-            for r in range(table.c):
-                fh.write(f"{n} {r} {table.counts[n][r]}\n")
-        fh.write(f"checksum sha256:{table.checksum()}\n")
+    """Write the cache atomically: a fresh file beside `path`, then os.replace.
+
+    A concurrent reader sees either the previous file or the complete new one,
+    and a write that fails part way leaves the previous file untouched.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
+                     f"c={table.c} n_max={table.n_max}\n")
+            for n, row in enumerate(table.counts):
+                fh.write("".join(f"{n} {r} {v}\n" for r, v in enumerate(row)))
+            fh.write(f"checksum sha256:{table.checksum()}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+_HEADER_KEYS = ("c", "format_version", "n_max")
 
 
 def load_table(path) -> RankClassTable:
-    """Reload a cached table; raises ValueError on any corruption."""
+    """Reload a cached table; raises ValueError on any malformed or corrupt file."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "rank-class-table":
+        if not header or header[0] != "rank-class-table":
             raise ValueError("not a rank-class table cache file")
-        fields = dict(part.split("=") for part in header[1:])
+        fields = dict(part.partition("=")[::2] for part in header[1:])
+        if len(header) != 4 or sorted(fields) != list(_HEADER_KEYS):
+            raise ValueError(f"cache header must set exactly {', '.join(_HEADER_KEYS)}; "
+                             f"got {' '.join(header[1:]) or 'nothing'}")
         if int(fields["format_version"]) != TABLE_FORMAT_VERSION:
             raise ValueError("unsupported cache format version")
         c = int(fields["c"])
         n_max = int(fields["n_max"])
-        counts = [[0] * c for _ in range(n_max + 1)]
-        seen = 0
-        checksum_line = None
-        for line in fh:
-            if line.startswith("checksum"):
-                checksum_line = line.strip()
-                break
-            n_s, r_s, v_s = line.split()
-            counts[int(n_s)][int(r_s)] = int(v_s)
-            seen += 1
-        if seen != (n_max + 1) * c:
+        if c < 2 or n_max < 0:
+            raise ValueError(f"cache header has c={c}, n_max={n_max}")
+        # lines come in the order save_table writes them, by n and then by r,
+        # so each line must start with the next key of that order; this also
+        # rejects keys outside the table and duplicate keys
+        values = []
+        keys = (f"{n} {r}" for n in range(n_max + 1) for r in range(c))
+        for key, line in zip(keys, fh):
+            head, _, v = line.rpartition(" ")
+            if head != key:
+                n, r = key.split()
+                raise ValueError(f"cache line {line.strip()!r} is out of place: "
+                                 f"the line for n={n}, r={r} is due")
+            values.append(int(v))
+        if len(values) != (n_max + 1) * c:
             raise ValueError("cache file truncated")
+        checksum_line = fh.readline().strip()
+        counts = [values[i:i + c] for i in range(0, len(values), c)]
         table = RankClassTable(c=c, n_max=n_max, counts=counts)
         if checksum_line != f"checksum sha256:{table.checksum()}":
             raise ValueError("cache checksum mismatch")

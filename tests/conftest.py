@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The full-depth tables and the deep series are expensive (tens of seconds);
-they are session-scoped and only built when a test actually pulls them in.
+The full-depth tables and the deep series take a fraction of a second each
+to build; they are session-scoped and only built when a test pulls them in.
 """
 
 import pytest

@@ -1,0 +1,69 @@
+"""Slow reference counts, kept only as test oracles for `overrank.counts`.
+
+Both are direct and independent of the generating functions the library
+uses: the truncated product for the overpartition series, and the O(c N^2)
+dynamic program over the largest part for the rank-class table.  With the
+brute-force enumeration `overrank.counts.brute_force_rank_counts`, they are
+what the production counts are checked against.
+"""
+
+from overrank.counts import RankClassTable
+
+
+def pbar_series_product(n_max: int) -> list[int]:
+    """Coefficients of prod_{v>=1} (1+q^v)/(1-q^v) through degree n_max.
+
+    Plain truncated product: one ascending and one descending in-place pass
+    per factor, all integer.
+    """
+    f = [0] * (n_max + 1)
+    f[0] = 1
+    for v in range(1, n_max + 1):
+        # multiply by (1 + q^v)
+        for k in range(n_max, v - 1, -1):
+            f[k] += f[k - v]
+        # multiply by 1/(1 - q^v)
+        for k in range(v, n_max + 1):
+            f[k] += f[k - v]
+    return f
+
+
+def rank_class_table_dp(n_max: int, c: int) -> RankClassTable:
+    """Count overpartitions of each n <= n_max by rank residue mod c.
+
+    DP over the largest part v.  State: partitions using parts < v, keyed by
+    (sum, number-of-parts mod c); each part value present picks up the
+    overline factor 2.  For largest part exactly v with multiplicity m >= 1
+    and w = (#parts) mod c, the rank class is (v - w) mod c.  The geometric
+    recurrence over m keeps the whole build at O(c * n_max^2) integer adds.
+    """
+    N = n_max + 1
+    # column layout during the build: cls[t][s], prefix[t][s]
+    cls = [[0] * N for _ in range(c)]
+    cls[0][0] = 1  # empty overpartition has rank 0
+    prefix = [[0] * N for _ in range(c)]
+    prefix[0][0] = 1
+    for v in range(1, N):
+        # G[w][s] = sum_{m>=1} prefix[(w-m) mod c][s - m*v]
+        G = [[0] * N for _ in range(c)]
+        for s in range(v, N):
+            sv = s - v
+            for w in range(c):
+                wp = (w - 1) % c
+                G[w][s] = prefix[wp][sv] + G[wp][sv]
+        for w in range(c):
+            dst = cls[(v - w) % c]
+            src = G[w]
+            for s in range(v, N):
+                g = src[s]
+                if g:
+                    dst[s] += g + g
+        for w in range(c):
+            dst = prefix[w]
+            src = G[w]
+            for s in range(v, N):
+                g = src[s]
+                if g:
+                    dst[s] += g + g
+    counts = [[cls[r][n] for r in range(c)] for n in range(N)]
+    return RankClassTable(c=c, n_max=n_max, counts=counts)

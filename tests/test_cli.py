@@ -5,6 +5,7 @@ import json
 import pytest
 
 from overrank.cli import main
+from overrank.counts import rank_class_table, save_table
 from overrank.report import Report, RunConfig
 
 
@@ -140,3 +141,51 @@ def test_run_config_validation():
         RunConfig(precision_bits=32)
     with pytest.raises(ValueError):
         RunConfig(parallelism=0)
+
+
+def _header_key_renamed(lines):
+    lines[0] = lines[0].replace(" c=3 ", " k=3 ")
+
+
+def _header_key_missing(lines):
+    lines[0] = lines[0].replace(" c=3", "")
+
+
+def _header_key_extra(lines):
+    lines[0] += " order=rank"
+
+
+def _relabel(n, r, new_n, new_r):
+    # cache lines follow the header in (n, r) order, three residues per row
+    def corrupt(lines):
+        i = 1 + 3 * n + r
+        lines[i] = lines[i].replace(f"{n} {r} ", f"{new_n} {new_r} ", 1)
+    return corrupt
+
+
+def _duplicate_line(lines):
+    lines[2] = lines[1]  # (0, 0) twice and (0, 1) missing: the line count still matches
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_header_key_renamed, "cache header"),
+    (_header_key_missing, "cache header"),
+    (_header_key_extra, "cache header"),
+    (_relabel(10, 0, 11, 0), "'11 0 "),
+    (_relabel(10, 0, -1, 0), "'-1 0 "),
+    (_relabel(0, 2, 0, 3), "'0 3 "),
+    (_relabel(0, 2, 0, -1), "'0 -1 "),
+    (_duplicate_line, "'0 0 1' is out of place: the line for n=0, r=1 is due"),
+], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
+        "n-above-n-max", "n-negative", "r-above-c", "r-negative", "duplicate-line"])
+def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, corrupt, message):
+    cache = tmp_path / "t3.tbl"
+    save_table(rank_class_table(10, 3), cache)
+    lines = cache.read_text().splitlines()
+    corrupt(lines)
+    cache.write_text("\n".join(lines) + "\n")
+    code = main(["count", "--n", "5", "--c", "3", "--n-max", "10", "--cache", str(cache)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert message in err

@@ -1,13 +1,25 @@
-"""Exact counting: series, tables, the brute-force oracle, cache round-trips."""
+"""Exact counting: series, tables, the oracles, cache round-trips."""
 
+import os
 import random
 
 import pytest
 from mpmath import mp, mpf
+from oracles import pbar_series_product, rank_class_table_dp
 
 from overrank import (a_exact, brute_force_rank_counts, load_table, pbar_series,
                       rank_class_table, save_table, verify_orthogonality)
-from overrank.counts import orthogonality_residue
+from overrank.counts import RankClassTable, orthogonality_residue
+
+# RankClassTable.checksum() of the O(c N^2) DP oracle's tables
+DP_CHECKSUMS = {
+    (1600, 3): "92c7244312af42b4486832846152bdfd004212edcab023b9f6607468ab16325a",
+    (1600, 4): "8aa8eebf8ab68ab1b47024635d3e1e4ac1090f42f26173f275e27e07d285ed4d",
+    (1600, 5): "a2b2c40418272903b1fa7e85b1175d9e1fbe94f8f5360c40778cbacffbae43fc",
+    (3000, 3): "4f34c14af49f1b3b9e0ac896ae03bb72fa8d3fc1e49b5e68754c81c94400e1f8",
+    (3000, 4): "da9471bb3947fa9019599ba5c2146e04b5a8052c9c3461b7f0210fca7fc73711",
+    (3000, 5): "c9ac1f328d7d89772d1992b699cfaa7643c8e455029ed18972f9de1d7145215a",
+}
 
 
 def test_pbar_series_small_values():
@@ -15,6 +27,10 @@ def test_pbar_series_small_values():
     # 2^{#distinct parts}
     assert pbar_series(0) == [1]
     assert pbar_series(4) == [1, 2, 4, 8, 14]
+
+
+def test_pbar_series_matches_product_oracle(pbar3000):
+    assert pbar3000 == pbar_series_product(3000)
 
 
 def test_pbar_series_rejects_negative():
@@ -61,6 +77,16 @@ def test_rank_class_table_examples():
 def test_rank_class_table_rejects_bad_modulus():
     with pytest.raises(ValueError):
         rank_class_table(10, 1)
+
+
+def test_table_matches_dp_oracle():
+    for c in range(2, 12):
+        assert rank_class_table(200, c).counts == rank_class_table_dp(200, c).counts, c
+
+
+@pytest.mark.parametrize("n_max,c", sorted(DP_CHECKSUMS))
+def test_table_checksum_matches_dp_oracle(n_max, c):
+    assert rank_class_table(n_max, c).checksum() == DP_CHECKSUMS[n_max, c]
 
 
 def test_table_matches_oracle(small_tables):
@@ -189,6 +215,26 @@ def test_cache_rejects_truncation(tmp_path):
     path.write_text("\n".join(lines[:50]) + "\n")
     with pytest.raises(ValueError):
         load_table(path)
+
+
+def test_failed_save_keeps_previous_cache(tmp_path):
+    table = rank_class_table(30, 3)
+    path = tmp_path / "t3.tbl"
+    save_table(table, path)
+    before = path.read_bytes()
+
+    class Unwritable(int):
+        def __format__(self, spec):
+            raise OSError("disk full")
+
+    # the failure strikes after the header and half the rows are written
+    rows = [list(row) for row in table.counts]
+    rows[15][1] = Unwritable(rows[15][1])
+    with pytest.raises(OSError, match="disk full"):
+        save_table(RankClassTable(c=3, n_max=30, counts=rows), path)
+    assert path.read_bytes() == before
+    assert load_table(path).checksum() == table.checksum()
+    assert os.listdir(tmp_path) == ["t3.tbl"]  # no temporary file left behind
 
 
 def test_orthogonality_at_depth(table3, pbar3000):
