@@ -124,12 +124,14 @@ class RankClassTable:
     """Exact table of rank-class counts: counts[n][r] for 0 <= n <= n_max, r mod c.
 
     Built once by `rank_class_table`; treated as immutable afterwards, so it
-    may be shared freely across worker processes or threads.
+    may be shared freely across worker processes or threads, and its
+    checksum is computed once.
     """
 
     c: int
     n_max: int
     counts: list[list[int]]
+    _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def row(self, n: int) -> list[int]:
         return self.counts[n]
@@ -142,13 +144,15 @@ class RankClassTable:
 
     def checksum(self) -> str:
         """SHA-256 over the decimal count stream; also stored in cache files."""
-        h = hashlib.sha256()
-        h.update(f"{TABLE_FORMAT_VERSION}:{self.c}:{self.n_max}".encode())
-        for row in self.counts:
-            for v in row:
-                h.update(str(v).encode())
-                h.update(b",")
-        return h.hexdigest()
+        if self._checksum is None:
+            h = hashlib.sha256()
+            h.update(f"{TABLE_FORMAT_VERSION}:{self.c}:{self.n_max}".encode())
+            for row in self.counts:
+                for v in row:
+                    h.update(str(v).encode())
+                    h.update(b",")
+            self._checksum = h.hexdigest()
+        return self._checksum
 
 
 def _bracket_columns(n_max: int, c: int) -> list[list[int]]:

@@ -1,11 +1,16 @@
-"""Slow reference counts, kept only as test oracles for `overrank.counts`.
+"""Slow reference paths, kept only as test oracles for `overrank`.
 
-Both are direct and independent of the generating functions the library
-uses: the truncated product for the overpartition series, and the O(c N^2)
-dynamic program over the largest part for the rank-class table.  With the
-brute-force enumeration `overrank.counts.brute_force_rank_counts`, they are
-what the production counts are checked against.
+The counting oracles are direct and independent of the generating functions
+the library uses: the truncated product for the overpartition series, and
+the O(c N^2) dynamic program over the largest part for the rank-class table.
+With the brute-force enumeration `overrank.counts.brute_force_rank_counts`,
+they are what the production counts are checked against.  The sweep oracle
+compares every pair of the subadditivity triangle exactly, with no row
+pruning; `overrank.verify.verify_subadditivity` is checked against it.
 """
+
+import math
+from fractions import Fraction
 
 from overrank.counts import RankClassTable
 
@@ -67,3 +72,41 @@ def rank_class_table_dp(n_max: int, c: int) -> RankClassTable:
                     dst[s] += g + g
     counts = [[cls[r][n] for r in range(c)] for n in range(N)]
     return RankClassTable(c=c, n_max=n_max, counts=counts)
+
+
+def sweep_oracle(vals: list[int], n_lo: int, n_hi: int):
+    """Violations and exact min margin of vals[n1+n2] < vals[n1]*vals[n2].
+
+    Every pair n_lo <= n1 <= n2 <= n_hi gets one big-int product and one
+    float log comparison; the minimal margin rhs/lhs over pairs with lhs > 0
+    is settled exactly among the float-near-minimal candidates.  Returns
+    (violations, min_margin), violations as sorted (n1, n2, lhs, rhs).
+    """
+    logs = [(math.log2(v) if v else -math.inf) for v in vals]
+    violations = []
+    best_log = math.inf
+    candidates: list[tuple[int, int]] = []
+    for n1 in range(n_lo, n_hi + 1):
+        v1 = vals[n1]
+        l1 = logs[n1]
+        for n2 in range(n1, n_hi + 1):
+            lhs = vals[n1 + n2]
+            rhs = v1 * vals[n2]
+            if lhs >= rhs:
+                violations.append((n1, n2, lhs, rhs))
+            if lhs:
+                lg = l1 + logs[n2] - logs[n1 + n2]
+                if lg < best_log + 1e-9:
+                    if lg < best_log - 1e-9:
+                        candidates = [(n1, n2)]
+                        best_log = min(best_log, lg)
+                    else:
+                        candidates.append((n1, n2))
+                        best_log = min(best_log, lg)
+    # exact minimum over the float-near-minimal candidates
+    best: Fraction | None = None
+    for n1, n2 in candidates:
+        m = Fraction(vals[n1] * vals[n2], vals[n1 + n2])
+        if best is None or m < best:
+            best = m
+    return violations, best

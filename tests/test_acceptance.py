@@ -167,3 +167,22 @@ def test_criterion_10_certified_constants(pbar3000, pbar_deep):
     gate(10, "series constants certified below the published caps",
          ok and giant_ok,
          "tails < 1e-15 relative; giant-threshold formulas checked")
+
+
+def test_criterion_11_subadditivity_to_thresholds(table4, table5):
+    # the exhaustive sweep reaches the sandwich thresholds 2089 / 272 / 449,
+    # where the asymptotic sandwich windows take over
+    tables = {3: rank_class_table(2 * 2089, 3), 4: table4, 5: table5}
+    violations = 0
+    pairs = 0
+    worst = None
+    for c, table in tables.items():
+        n_hi = sandwich_threshold(c).n_min
+        for a in range(c):
+            cert = verify_subadditivity(table, a, 9, n_hi)
+            violations += len(cert.violations)
+            pairs += cert.pairs_checked
+            worst = cert.min_margin if worst is None else min(worst, cert.min_margin)
+    gate(11, "strict log-subadditivity on 9<=n1<=n2<=2089 / 272 / 449 for c = 3 / 4 / 5, all a",
+         violations == 0 and worst > 1,
+         f"{pairs} pairs, min margin ~{float(worst):.4f}")

@@ -79,6 +79,29 @@ def test_verify_clean_and_dirty(capsys, tmp_path):
     assert code == 1  # below-range violations exist and are reported
 
 
+def test_verify_jobs_flag_byte_identical(capsys):
+    # --jobs is accepted and has no effect on what a sweep certifies
+    argv = ["verify", "--c", "3", "--n-lo", "9", "--n-hi", "120", "--n-max", "240",
+            "--format", "json-lines"]
+    records = []
+    for jobs in ("1", "2"):
+        code, out = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        records.append([line for line in out.splitlines()
+                        if '"record": "certificate"' in line])
+    assert len(records[0]) == 3
+    assert records[0] == records[1]
+
+
+def test_verify_reports_stage_timings(capsys):
+    code, out = run_cli(capsys, "verify", "--c", "4", "--n-lo", "9", "--n-hi", "30",
+                        "--n-max", "60", "--format", "json-lines")
+    assert code == 0
+    report = Report.from_json_lines(out)
+    assert set(report.timings) == {"table_s", "sweep_s", "total_s"}
+    assert 0 <= report.timings["sweep_s"] <= report.timings["total_s"]
+
+
 def test_verify_a_list(capsys):
     code, out = run_cli(capsys, "verify", "--c", "4", "--n-lo", "9",
                         "--n-hi", "20", "--a-list", "1,3", "--n-max", "40")

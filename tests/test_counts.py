@@ -9,6 +9,7 @@ from oracles import pbar_series_product, rank_class_table_dp
 
 from overrank import (a_exact, brute_force_rank_counts, load_table, pbar_series,
                       rank_class_table, save_table, verify_orthogonality)
+from overrank import counts
 from overrank.counts import RankClassTable, orthogonality_residue
 
 # RankClassTable.checksum() of the O(c N^2) DP oracle's tables
@@ -215,6 +216,26 @@ def test_cache_rejects_truncation(tmp_path):
     path.write_text("\n".join(lines[:50]) + "\n")
     with pytest.raises(ValueError):
         load_table(path)
+
+
+def test_checksum_is_computed_once(tmp_path, monkeypatch):
+    hashes = []
+    sha256 = counts.hashlib.sha256
+
+    def counting_sha256(*args):
+        hashes.append(1)
+        return sha256(*args)
+
+    monkeypatch.setattr(counts.hashlib, "sha256", counting_sha256)
+    table = rank_class_table(40, 3)
+    first = table.checksum()
+    save_table(table, tmp_path / "t3.tbl")
+    assert table.checksum() == first and len(hashes) == 1
+    # load_table keeps the checksum it verified
+    loaded = load_table(tmp_path / "t3.tbl")
+    assert loaded.checksum() == first and len(hashes) == 2
+    # the memo takes no part in equality
+    assert RankClassTable(c=3, n_max=40, counts=table.counts) == table
 
 
 def test_failed_save_keeps_previous_cache(tmp_path):
