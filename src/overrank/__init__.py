@@ -23,9 +23,8 @@ from .counts import (RankClassTable, RankDistribution, a_exact,
                      brute_force_rank_counts, load_table, pbar_series,
                      rank_class_table, save_table, verify_orthogonality)
 from .modsums import (DEFAULT_PRECISION, KloostermanContext, context,
-                      dedekind_sum, dedekind_sum_direct, delta, kloosterman_A,
-                      kloosterman_B, kloosterman_D, m_param, mod_inverse, omega,
-                      sawtooth)
+                      dedekind_sum, delta, kloosterman_B, kloosterman_D, m_param,
+                      mod_inverse, omega, sawtooth)
 from .report import Report, RunConfig
 from .verify import (Certificate, monotonicity_probe, t_generic_chain,
                      t_inequality, threshold_scan, verify_subadditivity)

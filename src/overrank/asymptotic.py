@@ -52,17 +52,14 @@ class AsymptoticEstimate:
         return max(abs(t) for _, t in self.k_terms)
 
 
-def a_asymptotic(a: int, c: int, n: int, prec: int = DEFAULT_PRECISION,
-                 kernel: str = "consistent",
-                 alt_conditions: bool = False,
-                 k_cap: int | None = None) -> AsymptoticEstimate:
+def a_asymptotic(a: int, c: int, n: int,
+                 prec: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
     """Main terms of the deviation coefficient for rank residue a mod c at n.
 
-    Arc denominators run over 1 <= k <= sqrt(n).  `alt_conditions` switches
-    the secondary sum to the alternative divisibility condition c | k (kept
-    for audit; it empties that sum since its branch parameters require
-    c not dividing k).  `k_cap` truncates the k-range, for term-dominance
-    experiments.
+    Arc denominators run over odd 1 <= k <= sqrt(n): the sine-weighted sum
+    B over c | k, and the secondary sum D over c not dividing k (c1 != 4,
+    outer branches of l/c1), one term per r >= 0 with delta > 0.  Each k's
+    complex contribution is kept in k_terms.
     """
     if not (0 < a < c and gcd(a, c) == 1):
         raise ValueError("need 0 < a < c with gcd(a,c) = 1")
@@ -71,8 +68,6 @@ def a_asymptotic(a: int, c: int, n: int, prec: int = DEFAULT_PRECISION,
     if n < 1:
         raise ValueError("n must be >= 1")
     kmax = isqrt(n)
-    if k_cap is not None:
-        kmax = min(kmax, k_cap)
     terms: list[tuple[int, mpc]] = []
     with mp.workprec(prec + 20):
         root = mp.sqrt(mpf(2) / n)
@@ -81,20 +76,13 @@ def a_asymptotic(a: int, c: int, n: int, prec: int = DEFAULT_PRECISION,
         for k in range(c, kmax + 1, c):
             if k % 2 == 0:
                 continue
-            B = kloosterman_B(a, c, k, -n, Fraction(0), prec + 20, kernel)
+            B = kloosterman_B(a, c, k, -n, Fraction(0), prec + 20)
             t = mpc(0, 1) * root * B / mp.sqrt(k) * mp.sinh(mp.pi * mp.sqrt(n) / k)
             terms.append((k, t))
             total += t
         # secondary sum: c not dividing k, k odd, c1 != 4, r >= 0 with delta > 0
         for k in range(1, kmax + 1):
-            if k % 2 == 0:
-                continue
-            if alt_conditions:
-                if k % c != 0:
-                    continue
-                # branch parameters are undefined when c | k: sum is empty
-                continue
-            if k % c == 0:
+            if k % 2 == 0 or k % c == 0:
                 continue
             ctx = context(a, c, k)
             if ctx.c1 == 4 or ctx.region == "mid":
@@ -107,7 +95,7 @@ def a_asymptotic(a: int, c: int, n: int, prec: int = DEFAULT_PRECISION,
                 if d <= 0:
                     break
                 m = m_param(ctx, r)
-                D = kloosterman_D(a, c, k, -n, m, sign, prec + 20, kernel)
+                D = kloosterman_D(a, c, k, -n, m, sign, prec + 20)
                 tk += (2 * root * D / mp.sqrt(k)
                        * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                 r += 1
@@ -131,18 +119,14 @@ class EngelEstimate:
     precision_bits: int = DEFAULT_PRECISION
 
 
-def engel_pbar(n: int, prec: int = DEFAULT_PRECISION,
-               first_arc_only: bool = False) -> EngelEstimate:
+def engel_pbar(n: int, prec: int = DEFAULT_PRECISION) -> EngelEstimate:
     """Estimate the overpartition count from the first two odd arc terms.
 
     Arc k=1 gives (1/8n)[(1+1/(pi sqrt n))e^{-pi sqrt n}+(1-1/(pi sqrt n))e^{pi sqrt n}].
     Arc k=3 carries the multiplier sum 2 cos(pi/6 - 2 pi n/3) and the same
     derivative kernel at argument pi sqrt(n)/3.  The certified remainder
-    bound is 3^{5/2} sinh(pi sqrt(n)/3) / (pi n^{3/2}).
-
-    `first_arc_only` drops the k=3 arc (audit mode); containment of the exact
-    count inside estimate +/- bound then fails for most n >= 434, which is
-    how the two-arc default was settled (see tests).
+    bound is 3^{5/2} sinh(pi sqrt(n)/3) / (pi n^{3/2}); without the k=3 arc
+    the exact count falls outside it for most n >= 434.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -150,10 +134,9 @@ def engel_pbar(n: int, prec: int = DEFAULT_PRECISION,
         s = mp.sqrt(mpf(n))
         est = (mpf(1) / (8 * n)) * ((1 + 1 / (mp.pi * s)) * mp.exp(-mp.pi * s)
                                     + (1 - 1 / (mp.pi * s)) * mp.exp(mp.pi * s))
-        if not first_arc_only:
-            mult = 2 * mp.cospi(mpf(1) / 6 - mpf(2 * (n % 3)) / 3)
-            est += mult * (mp.sqrt(3) * mp.cosh(mp.pi * s / 3) / (12 * n)
-                           - mp.sqrt(3) * mp.sinh(mp.pi * s / 3) / (4 * mp.pi * n * s))
+        mult = 2 * mp.cospi(mpf(1) / 6 - mpf(2 * (n % 3)) / 3)
+        est += mult * (mp.sqrt(3) * mp.cosh(mp.pi * s / 3) / (12 * n)
+                       - mp.sqrt(3) * mp.sinh(mp.pi * s / 3) / (4 * mp.pi * n * s))
         bound = mpf(3) ** mpf("2.5") / (mp.pi * mpf(n) ** mpf("1.5")) * mp.sinh(mp.pi * s / 3)
     with mp.workprec(prec):
         return EngelEstimate(n=n, estimate=+est, certified_bound=+bound,

@@ -189,6 +189,8 @@ def cmd_verify(args) -> int:
     report = Report(command="verify", config=cfg)
     c = args.c
     n_lo, n_hi = args.n_lo, args.n_hi
+    if c < 2:
+        raise ValueError(f"--c must be >= 2, got {c}")
     if args.a_list == "all":
         residues = list(range(c))
     else:
@@ -203,9 +205,9 @@ def cmd_verify(args) -> int:
     for a in residues:
         cert = verify_subadditivity(table, a, n_lo, n_hi)
         total_violations += len(cert.violations)
+        margin = "none" if cert.min_margin is None else fmt_value(cert.min_margin)
         report.add("certificate", c=c, a=a, pairs=cert.pairs_checked,
-                   violations=len(cert.violations),
-                   min_margin=fmt_value(cert.min_margin) if cert.min_margin else "none",
+                   violations=len(cert.violations), min_margin=margin,
                    table_sha256=cert.table_checksum,
                    text=cert.serialize())
     report.timings["sweep_s"] = round(time.perf_counter() - t_sweep, 6)

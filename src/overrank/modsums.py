@@ -5,15 +5,10 @@ delta and m) are exact `fractions.Fraction`s; recomputing them at any
 floating precision changes nothing.  Complex values are mpmath `mpc` at a
 configurable working precision (default 160 bits).
 
-The finite exponential sums come in two kernel conventions:
-
-* ``"consistent"`` (default): phase exp(-pi*i*a^2*k1*(c-2)*h'/c) on the
-  sine-weighted sum, and a doubled (always integral) linear parameter 2*m
-  in the secondary sum.  This is the convention validated against exact
-  rank-class counts; see tests/test_asymptotic.py.
-* ``"variant"``: phase exp(-2*pi*i*a^2*k1*h'/c) with a leading minus sign,
-  and the half-weight linear parameter.  Retained for auditing; it does not
-  reproduce the exact counts.
+The finite exponential sums B and D follow one convention: the phase
+exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
+integral) linear parameter 2*m in the secondary sum.  It is validated
+against exact rank-class counts; see tests/test_asymptotic.py.
 """
 
 from __future__ import annotations
@@ -30,9 +25,7 @@ __all__ = [
     "context",
     "coprime_residues",
     "dedekind_sum",
-    "dedekind_sum_direct",
     "delta",
-    "kloosterman_A",
     "kloosterman_B",
     "kloosterman_D",
     "m_param",
@@ -56,26 +49,8 @@ def sawtooth(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
-def dedekind_sum_direct(h: int, k: int) -> Fraction:
-    """Reference path: s(h,k) = sum_{u mod k} ((u/k)) ((hu/k)), exactly.
-
-    Inner loop in plain integers: ((u/k)) = (2u - k)/(2k) for 0 < u < k,
-    and hu mod k never vanishes when gcd(h,k) = 1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    h %= k
-    if gcd(h, k) != 1:
-        raise ValueError("h and k must be coprime")
-    acc = 0
-    for u in range(1, k):
-        v = (h * u) % k
-        acc += (2 * u - k) * (2 * v - k)
-    return Fraction(acc, 4 * k * k)
-
-
 def dedekind_sum(h: int, k: int) -> Fraction:
-    """Fast path: Euclidean recursion via the reciprocity law.
+    """s(h,k) = sum_{u mod k} ((u/k)) ((hu/k)), by Euclidean recursion.
 
     s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk))/12 for coprime h,k >= 1,
     applied with h reduced mod k until the pair collapses.
@@ -201,21 +176,15 @@ def m_param(ctx: KloostermanContext, r: int) -> Fraction:
                     2 * c1 * c1)
 
 
-def _check_kernel(kernel: str) -> None:
-    if kernel not in ("consistent", "variant"):
-        raise ValueError("kernel must be 'consistent' or 'variant'")
-
-
 def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
-                  prec: int = DEFAULT_PRECISION, kernel: str = "consistent") -> mpc:
+                  prec: int = DEFAULT_PRECISION) -> mpc:
     """Sine-weighted Kloosterman-type sum over c | k with k odd.
 
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
-    quadratic Gauss-type phase in a^2*k1*h'/c, and exp(2*pi*i*(n*h+m*h')/k).
+    quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*(n*h+m*h')/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
     sine never vanishes.
     """
-    _check_kernel(kernel)
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
     if gcd(a, c) != 1 or not 0 < a < c:
@@ -228,27 +197,22 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
             hp = mod_inverse(h, k)
             w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
             term = w / mp.sinpi(mpf(a * hp) / c)
-            if kernel == "consistent":
-                term *= mp.expjpi(-mpf((a * a * k1 * (c - 2) * hp) % (2 * c)) / c)
-            else:
-                term *= rational_phase(Fraction(-hp * a * a * k1, c), prec + 10)
+            term *= mp.expjpi(-mpf((a * a * k1 * (c - 2) * hp) % (2 * c)) / c)
             term *= rational_phase(Fraction(n * h, k) + m * Fraction(hp, k), prec + 10)
             total += term
-        sign = 1 if kernel == "consistent" else -1
-        total *= sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
+        total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
         return +total
 
 
 def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
-                  prec: int = DEFAULT_PRECISION, kernel: str = "consistent") -> mpc:
+                  prec: int = DEFAULT_PRECISION) -> mpc:
     """Secondary Kloosterman-type sum over c not dividing k, k odd.
 
     region_sign is +1 on the low branch of l/c1 and -1 on the high branch;
     invoking it for the mid branch (where delta vanishes identically) is an
-    error in the caller.  The 'consistent' kernel doubles m in the phase.
+    error in the caller.  The phase carries the doubled parameter 2*m.
     """
-    _check_kernel(kernel)
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
     if region_sign not in (1, -1):
@@ -256,7 +220,7 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
     if gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
     m = Fraction(m)
-    m_eff = 2 * m if kernel == "consistent" else m
+    m_eff = 2 * m
     with mp.workprec(prec + 10):
         total = mpc(0)
         for h in coprime_residues(k):
@@ -265,34 +229,5 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
             total += w * rational_phase(Fraction(n * h, k) + m_eff * Fraction(hp, k),
                                         prec + 10)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
-    with mp.workprec(prec):
-        return +total
-
-
-def kloosterman_A(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
-                  prec: int = DEFAULT_PRECISION) -> mpc:
-    """Even-k companion sum over c | k (cotangent weight, omega_{h,k/2} divisor).
-
-    Defined for completeness; the asymptotic evaluator never consumes it
-    because the main-term decomposition runs over odd k only.
-    """
-    if k % c != 0 or k % 2 != 0:
-        raise ValueError("kloosterman_A requires c | k with k even")
-    if gcd(a, c) != 1 or not 0 < a < c:
-        raise ValueError("need 0 < a < c coprime")
-    m = Fraction(m)
-    k1 = k // c
-    half = k // 2
-    with mp.workprec(prec + 10):
-        total = mpc(0)
-        for h in coprime_residues(k):
-            hp = mod_inverse(h, k)
-            # h odd and coprime to k, so gcd(h, k/2) = 1; reduce the index mod k/2
-            w = omega(h, k, prec + 10) ** 2 / omega(h % half, half, prec + 10)
-            term = w * mp.cospi(mpf(a * hp) / c) / mp.sinpi(mpf(a * hp) / c)
-            term *= rational_phase(Fraction(-hp * a * a * k1, c), prec + 10)
-            term *= rational_phase(Fraction(n * h, k) + m * Fraction(hp, k), prec + 10)
-            total += term
-        total *= (-1) ** (k1 + 1) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
         return +total

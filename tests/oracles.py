@@ -6,11 +6,15 @@ the O(c N^2) dynamic program over the largest part for the rank-class table.
 With the brute-force enumeration `overrank.counts.brute_force_rank_counts`,
 they are what the production counts are checked against.  The sweep oracle
 compares every pair of the subadditivity triangle exactly, with no row
-pruning; `overrank.verify.verify_subadditivity` is checked against it.
+pruning; `overrank.verify.verify_subadditivity` is checked against it.  The
+Dedekind oracles sum s(h,k) from its definition, in O(k) per value, to check
+the reciprocity-law recursion `overrank.modsums.dedekind_sum`.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from overrank.counts import RankClassTable
 
@@ -110,3 +114,38 @@ def sweep_oracle(vals: list[int], n_lo: int, n_hi: int):
         if best is None or m < best:
             best = m
     return violations, best
+
+
+def dedekind_sum_direct(h: int, k: int) -> Fraction:
+    """s(h,k) = sum_{u mod k} ((u/k)) ((hu/k)), exactly.
+
+    Inner loop in plain integers: ((u/k)) = (2u - k)/(2k) for 0 < u < k,
+    and hu mod k never vanishes when gcd(h,k) = 1.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    h %= k
+    if math.gcd(h, k) != 1:
+        raise ValueError("h and k must be coprime")
+    acc = 0
+    for u in range(1, k):
+        v = (h * u) % k
+        acc += (2 * u - k) * (2 * v - k)
+    return Fraction(acc, 4 * k * k)
+
+
+def dedekind_sums_direct_row(k: int) -> dict[int, Fraction]:
+    """s(h,k) for every 0 <= h < k coprime to k, from one (h x u) matrix.
+
+    The same integer sum as `dedekind_sum_direct`, taken for all h at once
+    in int64: each entry (2u - k)(2v - k) is below k^2 in magnitude and a
+    row sums k - 1 of them, so |acc| < k^3 and nothing overflows for
+    k < 2^21.
+    """
+    if not 1 <= k < 1 << 21:
+        raise ValueError("need 1 <= k < 2^21")
+    hs = [h for h in range(k) if math.gcd(h, k) == 1]
+    u = np.arange(1, k, dtype=np.int64)
+    v = (np.array(hs, dtype=np.int64)[:, None] * u) % k
+    acc = (2 * v - k) @ (2 * u - k)
+    return {h: Fraction(int(x), 4 * k * k) for h, x in zip(hs, acc)}

@@ -42,36 +42,19 @@ def test_imag_residual_tiny(table3):
 
 
 def test_single_arc_dominates():
-    # truncating to the first admissible denominator keeps sign and magnitude
+    # the terms with k <= 3, the first admissible denominator, keep the sign
+    # and magnitude of the full sum
     for n in (400, 900, 1600):
         full = a_asymptotic(1, 3, n)
-        capped = a_asymptotic(1, 3, n, k_cap=3)
-        assert (full.value > 0) == (capped.value > 0)
-        assert mpf("0.5") < abs(capped.value / full.value) < mpf(2)
+        capped = sum(t for k, t in full.k_terms if k <= 3).real
+        assert (full.value > 0) == (capped > 0)
+        assert mpf("0.5") < abs(capped / full.value) < mpf(2)
 
 
 def test_precision_doubling_stability():
     lo = a_asymptotic(1, 3, 600, prec=160)
     hi = a_asymptotic(1, 3, 600, prec=320)
     assert abs(lo.value - hi.value) / abs(hi.value) < mpf(2) ** -120
-
-
-def test_alt_conditions_empty_secondary_sum():
-    # the alternative divisibility condition on the secondary sum empties it
-    full = a_asymptotic(1, 5, 500)
-    alt = a_asymptotic(1, 5, 500, alt_conditions=True)
-    ks_full = {k for k, _ in full.k_terms}
-    ks_alt = {k for k, _ in alt.k_terms}
-    assert any(k % 5 != 0 for k in ks_full)
-    assert all(k % 5 == 0 for k in ks_alt)
-
-
-def test_variant_kernel_is_not_the_shipping_default(table3):
-    # the audit kernel does not reproduce the exact coefficients; keeping this
-    # pinned documents why 'consistent' is the default
-    est = a_asymptotic(1, 3, 500, kernel="variant")
-    exact = a_exact(1, 3, 500, table3, prec=300)
-    assert abs(est.value - exact.real) / abs(exact.real) > mpf("0.5")
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +105,6 @@ def test_engel_relative_deviation_improves():
     d100 = abs(series[100] - engel_pbar(100).estimate) / series[100]
     d900 = abs(series[900] - engel_pbar(900).estimate) / series[900]
     assert d900 < d100
-
-
-def test_engel_single_arc_audit_mode_fails_containment():
-    # dropping the second arc breaks containment for most n >= 434 in the
-    # residue classes where the second-arc multiplier is nonzero; that
-    # breakdown is exactly why the default keeps both arcs
-    series = pbar_series(520)
-    bad = 0
-    for n in range(434, 521):
-        e = engel_pbar(n, first_arc_only=True)
-        if abs(series[n] - e.estimate) > e.certified_bound:
-            bad += 1
-            assert n % 3 != 1, "second-arc multiplier vanishes for n = 1 mod 3"
-    assert bad > 40
 
 
 def test_engel_bound_relaxation_chain():

@@ -77,6 +77,12 @@ def test_verify_clean_and_dirty(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", "--c", "3", "--n-lo", "1",
                         "--n-hi", "8", "--n-max", "16")
     assert code == 1  # below-range violations exist and are reported
+    # some pair has rhs = 0 < lhs, so the exact minimal margin is 0: the
+    # record must say so, as the certificate text does
+    certs = [ln for ln in out.splitlines() if ln.startswith("certificate ")]
+    assert len(certs) == 3
+    for line in certs:
+        assert " min_margin=0/1 " in line and "\\nmin_margin 0/1\\n" in line, line
 
 
 def test_verify_jobs_flag_byte_identical(capsys):
@@ -190,24 +196,39 @@ def _duplicate_line(lines):
     lines[2] = lines[1]  # (0, 0) twice and (0, 1) missing: the line count still matches
 
 
-@pytest.mark.parametrize("corrupt,message", [
-    (_header_key_renamed, "cache header"),
-    (_header_key_missing, "cache header"),
-    (_header_key_extra, "cache header"),
-    (_relabel(10, 0, 11, 0), "'11 0 "),
-    (_relabel(10, 0, -1, 0), "'-1 0 "),
-    (_relabel(0, 2, 0, 3), "'0 3 "),
-    (_relabel(0, 2, 0, -1), "'0 -1 "),
-    (_duplicate_line, "'0 0 1' is out of place: the line for n=0, r=1 is due"),
+def _corrupt_cache(corrupt):
+    # `count` reads a depth-10 c=3 cache after `corrupt` edits its lines
+    def make_argv(tmp_path):
+        cache = tmp_path / "t3.tbl"
+        save_table(rank_class_table(10, 3), cache)
+        lines = cache.read_text().splitlines()
+        corrupt(lines)
+        cache.write_text("\n".join(lines) + "\n")
+        return ["count", "--n", "5", "--c", "3", "--n-max", "10", "--cache", str(cache)]
+    return make_argv
+
+
+def _verify_modulus_zero(tmp_path):
+    # the residue list is reduced mod c, so c must be checked before it
+    return ["verify", "--c", "0", "--n-lo", "1", "--n-hi", "2", "--a-list", "1"]
+
+
+@pytest.mark.parametrize("make_argv,message", [
+    (_corrupt_cache(_header_key_renamed), "cache header"),
+    (_corrupt_cache(_header_key_missing), "cache header"),
+    (_corrupt_cache(_header_key_extra), "cache header"),
+    (_corrupt_cache(_relabel(10, 0, 11, 0)), "'11 0 "),
+    (_corrupt_cache(_relabel(10, 0, -1, 0)), "'-1 0 "),
+    (_corrupt_cache(_relabel(0, 2, 0, 3)), "'0 3 "),
+    (_corrupt_cache(_relabel(0, 2, 0, -1)), "'0 -1 "),
+    (_corrupt_cache(_duplicate_line), "'0 0 1' is out of place: the line for n=0, r=1 is due"),
+    (_verify_modulus_zero, "--c must be >= 2"),
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
-        "n-above-n-max", "n-negative", "r-above-c", "r-negative", "duplicate-line"])
-def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, corrupt, message):
-    cache = tmp_path / "t3.tbl"
-    save_table(rank_class_table(10, 3), cache)
-    lines = cache.read_text().splitlines()
-    corrupt(lines)
-    cache.write_text("\n".join(lines) + "\n")
-    code = main(["count", "--n", "5", "--c", "3", "--n-max", "10", "--cache", str(cache)])
+        "n-above-n-max", "n-negative", "r-above-c", "r-negative", "duplicate-line",
+        "verify-c-zero"])
+def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
+    # bad input, a corrupt cache or a modulus below 2, is one line and exit 2
+    code = main(make_argv(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
