@@ -21,10 +21,10 @@ from .bounds import (BoundBreakdown, CertifiedConstant, Threshold,
                      strict_verdict)
 from .counts import (RankClassTable, RankDistribution, a_exact,
                      brute_force_rank_counts, load_table, pbar_series,
-                     rank_class_table, save_table, verify_orthogonality)
+                     rank_class_table, save_table)
 from .modsums import (DEFAULT_PRECISION, KloostermanContext, context,
                       dedekind_sum, delta, kloosterman_B, kloosterman_D, m_param,
-                      mod_inverse, omega, sawtooth)
+                      mod_inverse, omega)
 from .report import Report, RunConfig
 from .verify import (Certificate, monotonicity_probe, t_generic_chain,
                      t_inequality, threshold_scan, verify_subadditivity)

@@ -26,6 +26,7 @@ from .report import Report, RunConfig, fmt_value
 from .verify import verify_subadditivity
 
 ENV_PREFIX = "OVERRANK_"
+FORMATS = ("text", "json-lines")
 
 
 def _env_default(flag: str):
@@ -44,12 +45,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="accepted for compatibility; sweeps run in one process")
     p.add_argument("--report", default=_env_default("report"),
                    help="write the full report to this path")
-    p.add_argument("--format", choices=("text", "json-lines"),
+    p.add_argument("--format", choices=FORMATS,
                    default=_env_default("format") or "text",
                    help="report format (default text)")
 
 
 def _config(args) -> RunConfig:
+    # argparse checks `choices` only on the command line, not on a default
+    # taken from the environment
+    if args.format not in FORMATS:
+        raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {args.format!r}")
     return RunConfig(precision_bits=int(args.precision), n_max=int(args.n_max),
                      cache_path=args.cache, parallelism=int(args.jobs))
 
@@ -83,6 +88,8 @@ def cmd_count(args) -> int:
     report = Report(command="count", config=cfg)
     n = args.n
     report.inputs = {"n": n, "c": args.c, "a": args.a}
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
     if n > cfg.n_max:
         raise ValueError(f"n={n} exceeds --n-max={cfg.n_max}")
     t0 = time.perf_counter()
@@ -163,10 +170,9 @@ def cmd_bounds(args) -> int:
                upper_coef=fmt_value(th.upper_coef), n_min=str(th.n_min))
     if c in (3, 4, 5):
         # the sandwich coefficients must absorb the ratio at the threshold
-        v1 = strict_verdict(rr if n >= th.n_min else r_ratio(c, th.n_min, prec),
-                            1 / mpf(c) - th.lower_coef, cfg.margin_policy)
-        v2 = strict_verdict(rr if n >= th.n_min else r_ratio(c, th.n_min, prec),
-                            th.upper_coef - 1 / mpf(c), cfg.margin_policy)
+        rr_th = rr if n >= th.n_min else r_ratio(c, th.n_min, prec)
+        v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef, cfg.margin_policy)
+        v2 = strict_verdict(rr_th, th.upper_coef - 1 / mpf(c), cfg.margin_policy)
         report.add("threshold_verdict", lower=v1, upper=v2)
         verdicts += [v1, v2]
     else:

@@ -1,4 +1,4 @@
-"""Exact overpartition counting: p-bar series, rank-class tables, oracles.
+"""Exact overpartition counting: p-bar series, rank-class tables, the table cache.
 
 An overpartition of n is an ordinary partition in which the first occurrence
 of each distinct part value may be overlined.  Overlining never changes the
@@ -12,7 +12,9 @@ the recurrence from Gauss's theta identity, and `rank_class_table` multiplies
 it by Lovejoy's overpartition rank generating function (Lovejoy, Ann. Comb. 9
 (2005) 321-334) taken modulo z^c - 1.  The brute-force enumeration here and
 the O(c N^2) dynamic program and product-form series in tests/oracles.py are
-the independent checks on them.
+the independent checks on them.  Each table row sums to pbar(n); that is the
+exact link between the two counts, and the orthogonality identity that
+recovers a class count from the evaluations `a_exact` reduces to it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ __all__ = [
     "a_exact",
     "brute_force_rank_counts",
     "load_table",
-    "orthogonality_residue",
     "pbar_series",
     "rank_class_table",
     "save_table",
-    "verify_orthogonality",
 ]
 
 # Enumeration guard for the brute-force oracle; p(40) is already ~4e4 partitions.
@@ -123,21 +123,14 @@ def brute_force_rank_counts(n: int, limit: int = BRUTE_FORCE_LIMIT) -> RankDistr
 class RankClassTable:
     """Exact table of rank-class counts: counts[n][r] for 0 <= n <= n_max, r mod c.
 
-    Built once by `rank_class_table`; treated as immutable afterwards, so it
-    may be shared freely across worker processes or threads, and its
-    checksum is computed once.
+    Built once by `rank_class_table` or `load_table` and treated as immutable
+    afterwards, so its checksum is computed once.
     """
 
     c: int
     n_max: int
     counts: list[list[int]]
     _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    def row(self, n: int) -> list[int]:
-        return self.counts[n]
-
-    def count(self, a: int, n: int) -> int:
-        return self.counts[n][a % self.c]
 
     def row_sum(self, n: int) -> int:
         return sum(self.counts[n])
@@ -226,7 +219,7 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
 
 
 # ---------------------------------------------------------------------------
-# Root-of-unity evaluations and the exact orthogonality check
+# Root-of-unity evaluations
 # ---------------------------------------------------------------------------
 
 def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = 160) -> mpc:
@@ -252,83 +245,6 @@ def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = 160) -> m
                 total += v * mp.expjpi(mpf(2 * ((j * r) % c)) / c)
     with mp.workprec(prec):
         return +total
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_mod(p: list[int], d: list[int]) -> list[int]:
-    """Remainder of integer polynomial p modulo monic d (exact division)."""
-    p = list(p)
-    dn = len(d) - 1
-    assert d[-1] == 1
-    for i in range(len(p) - 1, dn - 1, -1):
-        coef = p[i]
-        if coef:
-            p[i] = 0
-            for j in range(dn):
-                p[i - dn + j] -= coef * d[j]
-    return p[:dn] if dn > 0 else []
-
-
-def _cyclotomic(c: int) -> list[int]:
-    """Integer coefficients of the c-th cyclotomic polynomial."""
-    # Phi_c = (x^c - 1) / prod_{d | c, d < c} Phi_d, computed by exact division.
-    num = [-1] + [0] * (c - 1) + [1]
-    den = [1]
-    for d in range(1, c):
-        if c % d == 0:
-            den = _poly_mul(den, _cyclotomic(d))
-    # divide num by den (both monic up to sign handling; den is monic)
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        coef = rem[i + len(den) - 1]
-        out[i] = coef
-        if coef:
-            for j, b in enumerate(den):
-                rem[i + j] -= coef * b
-    assert not any(rem), "cyclotomic division must be exact"
-    return out
-
-
-def orthogonality_residue(a: int, c: int, n: int, table: RankClassTable,
-                          pbar: int | None = None) -> list[int]:
-    """Exact cyclotomic residue of the root-of-unity reconstruction identity.
-
-    Collect pbar + sum_{j=1}^{c-1} zeta^{-aj} * (sum_r counts[n][r] zeta^{jr})
-    as an integer vector over powers of zeta, subtract c * counts[n][a], and
-    reduce modulo the c-th cyclotomic polynomial.  All-zero residue means the
-    reconstruction returns the table entry exactly.  No floating point.
-
-    The collapse sum_j zeta^{j(r-a)} = c*[r == a] is an identity in the class
-    counts, so with the default pbar (the row sum itself) the residue checks
-    the cyclotomic machinery; supplying an independently computed total count
-    turns it into an effective conservation check as well.
-    """
-    if not 0 <= a < c:
-        raise ValueError("a out of range")
-    row = table.counts[n]
-    vec = [0] * c
-    for j in range(1, c):
-        for r, v in enumerate(row):
-            if v:
-                vec[(j * (r - a)) % c] += v
-    vec[0] += sum(row) if pbar is None else pbar
-    vec[0] -= c * row[a % c]
-    return _poly_mod(vec, _cyclotomic(c))
-
-
-def verify_orthogonality(a: int, c: int, n: int, table: RankClassTable,
-                         pbar: int | None = None) -> bool:
-    """True iff the exact orthogonality reconstruction matches the table."""
-    return not any(orthogonality_residue(a, c, n, table, pbar))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Dedekind sums, sawtooth, multiplier ratios, and Kloosterman-type sums.
+"""Dedekind sums, multiplier ratios, and Kloosterman-type sums.
 
-Rational quantities (sawtooth values, Dedekind sums, the branch parameters
-delta and m) are exact `fractions.Fraction`s; recomputing them at any
-floating precision changes nothing.  Complex values are mpmath `mpc` at a
-configurable working precision (default 160 bits).
+Rational quantities (Dedekind sums, the branch parameters delta and m) are
+exact `fractions.Fraction`s; recomputing them at any floating precision
+changes nothing.  Complex values are mpmath `mpc` at a configurable working
+precision (default 160 bits).
 
 The finite exponential sums B and D follow one convention: the phase
 exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
@@ -32,7 +32,6 @@ __all__ = [
     "mod_inverse",
     "omega",
     "rational_phase",
-    "sawtooth",
 ]
 
 DEFAULT_PRECISION = 160
@@ -41,32 +40,27 @@ QUARTER = Fraction(1, 4)
 THREE_QUARTERS = Fraction(3, 4)
 
 
-def sawtooth(x: Fraction) -> Fraction:
-    """((x)): x - floor(x) - 1/2 off the integers, 0 on them."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) = sum_{u mod k} ((u/k)) ((hu/k)), by Euclidean recursion.
 
     s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk))/12 for coprime h,k >= 1,
-    applied with h reduced mod k until the pair collapses.
+    applied with h reduced mod k until the pair collapses.  The terms are
+    summed as one integer fraction num/den, reduced once at the end.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     h %= k
     if gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
-    s = Fraction(0)
+    num, den = 0, 1
     sign = 1
     while h > 0:
-        s += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        d = 12 * h * k
+        num = num * d + sign * (h * h + k * k + 1 - 3 * h * k) * den
+        den *= d
         sign = -sign
         h, k = k % h, h
-    return s
+    return Fraction(num, den)
 
 
 def rational_phase(x: Fraction, prec: int = DEFAULT_PRECISION) -> mpc:

@@ -7,7 +7,9 @@ triangle are cleared at once by a telescoping lower bound on log2(rhs/lhs),
 evaluated in outward-rounded floats; a row whose bound is not positive, or
 that may hold the minimal margin, is compared pair by pair in exact
 integers.  The analytic side (`t_inequality`, `monotonicity_probe`,
-`threshold_scan`) covers the crossing bounds that extend the finite checks.
+`threshold_scan`) covers the crossing bounds that extend the finite checks;
+`t_inequality` takes its coefficients from the modulus, the sandwich row for
+c = 3, 4, 5 and the generic 48*c bound for c >= 6.
 """
 
 from __future__ import annotations
@@ -230,39 +232,34 @@ class TInequalityResult(NamedTuple):
     margin: mpf
 
 
-_T_VARIANTS = ("explicit_c3", "explicit_c4", "explicit_c5", "generic")
-
-
 def _s_factor(n1):
     return mp.log((1 + 1 / mp.sqrt(2 * n1)) / (1 - 1 / mp.sqrt(n1)) ** 2)
 
 
-def t_inequality(n1: int, c: int, variant: str,
-                 prec: int = DEFAULT_PRECISION) -> TInequalityResult:
+def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityResult:
     """Exponent-gap inequality at equal arguments: T(1) > log V + log S.
 
-    T(1) = 2 pi sqrt(n1) - pi sqrt(2 n1).  The explicit variants plug the
-    per-modulus sandwich coefficients into V = upper*8*n1/lower^2; the
-    generic variant uses V = 48*c*n1.
+    T(1) = 2 pi sqrt(n1) - pi sqrt(2 n1).  For c = 3, 4, 5 the sandwich
+    coefficients of c give V = upper*8*n1/lower^2; for c >= 6, V = 48*c*n1.
     """
-    if variant not in _T_VARIANTS:
-        raise ValueError(f"variant must be one of {_T_VARIANTS}")
+    if c < 3:
+        raise ValueError("need c >= 3")
     if n1 < 2:
         raise ValueError("need n1 >= 2")
     with mp.workprec(prec):
         x = mpf(n1)
         lhs = 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x)
-        if variant == "generic":
-            rhs = mp.log(48 * c * x) + _s_factor(x)
-        else:
-            th = sandwich_threshold(int(variant[-1]), prec)
+        if c in (3, 4, 5):
+            th = sandwich_threshold(c, prec)
             rhs = mp.log(th.upper_coef * 8 * x / th.lower_coef ** 2) + _s_factor(x)
+        else:
+            rhs = mp.log(48 * c * x) + _s_factor(x)
         margin = lhs - rhs
         return TInequalityResult(holds=bool(margin > 0), margin=+margin)
 
 
 def t_generic_chain(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> dict:
-    """Relaxation chain behind the generic variant for large-threshold moduli.
+    """Relaxation chain behind `t_inequality` for moduli c >= 6.
 
     For n1 >= 2 the right side relaxes to log(840 c n1); once
     n1 >= (840 c)^2 the gap inequality follows from T(1) > 2 log(n1).

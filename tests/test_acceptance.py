@@ -107,10 +107,10 @@ def test_criterion_06_engel_and_sandwich_containment(pbar3000):
 
 
 def test_criterion_07_t_inequality_crossing():
-    holds_109 = t_inequality(109, 3, "explicit_c3").holds
-    fails_10 = not t_inequality(10, 3, "explicit_c3").holds
+    holds_109 = t_inequality(109, 3).holds
+    fails_10 = not t_inequality(10, 3).holds
     sampled = list(range(109, 2000)) + list(range(2000, 10001, 61)) + [10000]
-    all_hold = all(t_inequality(n1, 3, "explicit_c3").holds for n1 in sampled)
+    all_hold = all(t_inequality(n1, 3).holds for n1 in sampled)
     gate(7, "gap inequality holds from 109 through 10^4 and fails at 10",
          holds_109 and fails_10 and all_hold, f"{len(sampled) + 1} points")
 

@@ -208,6 +208,13 @@ def _corrupt_cache(corrupt):
     return make_argv
 
 
+def _count_negative_n(tmp_path):
+    # a valid cache must not answer for n = -1 with its last row
+    cache = tmp_path / "t3.tbl"
+    save_table(rank_class_table(10, 3), cache)
+    return ["count", "--n", "-1", "--c", "3", "--n-max", "10", "--cache", str(cache)]
+
+
 def _verify_modulus_zero(tmp_path):
     # the residue list is reduced mod c, so c must be checked before it
     return ["verify", "--c", "0", "--n-lo", "1", "--n-hi", "2", "--a-list", "1"]
@@ -222,14 +229,24 @@ def _verify_modulus_zero(tmp_path):
     (_corrupt_cache(_relabel(0, 2, 0, 3)), "'0 3 "),
     (_corrupt_cache(_relabel(0, 2, 0, -1)), "'0 -1 "),
     (_corrupt_cache(_duplicate_line), "'0 0 1' is out of place: the line for n=0, r=1 is due"),
+    (_count_negative_n, "--n must be >= 0"),
     (_verify_modulus_zero, "--c must be >= 2"),
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
         "n-above-n-max", "n-negative", "r-above-c", "r-negative", "duplicate-line",
-        "verify-c-zero"])
+        "count-n-negative", "verify-c-zero"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
-    # bad input, a corrupt cache or a modulus below 2, is one line and exit 2
+    # bad input, such as a corrupt cache or a modulus below 2, is one line and exit 2
     code = main(make_argv(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message in err
+
+
+def test_invalid_format_from_environment_exits_2(capsys, monkeypatch):
+    # argparse leaves a default outside `choices` unchecked
+    monkeypatch.setenv("OVERRANK_FORMAT", "xml")
+    code = main(["count", "--n", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: --format must be one of text, json-lines, got 'xml'\n"

@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from oracles import dedekind_sum_direct, dedekind_sums_direct_row
 from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
-                      m_param, mod_inverse, omega, sawtooth)
+                      m_param, mod_inverse, omega)
 from overrank.modsums import coprime_residues, rational_phase
 
 
@@ -17,19 +17,6 @@ def close(x, y, bits=140):
     with mp.workprec(400):
         return abs(x - y) < mpf(2) ** -bits
 
-
-
-def test_sawtooth_values():
-    assert sawtooth(Fraction(5)) == 0
-    assert sawtooth(Fraction(1, 2)) == 0
-    assert sawtooth(Fraction(7, 3)) == Fraction(-1, 6)
-
-
-def test_sawtooth_antisymmetry():
-    for num in range(-40, 41):
-        for den in (1, 2, 3, 5, 12):
-            x = Fraction(num, den)
-            assert sawtooth(-x) == -sawtooth(x)
 
 
 def test_dedekind_values():

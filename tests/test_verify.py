@@ -239,30 +239,28 @@ def test_bound_clears_nearly_every_row_of_the_paper_range(table3, table4, table5
 # ---------------------------------------------------------------------------
 
 def test_t_inequality_boundary_cases():
-    assert t_inequality(109, 3, "explicit_c3").holds
-    assert not t_inequality(108, 3, "explicit_c3").holds
-    assert not t_inequality(10, 3, "explicit_c3").holds
-    assert t_inequality(109, 3, "explicit_c3").margin > 0
+    assert t_inequality(109, 3).holds
+    assert not t_inequality(108, 3).holds
+    assert not t_inequality(10, 3).holds
+    assert t_inequality(109, 3).margin > 0
 
 
 def test_t_inequality_single_crossing():
-    variants = {"explicit_c3": 109, "explicit_c4": 70, "explicit_c5": 65}
-    for variant, crossing in variants.items():
-        c = int(variant[-1])
+    for c, crossing in {3: 109, 4: 70, 5: 65}.items():
         transitions = []
         prev = None
         for n1 in list(range(2, 400)) + list(range(400, 10001, 111)) + [10000]:
-            holds = t_inequality(n1, c, variant).holds
+            holds = t_inequality(n1, c).holds
             if prev is not None and holds != prev:
                 transitions.append(n1)
             prev = holds
-        assert transitions == [crossing], variant
+        assert transitions == [crossing], c
 
 
 def test_t_generic_threshold():
     c = 6
     n1 = (840 * c) ** 2
-    assert t_inequality(n1, c, "generic").holds
+    assert t_inequality(n1, c).holds
     chain = t_generic_chain(n1, c)
     assert chain["relaxation_valid"]
     assert chain["beyond_threshold"]
@@ -275,9 +273,9 @@ def test_t_generic_threshold():
 
 def test_t_inequality_validation():
     with pytest.raises(ValueError):
-        t_inequality(100, 3, "bogus")
+        t_inequality(100, 2)
     with pytest.raises(ValueError):
-        t_inequality(1, 3, "explicit_c3")
+        t_inequality(1, 3)
 
 
 def test_monotonicity_probe():
