@@ -104,10 +104,11 @@ def test_table_class_symmetry(small_tables):
             assert all(row[r] == row[(c - r) % c] for r in range(c))
 
 
-def test_row_sums_against_series(small_tables):
+def test_row_sums_against_series():
     series = pbar_series(200)
-    for table in (rank_class_table(200, 3), *small_tables.values()):
-        assert all(table.row_sum(n) == series[n] for n in range(table.n_max + 1)), table.c
+    table = rank_class_table(200, 3)
+    assert table.row_sum(200) == series[200]
+    assert all(table.row_sum(n) == series[n] for n in range(201))
 
 
 def test_a_exact_values(small_tables):
@@ -146,6 +147,26 @@ def test_a_exact_range_checks(small_tables):
         a_exact(3, 3, 2, t)
     with pytest.raises(ValueError):
         a_exact(0, 3, 61, t)
+
+
+def test_orthogonality_sweep(small_tables):
+    # N(a,c,n) = (1/c) sum_j zeta^{-aj} A(j/c;n), with A(0;n) = pbar(n) taken
+    # from the independent series; every row n <= 60 of every c = 2..8 table
+    series = pbar_series(60)
+    for c, table in small_tables.items():
+        for n in range(61):
+            coeffs = [a_exact(j, c, n, table) for j in range(1, c)]
+            for a in range(c):
+                total = series[n] + sum(coeffs[j - 1] * mp.expjpi(mpf(-2 * ((a * j) % c)) / c)
+                                        for j in range(1, c))
+                assert abs(total / c - table.counts[n][a]) < mpf(2) ** -100, (a, c, n)
+
+
+def test_orthogonality_at_zero(small_tables):
+    # only the empty overpartition: rank 0, so A(j/c;0) = 1 for every j
+    for c, table in small_tables.items():
+        assert table.counts[0] == [1] + [0] * (c - 1), c
+        assert all(a_exact(j, c, 0, table) == 1 for j in range(c)), c
 
 
 def test_cache_round_trip(tmp_path):
