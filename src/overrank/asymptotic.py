@@ -14,7 +14,6 @@ reported as a residual, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt
 
 from mpmath import mp, mpc, mpf
@@ -76,7 +75,7 @@ def a_asymptotic(a: int, c: int, n: int,
         for k in range(c, kmax + 1, c):
             if k % 2 == 0:
                 continue
-            B = kloosterman_B(a, c, k, -n, Fraction(0), prec + 20)
+            B = kloosterman_B(a, c, k, -n, 0, prec + 20)
             t = mpc(0, 1) * root * B / mp.sqrt(k) * mp.sinh(mp.pi * mp.sqrt(n) / k)
             terms.append((k, t))
             total += t

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mpmath import mp, mpf
 
@@ -405,7 +405,7 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
     """
     report: dict[str, dict] = {}
 
-    def record(name: str, margins: list, grid: str, strict: bool = True) -> None:
+    def record(name: str, margins: Iterable, grid: str, strict: bool = True) -> None:
         # non-strict inequalities may touch equality on the grid (e.g. x = 1)
         worst = min(margins)
         passed = worst > 0 if strict else worst >= 0
@@ -416,12 +416,12 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
         pi = mp.pi
 
         # log x <= a (x^{1/a} - 1) for a, x > 0
-        margins = []
-        for a in (1, 2, 4, 8, 16):
-            for i in range(1, 1001):
-                x = mpf(i) / 20  # x in (0, 50]
-                margins.append(a * (x ** (mpf(1) / a) - 1) - mp.log(x))
-        record("log_power_bound", margins, "a in {1,2,4,8,16}, x in (0,50]", strict=False)
+        xs = [mpf(i) / 20 for i in range(1, 1001)]  # x in (0, 50]
+        logs = [mp.log(x) for x in xs]
+        record("log_power_bound",
+               (a * (x ** (mpf(1) / a) - 1) - lx
+                for a in (1, 2, 4, 8, 16) for x, lx in zip(xs, logs)),
+               "a in {1,2,4,8,16}, x in (0,50]", strict=False)
 
         # cot(pi/2c) <= 2c/pi
         margins = [2 * mpf(c) / pi - mp.cospi(mpf(1) / (2 * c)) / mp.sinpi(mpf(1) / (2 * c))
@@ -434,12 +434,10 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
         record("log_factor_linear", margins, "c in 3..32")
 
         # e^{-x} / (1 - e^{-x})^2 < (1 + x)/x^2
-        margins = []
-        for i in range(1, 1001):
-            x = mpf(i) / 20
-            ex = mp.exp(-x)
-            margins.append((1 + x) / (x * x) - ex / (1 - ex) ** 2)
-        record("exp_square_ratio", margins, "x in (0,50]")
+        record("exp_square_ratio",
+               ((1 + x) / (x * x) - ex / (1 - ex) ** 2
+                for x, ex in zip(xs, (mp.exp(-x) for x in xs))),
+               "x in (0,50]")
 
         # sum p(n) e^{-2 pi n y} <= exp(2 e^{-2 pi y} / (1 - e^{-2 pi y})^2)
         if pbar is not None and len(pbar) >= 201:
@@ -456,19 +454,18 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
                    strict=False)
 
         # e^x > (1 + x/y)^y
-        margins = []
-        for y in (mpf("0.5"), 1, 2, 3, 4, 8):
-            for i in range(1, 501):
-                x = mpf(i) / 10
-                margins.append(mp.exp(x) - (1 + x / y) ** y)
-        record("exp_vs_power", margins, "y in {0.5,1,2,3,4,8}, x in (0,50]")
+        xs = [mpf(i) / 10 for i in range(1, 501)]  # x in (0, 50]
+        exps = [mp.exp(x) for x in xs]
+        record("exp_vs_power",
+               (ex - (1 + x / y) ** y
+                for y in (mpf("0.5"), 1, 2, 3, 4, 8) for x, ex in zip(xs, exps)),
+               "y in {0.5,1,2,3,4,8}, x in (0,50]")
 
         # sum_{k <= sqrt n} k^{-1/2} <= 2 n^{1/4}
-        margins = []
-        for n in (2, 4, 9, 16, 50, 100, 500, 1000, 5000, 10000):
-            ssum = sum(1 / mp.sqrt(k) for k in range(1, isqrt(n) + 1))
-            margins.append(2 * mpf(n) ** mpf("0.25") - ssum)
-        record("sqrt_partial_sum", margins, "n in {2,...,10000}", strict=False)
+        record("sqrt_partial_sum",
+               (2 * mpf(n) ** mpf("0.25") - sum(1 / mp.sqrt(k) for k in range(1, isqrt(n) + 1))
+                for n in (2, 4, 9, 16, 50, 100, 500, 1000, 5000, 10000)),
+               "n in {2,...,10000}", strict=False)
 
         # sin(pi/c) >= 2/c
         margins = [mp.sinpi(mpf(1) / c) - mpf(2) / c for c in range(3, 33)]

@@ -3,7 +3,7 @@
 Every flag can also be supplied through an OVERRANK_-prefixed environment
 variable (flag --n-max -> OVERRANK_N_MAX, and so on); explicit flags win.
 Exit codes: 0 all verdicts pass, 1 violations or inconclusive verdicts
-present, 2 usage errors.
+present, 2 usage errors, bad input or any other failure.
 """
 
 from __future__ import annotations
@@ -267,8 +267,9 @@ def main(argv=None) -> int:
     mp.prec = max(int(args.precision), 64)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # bad input or a fault: exit 2, one line, no traceback
+        bad_input = isinstance(exc, (ValueError, OSError))
+        print(f"error: {exc if bad_input else repr(exc)}", file=sys.stderr)
         return 2
 
 

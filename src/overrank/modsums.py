@@ -7,8 +7,9 @@ precision (default 160 bits).
 
 The finite exponential sums B and D follow one convention: the phase
 exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
-integral) linear parameter 2*m in the secondary sum.  It is validated
-against exact rank-class counts; see tests/test_asymptotic.py.
+integral) linear parameter 2*m in the secondary sum, validated against exact
+rank-class counts in tests/test_asymptotic.py.  Each call evaluates every
+omega_{h,k} once, at most 2c quadratic phases, and reduces phases in integers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "m_param",
     "mod_inverse",
     "omega",
-    "rational_phase",
 ]
 
 DEFAULT_PRECISION = 160
@@ -63,14 +63,6 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def rational_phase(x: Fraction, prec: int = DEFAULT_PRECISION) -> mpc:
-    """exp(2*pi*i*x) for rational x, with x reduced mod 1 before evaluation."""
-    x = Fraction(x)
-    x -= x.numerator // x.denominator
-    with mp.workprec(prec):
-        return mp.expjpi(2 * mpf(x.numerator) / x.denominator)
-
-
 def omega(h: int, k: int, prec: int = DEFAULT_PRECISION) -> mpc:
     """Multiplier omega_{h,k} = exp(pi*i*s(h,k)); unit modulus."""
     s = dedekind_sum(h, k)
@@ -82,8 +74,6 @@ def mod_inverse(h: int, k: int) -> int:
     """Representative h' in [0,k) with h*h' == 1 (mod k); h' = 0 when k = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return 0
     if gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
     return pow(h, -1, k)
@@ -170,6 +160,20 @@ def m_param(ctx: KloostermanContext, r: int) -> Fraction:
                     2 * c1 * c1)
 
 
+def _multipliers(k: int) -> list[tuple[int, int, mpc]]:
+    """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, at the
+    working precision; 2h mod k runs over the same h, so each omega is taken once."""
+    om = {h: omega(h, k, mp.prec) for h in coprime_residues(k)}
+    return [(h, mod_inverse(h, k), w ** 2 / om[(2 * h) % k]) for h, w in om.items()]
+
+
+def _unit_phase(num: int, den: int) -> mpc:
+    """exp(2*pi*i*num/den) at the working precision, from num/den in lowest terms mod 1."""
+    g = gcd(num, den)
+    den //= g
+    return mp.expjpi(2 * mpf(num // g % den) / den)
+
+
 def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
                   prec: int = DEFAULT_PRECISION) -> mpc:
     """Sine-weighted Kloosterman-type sum over c | k with k odd.
@@ -177,22 +181,24 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
     quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*(n*h+m*h')/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
-    sine never vanishes.
+    sine never vanishes.  Each omega is evaluated once, the quadratic phase
+    once per residue mod 2c (at most 2c), and the linear phase in integers.
     """
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
     if gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
-    m = Fraction(m)
-    k1 = k // c
+    mn, md = Fraction(m).as_integer_ratio()
+    quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
+        mults = _multipliers(k)
+        quad = {r: mp.expjpi(-mpf(r) / c)
+                for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
         total = mpc(0)
-        for h in coprime_residues(k):
-            hp = mod_inverse(h, k)
-            w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
+        for h, hp, w in mults:
             term = w / mp.sinpi(mpf(a * hp) / c)
-            term *= mp.expjpi(-mpf((a * a * k1 * (c - 2) * hp) % (2 * c)) / c)
-            term *= rational_phase(Fraction(n * h, k) + m * Fraction(hp, k), prec + 10)
+            term *= quad[quad_coeff * hp % (2 * c)]
+            term *= _unit_phase(n * h * md + mn * hp, k * md)
             total += term
         total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
@@ -205,7 +211,8 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
 
     region_sign is +1 on the low branch of l/c1 and -1 on the high branch;
     invoking it for the mid branch (where delta vanishes identically) is an
-    error in the caller.  The phase carries the doubled parameter 2*m.
+    error in the caller.  The phase carries the doubled parameter 2*m and is
+    reduced in integers; each omega is evaluated once.
     """
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
@@ -213,15 +220,11 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         raise ValueError("region_sign must be +1 or -1")
     if gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
-    m = Fraction(m)
-    m_eff = 2 * m
+    mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
         total = mpc(0)
-        for h in coprime_residues(k):
-            hp = mod_inverse(h, k)
-            w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
-            total += w * rational_phase(Fraction(n * h, k) + m_eff * Fraction(hp, k),
-                                        prec + 10)
+        for h, hp, w in _multipliers(k):
+            total += w * _unit_phase(n * h * md + mn * hp, k * md)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
         return +total

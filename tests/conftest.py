@@ -4,10 +4,13 @@ The full-depth tables and the deep series take a fraction of a second each
 to build; they are session-scoped and only built when a test pulls them in.
 """
 
+import functools
+
 import pytest
 from mpmath import mp
 
-from overrank import pbar_series, rank_class_table
+import oracles
+from overrank import modsums, pbar_series, rank_class_table
 
 FULL_DEPTH = 3000
 DEEP_SERIES = 14000
@@ -53,3 +56,16 @@ def table5():
 def small_tables():
     """Shallow tables for structural tests, keyed by modulus."""
     return {c: rank_class_table(60, c) for c in range(2, 9)}
+
+
+@pytest.fixture
+def shared_omega(monkeypatch):
+    """One memoized omega for the Kloosterman kernels and their oracles.
+
+    omega is a pure function of (h, k, prec), checked against the direct
+    Dedekind sums in test_modsums; sharing its values keeps the bit-for-bit
+    comparisons fast and leaves what each side does with them to compare.
+    """
+    cached = functools.cache(modsums.omega)
+    monkeypatch.setattr(modsums, "omega", cached)
+    monkeypatch.setattr(oracles, "omega", cached)

@@ -8,15 +8,20 @@ they are what the production counts are checked against.  The sweep oracle
 compares every pair of the subadditivity triangle exactly, with no row
 pruning; `overrank.verify.verify_subadditivity` is checked against it.  The
 Dedekind oracles sum s(h,k) from its definition, in O(k) per value, to check
-the reciprocity-law recursion `overrank.modsums.dedekind_sum`.
+the reciprocity-law recursion `overrank.modsums.dedekind_sum`.  The
+Kloosterman oracles evaluate every summand of B and D on its own: two omegas,
+a fresh quadratic phase and a `Fraction` linear phase per summand.  The
+production kernels share these values and must match them bit for bit.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp, mpc, mpf
 
 from overrank.counts import RankClassTable
+from overrank.modsums import DEFAULT_PRECISION, coprime_residues, mod_inverse, omega
 
 
 def pbar_series_product(n_max: int) -> list[int]:
@@ -149,3 +154,57 @@ def dedekind_sums_direct_row(k: int) -> dict[int, Fraction]:
     v = (np.array(hs, dtype=np.int64)[:, None] * u) % k
     acc = (2 * v - k) @ (2 * u - k)
     return {h: Fraction(int(x), 4 * k * k) for h, x in zip(hs, acc)}
+
+
+def rational_phase(x: Fraction, prec: int = DEFAULT_PRECISION) -> mpc:
+    """exp(2*pi*i*x) for rational x, with x reduced mod 1 before evaluation."""
+    x = Fraction(x)
+    x -= x.numerator // x.denominator
+    with mp.workprec(prec):
+        return mp.expjpi(2 * mpf(x.numerator) / x.denominator)
+
+
+def kloosterman_B_direct(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
+                         prec: int = DEFAULT_PRECISION) -> mpc:
+    """`overrank.modsums.kloosterman_B`, one independent evaluation per summand."""
+    if k % c != 0 or k % 2 == 0:
+        raise ValueError("kloosterman_B requires c | k with k odd")
+    if math.gcd(a, c) != 1 or not 0 < a < c:
+        raise ValueError("need 0 < a < c coprime")
+    m = Fraction(m)
+    k1 = k // c
+    with mp.workprec(prec + 10):
+        total = mpc(0)
+        for h in coprime_residues(k):
+            hp = mod_inverse(h, k)
+            w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
+            term = w / mp.sinpi(mpf(a * hp) / c)
+            term *= mp.expjpi(-mpf((a * a * k1 * (c - 2) * hp) % (2 * c)) / c)
+            term *= rational_phase(Fraction(n * h, k) + m * Fraction(hp, k), prec + 10)
+            total += term
+        total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
+    with mp.workprec(prec):
+        return +total
+
+
+def kloosterman_D_direct(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
+                         prec: int = DEFAULT_PRECISION) -> mpc:
+    """`overrank.modsums.kloosterman_D`, one independent evaluation per summand."""
+    if k % c == 0 or k % 2 == 0:
+        raise ValueError("kloosterman_D requires c not dividing k, k odd")
+    if region_sign not in (1, -1):
+        raise ValueError("region_sign must be +1 or -1")
+    if math.gcd(a, c) != 1 or not 0 < a < c:
+        raise ValueError("need 0 < a < c coprime")
+    m = Fraction(m)
+    m_eff = 2 * m
+    with mp.workprec(prec + 10):
+        total = mpc(0)
+        for h in coprime_residues(k):
+            hp = mod_inverse(h, k)
+            w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
+            total += w * rational_phase(Fraction(n * h, k) + m_eff * Fraction(hp, k),
+                                        prec + 10)
+        total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
+    with mp.workprec(prec):
+        return +total

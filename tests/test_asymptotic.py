@@ -3,7 +3,8 @@
 import pytest
 from mpmath import mp, mpf
 
-from overrank import (a_asymptotic, a_exact, engel_pbar, error_term_bound,
+from oracles import kloosterman_B_direct, kloosterman_D_direct
+from overrank import (a_asymptotic, a_exact, asymptotic, engel_pbar, error_term_bound,
                       nbar_asymptotic, pbar_series, r_ratio, rank_class_table)
 
 
@@ -55,6 +56,24 @@ def test_precision_doubling_stability():
     lo = a_asymptotic(1, 3, 600, prec=160)
     hi = a_asymptotic(1, 3, 600, prec=320)
     assert abs(lo.value - hi.value) / abs(hi.value) < mpf(2) ** -120
+
+
+def estimate_bits(est):
+    return (est.value._mpf_, est.imag_residual._mpf_,
+            [(k, t._mpc_) for k, t in est.k_terms], est.precision_bits)
+
+
+def test_estimates_bits_equal_direct_kernels(shared_omega, monkeypatch):
+    # the whole estimate, every k-term included, matches the per-summand
+    # Kloosterman oracles bit for bit
+    cases = [(a_asymptotic, args) for args in
+             ((1, 3, 2000), (2, 5, 40000), (3, 7, 60000), (1, 4, 5000), (1, 5, 500))]
+    cases.append((nbar_asymptotic, (1, 3, 20000)))
+    fast = [estimate_bits(f(*args)) for f, args in cases]
+    monkeypatch.setattr(asymptotic, "kloosterman_B", kloosterman_B_direct)
+    monkeypatch.setattr(asymptotic, "kloosterman_D", kloosterman_D_direct)
+    for (f, args), bits in zip(cases, fast):
+        assert estimate_bits(f(*args)) == bits, (f.__name__, args)
 
 
 # ---------------------------------------------------------------------------

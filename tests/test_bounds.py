@@ -7,8 +7,8 @@ from mpmath import mp, mpf
 
 from overrank import (aux_inequalities_selftest, cbar2, cbar4, const_C,
                       error_pieces, error_term_bound, m_c, m_c_prime,
-                      main_term_bound, pbar_sandwich, r_ratio, sandwich_threshold,
-                      strict_verdict)
+                      main_term_bound, pbar_sandwich, pbar_series, r_ratio,
+                      sandwich_threshold, strict_verdict)
 from overrank.bounds import r_ratio_components, raw_error_aggregate
 
 
@@ -269,3 +269,41 @@ def test_aux_selftest_without_series():
     report = aux_inequalities_selftest()
     assert "series_closed_form" not in report
     assert all(entry["passed"] for entry in report.values())
+
+
+def selftest_grid_margins(prec):
+    """The self-test's three large grids as margin lists, one log or exp per point.
+
+    name -> (margins, strict), in the order the self-test visits the grid.
+    """
+    with mp.workprec(prec):
+        log_power, exp_square, exp_power = [], [], []
+        for a in (1, 2, 4, 8, 16):
+            for i in range(1, 1001):
+                x = mpf(i) / 20
+                log_power.append(a * (x ** (mpf(1) / a) - 1) - mp.log(x))
+        for i in range(1, 1001):
+            x = mpf(i) / 20
+            ex = mp.exp(-x)
+            exp_square.append((1 + x) / (x * x) - ex / (1 - ex) ** 2)
+        for y in (mpf("0.5"), 1, 2, 3, 4, 8):
+            for i in range(1, 501):
+                x = mpf(i) / 10
+                exp_power.append(mp.exp(x) - (1 + x / y) ** y)
+    return {"log_power_bound": (log_power, False),
+            "exp_square_ratio": (exp_square, True),
+            "exp_vs_power": (exp_power, True)}
+
+
+@pytest.mark.parametrize("prec", (64, 160, 240))
+def test_aux_selftest_grids_match_margin_lists(prec):
+    expected = {}
+    for name, (margins, strict) in selftest_grid_margins(prec).items():
+        worst = min(margins)
+        expected[name] = (bool(worst > 0 if strict else worst >= 0), float(worst))
+    for pbar in (None, pbar_series(200)):
+        report = aux_inequalities_selftest(pbar=pbar, prec=prec)
+        assert ("series_closed_form" in report) == (pbar is not None)
+        got = {name: (report[name]["passed"], report[name]["worst_margin"])
+               for name in expected}
+        assert got == expected, (prec, pbar is None)

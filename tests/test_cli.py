@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from overrank import cli
 from overrank.cli import main
 from overrank.counts import rank_class_table, save_table
 from overrank.report import Report, RunConfig
@@ -42,6 +43,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count"])  # missing required --n
     assert exc.value.code == 2
+
+
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_count", boom)
+    assert main(["count", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: RuntimeError(")
+    assert "Traceback" not in captured.err
 
 
 def test_asymptotic_side_by_side(capsys):

@@ -1,15 +1,18 @@
 """Sawtooth, Dedekind sums, branch parameters, and the exponential sums."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 from mpmath import mp, mpc, mpf
 
-from oracles import dedekind_sum_direct, dedekind_sums_direct_row
+import oracles
+from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
+                     kloosterman_B_direct, kloosterman_D_direct)
 from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
                       m_param, mod_inverse, omega)
-from overrank.modsums import coprime_residues, rational_phase
+from overrank.modsums import _unit_phase, coprime_residues
 
 
 def close(x, y, bits=140):
@@ -189,10 +192,17 @@ def test_d_half_integer_parameter_is_exact():
     assert close(v, w, 150)
 
 
-def test_rational_phase_reduction():
-    # reduction mod 1 keeps huge numerators exact
-    big = Fraction(10 ** 30, 3)  # 10^30 = 1 (mod 3)
-    assert close(rational_phase(big), rational_phase(Fraction(1, 3)), 150)
+def test_unit_phase_reduction():
+    # num/den is reduced in integers first, so every representation of the
+    # same rational mod 1 gives the same bits, huge or negative numerators too
+    with mp.workprec(170):
+        third = _unit_phase(1, 3)
+        assert third._mpc_ == mp.expjpi(2 * mpf(1) / 3)._mpc_
+        assert _unit_phase(10 ** 30, 3)._mpc_ == third._mpc_  # 10^30 = 1 (mod 3)
+        assert _unit_phase(-2, 3)._mpc_ == third._mpc_
+        assert _unit_phase(8 - 10 ** 40, 12)._mpc_ == third._mpc_  # 10^40 = 4 (mod 12)
+        assert _unit_phase(0, 7)._mpc_ == _unit_phase(-21, 7)._mpc_ == mpc(1)._mpc_
+    assert close(third, oracles.rational_phase(Fraction(1, 3), 170), 150)
 
 
 def test_exact_rationals_insensitive_to_precision():
@@ -205,3 +215,51 @@ def test_exact_rationals_insensitive_to_precision():
         assert delta(ctx, 1) == d1
         assert m_param(ctx, 1) == m1
         assert dedekind_sum(97, 250) == s1
+
+
+# ---------------------------------------------------------------------------
+# Production kernels against the per-summand oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+KERNEL_NS = (0, -7, -20100, -10 ** 6 - 3)
+KERNEL_MS = (Fraction(0), Fraction(-3, 2), Fraction(7, 50))
+KERNEL_PRECS = (64, 160, 240)
+
+
+def kernel_cases(c_divides_k: bool):
+    """(c, a, k, n, m, prec) over c in {3, 5, 7} and odd k <= 150.
+
+    Case i takes the i-th valid a of its c and the i-th (n, m, prec) of the
+    product of the grids, cyclically, so every a and every combination
+    recurs; D adds the m_param values of its context to the m grid.
+    """
+    i = 0
+    for c in (3, 5, 7):
+        residues = [a for a in range(1, c) if gcd(a, c) == 1]
+        for k in range(1, 151, 2):
+            if (k % c == 0) != c_divides_k:
+                continue
+            a = residues[i % len(residues)]
+            ms = KERNEL_MS
+            if not c_divides_k:
+                ctx = context(a, c, k)
+                ms += (m_param(ctx, 0), m_param(ctx, 1))
+            combos = list(product(KERNEL_NS, ms, KERNEL_PRECS))
+            yield (c, a, k) + combos[i % len(combos)]
+            i += 1
+
+
+def test_kloosterman_B_bits_equal_direct(shared_omega):
+    for c, a, k, n, m, prec in kernel_cases(c_divides_k=True):
+        got = kloosterman_B(a, c, k, n, m, prec)
+        assert got._mpc_ == kloosterman_B_direct(a, c, k, n, m, prec)._mpc_, (a, c, k, n, m, prec)
+
+
+def test_kloosterman_D_bits_equal_direct(shared_omega):
+    cases = list(kernel_cases(c_divides_k=False))
+    assert any(k == 1 for _, _, k, *_ in cases)
+    for c, a, k, n, m, prec in cases:
+        sign = -1 if context(a, c, k).region == "high" else 1
+        got = kloosterman_D(a, c, k, n, m, sign, prec)
+        assert got._mpc_ == kloosterman_D_direct(a, c, k, n, m, sign, prec)._mpc_, \
+            (a, c, k, n, m, sign, prec)
