@@ -37,6 +37,10 @@ class AsymptoticEstimate:
     k_terms lists (k, complex contribution); their sum is value + i * residual
     components.  imag_residual is the magnitude of the discarded imaginary
     part; large residuals are a red flag, not an assertion failure.
+    precision_bits is the working precision requested, not an accuracy
+    claim: cancellation inside the arc sums can cost more than the guard
+    bits cover (at (a, c, n) = (2, 5, 40100) the 160-bit value agrees with a
+    400-bit one to about 69 bits).
     """
 
     value: mpf

@@ -8,8 +8,10 @@ precision (default 160 bits).
 The finite exponential sums B and D follow one convention: the phase
 exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
 integral) linear parameter 2*m in the secondary sum, validated against exact
-rank-class counts in tests/test_asymptotic.py.  Each call evaluates every
-omega_{h,k} once, at most 2c quadratic phases, and reduces phases in integers.
+rank-class counts in tests/test_asymptotic.py.  Each call evaluates omega_{h,k}
+and the multiplier ratio only for h < k/2 (the entry of k-h is the exact
+conjugate), at most 2c quadratic phases, and each distinct linear phase once,
+reduced in integers.
 """
 
 from __future__ import annotations
@@ -162,16 +164,38 @@ def m_param(ctx: KloostermanContext, r: int) -> Fraction:
 
 def _multipliers(k: int) -> list[tuple[int, int, mpc]]:
     """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, at the
-    working precision; 2h mod k runs over the same h, so each omega is taken once."""
-    om = {h: omega(h, k, mp.prec) for h in coprime_residues(k)}
-    return [(h, mod_inverse(h, k), w ** 2 / om[(2 * h) % k]) for h, w in om.items()]
+    working precision.
+
+    s(k-h,k) = -s(h,k), and every rounding on the way (the quotient, cos/sin,
+    the square, the division) is symmetric under negation, so the entry of
+    h > k/2 is exactly the conjugate of the entry of k-h: omega and the ratio
+    are evaluated for h < k/2 only.  .conjugate() rounds at the current
+    mp.prec, the precision the entries were made at, so it loses nothing.
+    2h mod k runs over the same h.
+    """
+    def at(half: dict[int, mpc], j: int) -> mpc:
+        return half[j] if 2 * j < k else half[k - j].conjugate()
+
+    hs = coprime_residues(k)
+    om = {h: omega(h, k, mp.prec) for h in hs if 2 * h < k}
+    ratio = {h: w ** 2 / at(om, 2 * h % k) for h, w in om.items()}
+    return [(h, mod_inverse(h, k), at(ratio, h)) for h in hs]
 
 
-def _unit_phase(num: int, den: int) -> mpc:
-    """exp(2*pi*i*num/den) at the working precision, from num/den in lowest terms mod 1."""
+def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], mpc]) -> mpc:
+    """exp(2*pi*i*num/den) at the working precision, from num/den in lowest terms mod 1.
+
+    memo maps each reduced (num, den) to its value, so a phase that recurs
+    within one kernel call is evaluated once; it must not outlive that call's
+    precision.
+    """
     g = gcd(num, den)
     den //= g
-    return mp.expjpi(2 * mpf(num // g % den) / den)
+    key = (num // g % den, den)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = mp.expjpi(2 * mpf(key[0]) / den)
+    return value
 
 
 def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
@@ -181,8 +205,9 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
     quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*(n*h+m*h')/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
-    sine never vanishes.  Each omega is evaluated once, the quadratic phase
-    once per residue mod 2c (at most 2c), and the linear phase in integers.
+    sine never vanishes.  Omega is evaluated for h < k/2 only, the quadratic
+    phase once per residue mod 2c (at most 2c), and the linear phase once per
+    distinct reduced fraction.
     """
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
@@ -194,11 +219,12 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
         mults = _multipliers(k)
         quad = {r: mp.expjpi(-mpf(r) / c)
                 for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
+        phases: dict[tuple[int, int], mpc] = {}
         total = mpc(0)
         for h, hp, w in mults:
             term = w / mp.sinpi(mpf(a * hp) / c)
             term *= quad[quad_coeff * hp % (2 * c)]
-            term *= _unit_phase(n * h * md + mn * hp, k * md)
+            term *= _unit_phase(n * h * md + mn * hp, k * md, phases)
             total += term
         total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
@@ -212,7 +238,8 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
     region_sign is +1 on the low branch of l/c1 and -1 on the high branch;
     invoking it for the mid branch (where delta vanishes identically) is an
     error in the caller.  The phase carries the doubled parameter 2*m and is
-    reduced in integers; each omega is evaluated once.
+    reduced in integers, each distinct one evaluated once; omega is evaluated
+    for h < k/2 only.
     """
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
@@ -222,9 +249,10 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         raise ValueError("need 0 < a < c coprime")
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
+        phases: dict[tuple[int, int], mpc] = {}
         total = mpc(0)
         for h, hp, w in _multipliers(k):
-            total += w * _unit_phase(n * h * md + mn * hp, k * md)
+            total += w * _unit_phase(n * h * md + mn * hp, k * md, phases)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
         return +total

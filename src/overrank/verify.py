@@ -286,15 +286,19 @@ def monotonicity_probe(c: int, which: str, prec: int = DEFAULT_PRECISION) -> dic
     """Numeric scan of the C-dependence of the crossing functions on [1, 100].
 
     T must increase and S decrease in the ratio C = n2/n1; V and W stay below
-    their frozen caps.  Returns a report dict, raises nothing.
+    their frozen caps.  V = v_coef*C*n1/(C+1) with v_coef = 8*upper/lower^2
+    from the sandwich row of c (48*c for the generic row of c >= 6), and
+    W = 48*c*C*n1/(C+1).  Returns a report dict with v_coef, raises nothing.
     """
     if which not in ("T_in_C", "S_in_C"):
         raise ValueError("which must be 'T_in_C' or 'S_in_C'")
     if c < 3:
         raise ValueError("need c >= 3")
-    report = {"c": c, "which": which, "monotone": True, "v_capped": True,
-              "w_capped": True, "samples": 0}
+    th = sandwich_threshold(c, prec)
     with mp.workprec(prec):
+        v_coef = th.upper_coef * 8 / th.lower_coef ** 2
+        report = {"c": c, "which": which, "monotone": True, "v_capped": True,
+                  "w_capped": True, "samples": 0, "v_coef": v_coef}
         grid = [mpf(10) ** (mpf(i) / 16) for i in range(33)]  # C in [1, 100]
         for n1 in (50, 100, 1000):
             x = mpf(n1)
@@ -303,7 +307,7 @@ def monotonicity_probe(c: int, which: str, prec: int = DEFAULT_PRECISION) -> dic
                 T = mp.pi * (mp.sqrt(x) + mp.sqrt(C * x)) - mp.pi * mp.sqrt(x + C * x)
                 S = ((1 + 1 / mp.sqrt(x + C * x))
                      / ((1 - 1 / mp.sqrt(x)) * (1 - 1 / mp.sqrt(C * x))))
-                V = mpf("0.6648") * 8 * C * x / (mpf("0.0019") ** 2 * (C + 1))
+                V = v_coef * C * x / (C + 1)
                 W = 48 * c * C * x / (C + 1)
                 val = T if which == "T_in_C" else S
                 if prev is not None:
@@ -311,7 +315,7 @@ def monotonicity_probe(c: int, which: str, prec: int = DEFAULT_PRECISION) -> dic
                     if not step_ok:
                         report["monotone"] = False
                 prev = val
-                if V >= mpf("0.6648") * 8 * x / mpf("0.0019") ** 2:
+                if V >= v_coef * x:
                     report["v_capped"] = False
                 if W >= 48 * c * x:
                     report["w_capped"] = False

@@ -1,11 +1,14 @@
 """Main-term asymptotics against the exact tables, and the two-arc estimate."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from oracles import kloosterman_B_direct, kloosterman_D_direct
-from overrank import (a_asymptotic, a_exact, asymptotic, engel_pbar, error_term_bound,
-                      nbar_asymptotic, pbar_series, r_ratio, rank_class_table)
+from overrank import (a_asymptotic, a_exact, asymptotic, const_C, engel_pbar,
+                      error_term_bound, kloosterman_B, kloosterman_D, nbar_asymptotic,
+                      pbar_series, r_ratio, rank_class_table)
 
 
 def test_first_sum_empty_below_c_squared():
@@ -74,6 +77,35 @@ def test_estimates_bits_equal_direct_kernels(shared_omega, monkeypatch):
     monkeypatch.setattr(asymptotic, "kloosterman_D", kloosterman_D_direct)
     for (f, args), bits in zip(cases, fast):
         assert estimate_bits(f(*args)) == bits, (f.__name__, args)
+
+
+def test_outputs_independent_of_ambient_precision(pbar3000):
+    # every evaluator sets its own working precision, so the ambient mp.prec
+    # reaches no output bit; this covers the multiplier conjugates, which
+    # round at whatever precision is current when they run
+    def bits():
+        out = [kloosterman_B(a, c, k, n, m, prec)._mpc_ for a, c, k, n, m, prec in
+               ((1, 3, 3, 0, 0, 160), (1, 3, 45, -2000, Fraction(-3, 2), 160),
+                (2, 5, 75, -40000, Fraction(7, 50), 190), (3, 7, 63, -777, 0, 64))]
+        out += [kloosterman_D(a, c, k, n, m, sign, prec)._mpc_
+                for a, c, k, n, m, sign, prec in
+                ((1, 5, 1, 0, 0, 1, 160), (2, 5, 3, -7, Fraction(-3, 2), 1, 160),
+                 (1, 3, 41, -20000, Fraction(-5, 9), -1, 210), (3, 7, 31, -5, 0, 1, 64))]
+        out += [estimate_bits(a_asymptotic(*args)) for args in
+                ((1, 3, 2000), (2, 5, 4000), (3, 7, 3000))]
+        out.append(estimate_bits(nbar_asymptotic(1, 3, 2000)))
+        for index, c in ((1, None), (4, 5)):
+            const = const_C(index, c, pbar3000)
+            out.append((const.upper._mpf_, const.partial._mpf_, const.tail_bound._mpf_,
+                        const.truncation))
+        out += [r_ratio(c, n)._mpf_ for c, n in ((3, 2089), (4, 272), (5, 449), (7, 10 ** 4))]
+        return out
+
+    runs = []
+    for ambient in (53, 240, 1000):
+        mp.prec = ambient
+        runs.append(bits())
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------

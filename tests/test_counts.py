@@ -2,8 +2,11 @@
 
 import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from oracles import pbar_series_product, rank_class_table_dp
 
@@ -245,3 +248,47 @@ def test_failed_save_keeps_previous_cache(tmp_path):
     assert load_table(path).checksum() == table.checksum()
     assert os.listdir(tmp_path) == ["t3.tbl"]  # no temporary file left behind
 
+
+FUZZ_TABLE = rank_class_table(12, 3)
+BYTE_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10 ** 6), st.integers(0, 7)),
+    st.tuples(st.just("insert"), st.integers(0, 10 ** 6), st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 10 ** 6), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(0, 10 ** 6), st.just(0)),
+)
+
+
+def _edit(data: bytearray, edit) -> None:
+    kind, pos, arg = edit
+    pos %= len(data) + 1
+    if kind == "insert":
+        data.insert(pos, arg)
+    elif kind == "truncate":
+        del data[pos:]
+    elif pos < len(data):
+        if kind == "flip":
+            data[pos] ^= 1 << arg
+        else:
+            del data[pos]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=3))
+def test_load_table_fuzzed_cache(edits):
+    # a damaged cache either loads as the very table that was saved (say, a
+    # leading zero inserted into a count) or raises ValueError, never else
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t3.tbl")
+        save_table(FUZZ_TABLE, path)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        for edit in edits:
+            _edit(data, edit)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            loaded = load_table(path)
+        except ValueError:
+            return
+    assert loaded == FUZZ_TABLE
+    assert loaded.checksum() == FUZZ_TABLE.checksum()

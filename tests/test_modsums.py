@@ -12,7 +12,8 @@ from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
                      kloosterman_B_direct, kloosterman_D_direct)
 from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
                       m_param, mod_inverse, omega)
-from overrank.modsums import _unit_phase, coprime_residues
+from overrank import modsums
+from overrank.modsums import _multipliers, _unit_phase, coprime_residues
 
 
 def close(x, y, bits=140):
@@ -195,14 +196,34 @@ def test_d_half_integer_parameter_is_exact():
 def test_unit_phase_reduction():
     # num/den is reduced in integers first, so every representation of the
     # same rational mod 1 gives the same bits, huge or negative numerators too
+    # (a fresh memo per call, so each value is evaluated from its own reduction)
     with mp.workprec(170):
-        third = _unit_phase(1, 3)
+        third = _unit_phase(1, 3, {})
         assert third._mpc_ == mp.expjpi(2 * mpf(1) / 3)._mpc_
-        assert _unit_phase(10 ** 30, 3)._mpc_ == third._mpc_  # 10^30 = 1 (mod 3)
-        assert _unit_phase(-2, 3)._mpc_ == third._mpc_
-        assert _unit_phase(8 - 10 ** 40, 12)._mpc_ == third._mpc_  # 10^40 = 4 (mod 12)
-        assert _unit_phase(0, 7)._mpc_ == _unit_phase(-21, 7)._mpc_ == mpc(1)._mpc_
+        assert _unit_phase(10 ** 30, 3, {})._mpc_ == third._mpc_  # 10^30 = 1 (mod 3)
+        assert _unit_phase(-2, 3, {})._mpc_ == third._mpc_
+        assert _unit_phase(8 - 10 ** 40, 12, {})._mpc_ == third._mpc_  # 10^40 = 4 (mod 12)
+        assert _unit_phase(0, 7, {})._mpc_ == _unit_phase(-21, 7, {})._mpc_ == mpc(1)._mpc_
+        # one shared memo keys every representation by the reduced fraction
+        memo = {}
+        for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
+            assert _unit_phase(num, den, memo)._mpc_ == third._mpc_
+        assert list(memo) == [(1, 3)]
     assert close(third, oracles.rational_phase(Fraction(1, 3), 170), 150)
+
+
+@pytest.mark.parametrize("prec", (64, 190, 210))
+def test_multipliers_half_table_equals_per_h_form(prec, shared_omega):
+    # s(k-h,k) = -s(h,k) makes omega(k-h,k) the exact conjugate of omega(h,k);
+    # the half table behind _multipliers must give the plain per-h form's bits
+    for k in range(1, 402, 2):
+        with mp.workprec(prec):
+            om = {h: modsums.omega(h, k, prec) for h in coprime_residues(k)}
+            for h, w in om.items():
+                assert w._mpc_ == om[-h % k].conjugate()._mpc_, (h, k)
+            plain = [(h, mod_inverse(h, k), (w ** 2 / om[2 * h % k])._mpc_)
+                     for h, w in om.items()]
+            assert [(h, hp, w._mpc_) for h, hp, w in _multipliers(k)] == plain, k
 
 
 def test_exact_rationals_insensitive_to_precision():

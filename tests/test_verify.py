@@ -286,6 +286,16 @@ def test_monotonicity_probe():
     # W(1) = 24 c n1, half of the cap
     c, n1 = 5, 100
     assert 48 * c * 1 * n1 / 2 == 24 * c * n1
+    # V takes the sandwich row of its own modulus, not the c = 3 row
+    for c, upper, lower in ((3, "0.6648", "0.0019"), (4, "0.4909", "0.0091"),
+                            (5, "0.3897", "0.0103")):
+        for which in ("T_in_C", "S_in_C"):
+            rep = monotonicity_probe(c, which)
+            assert rep["monotone"] and rep["v_capped"] and rep["w_capped"], (c, which)
+            assert rep["samples"] == 99
+            assert abs(rep["v_coef"] / (8 * mpf(upper) / mpf(lower) ** 2) - 1) < mpf(2) ** -150
+    # the generic row (1/2c, 3/2c) of c >= 6 gives V its 48c coefficient
+    assert abs(monotonicity_probe(7, "T_in_C")["v_coef"] - 48 * 7) < mpf(2) ** -140
     with pytest.raises(ValueError):
         monotonicity_probe(3, "V_in_C")
 
