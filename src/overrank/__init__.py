@@ -6,7 +6,7 @@ Library layout:
 * ``modsums``    Dedekind sums, multiplier ratios, Kloosterman-type sums
 * ``asymptotic`` main-term evaluation of the deviation coefficients
 * ``bounds``     certified constants, envelopes, thresholds
-* ``verify``     exhaustive subadditivity sweeps and crossing inequalities
+* ``verify``     exhaustive subadditivity sweeps and the gap inequality
 * ``report``     run configuration and machine-parseable reports
 * ``cli``        the ``overrank`` command-line entry point
 """
@@ -26,7 +26,6 @@ from .modsums import (DEFAULT_PRECISION, KloostermanContext, context,
                       dedekind_sum, delta, kloosterman_B, kloosterman_D, m_param,
                       mod_inverse, omega)
 from .report import Report, RunConfig
-from .verify import (Certificate, monotonicity_probe, t_generic_chain,
-                     t_inequality, threshold_scan, verify_subadditivity)
+from .verify import Certificate, t_inequality, verify_subadditivity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

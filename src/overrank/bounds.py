@@ -8,8 +8,8 @@ count, and a self-test of the auxiliary scalar inequalities the envelopes
 rest on.
 
 Strict float comparisons here never masquerade as proofs: `strict_verdict`
-returns 'inconclusive' when a margin is thinner than the relative policy
-(default 1e-12), and callers surface that outcome.
+returns 'inconclusive' when a margin is thinner than the fixed relative
+policy MARGIN_POLICY (1e-12), and callers surface that outcome.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "main_term_bound",
     "pbar_sandwich",
     "r_ratio",
-    "r_ratio_components",
-    "raw_error_aggregate",
     "sandwich_threshold",
     "strict_verdict",
 ]
@@ -48,15 +46,15 @@ __all__ = [
 MARGIN_POLICY = 1e-12
 
 
-def strict_verdict(lhs, rhs, rel: float = MARGIN_POLICY) -> str:
-    """'pass' if lhs < rhs with relative margin > rel, 'fail' if the reverse,
-    'inconclusive' when the gap is below the policy."""
+def strict_verdict(lhs, rhs) -> str:
+    """'pass' if lhs < rhs by a relative margin above the fixed MARGIN_POLICY
+    (1e-12), 'fail' if the reverse, 'inconclusive' when the gap is thinner."""
     lhs, rhs = mpf(lhs), mpf(rhs)
     scale = max(abs(lhs), abs(rhs), mpf("1e-300"))
     margin = (rhs - lhs) / scale
-    if margin > rel:
+    if margin > MARGIN_POLICY:
         return "pass"
-    if margin < -rel:
+    if margin < -MARGIN_POLICY:
         return "fail"
     return "inconclusive"
 
@@ -215,40 +213,6 @@ def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdow
                               total=+total)
 
 
-def raw_error_aggregate(c: int, n: int, certified: dict[int, mpf],
-                        prec: int = DEFAULT_PRECISION) -> mpf:
-    """Sum of the un-simplified piece bounds with certified C-values plugged in.
-
-    Uses the exact cotangent and logarithm factors, and the closed k-sum
-    bound sum_k k^{-1/2} <= 2 n^{1/4}.  `certified` maps index -> upper value
-    (from const_C or the closed-form majorants).
-    """
-    with mp.workprec(prec + 10):
-        nn = mpf(n)
-        pi = mp.pi
-        cot = mp.cospi(mpf(1) / (2 * c)) / mp.sinpi(mpf(1) / (2 * c))
-        ksum = 2 * nn ** mpf("0.25")
-        e2pi = mp.exp(2 * pi)
-        e2pi8 = mp.exp(2 * pi + pi / 8)
-        logf = (1 + mp.log(mpf(c - 1) / 2)) / (pi * (1 - pi ** 2 / 24))
-        s78 = (nn ** mpf("0.75") * mp.log(nn / 4)
-               / (2 * pi * (1 - pi ** 2 / 24) * mp.sinpi(mpf(1) / c)))
-        i_coef = (mpf(4) / 3 + 2 ** mpf("1.25")) * e2pi8 * cot * logf
-        total = (
-            4 * certified[3] * e2pi * cot * ksum                      # S1
-            + 4 * certified[1] * e2pi * mp.sqrt(2) * cot * ksum       # S2
-            + 2 * certified[4] * e2pi * cot * ksum                    # S3
-            + certified[5] * e2pi * cot * ksum                        # S4
-            + certified[2] * e2pi * mp.sqrt(2) * cot * ksum           # S5
-            + certified[2] * e2pi / mp.sqrt(2) * cot * ksum           # S6
-            + 2 * s78                                                 # S7 + S8
-            + 4 * mp.sqrt(2) * e2pi8 * cot * logf / mp.sqrt(nn) * ksum  # S2,5,6 err
-            + 8 * mp.sqrt(2) * i_coef * nn ** mpf("0.25")             # I2,5,6 err
-        )
-    with mp.workprec(prec):
-        return +total
-
-
 def main_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
     """Envelope for the two main sums of the deviation coefficient."""
     with mp.workprec(prec + 10):
@@ -281,10 +245,6 @@ def error_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
 
 def r_ratio(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
     """Deviation envelope |N(a,c,n)/pbar(n) - 1/c| <= R_c(n), as tabulated."""
-    return r_ratio_components(c, n, prec)["value"]
-
-
-def r_ratio_components(c: int, n: int, prec: int = DEFAULT_PRECISION) -> dict[str, mpf]:
     if c < 3:
         raise ValueError("need c >= 3")
     if n < 2:
@@ -293,7 +253,6 @@ def r_ratio_components(c: int, n: int, prec: int = DEFAULT_PRECISION) -> dict[st
         nn = mpf(n)
         s = mp.sqrt(nn)
         epi = mp.exp(-mp.pi * s)
-        out: dict[str, mpf] = {}
         if c == 3:
             val = (mpf("13.32") * mp.exp(-2 * mp.pi * s / 3) * nn ** mpf("1.25")
                    + 24 * mp.exp(-mpf(4) / 3 * mp.pi * s) * nn ** mpf("1.25")
@@ -314,20 +273,8 @@ def r_ratio_components(c: int, n: int, prec: int = DEFAULT_PRECISION) -> dict[st
             val = (mpf(37259) * c * cbar4(c, prec + 10)
                    * mp.exp(-4 * mp.pi * s / c) * nn ** mpf("1.25")
                    + mpf("49.69") * c * epi * nn ** mpf("1.875"))
-            # tighter piecewise aggregate kept as a side channel
-            out["tighter"] = (
-                mpf("4.44") * c * mp.exp((mpf(1) / c - 1) * mp.pi * s) * nn ** mpf("1.25")
-                + (mpf("0.73") * c + mpf("5.81")) * c
-                * mp.exp(-4 * mp.pi * s / c) * nn ** mpf("1.25")
-                + epi * (mpf("42201.8") * c * c * nn ** mpf("0.75")
-                         + mpf(156641) * c * c * nn ** mpf("1.25")
-                         + mpf("2.379e6") * c * nn ** mpf("1.25")
-                         + mpf("49.69") * c * nn ** mpf("1.875")
-                         + mpf("37258.7") * c * cbar4(c, prec + 10) * nn ** mpf("1.25")
-                         + mpf("39519.2") * c * cbar2(c, prec + 10) * nn ** mpf("1.25")))
-        out["value"] = val
     with mp.workprec(prec):
-        return {k: +v for k, v in out.items()}
+        return +val
 
 
 def m_c(c: int, prec: int = DEFAULT_PRECISION) -> mpf:

@@ -132,7 +132,7 @@ def cmd_asymptotic(args) -> int:
         if exact.real != 0:
             row["rel_deviation"] = fmt_value(diff / abs(exact.real))
         envelope = error_term_bound(c, n, prec)
-        verdict = strict_verdict(diff, envelope, cfg.margin_policy)
+        verdict = strict_verdict(diff, envelope)
         row["remainder_envelope"] = fmt_value(envelope)
         row["envelope_verdict"] = verdict
         verdicts.append(verdict)
@@ -171,8 +171,8 @@ def cmd_bounds(args) -> int:
     if c in (3, 4, 5):
         # the sandwich coefficients must absorb the ratio at the threshold
         rr_th = rr if n >= th.n_min else r_ratio(c, th.n_min, prec)
-        v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef, cfg.margin_policy)
-        v2 = strict_verdict(rr_th, th.upper_coef - 1 / mpf(c), cfg.margin_policy)
+        v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef)
+        v2 = strict_verdict(rr_th, th.upper_coef - 1 / mpf(c))
         report.add("threshold_verdict", lower=v1, upper=v2)
         verdicts += [v1, v2]
     else:
@@ -264,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    mp.prec = max(int(args.precision), 64)
     try:
-        return args.func(args)
+        with mp.workprec(max(int(args.precision), 64)):
+            return args.func(args)
     except Exception as exc:  # bad input or a fault: exit 2, one line, no traceback
         bad_input = isinstance(exc, (ValueError, OSError))
         print(f"error: {exc if bad_input else repr(exc)}", file=sys.stderr)

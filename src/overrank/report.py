@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import platform
 import shlex
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +26,6 @@ class RunConfig:
     precision_bits: int = 160
     n_max: int = 3000
     cache_path: str | None = None
-    margin_policy: float = 1e-12
     parallelism: int = 1
 
     def __post_init__(self):
@@ -102,6 +101,8 @@ class Report:
             if kind == "header":
                 header = rec
             elif kind == "config":
+                if unknown := set(rec) - {f.name for f in fields(RunConfig)}:
+                    raise ValueError(f"unknown config key {min(unknown)!r}")
                 config = RunConfig(**rec)
             elif kind == "timings":
                 timings = rec

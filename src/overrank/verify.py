@@ -6,33 +6,29 @@ emits a deterministic, reproducible Certificate.  Most rows n1 of the pair
 triangle are cleared at once by a telescoping lower bound on log2(rhs/lhs),
 evaluated in outward-rounded floats; a row whose bound is not positive, or
 that may hold the minimal margin, is compared pair by pair in exact
-integers.  The analytic side (`t_inequality`, `monotonicity_probe`,
-`threshold_scan`) covers the crossing bounds that extend the finite checks;
-`t_inequality` takes its coefficients from the modulus, the sandwich row for
-c = 3, 4, 5 and the generic 48*c bound for c >= 6.
+integers.  The analytic gap inequality `t_inequality` covers the crossing
+that extends the finite checks; it takes its coefficients from the modulus,
+the sandwich row for c = 3, 4, 5 and the generic 48*c bound for c >= 6.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .bounds import r_ratio, sandwich_threshold
+from .bounds import sandwich_threshold
 from .counts import RankClassTable
 from .modsums import DEFAULT_PRECISION
 
 __all__ = [
     "Certificate",
     "TInequalityResult",
-    "monotonicity_probe",
     "parse_certificate",
-    "t_generic_chain",
     "t_inequality",
-    "threshold_scan",
     "verify_subadditivity",
 ]
 
@@ -232,10 +228,6 @@ class TInequalityResult(NamedTuple):
     margin: mpf
 
 
-def _s_factor(n1):
-    return mp.log((1 + 1 / mp.sqrt(2 * n1)) / (1 - 1 / mp.sqrt(n1)) ** 2)
-
-
 def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityResult:
     """Exponent-gap inequality at equal arguments: T(1) > log V + log S.
 
@@ -251,100 +243,9 @@ def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityR
         lhs = 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x)
         if c in (3, 4, 5):
             th = sandwich_threshold(c, prec)
-            rhs = mp.log(th.upper_coef * 8 * x / th.lower_coef ** 2) + _s_factor(x)
+            v = th.upper_coef * 8 * x / th.lower_coef ** 2
         else:
-            rhs = mp.log(48 * c * x) + _s_factor(x)
-        margin = lhs - rhs
+            v = 48 * c * x
+        s = (1 + 1 / mp.sqrt(2 * x)) / (1 - 1 / mp.sqrt(x)) ** 2
+        margin = lhs - (mp.log(v) + mp.log(s))
         return TInequalityResult(holds=bool(margin > 0), margin=+margin)
-
-
-def t_generic_chain(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> dict:
-    """Relaxation chain behind `t_inequality` for moduli c >= 6.
-
-    For n1 >= 2 the right side relaxes to log(840 c n1); once
-    n1 >= (840 c)^2 the gap inequality follows from T(1) > 2 log(n1).
-    """
-    with mp.workprec(prec):
-        x = mpf(n1)
-        lhs = 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x)
-        rhs_full = mp.log(48 * c * x) + _s_factor(x)
-        rhs_relaxed = mp.log(840 * c * x)
-        threshold = (840 * c) ** 2
-        return {
-            "lhs": +lhs,
-            "rhs_full": +rhs_full,
-            "rhs_relaxed": +rhs_relaxed,
-            "relaxation_valid": bool(rhs_full < rhs_relaxed),
-            "threshold": threshold,
-            "beyond_threshold": n1 >= threshold,
-            "lhs_exceeds_2log": bool(lhs > 2 * mp.log(x)),
-            "two_log_covers": bool(2 * mp.log(x) >= rhs_relaxed) if n1 >= threshold else None,
-        }
-
-
-def monotonicity_probe(c: int, which: str, prec: int = DEFAULT_PRECISION) -> dict:
-    """Numeric scan of the C-dependence of the crossing functions on [1, 100].
-
-    T must increase and S decrease in the ratio C = n2/n1; V and W stay below
-    their frozen caps.  V = v_coef*C*n1/(C+1) with v_coef = 8*upper/lower^2
-    from the sandwich row of c (48*c for the generic row of c >= 6), and
-    W = 48*c*C*n1/(C+1).  Returns a report dict with v_coef, raises nothing.
-    """
-    if which not in ("T_in_C", "S_in_C"):
-        raise ValueError("which must be 'T_in_C' or 'S_in_C'")
-    if c < 3:
-        raise ValueError("need c >= 3")
-    th = sandwich_threshold(c, prec)
-    with mp.workprec(prec):
-        v_coef = th.upper_coef * 8 / th.lower_coef ** 2
-        report = {"c": c, "which": which, "monotone": True, "v_capped": True,
-                  "w_capped": True, "samples": 0, "v_coef": v_coef}
-        grid = [mpf(10) ** (mpf(i) / 16) for i in range(33)]  # C in [1, 100]
-        for n1 in (50, 100, 1000):
-            x = mpf(n1)
-            prev = None
-            for C in grid:
-                T = mp.pi * (mp.sqrt(x) + mp.sqrt(C * x)) - mp.pi * mp.sqrt(x + C * x)
-                S = ((1 + 1 / mp.sqrt(x + C * x))
-                     / ((1 - 1 / mp.sqrt(x)) * (1 - 1 / mp.sqrt(C * x))))
-                V = v_coef * C * x / (C + 1)
-                W = 48 * c * C * x / (C + 1)
-                val = T if which == "T_in_C" else S
-                if prev is not None:
-                    step_ok = val > prev if which == "T_in_C" else val < prev
-                    if not step_ok:
-                        report["monotone"] = False
-                prev = val
-                if V >= v_coef * x:
-                    report["v_capped"] = False
-                if W >= 48 * c * x:
-                    report["w_capped"] = False
-                report["samples"] += 1
-    return report
-
-
-def threshold_scan(c: int, target, n_cap: int = 10 ** 12,
-                   prec: int = DEFAULT_PRECISION) -> int:
-    """Minimal n with r_ratio(c, n) < target, by doubling plus bisection.
-
-    Relies on the (separately verified) eventual monotone decrease of the
-    ratio; raises if the target is not reached below n_cap.
-    """
-    target = mpf(target)
-    if target <= 0:
-        raise ValueError("target must be positive")
-    lo = 2
-    if r_ratio(c, lo, prec) < target:
-        return lo
-    hi = 4
-    while r_ratio(c, hi, prec) >= target:
-        hi *= 2
-        if hi > n_cap:
-            raise ValueError(f"target {target} not reached below n={n_cap}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if r_ratio(c, mid, prec) < target:
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -7,23 +7,12 @@ to build; they are session-scoped and only built when a test pulls them in.
 import functools
 
 import pytest
-from mpmath import mp
 
 import oracles
 from overrank import modsums, pbar_series, rank_class_table
 
 FULL_DEPTH = 3000
 DEEP_SERIES = 14000
-
-
-@pytest.fixture(autouse=True)
-def _high_ambient_precision():
-    # mpmath rounds every operation (even negation) to the ambient precision;
-    # test-side algebra on 160-bit package values must not round at 53 bits
-    old = mp.prec
-    mp.prec = 240
-    yield
-    mp.prec = old
 
 
 @pytest.fixture(scope="session")

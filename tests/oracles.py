@@ -12,6 +12,8 @@ the reciprocity-law recursion `overrank.modsums.dedekind_sum`.  The
 Kloosterman oracles evaluate every summand of B and D on its own: two omegas,
 a fresh quadratic phase and a `Fraction` linear phase per summand.  The
 production kernels share these values and must match them bit for bit.
+The raw error aggregate sums the un-simplified error-piece bounds, to check
+that `overrank.bounds.error_pieces` dominates them.
 """
 
 import math
@@ -206,5 +208,39 @@ def kloosterman_D_direct(a: int, c: int, k: int, n: int, m: Fraction, region_sig
             total += w * rational_phase(Fraction(n * h, k) + m_eff * Fraction(hp, k),
                                         prec + 10)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
+    with mp.workprec(prec):
+        return +total
+
+
+def raw_error_aggregate(c: int, n: int, certified: dict[int, mpf],
+                        prec: int = DEFAULT_PRECISION) -> mpf:
+    """Sum of the un-simplified piece bounds with certified C-values plugged in.
+
+    Uses the exact cotangent and logarithm factors, and the closed k-sum
+    bound sum_k k^{-1/2} <= 2 n^{1/4}.  `certified` maps index -> upper value
+    (from const_C or the closed-form majorants).
+    """
+    with mp.workprec(prec + 10):
+        nn = mpf(n)
+        pi = mp.pi
+        cot = mp.cospi(mpf(1) / (2 * c)) / mp.sinpi(mpf(1) / (2 * c))
+        ksum = 2 * nn ** mpf("0.25")
+        e2pi = mp.exp(2 * pi)
+        e2pi8 = mp.exp(2 * pi + pi / 8)
+        logf = (1 + mp.log(mpf(c - 1) / 2)) / (pi * (1 - pi ** 2 / 24))
+        s78 = (nn ** mpf("0.75") * mp.log(nn / 4)
+               / (2 * pi * (1 - pi ** 2 / 24) * mp.sinpi(mpf(1) / c)))
+        i_coef = (mpf(4) / 3 + 2 ** mpf("1.25")) * e2pi8 * cot * logf
+        total = (
+            4 * certified[3] * e2pi * cot * ksum                      # S1
+            + 4 * certified[1] * e2pi * mp.sqrt(2) * cot * ksum       # S2
+            + 2 * certified[4] * e2pi * cot * ksum                    # S3
+            + certified[5] * e2pi * cot * ksum                        # S4
+            + certified[2] * e2pi * mp.sqrt(2) * cot * ksum           # S5
+            + certified[2] * e2pi / mp.sqrt(2) * cot * ksum           # S6
+            + 2 * s78                                                 # S7 + S8
+            + 4 * mp.sqrt(2) * e2pi8 * cot * logf / mp.sqrt(nn) * ksum  # S2,5,6 err
+            + 8 * mp.sqrt(2) * i_coef * nn ** mpf("0.25")             # I2,5,6 err
+        )
     with mp.workprec(prec):
         return +total

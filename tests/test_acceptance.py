@@ -152,19 +152,20 @@ def test_criterion_09_asymptotic_sanity(table3):
 
 
 def test_criterion_10_certified_constants(pbar3000, pbar_deep):
-    caps = [
-        (const_C(1, None, pbar3000), mpf("0.8066")),
-        (const_C(3, None, pbar3000), mpf("0.5488")),
-        (const_C(5, None, pbar3000), mpf("120.942")),
-        (const_C(2, 3, pbar_deep), mpf("4.5303e52")),
-        (const_C(4, 3, pbar3000), mpf("1.0535e8")),
-    ]
-    ok = all(cc.upper <= cap and cc.tail_bound < mpf("1e-15") * cc.partial
-             for cc, cap in caps)
-    # giant-threshold formula checks (the regime itself is out of desk reach)
-    giant_ok = (m_c(6) >= m_c_prime(6)
-                and abs(sandwich_threshold(6).lower_coef - 1 / mpf(12)) < mpf(2) ** -150
-                and abs(sandwich_threshold(6).upper_coef - mpf("0.25")) < mpf(2) ** -150)
+    with mp.workprec(240):
+        caps = [
+            (const_C(1, None, pbar3000), mpf("0.8066")),
+            (const_C(3, None, pbar3000), mpf("0.5488")),
+            (const_C(5, None, pbar3000), mpf("120.942")),
+            (const_C(2, 3, pbar_deep), mpf("4.5303e52")),
+            (const_C(4, 3, pbar3000), mpf("1.0535e8")),
+        ]
+        ok = all(cc.upper <= cap and cc.tail_bound < mpf("1e-15") * cc.partial
+                 for cc, cap in caps)
+        # giant-threshold formula checks (the regime itself is out of desk reach)
+        giant_ok = (m_c(6) >= m_c_prime(6)
+                    and abs(sandwich_threshold(6).lower_coef - 1 / mpf(12)) < mpf(2) ** -150
+                    and abs(sandwich_threshold(6).upper_coef - mpf("0.25")) < mpf(2) ** -150)
     gate(10, "series constants certified below the published caps",
          ok and giant_ok,
          "tails < 1e-15 relative; giant-threshold formulas checked")

@@ -102,9 +102,13 @@ def test_outputs_independent_of_ambient_precision(pbar3000):
         return out
 
     runs = []
-    for ambient in (53, 240, 1000):
-        mp.prec = ambient
-        runs.append(bits())
+    old = mp.prec
+    try:
+        for ambient in (53, 240, 1000):
+            mp.prec = ambient
+            runs.append(bits())
+    finally:
+        mp.prec = old
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -113,10 +117,11 @@ def test_outputs_independent_of_ambient_precision(pbar3000):
 # ---------------------------------------------------------------------------
 
 def test_nbar_residue_sum_collapses_to_engel():
-    for c, n in ((3, 500), (5, 300)):
-        total = sum(nbar_asymptotic(a, c, n).value for a in range(c))
-        engel = engel_pbar(n).estimate
-        assert abs(total - engel) / engel < mpf(2) ** -130
+    with mp.workprec(240):
+        for c, n in ((3, 500), (5, 300)):
+            total = sum(nbar_asymptotic(a, c, n).value for a in range(c))
+            engel = engel_pbar(n).estimate
+            assert abs(total - engel) / engel < mpf(2) ** -130
 
 
 def test_nbar_matches_exact_within_envelope(table3):
@@ -161,16 +166,18 @@ def test_engel_relative_deviation_improves():
 def test_engel_bound_relaxation_chain():
     # sinh(x) <= e^x/2 always; the final relaxation to (pi/16 pi) e^{pi sqrt n}
     # only takes over from n = 4 (plain numeric fact, frozen here)
-    for n in range(1, 2001):
-        s = mp.sqrt(mpf(n))
-        link0 = mpf(3) ** mpf("2.5") / (mp.pi * mpf(n) ** mpf("1.5")) * mp.sinh(mp.pi * s / 3)
-        link1 = mpf(3) ** mpf("2.5") * mp.exp(mp.pi * s / 3) / (2 * mp.pi * mpf(n) ** mpf("1.5"))
-        link2 = mp.exp(mp.pi * s) / (16 * mpf(n) ** mpf("1.5"))
-        assert link0 <= link1
-        if n >= 4:
-            assert link1 <= link2, n
-        else:
-            assert link1 > link2, n
+    with mp.workprec(240):
+        for n in range(1, 2001):
+            s = mp.sqrt(mpf(n))
+            link0 = mpf(3) ** mpf("2.5") / (mp.pi * mpf(n) ** mpf("1.5")) * mp.sinh(mp.pi * s / 3)
+            link1 = (mpf(3) ** mpf("2.5") * mp.exp(mp.pi * s / 3)
+                     / (2 * mp.pi * mpf(n) ** mpf("1.5")))
+            link2 = mp.exp(mp.pi * s) / (16 * mpf(n) ** mpf("1.5"))
+            assert link0 <= link1
+            if n >= 4:
+                assert link1 <= link2, n
+            else:
+                assert link1 > link2, n
 
 
 def test_engel_certified_interval_through_3000(pbar3000):

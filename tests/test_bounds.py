@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from oracles import raw_error_aggregate
 
 from overrank import (aux_inequalities_selftest, cbar2, cbar4, const_C,
                       error_pieces, error_term_bound, m_c, m_c_prime,
                       main_term_bound, pbar_sandwich, pbar_series, r_ratio,
                       sandwich_threshold, strict_verdict)
-from overrank.bounds import r_ratio_components, raw_error_aggregate
 
 
 def test_strict_verdict_policy():
@@ -40,7 +40,7 @@ def test_certified_constant_is_upper_value(pbar3000):
     with mp.workprec(240):
         longer = sum(pbar3000[r] * mp.exp(-mp.pi * r) for r in range(1, 2501))
         slack = a.partial * mpf(2) ** -170  # reporting runs at prec+20
-    assert a.partial - slack <= longer <= a.upper
+        assert a.partial - slack <= longer <= a.upper
 
 
 def test_const_c_requires_enough_exact_terms(pbar3000):
@@ -85,17 +85,19 @@ def test_certified_below_closed_form_majorants(pbar3000, pbar_deep):
 # ---------------------------------------------------------------------------
 
 def test_error_pieces_s7_example():
-    bb = error_pieces(3, 256)
-    expect = mpf("0.9093") * mpf(256) ** mpf("0.875") * 3
-    assert abs(bb.pieces["S7"] - expect) / expect < mpf(2) ** -140
-    assert len(bb.pieces) == 14
+    with mp.workprec(240):
+        bb = error_pieces(3, 256)
+        expect = mpf("0.9093") * mpf(256) ** mpf("0.875") * 3
+        assert abs(bb.pieces["S7"] - expect) / expect < mpf(2) ** -140
+        assert len(bb.pieces) == 14
 
 
 def test_error_pieces_total_structure():
-    bb = error_pieces(4, 1000)
-    assert all(v > 0 for v in bb.pieces.values())
-    assert abs(bb.total - sum(bb.pieces.values())) / bb.total < mpf(2) ** -140
-    assert all(bb.total >= v for v in bb.pieces.values())
+    with mp.workprec(240):
+        bb = error_pieces(4, 1000)
+        assert all(v > 0 for v in bb.pieces.values())
+        assert abs(bb.total - sum(bb.pieces.values())) / bb.total < mpf(2) ** -140
+        assert all(bb.total >= v for v in bb.pieces.values())
 
 
 def test_s7_piece_dominates_raw_form():
@@ -145,12 +147,13 @@ def test_main_term_bound_values():
 
 def test_main_term_second_exponential_rate():
     # at c = 5 the second exponential runs at pi sqrt(n)/5
-    n = 4000
-    first = (mpf("0.1624") * mp.exp(mp.pi * mp.sqrt(mpf(n)) / 5)
-             * mpf(n) ** mpf("0.25") * 5)
-    second = main_term_bound(5, n) - first
-    rate = mp.log(second / ((mpf("0.0266") * 5 + mpf("0.2123")) * mpf(n) ** mpf("0.25") * 5))
-    assert abs(rate - mp.pi * mp.sqrt(mpf(n)) / 5) < mpf("1e-20")
+    with mp.workprec(240):
+        n = 4000
+        first = (mpf("0.1624") * mp.exp(mp.pi * mp.sqrt(mpf(n)) / 5)
+                 * mpf(n) ** mpf("0.25") * 5)
+        second = main_term_bound(5, n) - first
+        rate = mp.log(second / ((mpf("0.0266") * 5 + mpf("0.2123")) * mpf(n) ** mpf("0.25") * 5))
+        assert abs(rate - mp.pi * mp.sqrt(mpf(n)) / 5) < mpf("1e-20")
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +176,18 @@ def test_r_ratio_strictly_decreasing():
             prev = cur
 
 
-def test_r_ratio_generic_and_tighter_side_channel():
-    comp = r_ratio_components(6, 10 ** 6)
-    assert comp["tighter"] <= comp["value"]
+def test_r_ratio_generic_row():
+    # c >= 6: 37259 c cbar4(c) e^{-4 pi sqrt(n)/c} n^{5/4} + 49.69 c e^{-pi sqrt n} n^{15/8}
+    c, n = 6, 10 ** 6
+    with mp.workprec(240):
+        s = mp.sqrt(mpf(n))
+        expect = (37259 * c * cbar4(c, 240) * mp.exp(-4 * mp.pi * s / c) * mpf(n) ** mpf("1.25")
+                  + mpf("49.69") * c * mp.exp(-mp.pi * s) * mpf(n) ** mpf("1.875"))
+        assert abs(r_ratio(c, n) - expect) / expect < mpf(2) ** -140
     with pytest.raises(ValueError):
         r_ratio(2, 100)
+    with pytest.raises(ValueError):
+        r_ratio(3, 1)
 
 
 def test_m_c_values():
@@ -209,8 +219,9 @@ def test_sandwich_threshold_rows():
     th = sandwich_threshold(5)
     assert (float(th.lower_coef), float(th.upper_coef), th.n_min) == (0.0103, 0.3897, 449)
     th = sandwich_threshold(6)
-    assert abs(th.lower_coef - 1 / mpf(12)) < mpf(2) ** -155
-    assert abs(th.upper_coef - mpf("0.25")) < mpf(2) ** -155
+    with mp.workprec(240):
+        assert abs(th.lower_coef - 1 / mpf(12)) < mpf(2) ** -155
+        assert abs(th.upper_coef - mpf("0.25")) < mpf(2) ** -155
     # the giant threshold is a ~1900-digit integer determined by the working
     # precision; match the ceil inside the same context
     with mp.workprec(160):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from mpmath import mp
 
 from overrank import cli
 from overrank.cli import main
@@ -148,6 +149,27 @@ def test_report_embeds_config(capsys):
     rec = [json.loads(line) for line in out.splitlines()
            if '"record": "config"' in line][0]
     assert rec["precision_bits"] == 96
+    assert sorted(rec) == ["cache_path", "n_max", "parallelism", "precision_bits", "record"]
+
+
+def test_main_leaves_caller_precision(capsys):
+    before = mp.prec
+    assert main(["count", "--n", "5", "--precision", "96"]) == 0
+    assert mp.prec == before
+    assert main(["bounds", "--c", "2", "--n", "100", "--precision", "200"]) == 2
+    assert mp.prec == before
+
+
+def test_report_rejects_unknown_config_key(capsys):
+    code, out = run_cli(capsys, "count", "--n", "2", "--format", "json-lines")
+    lines = out.splitlines()
+    config = json.loads(lines[1])
+    assert config["record"] == "config"
+    # a report written while RunConfig still had a margin_policy field
+    for key in ("margin_policy", "bogus"):
+        lines[1] = json.dumps({**config, key: 1}, sort_keys=True)
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            Report.from_json_lines("\n".join(lines))
 
 
 def test_cache_round_trip_and_reuse(capsys, tmp_path):

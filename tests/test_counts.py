@@ -155,14 +155,16 @@ def test_a_exact_range_checks(small_tables):
 def test_orthogonality_sweep(small_tables):
     # N(a,c,n) = (1/c) sum_j zeta^{-aj} A(j/c;n), with A(0;n) = pbar(n) taken
     # from the independent series; every row n <= 60 of every c = 2..8 table
-    series = pbar_series(60)
-    for c, table in small_tables.items():
-        for n in range(61):
-            coeffs = [a_exact(j, c, n, table) for j in range(1, c)]
-            for a in range(c):
-                total = series[n] + sum(coeffs[j - 1] * mp.expjpi(mpf(-2 * ((a * j) % c)) / c)
-                                        for j in range(1, c))
-                assert abs(total / c - table.counts[n][a]) < mpf(2) ** -100, (a, c, n)
+    with mp.workprec(240):
+        series = pbar_series(60)
+        for c, table in small_tables.items():
+            for n in range(61):
+                coeffs = [a_exact(j, c, n, table) for j in range(1, c)]
+                for a in range(c):
+                    total = series[n] + sum(
+                        coeffs[j - 1] * mp.expjpi(mpf(-2 * ((a * j) % c)) / c)
+                        for j in range(1, c))
+                    assert abs(total / c - table.counts[n][a]) < mpf(2) ** -100, (a, c, n)
 
 
 def test_orthogonality_at_zero(small_tables):

@@ -176,7 +176,8 @@ def test_d_single_term_value():
         expect = mp.tan(mp.pi / 5) / mp.sqrt(2)
     assert close(v, expect)
     flipped = kloosterman_D(1, 5, 1, 0, Fraction(0), -1)
-    assert close(flipped, -v)
+    with mp.workprec(240):
+        assert close(flipped, -v)
 
 
 def test_d_precondition_checks():

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from oracles import sweep_oracle
 
-from overrank import (monotonicity_probe, r_ratio, rank_class_table,
-                      t_generic_chain, t_inequality, threshold_scan,
-                      verify_subadditivity)
+from overrank import r_ratio, rank_class_table, t_inequality, verify_subadditivity
 from overrank.counts import RankClassTable
 from overrank.verify import _log2_int, _row_bounds, parse_certificate
 
@@ -258,17 +256,20 @@ def test_t_inequality_single_crossing():
 
 
 def test_t_generic_threshold():
+    # for c >= 6 the right side log(48 c n1) + log S relaxes to log(840 c n1),
+    # and from n1 = (840 c)^2 on, T(1) > 2 log n1 >= log(840 c n1) closes it
     c = 6
     n1 = (840 * c) ** 2
     assert t_inequality(n1, c).holds
-    chain = t_generic_chain(n1, c)
-    assert chain["relaxation_valid"]
-    assert chain["beyond_threshold"]
-    assert chain["lhs_exceeds_2log"]
-    assert chain["two_log_covers"]
-    below = t_generic_chain(100, c)
-    assert below["relaxation_valid"]
-    assert not below["beyond_threshold"]
+    with mp.workprec(240):
+        for n in (100, n1):
+            x = mpf(n)
+            s_factor = mp.log((1 + 1 / mp.sqrt(2 * x)) / (1 - 1 / mp.sqrt(x)) ** 2)
+            assert mp.log(48 * c * x) + s_factor < mp.log(840 * c * x), n
+        x = mpf(n1)
+        two_log = 2 * mp.log(x)
+        assert 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x) > two_log
+        assert two_log >= mp.log(840 * c * x)
 
 
 def test_t_inequality_validation():
@@ -278,39 +279,24 @@ def test_t_inequality_validation():
         t_inequality(1, 3)
 
 
-def test_monotonicity_probe():
-    rep_t = monotonicity_probe(3, "T_in_C")
-    assert rep_t["monotone"] and rep_t["v_capped"] and rep_t["w_capped"]
-    rep_s = monotonicity_probe(3, "S_in_C")
-    assert rep_s["monotone"]
-    # W(1) = 24 c n1, half of the cap
-    c, n1 = 5, 100
-    assert 48 * c * 1 * n1 / 2 == 24 * c * n1
-    # V takes the sandwich row of its own modulus, not the c = 3 row
-    for c, upper, lower in ((3, "0.6648", "0.0019"), (4, "0.4909", "0.0091"),
-                            (5, "0.3897", "0.0103")):
-        for which in ("T_in_C", "S_in_C"):
-            rep = monotonicity_probe(c, which)
-            assert rep["monotone"] and rep["v_capped"] and rep["w_capped"], (c, which)
-            assert rep["samples"] == 99
-            assert abs(rep["v_coef"] / (8 * mpf(upper) / mpf(lower) ** 2) - 1) < mpf(2) ** -150
-    # the generic row (1/2c, 3/2c) of c >= 6 gives V its 48c coefficient
-    assert abs(monotonicity_probe(7, "T_in_C")["v_coef"] - 48 * 7) < mpf(2) ** -140
-    with pytest.raises(ValueError):
-        monotonicity_probe(3, "V_in_C")
+def test_crossing_functions_monotone_in_ratio():
+    # T increases and S decreases in C = n2/n1 over C in [1, 100]
+    with mp.workprec(240):
+        grid = [mpf(10) ** (mpf(i) / 16) for i in range(33)]
+        for n1 in (50, 100, 1000):
+            x = mpf(n1)
+            T = [mp.pi * (mp.sqrt(x) + mp.sqrt(C * x)) - mp.pi * mp.sqrt(x + C * x)
+                 for C in grid]
+            S = [(1 + 1 / mp.sqrt(x + C * x)) / ((1 - 1 / mp.sqrt(x)) * (1 - 1 / mp.sqrt(C * x)))
+                 for C in grid]
+            assert all(a < b for a, b in zip(T, T[1:])), n1
+            assert all(a > b for a, b in zip(S, S[1:])), n1
 
 
-def test_threshold_scan_reproduces_published_starts():
-    # the scan lands exactly on the published window starts: one step earlier
-    # the ratio is still above the target
-    for c, target, start in ((3, "0.33142", 2089), (4, "0.24084", 272),
-                             (5, "0.1897", 449)):
-        got = threshold_scan(c, mpf(target))
-        assert got == start
-        assert r_ratio(c, got) < mpf(target)
-        assert r_ratio(c, got - 1) >= mpf(target)
-
-
-def test_threshold_scan_unreachable():
-    with pytest.raises(ValueError):
-        threshold_scan(3, mpf("1e-300"), n_cap=10 ** 5)
+def test_r_ratio_crosses_targets_at_published_starts():
+    # the published window starts are the first n with the ratio below its
+    # target: one step earlier the ratio is still at or above it
+    with mp.workprec(240):
+        for c, target, start in ((3, "0.33142", 2089), (4, "0.24084", 272),
+                                 (5, "0.1897", 449)):
+            assert r_ratio(c, start) < mpf(target) <= r_ratio(c, start - 1), c
