@@ -7,19 +7,27 @@ c not dividing k (k odd, c1 != 4) ranging over the finitely many r with a
 positive growth parameter delta.  The unevaluated remainder is bounded
 elsewhere (see bounds); here it is simply left out.
 
+Both sums run in one walk over the arcs that serves every residue of one
+modulus at once: the B arcs ascending, then the D arcs ascending, with one
+`KernelTables` shared by all kernel calls (one arc's multipliers and linear
+phases at a time, the sines for the whole walk).  `nbar_asymptotic` walks
+once per reduced denominator.  Each residue's terms are still added in the
+order of a walk of its own, so sharing changes no output bit.
+
 Everything is computed fully complex; the imaginary part of the result is
 reported as a residual, never silently dropped.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from mpmath import mp, mpc, mpf
 
-from .modsums import (DEFAULT_PRECISION, context, delta, kloosterman_B,
-                      kloosterman_D, m_param)
+from .modsums import (DEFAULT_PRECISION, KernelTables, context, delta,
+                      kloosterman_B, kloosterman_D, m_param)
 
 __all__ = [
     "AsymptoticEstimate",
@@ -70,46 +78,62 @@ def a_asymptotic(a: int, c: int, n: int,
         raise ValueError("need c > 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    totals, terms = _arc_walk((a,), c, n, prec, keep_terms=True)
+    with mp.workprec(prec):
+        return AsymptoticEstimate(value=+totals[a].real,
+                                  imag_residual=+abs(totals[a].imag),
+                                  k_terms=[(k, +t) for k, t in terms[a]],
+                                  precision_bits=prec)
+
+
+def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
+    """Unrounded main-term totals of `a_asymptotic(a, c, n, prec)` for every a in
+    residues, in one walk over the arcs, and each a's k-terms if keep_terms.
+
+    At each arc every residue's kernel calls share one KernelTables; each
+    residue's own terms are summed in arc order, as in a walk of its own.
+    """
     kmax = isqrt(n)
-    terms: list[tuple[int, mpc]] = []
+    terms: dict[int, list[tuple[int, mpc]]] = {a: [] for a in residues}
+    totals = dict.fromkeys(residues, mpc(0))
+    tables = KernelTables(c, prec + 20)
     with mp.workprec(prec + 20):
         root = mp.sqrt(mpf(2) / n)
-        total = mpc(0)
         # sine-weighted sum: c | k, k odd
         for k in range(c, kmax + 1, c):
             if k % 2 == 0:
                 continue
-            B = kloosterman_B(a, c, k, -n, 0, prec + 20)
-            t = mpc(0, 1) * root * B / mp.sqrt(k) * mp.sinh(mp.pi * mp.sqrt(n) / k)
-            terms.append((k, t))
-            total += t
+            sqrt_k = mp.sqrt(k)
+            growth = mp.sinh(mp.pi * mp.sqrt(n) / k)
+            for a in residues:
+                B = kloosterman_B(a, c, k, -n, 0, prec + 20, tables=tables)
+                t = mpc(0, 1) * root * B / sqrt_k * growth
+                if keep_terms:
+                    terms[a].append((k, t))
+                totals[a] += t
         # secondary sum: c not dividing k, k odd, c1 != 4, r >= 0 with delta > 0
         for k in range(1, kmax + 1):
             if k % 2 == 0 or k % c == 0:
                 continue
-            ctx = context(a, c, k)
-            if ctx.c1 == 4 or ctx.region == "mid":
-                continue
-            sign = 1 if ctx.region == "low" else -1
-            tk = mpc(0)
-            r = 0
-            while True:
-                d = delta(ctx, r)
-                if d <= 0:
-                    break
-                m = m_param(ctx, r)
-                D = kloosterman_D(a, c, k, -n, m, sign, prec + 20)
-                tk += (2 * root * D / mp.sqrt(k)
-                       * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
-                r += 1
-            if tk != 0:
-                terms.append((k, tk))
-                total += tk
-    with mp.workprec(prec):
-        return AsymptoticEstimate(value=+total.real,
-                                  imag_residual=+abs(total.imag),
-                                  k_terms=[(k, +t) for k, t in terms],
-                                  precision_bits=prec)
+            sqrt_k = mp.sqrt(k)
+            for a in residues:
+                ctx = context(a, c, k)
+                if ctx.c1 == 4 or ctx.region == "mid":
+                    continue
+                sign = 1 if ctx.region == "low" else -1
+                tk = mpc(0)
+                r = 0
+                while (d := delta(ctx, r)) > 0:
+                    D = kloosterman_D(a, c, k, -n, m_param(ctx, r), sign, prec + 20,
+                                      tables=tables)
+                    tk += (2 * root * D / sqrt_k
+                           * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
+                    r += 1
+                if tk != 0:
+                    if keep_terms:
+                        terms[a].append((k, tk))
+                    totals[a] += tk
+    return totals, terms
 
 
 @dataclass
@@ -151,7 +175,8 @@ def nbar_asymptotic(a: int, c: int, n: int,
     """Estimate the rank-class count N(a,c,n) via the orthogonality identity.
 
     (1/c) * engel estimate + (1/c) * sum_{j=1}^{c-1} zeta_c^{-aj} A_est(j/c;n),
-    reducing each j/c to lowest terms.  Even c would need the coefficient at
+    reducing each j/c to lowest terms and walking the arcs once for all j
+    with the same reduced denominator.  Even c would need the coefficient at
     denominator 2, outside this expansion's domain.
     """
     if c <= 2:
@@ -161,13 +186,20 @@ def nbar_asymptotic(a: int, c: int, n: int,
                          "outside the expansion's domain")
     if not 0 <= a < c:
         raise ValueError("need 0 <= a < c")
+    by_gcd = defaultdict(list)
+    for j in range(1, c):
+        by_gcd[gcd(j, c)].append(j)
     with mp.workprec(prec + 20):
         total = mpc(engel_pbar(n, prec + 20).estimate) / c
+        values = {}
+        for g, js in by_gcd.items():
+            # each value rounded as a_asymptotic(j // g, c // g, n, prec + 20) rounds it
+            totals, _ = _arc_walk([j // g for j in js], c // g, n, prec + 20,
+                                  keep_terms=False)
+            values.update((j, +totals[j // g].real) for j in js)
         terms: list[tuple[int, mpc]] = []
         for j in range(1, c):
-            g = gcd(j, c)
-            est = a_asymptotic(j // g, c // g, n, prec + 20)
-            contrib = (mp.expjpi(mpf(-2 * ((a * j) % c)) / c) * est.value) / c
+            contrib = (mp.expjpi(mpf(-2 * ((a * j) % c)) / c) * values[j]) / c
             terms.append((j, contrib))
             total += contrib
     with mp.workprec(prec):

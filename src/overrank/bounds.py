@@ -46,11 +46,31 @@ __all__ = [
 MARGIN_POLICY = 1e-12
 
 
+def _exact(x) -> Fraction | None:
+    """x as an exact rational; None for an infinity or a NaN."""
+    if isinstance(x, mpf):
+        if not mp.isfinite(x):
+            return None
+        man, exp = x.man_exp
+        return Fraction(man) * Fraction(2) ** exp
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        return None
+
+
 def strict_verdict(lhs, rhs) -> str:
     """'pass' if lhs < rhs by a relative margin above the fixed MARGIN_POLICY
-    (1e-12), 'fail' if the reverse, 'inconclusive' when the gap is thinner."""
-    lhs, rhs = mpf(lhs), mpf(rhs)
-    scale = max(abs(lhs), abs(rhs), mpf("1e-300"))
+    (1e-12), 'fail' if the reverse, 'inconclusive' when the gap is thinner
+    or a side is not finite.
+
+    The margin is taken in exact rationals, so the verdict does not depend
+    on the ambient mp.prec.
+    """
+    lhs, rhs = _exact(lhs), _exact(rhs)
+    if lhs is None or rhs is None:
+        return "inconclusive"
+    scale = max(abs(lhs), abs(rhs), Fraction(1, 10 ** 300))
     margin = (rhs - lhs) / scale
     if margin > MARGIN_POLICY:
         return "pass"

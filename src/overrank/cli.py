@@ -170,7 +170,7 @@ def cmd_bounds(args) -> int:
                upper_coef=fmt_value(th.upper_coef), n_min=str(th.n_min))
     if c in (3, 4, 5):
         # the sandwich coefficients must absorb the ratio at the threshold
-        rr_th = rr if n >= th.n_min else r_ratio(c, th.n_min, prec)
+        rr_th = r_ratio(c, th.n_min, prec)
         v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef)
         v2 = strict_verdict(rr_th, th.upper_coef - 1 / mpf(c))
         report.add("threshold_verdict", lower=v1, upper=v2)

@@ -8,10 +8,13 @@ precision (default 160 bits).
 The finite exponential sums B and D follow one convention: the phase
 exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
 integral) linear parameter 2*m in the secondary sum, validated against exact
-rank-class counts in tests/test_asymptotic.py.  Each call evaluates omega_{h,k}
-and the multiplier ratio only for h < k/2 (the entry of k-h is the exact
-conjugate), at most 2c quadratic phases, and each distinct linear phase once,
-reduced in integers.
+rank-class counts in tests/test_asymptotic.py.  The values calls share live
+in a `KernelTables`: omega_{h,k} and the multiplier ratio, evaluated once per
+arc k and only for h < k/2 (the entry of k-h is the exact conjugate); each
+distinct linear phase, reduced in integers, once per arc; and sin(pi*a*h'/c)
+once per value of a*h'.  Each call evaluates at most 2c quadratic phases.  A
+call without tables gets fresh ones, so the tables change which values are
+recomputed, never a result bit.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from mpmath import mp, mpc, mpf
 
 __all__ = [
     "DEFAULT_PRECISION",
+    "KernelTables",
     "KloostermanContext",
     "context",
     "coprime_residues",
@@ -186,8 +190,7 @@ def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], mpc]) -> mpc:
     """exp(2*pi*i*num/den) at the working precision, from num/den in lowest terms mod 1.
 
     memo maps each reduced (num, den) to its value, so a phase that recurs
-    within one kernel call is evaluated once; it must not outlive that call's
-    precision.
+    is evaluated once; it must only be used at one precision.
     """
     g = gcd(num, den)
     den //= g
@@ -198,31 +201,74 @@ def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], mpc]) -> mpc:
     return value
 
 
+class KernelTables:
+    """Values that calls of `kloosterman_B` and `kloosterman_D` share.
+
+    One table serves the calls for modulus c at kernel precision prec; its
+    entries are made at the kernels' working precision prec + 10.  It keeps
+    the multipliers and linear phases of one arc k, dropped as soon as a call
+    moves to another arc, and sin(pi*x/c) by x = a*h' for as long as it
+    lives.  Every entry is the value a call would compute for itself.
+    """
+
+    def __init__(self, c: int, prec: int):
+        self.c, self.prec = c, prec
+        self.k: int | None = None
+        self.multipliers: list[tuple[int, int, mpc]] = []
+        self.phases: dict[tuple[int, int], mpc] = {}
+        self.sines: dict[int, mpf] = {}
+        self.sine_values: dict[tuple, mpf] = {}
+
+    def enter(self, c: int, k: int, prec: int) -> list[tuple[int, int, mpc]]:
+        """The multipliers of arc k, built on the first call at k."""
+        if (c, prec) != (self.c, self.prec):
+            raise ValueError("tables made for another modulus or precision")
+        if k != self.k:
+            # drop the last arc's tables before building this one's
+            self.k, self.multipliers, self.phases = None, [], {}
+            self.multipliers = _multipliers(k)
+            self.k = k
+        return self.multipliers
+
+    def sine(self, x: int) -> mpf:
+        """sin(pi*x/c) at the working precision."""
+        value = self.sines.get(x)
+        if value is None:
+            # sin(pi*x/c) rounds to few distinct values (16 for c = 3 over
+            # 0 < x < 600), so entries with equal bits share one object
+            value = mp.sinpi(mpf(x) / self.c)
+            value = self.sines[x] = self.sine_values.setdefault(value._mpf_, value)
+        return value
+
+
 def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
-                  prec: int = DEFAULT_PRECISION) -> mpc:
+                  prec: int = DEFAULT_PRECISION, *,
+                  tables: KernelTables | None = None) -> mpc:
     """Sine-weighted Kloosterman-type sum over c | k with k odd.
 
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
     quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*(n*h+m*h')/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
-    sine never vanishes.  Omega is evaluated for h < k/2 only, the quadratic
-    phase once per residue mod 2c (at most 2c), and the linear phase once per
-    distinct reduced fraction.
+    sine never vanishes.  The multipliers, linear phases and sines come from
+    `tables` (fresh ones by default); the quadratic phase is evaluated once
+    per residue mod 2c (at most 2c).
     """
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
     if gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
+    if tables is None:
+        tables = KernelTables(c, prec)
     mn, md = Fraction(m).as_integer_ratio()
     quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
-        mults = _multipliers(k)
+        mults = tables.enter(c, k, prec)
         quad = {r: mp.expjpi(-mpf(r) / c)
                 for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
-        phases: dict[tuple[int, int], mpc] = {}
+        phases = tables.phases
         total = mpc(0)
         for h, hp, w in mults:
-            term = w / mp.sinpi(mpf(a * hp) / c)
+            term = w / tables.sine(a * hp)
             term *= quad[quad_coeff * hp % (2 * c)]
             term *= _unit_phase(n * h * md + mn * hp, k * md, phases)
             total += term
@@ -232,14 +278,15 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
 
 
 def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
-                  prec: int = DEFAULT_PRECISION) -> mpc:
+                  prec: int = DEFAULT_PRECISION, *,
+                  tables: KernelTables | None = None) -> mpc:
     """Secondary Kloosterman-type sum over c not dividing k, k odd.
 
     region_sign is +1 on the low branch of l/c1 and -1 on the high branch;
     invoking it for the mid branch (where delta vanishes identically) is an
     error in the caller.  The phase carries the doubled parameter 2*m and is
-    reduced in integers, each distinct one evaluated once; omega is evaluated
-    for h < k/2 only.
+    reduced in integers; the multipliers and phases come from `tables`
+    (fresh ones by default).
     """
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
@@ -247,11 +294,14 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         raise ValueError("region_sign must be +1 or -1")
     if gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
+    if tables is None:
+        tables = KernelTables(c, prec)
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
-        phases: dict[tuple[int, int], mpc] = {}
+        mults = tables.enter(c, k, prec)
+        phases = tables.phases
         total = mpc(0)
-        for h, hp, w in _multipliers(k):
+        for h, hp, w in mults:
             total += w * _unit_phase(n * h * md + mn * hp, k * md, phases)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):

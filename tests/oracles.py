@@ -12,6 +12,9 @@ the reciprocity-law recursion `overrank.modsums.dedekind_sum`.  The
 Kloosterman oracles evaluate every summand of B and D on its own: two omegas,
 a fresh quadratic phase and a `Fraction` linear phase per summand.  The
 production kernels share these values and must match them bit for bit.
+The per-residue estimate oracles are the main-term loops as they stood
+before the arc walk: one pass over the arcs per residue, every kernel call
+with fresh tables; `overrank.asymptotic` must match them bit for bit.
 The raw error aggregate sums the un-simplified error-piece bounds, to check
 that `overrank.bounds.error_pieces` dominates them.
 """
@@ -22,8 +25,10 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf
 
+from overrank.asymptotic import AsymptoticEstimate, engel_pbar
 from overrank.counts import RankClassTable
-from overrank.modsums import DEFAULT_PRECISION, coprime_residues, mod_inverse, omega
+from overrank.modsums import (DEFAULT_PRECISION, context, coprime_residues, delta,
+                              kloosterman_B, kloosterman_D, m_param, mod_inverse, omega)
 
 
 def pbar_series_product(n_max: int) -> list[int]:
@@ -210,6 +215,70 @@ def kloosterman_D_direct(a: int, c: int, k: int, n: int, m: Fraction, region_sig
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
         return +total
+
+
+def a_asymptotic_per_residue(a: int, c: int, n: int,
+                             prec: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
+    """`overrank.asymptotic.a_asymptotic`, walking the arcs for this residue alone."""
+    kmax = math.isqrt(n)
+    terms: list[tuple[int, mpc]] = []
+    with mp.workprec(prec + 20):
+        root = mp.sqrt(mpf(2) / n)
+        total = mpc(0)
+        # sine-weighted sum: c | k, k odd
+        for k in range(c, kmax + 1, c):
+            if k % 2 == 0:
+                continue
+            B = kloosterman_B(a, c, k, -n, 0, prec + 20)
+            t = mpc(0, 1) * root * B / mp.sqrt(k) * mp.sinh(mp.pi * mp.sqrt(n) / k)
+            terms.append((k, t))
+            total += t
+        # secondary sum: c not dividing k, k odd, c1 != 4, r >= 0 with delta > 0
+        for k in range(1, kmax + 1):
+            if k % 2 == 0 or k % c == 0:
+                continue
+            ctx = context(a, c, k)
+            if ctx.c1 == 4 or ctx.region == "mid":
+                continue
+            sign = 1 if ctx.region == "low" else -1
+            tk = mpc(0)
+            r = 0
+            while True:
+                d = delta(ctx, r)
+                if d <= 0:
+                    break
+                m = m_param(ctx, r)
+                D = kloosterman_D(a, c, k, -n, m, sign, prec + 20)
+                tk += (2 * root * D / mp.sqrt(k)
+                       * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
+                r += 1
+            if tk != 0:
+                terms.append((k, tk))
+                total += tk
+    with mp.workprec(prec):
+        return AsymptoticEstimate(value=+total.real,
+                                  imag_residual=+abs(total.imag),
+                                  k_terms=[(k, +t) for k, t in terms],
+                                  precision_bits=prec)
+
+
+def nbar_asymptotic_per_residue(a: int, c: int, n: int,
+                                prec: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
+    """`overrank.asymptotic.nbar_asymptotic`, one `a_asymptotic_per_residue` per j."""
+    with mp.workprec(prec + 20):
+        total = mpc(engel_pbar(n, prec + 20).estimate) / c
+        terms: list[tuple[int, mpc]] = []
+        for j in range(1, c):
+            g = math.gcd(j, c)
+            est = a_asymptotic_per_residue(j // g, c // g, n, prec + 20)
+            contrib = (mp.expjpi(mpf(-2 * ((a * j) % c)) / c) * est.value) / c
+            terms.append((j, contrib))
+            total += contrib
+    with mp.workprec(prec):
+        return AsymptoticEstimate(value=+total.real,
+                                  imag_residual=+abs(total.imag),
+                                  k_terms=[(j, +t) for j, t in terms],
+                                  precision_bits=prec)
 
 
 def raw_error_aggregate(c: int, n: int, certified: dict[int, mpf],

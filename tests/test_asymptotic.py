@@ -1,14 +1,18 @@
 """Main-term asymptotics against the exact tables, and the two-arc estimate."""
 
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from mpmath import mp, mpf
 
-from oracles import kloosterman_B_direct, kloosterman_D_direct
+from oracles import (a_asymptotic_per_residue, kloosterman_B_direct, kloosterman_D_direct,
+                     nbar_asymptotic_per_residue)
 from overrank import (a_asymptotic, a_exact, asymptotic, const_C, engel_pbar,
-                      error_term_bound, kloosterman_B, kloosterman_D, nbar_asymptotic,
-                      pbar_series, r_ratio, rank_class_table)
+                      error_term_bound, kloosterman_B, kloosterman_D, modsums,
+                      nbar_asymptotic, pbar_series, r_ratio, rank_class_table)
+from overrank.modsums import coprime_residues, mod_inverse
 
 
 def test_first_sum_empty_below_c_squared():
@@ -73,10 +77,81 @@ def test_estimates_bits_equal_direct_kernels(shared_omega, monkeypatch):
              ((1, 3, 2000), (2, 5, 40000), (3, 7, 60000), (1, 4, 5000), (1, 5, 500))]
     cases.append((nbar_asymptotic, (1, 3, 20000)))
     fast = [estimate_bits(f(*args)) for f, args in cases]
-    monkeypatch.setattr(asymptotic, "kloosterman_B", kloosterman_B_direct)
-    monkeypatch.setattr(asymptotic, "kloosterman_D", kloosterman_D_direct)
+    # the direct kernels evaluate every summand afresh, so they take no tables
+    monkeypatch.setattr(asymptotic, "kloosterman_B",
+                        lambda *args, tables: kloosterman_B_direct(*args))
+    monkeypatch.setattr(asymptotic, "kloosterman_D",
+                        lambda *args, tables: kloosterman_D_direct(*args))
     for (f, args), bits in zip(cases, fast):
         assert estimate_bits(f(*args)) == bits, (f.__name__, args)
+
+
+@pytest.mark.parametrize("prec", [160, 64])
+def test_arc_walk_bits_equal_per_residue_loops(prec):
+    # one walk for all residues of a modulus, sharing the kernels' tables,
+    # gives every output bit of one walk per residue with fresh tables; at
+    # c = 9, j = 3 and 6 reduce to thirds
+    cases = [(a_asymptotic, a_asymptotic_per_residue, args) for args in
+             ((1, 3, 2000), (2, 5, 40000), (3, 7, 60000), (1, 4, 5000), (1, 5, 500))]
+    cases += [(nbar_asymptotic, nbar_asymptotic_per_residue, args) for args in
+              ((1, 3, 20000), (2, 5, 20000), (4, 9, 5000))]
+    for walk, oracle, args in cases:
+        assert estimate_bits(walk(*args, prec)) == estimate_bits(oracle(*args, prec)), \
+            (walk.__name__, args)
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_nbar_builds_each_arc_multipliers_once(monkeypatch):
+    # both residues of c = 3 share one walk, so the multipliers cost what
+    # one residue's do, where a walk per residue pays twice
+    calls = counting(monkeypatch, modsums, "omega")
+    a_asymptotic(1, 3, 5000)
+    single = len(calls)
+    assert single > 0
+    for a in range(3):
+        calls.clear()
+        nbar_asymptotic(a, 3, 5000)
+        assert len(calls) == single, a
+    calls.clear()
+    nbar_asymptotic_per_residue(0, 3, 5000)
+    assert len(calls) == 2 * single
+
+
+@pytest.mark.parametrize("a, c, n", [(1, 3, 20000), (2, 5, 20000), (3, 7, 20000)])
+def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
+    # the sine weight depends on a*h' alone, so a walk evaluates it once
+    # per distinct value instead of once per summand
+    arcs = range(c, isqrt(n) + 1, 2 * c)
+    summands = [a * mod_inverse(h, k) for k in arcs for h in coprime_residues(k)]
+    calls = counting(monkeypatch, mp, "sinpi")
+    a_asymptotic(a, c, n)
+    assert len(calls) <= len(set(summands)) < len(summands)
+
+
+def test_nbar_peak_allocation_within_per_residue_walks():
+    # sharing tables across residues keeps one arc's multipliers alive at a
+    # time; the sine table must not push the peak past the per-residue loops'
+    nbar_asymptotic_per_residue(1, 3, 2000)
+    nbar_asymptotic(1, 3, 2000)  # warm mpmath's caches at this precision
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(1, 3, 20000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(nbar_asymptotic) <= 1.1 * peak(nbar_asymptotic_per_residue)
 
 
 def test_outputs_independent_of_ambient_precision(pbar3000):

@@ -8,19 +8,27 @@ tests read both files and fail in the suite instead.
 
 import ast
 import importlib.util
+from collections import Counter
+from math import isqrt
 from pathlib import Path
 
 from overrank import asymptotic, bounds, cli, counts, verify
+from overrank.modsums import context, coprime_residues, delta
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = {"asymptotic": asymptotic, "bounds": bounds, "cli": cli, "counts": counts,
            "verify": verify}
 
 
-def test_tracer_targets_exist():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_exist():
+    tracer = load_tracer()
     targets = [(owner, attr) for owner, attr, _ in tracer.SPANS.values()]
     targets += list(tracer.COUNTED.values())
     missing = [(owner.__name__, attr) for owner, attr in targets if attr not in vars(owner)]
@@ -41,3 +49,40 @@ def test_workload_references_exist():
     missing = sorted(f"{module.__name__}.{name}" for module, name in refs
                      if not hasattr(module, name))
     assert not missing
+
+
+def kernel_calls(residues, c, n):
+    """(kernel, k) of every B and D call the main terms of residues mod c make at n."""
+    calls = []
+    for a in residues:
+        for k in range(1, isqrt(n) + 1, 2):
+            if k % c == 0:
+                calls.append(("modsums.kloosterman_B", k))
+                continue
+            ctx = context(a, c, k)
+            if ctx.c1 == 4 or ctx.region == "mid":
+                continue
+            r = 0
+            while delta(ctx, r) > 0:
+                calls.append(("modsums.kloosterman_D", k))
+                r += 1
+    return calls
+
+
+def test_tracer_sees_every_kernel_call():
+    # the per-layer kernel metrics count one span per residue, arc and r-term,
+    # also where one walk over the arcs serves several residues
+    tracer = load_tracer().Tracer()
+    with tracer.patched():
+        asymptotic.a_asymptotic(1, 3, 2000)
+        asymptotic.nbar_asymptotic(1, 3, 2000)
+        asymptotic.a_asymptotic(2, 5, 2000)
+        asymptotic.nbar_asymptotic(1, 5, 2000)
+    totals = tracer.take()
+    expected = (kernel_calls([1], 3, 2000) + kernel_calls([1, 2], 3, 2000)
+                + kernel_calls([2], 5, 2000) + kernel_calls([1, 2, 3, 4], 5, 2000))
+    spans = Counter(name for _, name, *_ in tracer.spans if name.startswith("modsums."))
+    assert spans == Counter(name for name, _ in expected)
+    assert totals["modsums.kloosterman_B.calls"] == spans["modsums.kloosterman_B"]
+    assert totals["modsums.kloosterman_D.calls"] == spans["modsums.kloosterman_D"] > 0
+    assert totals["modsums.summands"] == sum(len(coprime_residues(k)) for _, k in expected)

@@ -19,6 +19,20 @@ def test_strict_verdict_policy():
     assert strict_verdict(1 + 1e-14, 1) == "inconclusive"
 
 
+def test_strict_verdict_independent_of_ambient_precision():
+    # pairs a hair either side of the policy: converting or subtracting at
+    # 53 bits would flip some of these verdicts
+    with mp.workprec(200):
+        pairs = [(mpf(1), 1 + mpf("1e-12") * (1 + k * mpf("1e-6"))) for k in range(-200, 200)]
+    runs = []
+    for ambient in (53, 200):
+        with mp.workprec(ambient):
+            runs.append([strict_verdict(lhs, rhs) for lhs, rhs in pairs])
+    assert runs[0] == runs[1]
+    assert set(runs[0]) == {"pass", "inconclusive"}
+    assert strict_verdict(1, mpf("inf")) == strict_verdict(mpf("nan"), 1) == "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # Certified constants
 # ---------------------------------------------------------------------------

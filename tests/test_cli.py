@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from overrank import cli
+from overrank import bounds, cli
 from overrank.cli import main
 from overrank.counts import rank_class_table, save_table
 from overrank.report import Report, RunConfig
@@ -82,6 +82,20 @@ def test_bounds_verdicts(capsys):
     code, out = run_cli(capsys, "bounds", "--c", "6", "--n", "100")
     assert code == 0
     assert "giant_threshold" in out
+
+
+def test_bounds_threshold_verdict_checks_ratio_at_threshold(capsys, monkeypatch):
+    # above n_min the row is still checked against R_3(2089) ~ 0.33142, not
+    # against the vanishing R_3(n): an upper coefficient of 0.6647 leaves
+    # 0.6647 - 1/3 ~ 0.33137 < R_3(2089), so the row fails at either n
+    code, out = run_cli(capsys, "bounds", "--c", "3", "--n", "20050")
+    assert code == 0
+    assert "threshold_verdict lower=pass upper=pass" in out
+    monkeypatch.setitem(bounds._EXPLICIT_THRESHOLDS, 3, ("0.0019", "0.6647", 2089))
+    for n in ("2089", "20050"):
+        code, out = run_cli(capsys, "bounds", "--c", "3", "--n", n)
+        assert code == 1, n
+        assert "threshold_verdict lower=pass upper=fail" in out, n
 
 
 def test_verify_clean_and_dirty(capsys, tmp_path):

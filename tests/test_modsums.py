@@ -169,6 +169,20 @@ def test_b_precondition_checks():
         kloosterman_B(1, 3, 6, 0)  # k even
 
 
+def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision():
+    tables = modsums.KernelTables(3, 160)
+    for k in (9, 15):
+        fresh = kloosterman_B(1, 3, k, -100, 0, 160)
+        assert kloosterman_B(1, 3, k, -100, 0, 160, tables=tables)._mpc_ == fresh._mpc_
+        assert kloosterman_B(2, 3, k, -100, 0, 160, tables=tables)._mpc_ == \
+            kloosterman_B(2, 3, k, -100, 0, 160)._mpc_
+    assert tables.k == 15 and len(tables.multipliers) == len(coprime_residues(15))
+    with pytest.raises(ValueError):
+        kloosterman_B(1, 5, 15, -100, 0, 160, tables=tables)
+    with pytest.raises(ValueError):
+        kloosterman_D(1, 3, 5, -100, Fraction(0), 1, 200, tables=tables)
+
+
 def test_d_single_term_value():
     # k = 1 collapses to the h = 0 term with unit multiplier
     v = kloosterman_D(1, 5, 1, 0, Fraction(0), 1)
