@@ -9,10 +9,11 @@ elsewhere (see bounds); here it is simply left out.
 
 Both sums run in one walk over the arcs that serves every residue of one
 modulus at once: the B arcs ascending, then the D arcs ascending, with one
-`KernelTables` shared by all kernel calls (one arc's multipliers and linear
-phases at a time, the sines for the whole walk).  `nbar_asymptotic` walks
-once per reduced denominator.  Each residue's terms are still added in the
-order of a walk of its own, so sharing changes no output bit.
+`KernelTables` shared by all kernel calls (one arc's multipliers at a time,
+linear phases per B arc and per D arc and residue pair {a, c-a}, the sines
+for the whole walk).  `nbar_asymptotic` walks once per reduced
+denominator.  Each residue's terms are still added in the order of a walk of
+its own, so sharing changes no output bit.
 
 Everything is computed fully complex; the imaginary part of the result is
 reported as a residual, never silently dropped.
@@ -90,9 +91,12 @@ def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
     """Unrounded main-term totals of `a_asymptotic(a, c, n, prec)` for every a in
     residues, in one walk over the arcs, and each a's k-terms if keep_terms.
 
-    At each arc every residue's kernel calls share one KernelTables; each
-    residue's own terms are summed in arc order, as in a walk of its own.
+    At each arc every residue's kernel calls share one KernelTables, made
+    pair by pair {a, c-a} so that the D arcs' phase memo serves both residues
+    that share its keys; each residue's own terms are summed in arc order, as
+    in a walk of its own.
     """
+    residues = sorted(residues, key=lambda a: (min(a, c - a), a))
     kmax = isqrt(n)
     terms: dict[int, list[tuple[int, mpc]]] = {a: [] for a in residues}
     totals = dict.fromkeys(residues, mpc(0))

@@ -51,8 +51,8 @@ def _exact(x) -> Fraction | None:
     if isinstance(x, mpf):
         if not mp.isfinite(x):
             return None
-        man, exp = x.man_exp
-        return Fraction(man) * Fraction(2) ** exp
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
     try:
         return Fraction(x)
     except (OverflowError, ValueError):

@@ -138,16 +138,21 @@ def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     assert len(calls) <= len(set(summands)) < len(summands)
 
 
-def test_nbar_peak_allocation_within_per_residue_walks():
+@pytest.mark.parametrize("args", [(1, 3, 20000), (4, 9, 5000)])
+def test_nbar_peak_allocation_within_per_residue_walks(args):
     # sharing tables across residues keeps one arc's multipliers alive at a
-    # time; the sine table must not push the peak past the per-residue loops'
-    nbar_asymptotic_per_residue(1, 3, 2000)
-    nbar_asymptotic(1, 3, 2000)  # warm mpmath's caches at this precision
+    # time; neither the sine table nor the D arcs' phase memo (one residue
+    # pair at a time) may push the peak past the per-residue loops'.  c = 9
+    # walks six residues at once, three pairs.
+    # warm mpmath's caches (constants at the precisions these arguments
+    # reach) so that neither measured call pays for them
+    nbar_asymptotic_per_residue(*args)
+    nbar_asymptotic(*args)
 
     def peak(fn):
         tracemalloc.start()
         try:
-            fn(1, 3, 20000)
+            fn(*args)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

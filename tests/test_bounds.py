@@ -17,6 +17,12 @@ def test_strict_verdict_policy():
     assert strict_verdict(2, 1) == "fail"
     assert strict_verdict(1, 1 + 1e-14) == "inconclusive"
     assert strict_verdict(1 + 1e-14, 1) == "inconclusive"
+    # negative mpfs keep their sign on the way to exact rationals
+    assert strict_verdict(mpf(-2), mpf(-1)) == "pass"
+    assert strict_verdict(mpf(1), mpf(-1)) == "fail"
+    assert strict_verdict(mpf(-1), mpf("0.5")) == "pass"
+    assert strict_verdict(mpf("-0.5"), mpf(-2)) == "fail"
+    assert strict_verdict(r_ratio(3, 2089), 1 / mpf(3) - mpf("0.8")) == "fail"
 
 
 def test_strict_verdict_independent_of_ambient_precision():

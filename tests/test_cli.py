@@ -96,6 +96,11 @@ def test_bounds_threshold_verdict_checks_ratio_at_threshold(capsys, monkeypatch)
         code, out = run_cli(capsys, "bounds", "--c", "3", "--n", n)
         assert code == 1, n
         assert "threshold_verdict lower=pass upper=fail" in out, n
+    # a lower coefficient above 1/c leaves 1/c - lower < 0 < R_3(2089)
+    monkeypatch.setitem(bounds._EXPLICIT_THRESHOLDS, 3, ("0.8", "0.6648", 2089))
+    code, out = run_cli(capsys, "bounds", "--c", "3", "--n", "20050")
+    assert code == 1
+    assert "threshold_verdict lower=fail upper=pass" in out
 
 
 def test_verify_clean_and_dirty(capsys, tmp_path):

@@ -181,6 +181,13 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision():
         kloosterman_B(1, 5, 15, -100, 0, 160, tables=tables)
     with pytest.raises(ValueError):
         kloosterman_D(1, 3, 5, -100, Fraction(0), 1, 200, tables=tables)
+    # on a D arc the phase memo serves one residue pair {a, c-a} at a time
+    tables = modsums.KernelTables(5, 160)
+    for a in (1, 4, 2, 3):
+        m = Fraction(-3, 2)
+        assert kloosterman_D(a, 5, 7, -100, m, 1, 160, tables=tables)._mpc_ == \
+            kloosterman_D(a, 5, 7, -100, m, 1, 160)._mpc_
+        assert tables.pair == min(a, 5 - a)
 
 
 def test_d_single_term_value():
