@@ -5,7 +5,8 @@ closed-form tail bound), their coarse closed-form majorants, the fourteen
 error-piece bounds with their aggregation, the per-modulus deviation ratio
 R_c, the giant thresholds M_c, the two-sided envelope for the overpartition
 count, and a self-test of the auxiliary scalar inequalities the envelopes
-rest on.
+rest on.  The self-test's fixed grids depend only on the working precision,
+so they are evaluated once per precision per process.
 
 Strict float comparisons here never masquerade as proofs: `strict_verdict`
 returns 'inconclusive' when a margin is thinner than the fixed relative
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -362,22 +364,24 @@ def sandwich_threshold(c: int, prec: int = DEFAULT_PRECISION) -> Threshold:
 # Auxiliary inequality self-test
 # ---------------------------------------------------------------------------
 
-def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
-                              prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
-    """Grid-verify the scalar inequalities the envelopes rest on.
+def _verdict(margins: Iterable, strict: bool = True) -> tuple[bool, float]:
+    """(passed, worst margin); a non-strict inequality may touch equality on
+    its grid (e.g. x = 1)."""
+    worst = min(margins)
+    return bool(worst > 0 if strict else worst >= 0), float(worst)
 
-    Returns name -> {passed, worst_margin, grid} entries; failures are report
-    entries, never exceptions.  `pbar` (exact counts, length >= 201) enables
-    the series-versus-closed-form check.
+
+@cache
+def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
+    """The seven fixed-grid checks at `prec`, as (name, passed, worst_margin, grid).
+
+    Every grid point is evaluated inside workprec(prec), so the verdicts depend
+    on `prec` alone and one evaluation per precision serves the whole process.
     """
-    report: dict[str, dict] = {}
+    checks = []
 
     def record(name: str, margins: Iterable, grid: str, strict: bool = True) -> None:
-        # non-strict inequalities may touch equality on the grid (e.g. x = 1)
-        worst = min(margins)
-        passed = worst > 0 if strict else worst >= 0
-        report[name] = {"passed": bool(passed), "worst_margin": float(worst),
-                        "grid": grid}
+        checks.append((name, *_verdict(margins, strict), grid))
 
     with mp.workprec(prec):
         pi = mp.pi
@@ -385,9 +389,9 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
         # log x <= a (x^{1/a} - 1) for a, x > 0
         xs = [mpf(i) / 20 for i in range(1, 1001)]  # x in (0, 50]
         logs = [mp.log(x) for x in xs]
+        powers = [(a, mpf(1) / a) for a in (1, 2, 4, 8, 16)]
         record("log_power_bound",
-               (a * (x ** (mpf(1) / a) - 1) - lx
-                for a in (1, 2, 4, 8, 16) for x, lx in zip(xs, logs)),
+               (a * (x ** inv - 1) - lx for a, inv in powers for x, lx in zip(xs, logs)),
                "a in {1,2,4,8,16}, x in (0,50]", strict=False)
 
         # cot(pi/2c) <= 2c/pi
@@ -405,20 +409,6 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
                ((1 + x) / (x * x) - ex / (1 - ex) ** 2
                 for x, ex in zip(xs, (mp.exp(-x) for x in xs))),
                "x in (0,50]")
-
-        # sum p(n) e^{-2 pi n y} <= exp(2 e^{-2 pi y} / (1 - e^{-2 pi y})^2)
-        if pbar is not None and len(pbar) >= 201:
-            margins = []
-            ys = [Fraction(c * c - 8, 32 * c * c) for c in range(3, 9)]
-            ys += [Fraction(1, 4 * c * c) for c in range(3, 9)]
-            for y in ys:
-                yv = mpf(y.numerator) / y.denominator
-                partial = sum(pbar[nn] * mp.exp(-2 * pi * nn * yv) for nn in range(201))
-                q = mp.exp(-2 * pi * yv)
-                margins.append(mp.exp(2 * q / (1 - q) ** 2) - partial)
-            record("series_closed_form", margins,
-                   "200-term partial sums, y from both substitution families",
-                   strict=False)
 
         # e^x > (1 + x/y)^y
         xs = [mpf(i) / 10 for i in range(1, 501)]  # x in (0, 50]
@@ -438,4 +428,45 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
         margins = [mp.sinpi(mpf(1) / c) - mpf(2) / c for c in range(3, 33)]
         record("sin_lower_bound", margins, "c in 3..32", strict=False)
 
+    return tuple(checks)
+
+
+def _series_closed_form(pbar: Sequence[int], prec: int) -> tuple[bool, float]:
+    """sum p(n) e^{-2 pi n y} <= exp(2 e^{-2 pi y} / (1 - e^{-2 pi y})^2), 200 terms."""
+    with mp.workprec(prec):
+        pi = mp.pi
+        margins = []
+        ys = [Fraction(c * c - 8, 32 * c * c) for c in range(3, 9)]
+        ys += [Fraction(1, 4 * c * c) for c in range(3, 9)]
+        for y in ys:
+            yv = mpf(y.numerator) / y.denominator
+            partial = sum(pbar[nn] * mp.exp(-2 * pi * nn * yv) for nn in range(201))
+            q = mp.exp(-2 * pi * yv)
+            margins.append(mp.exp(2 * q / (1 - q) ** 2) - partial)
+        return _verdict(margins, strict=False)
+
+
+def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
+                              prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
+    """Grid-verify the scalar inequalities the envelopes rest on.
+
+    Returns name -> {passed, worst_margin, grid} entries; failures are report
+    entries, never exceptions.  `pbar` (exact counts, length >= 201; a shorter
+    one is a ValueError) enables the series-versus-closed-form check.
+
+    The fixed-grid checks depend only on `prec`, so they run once per
+    precision per process; the `pbar` check runs on every call that passes
+    one.  Each call returns a fresh dict.
+    """
+    if pbar is not None and len(pbar) < 201:
+        raise ValueError(f"pbar needs at least 201 terms (r = 0..200), got {len(pbar)}")
+    report: dict[str, dict] = {}
+    for name, passed, worst, grid in _grid_checks(prec):
+        report[name] = {"passed": passed, "worst_margin": worst, "grid": grid}
+        if name == "exp_square_ratio" and pbar is not None:
+            # the series check keeps its place in the report's key order
+            passed, worst = _series_closed_form(pbar, prec)
+            report["series_closed_form"] = {
+                "passed": passed, "worst_margin": worst,
+                "grid": "200-term partial sums, y from both substitution families"}
     return report

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 from oracles import raw_error_aggregate
 
-from overrank import (aux_inequalities_selftest, cbar2, cbar4, const_C,
+from overrank import (aux_inequalities_selftest, bounds, cbar2, cbar4, const_C,
                       error_pieces, error_term_bound, m_c, m_c_prime,
                       main_term_bound, pbar_sandwich, pbar_series, r_ratio,
                       sandwich_threshold, strict_verdict)
@@ -338,3 +338,50 @@ def test_aux_selftest_grids_match_margin_lists(prec):
         got = {name: (report[name]["passed"], report[name]["worst_margin"])
                for name in expected}
         assert got == expected, (prec, pbar is None)
+
+
+@pytest.mark.parametrize("prec", (64, 160, 240))
+def test_aux_selftest_cache_matches_fresh_evaluation(prec):
+    # the grids are cached by precision alone; the ambient mp.prec at the
+    # call that filled the cache must not show in a later call's result
+    pbar = pbar_series(200)
+    for ambient_fill, ambient_read in ((53, 1000), (1000, 53)):
+        bounds._grid_checks.cache_clear()
+        with mp.workprec(ambient_fill):
+            aux_inequalities_selftest(pbar, prec)
+        with mp.workprec(ambient_read):
+            cached = aux_inequalities_selftest(pbar, prec)
+            assert bounds._grid_checks.cache_info().hits == 1
+            bounds._grid_checks.cache_clear()
+            fresh = aux_inequalities_selftest(pbar, prec)
+            assert bounds._grid_checks.cache_info().misses == 1
+        assert list(cached.items()) == list(fresh.items()), (prec, ambient_fill)
+
+
+def test_aux_selftest_returns_a_fresh_report():
+    report = aux_inequalities_selftest()
+    report["log_power_bound"]["passed"] = False
+    report["log_power_bound"]["worst_margin"] = -1.0
+    del report["sin_lower_bound"]
+    again = aux_inequalities_selftest()
+    assert again["log_power_bound"]["passed"]
+    assert again["log_power_bound"]["worst_margin"] >= 0
+    assert "sin_lower_bound" in again
+
+
+def test_aux_selftest_series_check_is_not_cached():
+    pbar = list(pbar_series(200))
+    assert aux_inequalities_selftest(pbar)["series_closed_form"]["passed"]
+    inflated = pbar.copy()
+    inflated[100] *= 10 ** 60
+    report = aux_inequalities_selftest(inflated)
+    assert list(report).index("series_closed_form") == 4
+    assert not report["series_closed_form"]["passed"]
+    assert all(entry["passed"] for name, entry in report.items()
+               if name != "series_closed_form")
+    assert aux_inequalities_selftest(pbar)["series_closed_form"]["passed"]
+
+
+def test_aux_selftest_rejects_a_short_series():
+    with pytest.raises(ValueError, match="201 terms"):
+        aux_inequalities_selftest(pbar_series(199))

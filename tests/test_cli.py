@@ -103,6 +103,54 @@ def test_bounds_threshold_verdict_checks_ratio_at_threshold(capsys, monkeypatch)
     assert "threshold_verdict lower=fail upper=pass" in out
 
 
+def bounds_report(capsys, *argv):
+    code, out = run_cli(capsys, "bounds", *argv, "--format", "json-lines")
+    return code, Report.from_json_lines(out)
+
+
+def test_bounds_reports_selftest_cache(capsys):
+    bounds._grid_checks.cache_clear()
+    runs = [bounds_report(capsys, "--c", "3", "--n", "2089", *extra)
+            for extra in ((), (), ("--precision", "200"))]
+    assert [r.timings["selftest_cache"] for _, r in runs] == ["miss", "hit", "miss"]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert runs[0][1].outputs == runs[1][1].outputs
+    # values print at 20 digits and margins as floats, alike at 160 and 200 bits
+    assert runs[1][1].outputs == runs[2][1].outputs
+    for _, report in runs:
+        assert 0 <= report.timings["selftest_s"] <= report.timings["total_s"]
+
+
+def test_bounds_selftest_grids_evaluated_once(capsys, monkeypatch):
+    bounds._grid_checks.cache_clear()
+    calls = []
+    log = mp.log
+
+    def counted_log(*args, **kwargs):
+        calls.append(args)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "log", counted_log)
+    logs = []
+    for _ in range(2):
+        code, _ = run_cli(capsys, "bounds", "--c", "3", "--n", "2089")
+        assert code == 0
+        logs.append(len(calls))
+        calls.clear()
+    assert logs[0] >= 1000 and logs[1] == 0, logs
+
+
+@pytest.mark.parametrize("prec", ("64", "160"))
+def test_bounds_outputs_equal_cold_and_warm(capsys, prec):
+    for c in ("3", "5", "7"):
+        bounds._grid_checks.cache_clear()
+        cold = bounds_report(capsys, "--c", c, "--n", "20050", "--precision", prec)
+        warm = bounds_report(capsys, "--c", c, "--n", "20050", "--precision", prec)
+        assert cold[1].timings["selftest_cache"] == "miss"
+        assert warm[1].timings["selftest_cache"] == "hit"
+        assert (cold[0], cold[1].outputs) == (warm[0], warm[1].outputs), (c, prec)
+
+
 def test_verify_clean_and_dirty(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", "--c", "3", "--n-lo", "9",
                         "--n-hi", "40", "--n-max", "80")
