@@ -18,7 +18,7 @@ from .bounds import (BoundBreakdown, CertifiedConstant, Threshold,
                      aux_inequalities_selftest, cbar2, cbar4, const_C,
                      error_pieces, error_term_bound, m_c, m_c_prime,
                      main_term_bound, pbar_sandwich, r_ratio, sandwich_threshold,
-                     strict_verdict)
+                     selftest_cached, strict_verdict)
 from .counts import (RankClassTable, RankDistribution, a_exact,
                      brute_force_rank_counts, load_table, pbar_series,
                      rank_class_table, save_table)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -42,6 +41,7 @@ __all__ = [
     "pbar_sandwich",
     "r_ratio",
     "sandwich_threshold",
+    "selftest_cached",
     "strict_verdict",
 ]
 
@@ -371,9 +371,19 @@ def _verdict(margins: Iterable, strict: bool = True) -> tuple[bool, float]:
     return bool(worst > 0 if strict else worst >= 0), float(worst)
 
 
-@cache
+# prec -> the seven fixed-grid checks as (name, passed, worst_margin, grid);
+# filled once per precision per process by aux_inequalities_selftest
+_GRID_CHECKS: dict[int, tuple[tuple[str, bool, float, str], ...]] = {}
+
+
+def selftest_cached(prec: int = DEFAULT_PRECISION) -> bool:
+    """Whether this process has evaluated the self-test's grids at `prec`, so
+    that the next aux_inequalities_selftest at `prec` does no grid work."""
+    return prec in _GRID_CHECKS
+
+
 def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
-    """The seven fixed-grid checks at `prec`, as (name, passed, worst_margin, grid).
+    """Evaluate the seven fixed-grid checks at `prec`.
 
     Every grid point is evaluated inside workprec(prec), so the verdicts depend
     on `prec` alone and one evaluation per precision serves the whole process.
@@ -455,13 +465,16 @@ def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
     one is a ValueError) enables the series-versus-closed-form check.
 
     The fixed-grid checks depend only on `prec`, so they run once per
-    precision per process; the `pbar` check runs on every call that passes
-    one.  Each call returns a fresh dict.
+    precision per process (`selftest_cached` says whether they have); the
+    `pbar` check runs on every call that passes one.  Each call returns a
+    fresh dict.
     """
     if pbar is not None and len(pbar) < 201:
         raise ValueError(f"pbar needs at least 201 terms (r = 0..200), got {len(pbar)}")
+    if prec not in _GRID_CHECKS:
+        _GRID_CHECKS[prec] = _grid_checks(prec)
     report: dict[str, dict] = {}
-    for name, passed, worst, grid in _grid_checks(prec):
+    for name, passed, worst, grid in _GRID_CHECKS[prec]:
         report[name] = {"passed": passed, "worst_margin": worst, "grid": grid}
         if name == "exp_square_ratio" and pbar is not None:
             # the series check keeps its place in the report's key order

@@ -9,7 +9,7 @@ from oracles import raw_error_aggregate
 from overrank import (aux_inequalities_selftest, bounds, cbar2, cbar4, const_C,
                       error_pieces, error_term_bound, m_c, m_c_prime,
                       main_term_bound, pbar_sandwich, pbar_series, r_ratio,
-                      sandwich_threshold, strict_verdict)
+                      sandwich_threshold, selftest_cached, strict_verdict)
 
 
 def test_strict_verdict_policy():
@@ -346,15 +346,15 @@ def test_aux_selftest_cache_matches_fresh_evaluation(prec):
     # call that filled the cache must not show in a later call's result
     pbar = pbar_series(200)
     for ambient_fill, ambient_read in ((53, 1000), (1000, 53)):
-        bounds._grid_checks.cache_clear()
+        bounds._GRID_CHECKS.clear()
+        assert not selftest_cached(prec)
         with mp.workprec(ambient_fill):
             aux_inequalities_selftest(pbar, prec)
+        assert selftest_cached(prec)
         with mp.workprec(ambient_read):
             cached = aux_inequalities_selftest(pbar, prec)
-            assert bounds._grid_checks.cache_info().hits == 1
-            bounds._grid_checks.cache_clear()
+            bounds._GRID_CHECKS.clear()
             fresh = aux_inequalities_selftest(pbar, prec)
-            assert bounds._grid_checks.cache_info().misses == 1
         assert list(cached.items()) == list(fresh.items()), (prec, ambient_fill)
 
 
