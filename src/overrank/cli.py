@@ -59,20 +59,30 @@ def _config(args) -> RunConfig:
                      cache_path=args.cache, parallelism=int(args.jobs))
 
 
-def _get_table(cfg: RunConfig, c: int, need_n: int):
-    """Load the cached table when usable, else build (and cache when asked)."""
+def _get_table(cfg: RunConfig, c: int, need_n: int, report: Report):
+    """Load the cached table when usable, else build (and cache when asked).
+
+    Reports where the table came from as timings `table_cache` (hit: read from
+    the cache; built: built and written to it; none: built, no cache asked
+    for) and `table_s`.
+    """
+    t0 = time.perf_counter()
     if cfg.cache_path and Path(cfg.cache_path).exists():
         table = load_table(cfg.cache_path)
         if table.c != c:
             raise ValueError(f"cache holds modulus {table.c}, need {c}")
         if table.n_max < need_n:
             raise ValueError(f"cache reaches n={table.n_max}, need {need_n}")
-        return table
-    # a cached build covers the configured depth so later commands can reuse it
-    depth = max(need_n, cfg.n_max) if cfg.cache_path else need_n
-    table = rank_class_table(depth, c)
-    if cfg.cache_path:
-        save_table(table, cfg.cache_path)
+        source = "hit"
+    else:
+        # a cached build covers the configured depth so later commands can reuse it
+        depth = max(need_n, cfg.n_max) if cfg.cache_path else need_n
+        table = rank_class_table(depth, c)
+        if cfg.cache_path:
+            save_table(table, cfg.cache_path)
+        source = "built" if cfg.cache_path else "none"
+    report.timings["table_cache"] = source
+    report.timings["table_s"] = round(time.perf_counter() - t0, 6)
     return table
 
 
@@ -97,7 +107,7 @@ def cmd_count(args) -> int:
         series = pbar_series(n)
         report.add("count", kind="pbar", n=n, value=str(series[n]))
     else:
-        table = _get_table(cfg, args.c, n)
+        table = _get_table(cfg, args.c, n, report)
         if args.a is None:
             for r in range(args.c):
                 report.add("count", kind="rank_class", n=n, c=args.c, a=r,
@@ -124,7 +134,7 @@ def cmd_asymptotic(args) -> int:
            "k_terms": len(est.k_terms)}
     verdicts = []
     if n <= cfg.n_max:
-        table = _get_table(cfg, c, n)
+        table = _get_table(cfg, c, n, report)
         exact = a_exact(a, c, n, table, prec=prec)
         diff = abs(exact.real - est.value)
         row["exact"] = fmt_value(exact.real)
@@ -208,8 +218,7 @@ def cmd_verify(args) -> int:
     report.inputs = {"c": c, "n_lo": n_lo, "n_hi": n_hi,
                      "a_list": ",".join(map(str, residues))}
     t0 = time.perf_counter()
-    table = _get_table(cfg, c, 2 * n_hi)
-    report.timings["table_s"] = round(time.perf_counter() - t0, 6)
+    table = _get_table(cfg, c, 2 * n_hi, report)
     total_violations = 0
     t_sweep = time.perf_counter()
     for a in residues:

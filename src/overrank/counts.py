@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
@@ -41,7 +42,10 @@ __all__ = [
 # Enumeration guard for the brute-force oracle; p(40) is already ~4e4 partitions.
 BRUTE_FORCE_LIMIT = 30
 
-TABLE_FORMAT_VERSION = 1
+# the cache file layout, which `load_table` reads in this version only
+TABLE_FORMAT_VERSION = 2
+# leads every table checksum; certificates and pinned digests carry it
+_CHECKSUM_DOMAIN = 1
 
 
 def pbar_series(n_max: int) -> list[int]:
@@ -136,16 +140,28 @@ class RankClassTable:
         return sum(self.counts[n])
 
     def checksum(self) -> str:
-        """SHA-256 over the decimal count stream; also stored in cache files."""
+        """SHA-256 over the decimal count stream; also stored in cache files.
+
+        The stream is the prefix "1:c:n_max" and then every count in decimal,
+        each followed by a comma: row by row, the cache lines without their
+        newlines.
+        """
         if self._checksum is None:
-            h = hashlib.sha256()
-            h.update(f"{TABLE_FORMAT_VERSION}:{self.c}:{self.n_max}".encode())
-            for row in self.counts:
-                for v in row:
-                    h.update(str(v).encode())
-                    h.update(b",")
+            h = _checksum_hash(self.c, self.n_max)
+            for line in _row_lines(self.counts):
+                h.update(line[:-1])
             self._checksum = h.hexdigest()
         return self._checksum
+
+
+def _checksum_hash(c: int, n_max: int):
+    return hashlib.sha256(f"{_CHECKSUM_DOMAIN}:{c}:{n_max}".encode())
+
+
+def _row_lines(counts: list[list[int]]):
+    """Each row's cache line: its counts in decimal, each followed by a comma."""
+    for row in counts:
+        yield (",".join(map(str, row)) + ",\n").encode()
 
 
 def _bracket_columns(n_max: int, c: int) -> list[list[int]]:
@@ -248,7 +264,19 @@ def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = 160) -> m
 
 
 # ---------------------------------------------------------------------------
-# Cache file: versioned text format, one line per (n, r, count), checksummed
+# Cache file
+#
+#   rank-class-table format_version=2 c=<c> n_max=<n_max>
+#   <row 0: c counts in decimal, each followed by a comma>
+#   ...
+#   <row n_max>
+#   checksum sha256:<RankClassTable.checksum()>
+#
+# The rows joined without their newlines are the stream that `checksum`
+# hashes after its prefix, so `load_table` hashes each row as it reads it.
+# That digest is the table's checksum only because every count is written
+# canonically: ASCII digits, no sign, separator or leading zero.  Files of
+# another format_version, such as the per-cell version 1, are rejected.
 # ---------------------------------------------------------------------------
 
 def save_table(table: RankClassTable, path) -> None:
@@ -260,12 +288,11 @@ def save_table(table: RankClassTable, path) -> None:
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "x", encoding="ascii") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
-                     f"c={table.c} n_max={table.n_max}\n")
-            for n, row in enumerate(table.counts):
-                fh.write("".join(f"{n} {r} {v}\n" for r, v in enumerate(row)))
-            fh.write(f"checksum sha256:{table.checksum()}\n")
+                     f"c={table.c} n_max={table.n_max}\n".encode())
+            fh.writelines(_row_lines(table.counts))
+            fh.write(f"checksum sha256:{table.checksum()}\n".encode())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -274,41 +301,61 @@ def save_table(table: RankClassTable, path) -> None:
 
 
 _HEADER_KEYS = ("c", "format_version", "n_max")
+# a canonical row line: counts without sign, separator or leading zero
+_ROW = re.compile(rb"(?:(?:0|[1-9][0-9]*),)+\n")
+
+
+def _row_fault(n: int, line: bytes, c: int) -> str:
+    if not line.endswith(b"\n"):
+        return f"cache file truncated in row n={n}"
+    if line.startswith(b"checksum "):
+        return f"cache row n={n} is missing"
+    if line.count(b",") != c:
+        return f"cache row n={n} holds {line.count(b',')} counts, not c={c}"
+    return f"cache row n={n} is not canonical: counts must be plain decimal, each followed by a comma"
 
 
 def load_table(path) -> RankClassTable:
-    """Reload a cached table; raises ValueError on any malformed or corrupt file."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+    """Reload a cached table; raises ValueError on any malformed or corrupt file.
+
+    Each row is checked to be canonical, hashed and parsed as it is read, and
+    the verified digest becomes the table's checksum.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii").split()
         if not header or header[0] != "rank-class-table":
             raise ValueError("not a rank-class table cache file")
         fields = dict(part.partition("=")[::2] for part in header[1:])
         if len(header) != 4 or sorted(fields) != list(_HEADER_KEYS):
             raise ValueError(f"cache header must set exactly {', '.join(_HEADER_KEYS)}; "
                              f"got {' '.join(header[1:]) or 'nothing'}")
-        if int(fields["format_version"]) != TABLE_FORMAT_VERSION:
-            raise ValueError("unsupported cache format version")
+        if fields["format_version"] != str(TABLE_FORMAT_VERSION):
+            raise ValueError(f"cache format_version={fields['format_version']} is unsupported "
+                             f"(this version reads {TABLE_FORMAT_VERSION}); "
+                             "delete the file to rebuild it")
         c = int(fields["c"])
         n_max = int(fields["n_max"])
         if c < 2 or n_max < 0:
             raise ValueError(f"cache header has c={c}, n_max={n_max}")
-        # lines come in the order save_table writes them, by n and then by r,
-        # so each line must start with the next key of that order; this also
-        # rejects keys outside the table and duplicate keys
-        values = []
-        keys = (f"{n} {r}" for n in range(n_max + 1) for r in range(c))
-        for key, line in zip(keys, fh):
-            head, _, v = line.rpartition(" ")
-            if head != key:
-                n, r = key.split()
-                raise ValueError(f"cache line {line.strip()!r} is out of place: "
-                                 f"the line for n={n}, r={r} is due")
-            values.append(int(v))
-        if len(values) != (n_max + 1) * c:
-            raise ValueError("cache file truncated")
-        checksum_line = fh.readline().strip()
-        counts = [values[i:i + c] for i in range(0, len(values), c)]
-        table = RankClassTable(c=c, n_max=n_max, counts=counts)
-        if checksum_line != f"checksum sha256:{table.checksum()}":
-            raise ValueError("cache checksum mismatch")
-        return table
+        h = _checksum_hash(c, n_max)
+        counts = []
+        for n in range(n_max + 1):
+            line = fh.readline()
+            values = line.split(b",")
+            if len(values) != c + 1 or not _ROW.fullmatch(line):
+                raise ValueError(_row_fault(n, line, c))
+            h.update(line[:-1])
+            del values[-1]
+            counts.append(list(map(int, values)))
+        digest = h.hexdigest()
+        last = fh.readline()
+        if last != f"checksum sha256:{digest}\n".encode():
+            if _ROW.fullmatch(last):
+                raise ValueError(f"cache row n={n_max + 1} lies beyond n_max={n_max}")
+            raise ValueError("cache checksum mismatch" if last else
+                             "cache file truncated: the checksum line is missing")
+        if fh.read(1):
+            raise ValueError("cache has data after its checksum line")
+    table = RankClassTable(c=c, n_max=n_max, counts=counts)
+    table._checksum = digest
+    return table

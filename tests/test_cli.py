@@ -184,8 +184,22 @@ def test_verify_reports_stage_timings(capsys):
                         "--n-max", "60", "--format", "json-lines")
     assert code == 0
     report = Report.from_json_lines(out)
-    assert set(report.timings) == {"table_s", "sweep_s", "total_s"}
+    assert set(report.timings) == {"table_cache", "table_s", "sweep_s", "total_s"}
+    assert report.timings["table_cache"] == "none"
+    assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
     assert 0 <= report.timings["sweep_s"] <= report.timings["total_s"]
+
+
+def test_count_reports_table_cache(capsys, tmp_path):
+    argv = ["count", "--n", "7", "--c", "3", "--n-max", "20", "--format", "json-lines"]
+    cache = ["--cache", str(tmp_path / "t3.tbl")]
+    runs = [Report.from_json_lines(run_cli(capsys, *args)[1])
+            for args in (argv, argv + cache, argv + cache)]
+    assert [r.timings["table_cache"] for r in runs] == ["none", "built", "hit"]
+    for report in runs:
+        assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
+    # where the table came from shows in the timings only
+    assert runs[0].outputs == runs[1].outputs == runs[2].outputs
 
 
 def test_verify_a_list(capsys):
@@ -256,6 +270,40 @@ def test_cache_round_trip_and_reuse(capsys, tmp_path):
     assert code == 2
 
 
+# a cache as the per-cell format 1 wrote it: one line per (n, r, count)
+V1_CACHE = """\
+rank-class-table format_version=1 c=3 n_max=3
+0 0 1
+0 1 0
+0 2 0
+1 0 2
+1 1 0
+1 2 0
+2 0 0
+2 1 2
+2 2 2
+3 0 4
+3 1 2
+3 2 2
+checksum sha256:935aae931eee1c2188ebeb2cacecb3be3b00790848321c5661cf3c861afb857a
+"""
+
+
+def test_format_1_cache_is_rejected(capsys, tmp_path):
+    cache = tmp_path / "t3.tbl"
+    cache.write_text(V1_CACHE)
+    argv = ["count", "--n", "3", "--c", "3", "--n-max", "3", "--cache", str(cache)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: cache format_version=1 is unsupported (this version reads 2); "
+                   "delete the file to rebuild it\n")
+    assert cache.read_text() == V1_CACHE
+    # rebuilt, the table keeps its checksum: the digest does not depend on the format
+    cache.unlink()
+    assert main(argv) == 0
+    assert cache.read_text().splitlines()[-1] == V1_CACHE.splitlines()[-1]
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("OVERRANK_PRECISION", "128")
     monkeypatch.setenv("OVERRANK_FORMAT", "json-lines")
@@ -285,16 +333,28 @@ def _header_key_extra(lines):
     lines[0] += " order=rank"
 
 
-def _relabel(n, r, new_n, new_r):
-    # cache lines follow the header in (n, r) order, three residues per row
+# cache lines: the header, rows n = 0..10 of three counts "v0,v1,v2,", the checksum
+def _row_count_changed(delta):
     def corrupt(lines):
-        i = 1 + 3 * n + r
-        lines[i] = lines[i].replace(f"{n} {r} ", f"{new_n} {new_r} ", 1)
+        counts = lines[1 + 7].split(",")
+        lines[1 + 7] = ",".join(counts[1:] if delta < 0 else [counts[0]] + counts)
     return corrupt
 
 
+def _row_missing(lines):
+    del lines[1 + 4]
+
+
+def _row_extra(lines):
+    lines.insert(1 + 11, lines[1 + 10])
+
+
+def _trailing_bytes(lines):
+    lines.append("0,0,0,")
+
+
 def _duplicate_line(lines):
-    lines[2] = lines[1]  # (0, 0) twice and (0, 1) missing: the line count still matches
+    lines[1 + 1] = lines[1 + 0]  # row 0 twice and row 1 gone: the row count still matches
 
 
 def _corrupt_cache(corrupt):
@@ -325,15 +385,17 @@ def _verify_modulus_zero(tmp_path):
     (_corrupt_cache(_header_key_renamed), "cache header"),
     (_corrupt_cache(_header_key_missing), "cache header"),
     (_corrupt_cache(_header_key_extra), "cache header"),
-    (_corrupt_cache(_relabel(10, 0, 11, 0)), "'11 0 "),
-    (_corrupt_cache(_relabel(10, 0, -1, 0)), "'-1 0 "),
-    (_corrupt_cache(_relabel(0, 2, 0, 3)), "'0 3 "),
-    (_corrupt_cache(_relabel(0, 2, 0, -1)), "'0 -1 "),
-    (_corrupt_cache(_duplicate_line), "'0 0 1' is out of place: the line for n=0, r=1 is due"),
+    (_corrupt_cache(_row_extra), "cache row n=11 lies beyond n_max=10"),
+    (_corrupt_cache(_row_missing), "cache row n=10 is missing"),
+    (_corrupt_cache(_row_count_changed(+1)), "cache row n=7 holds 4 counts, not c=3"),
+    (_corrupt_cache(_row_count_changed(-1)), "cache row n=7 holds 2 counts, not c=3"),
+    (_corrupt_cache(_trailing_bytes), "cache has data after its checksum line"),
+    (_corrupt_cache(_duplicate_line), "cache checksum mismatch"),
     (_count_negative_n, "--n must be >= 0"),
     (_verify_modulus_zero, "--c must be >= 2"),
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
-        "n-above-n-max", "n-negative", "r-above-c", "r-negative", "duplicate-line",
+        "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
+        "duplicate-line",
         "count-n-negative", "verify-c-zero"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
     # bad input, such as a corrupt cache or a modulus below 2, is one line and exit 2

@@ -1,5 +1,6 @@
 """Exact counting: series, tables, the oracles, cache round-trips."""
 
+import hashlib
 import os
 import random
 import tempfile
@@ -192,12 +193,13 @@ def test_cache_detects_corruption(tmp_path):
     table = rank_class_table(30, 3)
     path = tmp_path / "t3.tbl"
     save_table(table, path)
-    text = path.read_text().splitlines()
-    # tamper with one count line
-    n, r, v = text[40].split()
-    text[40] = f"{n} {r} {int(v) + 1}"
-    path.write_text("\n".join(text) + "\n")
-    with pytest.raises(ValueError, match="checksum"):
+    lines = path.read_bytes().split(b"\n")
+    # tamper with one count: the middle one of row 20, still canonical
+    row = lines[1 + 20].split(b",")
+    row[1] = str(int(row[1]) + 1).encode()
+    lines[1 + 20] = b",".join(row)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match="checksum mismatch"):
         load_table(path)
 
 
@@ -205,10 +207,13 @@ def test_cache_rejects_truncation(tmp_path):
     table = rank_class_table(30, 3)
     path = tmp_path / "t3.tbl"
     save_table(table, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:50]) + "\n")
-    with pytest.raises(ValueError):
-        load_table(path)
+    data = path.read_bytes()
+    # the header and rows 0..15 end at the 17th newline; cut there and inside row 16
+    boundary = [i for i, b in enumerate(data) if b == ord("\n")][16] + 1
+    for end in (boundary, boundary + 5):
+        path.write_bytes(data[:end])
+        with pytest.raises(ValueError, match="truncated in row n=16"):
+            load_table(path)
 
 
 def test_checksum_is_computed_once(tmp_path, monkeypatch):
@@ -229,6 +234,11 @@ def test_checksum_is_computed_once(tmp_path, monkeypatch):
     assert loaded.checksum() == first and len(hashes) == 2
     # the memo takes no part in equality
     assert RankClassTable(c=3, n_max=40, counts=table.counts) == table
+    # saving a table of unknown checksum hashes the lines it writes, once
+    fresh = rank_class_table(40, 3)
+    save_table(fresh, tmp_path / "fresh.tbl")
+    assert fresh.checksum() == first and len(hashes) == 3
+    assert (tmp_path / "fresh.tbl").read_bytes() == (tmp_path / "t3.tbl").read_bytes()
 
 
 def test_failed_save_keeps_previous_cache(tmp_path):
@@ -238,8 +248,10 @@ def test_failed_save_keeps_previous_cache(tmp_path):
     before = path.read_bytes()
 
     class Unwritable(int):
-        def __format__(self, spec):
+        def __str__(self):
             raise OSError("disk full")
+
+        __repr__ = __str__
 
     # the failure strikes after the header and half the rows are written
     rows = [list(row) for row in table.counts]
@@ -294,3 +306,54 @@ def test_load_table_fuzzed_cache(edits):
             return
     assert loaded == FUZZ_TABLE
     assert loaded.checksum() == FUZZ_TABLE.checksum()
+
+
+def _rechecksummed(header: bytes, rows: bytes, c: int, n_max: int) -> bytes:
+    # a cache file whose checksum line is recomputed over `rows` the way
+    # load_table hashes them, so only the loader's canonical-form check stands
+    # between a non-canonical count and a table whose checksum is not its own
+    h = hashlib.sha256(f"1:{c}:{n_max}".encode() + rows.replace(b"\n", b""))
+    return b"%s\n%schecksum sha256:%s\n" % (header, rows, h.hexdigest().encode())
+
+
+@pytest.mark.parametrize("spell", [b"0%d", b"+%d", b"%d_%d", b" %d"],
+                         ids=["leading-zero", "plus-sign", "underscore", "space"])
+def test_cache_rejects_non_canonical_count(tmp_path, spell):
+    # int() reads each of these spellings as the count, but the file's hash
+    # would then not be the table's checksum
+    path = tmp_path / "t3.tbl"
+    save_table(FUZZ_TABLE, path)
+    lines = path.read_bytes().split(b"\n")
+    assert path.read_bytes() == _rechecksummed(
+        lines[0], b"".join(line + b"\n" for line in lines[1:14]), 3, 12)
+    row = lines[1 + 12].split(b",")
+    v = int(row[0])
+    assert v >= 10
+    row[0] = spell % ((v // 10, v % 10) if b"_" in spell else v)
+    lines[1 + 12] = b",".join(row)
+    path.write_bytes(_rechecksummed(lines[0], b"".join(line + b"\n" for line in lines[1:14]),
+                                    3, 12))
+    with pytest.raises(ValueError, match="row n=12 is not canonical"):
+        load_table(path)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=3))
+def test_loaded_checksum_is_the_tables_own(edits):
+    # rows edited and the checksum line recomputed over them: whatever loads
+    # has the checksum of its counts, as a table built from them would
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t3.tbl")
+        save_table(FUZZ_TABLE, path)
+        with open(path, "rb") as fh:
+            header, body = fh.read().split(b"\n", 1)
+        rows = bytearray(body[:body.rindex(b"checksum")])
+        for edit in edits:
+            _edit(rows, edit)
+        with open(path, "wb") as fh:
+            fh.write(_rechecksummed(header, bytes(rows), 3, 12))
+        try:
+            loaded = load_table(path)
+        except ValueError:
+            return
+    assert loaded.checksum() == RankClassTable(3, 12, loaded.counts).checksum()
