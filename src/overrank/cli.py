@@ -62,9 +62,10 @@ def _config(args) -> RunConfig:
 def _get_table(cfg: RunConfig, c: int, need_n: int, report: Report):
     """Load the cached table when usable, else build (and cache when asked).
 
-    Reports where the table came from as timings `table_cache` (hit: read from
-    the cache; built: built and written to it; none: built, no cache asked
-    for) and `table_s`.
+    Reports in timings, never in outputs: where the table came from as
+    `table_cache` (hit: read from the cache; built: built and written to it;
+    none: built, no cache asked for), the depth built or loaded as
+    `table_n_max`, its checksum as `table_sha256`, and `table_s`.
     """
     t0 = time.perf_counter()
     if cfg.cache_path and Path(cfg.cache_path).exists():
@@ -82,6 +83,8 @@ def _get_table(cfg: RunConfig, c: int, need_n: int, report: Report):
             save_table(table, cfg.cache_path)
         source = "built" if cfg.cache_path else "none"
     report.timings["table_cache"] = source
+    report.timings["table_n_max"] = table.n_max
+    report.timings["table_sha256"] = table.checksum()
     report.timings["table_s"] = round(time.perf_counter() - t0, 6)
     return table
 

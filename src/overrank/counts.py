@@ -8,13 +8,17 @@ every underlying partition with d distinct part values accounts for 2^d
 overpartitions.  All counts in this module are exact Python integers.
 
 Both production counts come from generating functions.  `pbar_series` runs
-the recurrence from Gauss's theta identity, and `rank_class_table` multiplies
-it by Lovejoy's overpartition rank generating function (Lovejoy, Ann. Comb. 9
-(2005) 321-334) taken modulo z^c - 1.  The brute-force enumeration here and
-the O(c N^2) dynamic program and product-form series in tests/oracles.py are
-the independent checks on them.  Each table row sums to pbar(n); that is the
-exact link between the two counts, and the orthogonality identity that
-recovers a class count from the evaluations `a_exact` reduces to it.
+the recurrence from Gauss's theta identity.  `rank_class_table` multiplies
+pbar by the bracket in Lovejoy's overpartition rank generating function
+(Lovejoy, Ann. Comb. 9 (2005) 321-334) taken modulo z^c - 1, in the
+bracket's rational form: every term is a shift, a small multiple or a
+division by 1 - q^m of pbar packed into one big integer, so the table costs
+about sqrt(N) (2c + 4 log2 N) linear passes over it and no full product.
+The brute-force enumeration here and the O(c N^2) dynamic program and
+product-form series in tests/oracles.py are the independent checks on
+them.  Each table row sums to pbar(n); that is the exact link between the
+two counts, and the orthogonality identity that recovers a class count
+from the evaluations `a_exact` reduces to it.
 """
 
 from __future__ import annotations
@@ -164,54 +168,29 @@ def _row_lines(counts: list[list[int]]):
         yield (",".join(map(str, row)) + ",\n").encode()
 
 
-def _bracket_columns(n_max: int, c: int) -> list[list[int]]:
-    """Residue columns 0..c//2 of the bracket in Lovejoy's rank generating function.
-
-    O(z;q) = (-q)_inf/(q)_inf * [1 + 2 sum_{n>=1} (-1)^n q^{n^2+n} (1-z)(1-1/z)
-    / ((1-zq^n)(1-q^n/z))].  Expanding the last factor as sum_s q^{ns} S_s(z),
-    with S_s = sum_{i+j=s} z^{i-j} = S_{s-2} + z^s + z^-s, the bracket is
-    1 + 2 sum_{n,s} (-1)^n q^{n^2+n+ns} V_s(z) with V_s = (2 - z - 1/z) S_s.
-    Modulo z^c - 1 each V_s is a c-vector of small integers; column r of the
-    result holds the q-series of the coefficient of z^r, through degree n_max.
-    Columns r and c - r agree, because the bracket is symmetric in z and 1/z.
-    """
-    half = c // 2
-    vs = []  # vs[s] = V_s mod z^c - 1, columns 0..half
-    runs = ([0] * c, [0] * c)  # V_s for the last even and the last odd s
-    for s in range(n_max - 1):
-        v = runs[s & 1]
-        for e in ((0,) if s == 0 else (s, -s)):
-            v[e % c] += 2
-            v[(e + 1) % c] -= 1
-            v[(e - 1) % c] -= 1
-        vs.append(v[:half + 1])
-    cols = [[0] * (n_max + 1) for _ in range(half + 1)]
-    cols[0][0] = 1
-    n = 1
-    while n * n + n <= n_max:
-        w = 2 if n % 2 == 0 else -2
-        for v, d in zip(vs, range(n * n + n, n_max + 1, n)):
-            for r in range(half + 1):
-                cols[r][d] += w * v[r]
-        n += 1
-    return cols
-
-
-def _pack(values: list[int], width: int) -> int:
-    """Kronecker substitution: sum values[i] * 256^(width*i) for values in [0, 256^width)."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
 def rank_class_table(n_max: int, c: int) -> RankClassTable:
     """Count overpartitions of each n <= n_max by rank residue mod c.
 
-    Column r of the table is pbar(q) times column r of the bracket from
-    `_bracket_columns`, truncated at degree n_max.  Each product is a single
-    big-integer multiplication of the two series packed into `width`-byte
-    slots.  Every count through degree n_max is nonnegative and at most
-    pbar(n_max) < 256^width, so those coefficients occupy their slots exactly;
-    the signed coefficients above degree n_max are cut off by reducing the
-    product modulo 256^(width*(n_max+1)) before unpacking.
+    The generating function is pbar(q) times Lovejoy's bracket
+    1 + 2 sum_{n>=1} (-1)^n q^{n^2+n} (2 - z - 1/z) / ((1 - zq^n)(1 - q^n/z)).
+    Modulo z^c - 1, 1/(1 - zx) = sum_{i<c} (zx)^i / (1 - x^c), likewise for 1/z,
+    so term n is (-1)^n q^{n^2+n} U(q^n) / (1 - q^{nc})^2.  The numerator
+    U(x) = (2 - z - 1/z) sum_{0<=i,j<c} z^{i-j} x^{i+j} = sum_{t<=2c-2} U_t(z) x^t
+    has small integer coefficients U_t[r], the same for every n, and is a
+    palindrome (U_t = U_{2c-2-t}, so t and 2c-2-t share a sum below).  So
+
+        column r = [r = 0] P + 2 sum_t U_t[r] sum_n (-1)^n q^{n^2+n+nt} P / (1 - q^{nc})^2
+
+    with P = pbar(q).  Each series is packed into one integer, coefficient k
+    in `width`-byte slot k, i.e. evaluated at X = 256^width, and kept modulo
+    X^(n_max+1).  Then q^k is a shift, U_t[r] a small multiple and 1/(1 - q^m)
+    the doubling product (1 + q^m)(1 + q^2m)(1 + q^4m)...: each step is linear
+    in the packed size, and no full product is taken.
+
+    Exact: evaluation at X is a ring map Z[q]/(q^(n_max+1)) -> Z/(X^(n_max+1)).
+    Slots may go negative or carry into their neighbours on the way, but the
+    final coefficients are counts in [0, pbar(n_max)] and pbar(n_max) <
+    256^width, so the base-X digits of each reduced column are those counts.
     """
     if c < 2:
         raise ValueError("modulus c must be >= 2")
@@ -219,17 +198,42 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
         raise ValueError("n_max must be >= 0")
     pbar = pbar_series(n_max)
     width = (pbar[-1].bit_length() + 7) // 8
-    size = width * (n_max + 1)
-    mask = (1 << (8 * size)) - 1
-    packed = _pack(pbar, width)
-    cols = []
-    for bracket in _bracket_columns(n_max, c):
-        signed = (_pack([max(b, 0) for b in bracket], width)
-                  - _pack([max(-b, 0) for b in bracket], width))
-        buf = ((packed * signed) & mask).to_bytes(size, "little")
-        cols.append([int.from_bytes(buf[i:i + width], "little")
-                     for i in range(0, size, width)])
-    cols += cols[1:(c + 1) // 2][::-1]  # column c - r is column r
+    slot, size, half = 8 * width, width * (n_max + 1), c // 2
+    packed = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in pbar), "little")
+    del pbar
+    u = [[0] * c for _ in range(2 * c - 1)]  # u[t][r] = 2 U_t[r]
+    for i in range(c):
+        for j in range(c):
+            for e, w in ((0, 4), (1, -2), (-1, -2)):
+                u[i + j][(i - j + e) % c] += w
+    acc = [0] * c  # acc[min(t, 2c-2-t)] gathers the sums over n for t
+    n = 1
+    while (d := n * n + n) <= n_max:
+        span = n_max + 1 - d  # the slots that survive the shift by q^d
+        keep = (1 << (slot * span)) - 1
+        term = packed & keep
+        for _ in range(2):
+            m = n * c
+            while m < span:
+                term = (term + (term << (slot * m))) & keep
+                m *= 2
+        if n & 1:
+            term = -term
+        for t in range(min(2 * c - 1, (n_max - d) // n + 1)):
+            acc[min(t, 2 * c - 2 - t)] += term << (slot * (d + n * t))
+        n += 1
+    cols = [packed] + [0] * half
+    del packed
+    while acc:  # free each accumulator once it is spent
+        a = acc.pop()
+        for r, k in enumerate(u[len(acc)][:half + 1]):
+            cols[r] += k * a
+    del a
+    for r, col in enumerate(cols):
+        buf = (col & (1 << 8 * size) - 1).to_bytes(size, "little")
+        cols[r] = [int.from_bytes(buf[i:i + width], "little") for i in range(0, size, width)]
+    # column c - r is column r: the bracket is symmetric in z and 1/z
+    cols += cols[1:(c + 1) // 2][::-1]
     counts = [list(row) for row in zip(*cols)]
     return RankClassTable(c=c, n_max=n_max, counts=counts)
 
@@ -301,7 +305,9 @@ def save_table(table: RankClassTable, path) -> None:
 
 
 _HEADER_KEYS = ("c", "format_version", "n_max")
-# a canonical row line: counts without sign, separator or leading zero
+# a canonical header value, and a canonical row line: counts without sign,
+# separator or leading zero
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _ROW = re.compile(rb"(?:(?:0|[1-9][0-9]*),)+\n")
 
 
@@ -322,21 +328,25 @@ def load_table(path) -> RankClassTable:
     the verified digest becomes the table's checksum.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().decode("ascii", "backslashreplace").split()
         if not header or header[0] != "rank-class-table":
             raise ValueError("not a rank-class table cache file")
         fields = dict(part.partition("=")[::2] for part in header[1:])
         if len(header) != 4 or sorted(fields) != list(_HEADER_KEYS):
             raise ValueError(f"cache header must set exactly {', '.join(_HEADER_KEYS)}; "
                              f"got {' '.join(header[1:]) or 'nothing'}")
+        for key in _HEADER_KEYS:
+            if not _DECIMAL.fullmatch(fields[key]):
+                raise ValueError(f"bad cache header: {key}={fields[key]} "
+                                 "is not a plain decimal integer")
         if fields["format_version"] != str(TABLE_FORMAT_VERSION):
             raise ValueError(f"cache format_version={fields['format_version']} is unsupported "
                              f"(this version reads {TABLE_FORMAT_VERSION}); "
                              "delete the file to rebuild it")
         c = int(fields["c"])
         n_max = int(fields["n_max"])
-        if c < 2 or n_max < 0:
-            raise ValueError(f"cache header has c={c}, n_max={n_max}")
+        if c < 2:
+            raise ValueError(f"bad cache header: c={c} is below 2")
         h = _checksum_hash(c, n_max)
         counts = []
         for n in range(n_max + 1):

@@ -9,6 +9,7 @@ from overrank import bounds, cli
 from overrank.cli import main
 from overrank.counts import rank_class_table, save_table
 from overrank.report import Report, RunConfig
+from overrank.verify import verify_subadditivity
 
 
 def run_cli(capsys, *argv):
@@ -184,7 +185,8 @@ def test_verify_reports_stage_timings(capsys):
                         "--n-max", "60", "--format", "json-lines")
     assert code == 0
     report = Report.from_json_lines(out)
-    assert set(report.timings) == {"table_cache", "table_s", "sweep_s", "total_s"}
+    assert set(report.timings) == {"table_cache", "table_n_max", "table_sha256", "table_s",
+                                   "sweep_s", "total_s"}
     assert report.timings["table_cache"] == "none"
     assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
     assert 0 <= report.timings["sweep_s"] <= report.timings["total_s"]
@@ -200,6 +202,31 @@ def test_count_reports_table_cache(capsys, tmp_path):
         assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
     # where the table came from shows in the timings only
     assert runs[0].outputs == runs[1].outputs == runs[2].outputs
+
+
+def test_table_depth_and_checksum_in_timings_only(capsys, tmp_path):
+    # every command that takes a table names its depth and checksum in the
+    # timings, and neither outputs nor certificate bytes change with the source
+    table = rank_class_table(60, 3)
+    cache = ["--cache", str(tmp_path / "t3.tbl"), "--n-max", "60"]
+    for argv, depth in [
+            (["count", "--n", "7", "--c", "3"], 7),
+            (["asymptotic", "--a", "1", "--c", "3", "--n", "20"], 20),
+            (["verify", "--c", "3", "--n-lo", "9", "--n-hi", "30"], 60)]:
+        runs = [Report.from_json_lines(run_cli(capsys, *argv, *extra, "--format", "json-lines")[1])
+                for extra in (["--n-max", "60"], cache, cache)]
+        assert [r.timings["table_cache"] for r in runs] == ["none", "built", "hit"], argv
+        assert [r.timings["table_n_max"] for r in runs] == [depth, 60, 60], argv
+        assert runs[0].timings["table_sha256"] == rank_class_table(depth, 3).checksum()
+        assert runs[1].timings["table_sha256"] == runs[2].timings["table_sha256"] == table.checksum()
+        assert runs[0].outputs == runs[1].outputs == runs[2].outputs, argv
+        for record in runs[0].outputs:
+            assert "table_n_max" not in record and "table_cache" not in record, argv
+            # a certificate names its table; nothing else does
+            assert ("table_sha256" in record) == (record["record"] == "certificate"), argv
+        (tmp_path / "t3.tbl").unlink()
+    certs = [r["text"] for r in runs[0].outputs if r["record"] == "certificate"]
+    assert certs == [verify_subadditivity(table, a, 9, 30).serialize() for a in range(3)]
 
 
 def test_verify_a_list(capsys):
@@ -369,6 +396,19 @@ def _corrupt_cache(corrupt):
     return make_argv
 
 
+def _header_field(key: bytes, value: bytes):
+    # `count` reads a depth-10 c=3 cache whose header sets `key` to the raw bytes `value`
+    def make_argv(tmp_path):
+        cache = tmp_path / "t3.tbl"
+        save_table(rank_class_table(10, 3), cache)
+        data = cache.read_bytes()
+        old = b" %s=%s" % (key, {b"c": b"3", b"n_max": b"10"}[key])
+        assert data.count(old) == 1
+        cache.write_bytes(data.replace(old, b" %s=%s" % (key, value)))
+        return ["count", "--n", "5", "--c", "3", "--n-max", "10", "--cache", str(cache)]
+    return make_argv
+
+
 def _count_negative_n(tmp_path):
     # a valid cache must not answer for n = -1 with its last row
     cache = tmp_path / "t3.tbl"
@@ -391,11 +431,17 @@ def _verify_modulus_zero(tmp_path):
     (_corrupt_cache(_row_count_changed(-1)), "cache row n=7 holds 2 counts, not c=3"),
     (_corrupt_cache(_trailing_bytes), "cache has data after its checksum line"),
     (_corrupt_cache(_duplicate_line), "cache checksum mismatch"),
+    (_header_field(b"c", b"\xff"), "bad cache header: c=\\xff is not a plain decimal integer"),
+    (_header_field(b"c", b"x"), "bad cache header: c=x is not a plain decimal integer"),
+    (_header_field(b"n_max", b""), "bad cache header: n_max= is not a plain decimal integer"),
+    (_header_field(b"c", b"3.0"), "bad cache header: c=3.0 is not a plain decimal integer"),
+    (_header_field(b"c", b"1"), "bad cache header: c=1 is below 2"),
     (_count_negative_n, "--n must be >= 0"),
     (_verify_modulus_zero, "--c must be >= 2"),
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
         "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
-        "duplicate-line",
+        "duplicate-line", "header-non-ascii", "header-c-word", "header-n-max-empty",
+        "header-c-float", "header-c-one",
         "count-n-negative", "verify-c-zero"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
     # bad input, such as a corrupt cache or a modulus below 2, is one line and exit 2

@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -85,8 +86,34 @@ def test_rank_class_table_rejects_bad_modulus():
 
 
 def test_table_matches_dp_oracle():
-    for c in range(2, 12):
-        assert rank_class_table(200, c).counts == rank_class_table_dp(200, c).counts, c
+    # depth 200, and depths on both sides of the bracket's term starts
+    # n^2 + n = 2, 6, 12, 20, 30, with c > n_max among them
+    for c in range(2, 13):
+        for n_max in (0, 1, 2, 3, 5, 6, 7, 12, 13, 20, 21, 30, 31, 200):
+            assert rank_class_table(n_max, c).counts == rank_class_table_dp(n_max, c).counts, \
+                (n_max, c)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n_max=st.integers(0, 150), c=st.integers(2, 16))
+def test_table_matches_dp_oracle_drawn(n_max, c):
+    assert rank_class_table(n_max, c).counts == rank_class_table_dp(n_max, c).counts
+
+
+# tracemalloc peaks of rank_class_table(3000, c) when it took one full product
+# per column (CPython 3.11); the linear-pass build must stay within 10% of them
+FULL_PRODUCT_PEAK = {5: 1_952_123, 7: 2_151_827}
+
+
+@pytest.mark.parametrize("c", sorted(FULL_PRODUCT_PEAK))
+def test_table_peak_allocation(c):
+    tracemalloc.start()
+    try:
+        rank_class_table(3000, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * FULL_PRODUCT_PEAK[c], peak
 
 
 @pytest.mark.parametrize("n_max,c", sorted(DP_CHECKSUMS))
