@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 from mpmath import mp, mpf
@@ -42,7 +43,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", default=_env_default("cache"),
                    help="path of the rank-class table cache file")
     p.add_argument("--jobs", type=int, default=_env_default("jobs") or 1,
-                   help="accepted for compatibility; sweeps run in one process")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--report", default=_env_default("report"),
                    help="write the full report to this path")
     p.add_argument("--format", choices=FORMATS,
@@ -56,7 +57,7 @@ def _config(args) -> RunConfig:
     if args.format not in FORMATS:
         raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {args.format!r}")
     return RunConfig(precision_bits=int(args.precision), n_max=int(args.n_max),
-                     cache_path=args.cache, parallelism=int(args.jobs))
+                     cache_path=args.cache)
 
 
 def _get_table(cfg: RunConfig, c: int, need_n: int, report: Report):
@@ -101,6 +102,8 @@ def cmd_count(args) -> int:
     report = Report(command="count", config=cfg)
     n = args.n
     report.inputs = {"n": n, "c": args.c, "a": args.a}
+    if args.c is None and args.a is not None:
+        raise ValueError("--a needs --c")
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
     if n > cfg.n_max:
@@ -180,7 +183,8 @@ def cmd_bounds(args) -> int:
     report.add("r_ratio", value=fmt_value(rr))
     th = sandwich_threshold(c, prec)
     report.add("threshold", lower_coef=fmt_value(th.lower_coef),
-               upper_coef=fmt_value(th.upper_coef), n_min=str(th.n_min))
+               upper_coef=fmt_value(th.upper_coef),
+               n_min=format(Decimal(th.n_min), "f"))  # no int-to-str digit limit
     if c in (3, 4, 5):
         # the sandwich coefficients must absorb the ratio at the threshold
         rr_th = r_ratio(c, th.n_min, prec)
@@ -214,6 +218,8 @@ def cmd_verify(args) -> int:
     n_lo, n_hi = args.n_lo, args.n_hi
     if c < 2:
         raise ValueError(f"--c must be >= 2, got {c}")
+    if not 1 <= n_lo <= n_hi:  # before a table is built or cached
+        raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo={n_lo} n_hi={n_hi}")
     if args.a_list == "all":
         residues = list(range(c))
     else:

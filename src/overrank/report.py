@@ -26,15 +26,12 @@ class RunConfig:
     precision_bits: int = 160
     n_max: int = 3000
     cache_path: str | None = None
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
 
 def environment_fingerprint() -> dict:

@@ -4,9 +4,9 @@ The target inequality is count(a,c,n1+n2) < count(a,c,n1) * count(a,c,n2).
 `verify_subadditivity` settles it for every unordered pair in a range and
 emits a deterministic, reproducible Certificate.  Most rows n1 of the pair
 triangle are cleared at once by a telescoping lower bound on log2(rhs/lhs),
-evaluated in outward-rounded floats; a row whose bound is not positive, or
-that may hold the minimal margin, is compared pair by pair in exact
-integers.  The analytic gap inequality `t_inequality` covers the crossing
+evaluated in outward-rounded floats; every other row is compared pair by
+pair in exact integers, which also keep the minimal margin as a running
+minimum.  The analytic gap inequality `t_inequality` covers the crossing
 that extends the finite checks; it takes its coefficients from the modulus,
 the sandwich row for c = 3, 4, 5 and the generic 48*c bound for c >= 6.
 """
@@ -142,39 +142,26 @@ def _sweep_rows(vals: list[int], n_lo: int, n_hi: int):
     """Violations and exact min margin over the (n1 <= n2) triangle.
 
     Rows whose bound clears both tests of `verify_subadditivity` are skipped;
-    every other row compares each of its pairs exactly.
+    every other row compares its pairs exactly and keeps the running minimum.
     """
     logs = [(_log2_int(v) if v else -math.inf) for v in vals]
     bounds = _row_bounds(vals, logs, n_lo, n_hi)
     violations = []
+    best_rhs, best_lhs = 1, 0  # smallest rhs/lhs so far; (1, 0) is +inf
     best_log = math.inf
-    candidates: list[tuple[int, int]] = []
     for n1 in range(n_lo, n_hi + 1):
         if bounds[n1] > 0 and bounds[n1] > best_log + 1e-9:
             continue
-        v1 = vals[n1]
-        l1 = logs[n1]
+        v1, l1 = vals[n1], logs[n1]
         for n2 in range(n1, n_hi + 1):
             lhs = vals[n1 + n2]
             rhs = v1 * vals[n2]
             if lhs >= rhs:
                 violations.append((n1, n2, lhs, rhs))
-            if lhs:
-                lg = l1 + logs[n2] - logs[n1 + n2]
-                if lg < best_log + 1e-9:
-                    if lg < best_log - 1e-9:
-                        candidates = [(n1, n2)]
-                        best_log = min(best_log, lg)
-                    else:
-                        candidates.append((n1, n2))
-                        best_log = min(best_log, lg)
-    # exact minimum over the float-near-minimal candidates
-    best: Fraction | None = None
-    for n1, n2 in candidates:
-        m = Fraction(vals[n1] * vals[n2], vals[n1 + n2])
-        if best is None or m < best:
-            best = m
-    return violations, best
+            lg = l1 + logs[n2] - logs[n1 + n2]
+            if lg < best_log + 1e-9 and rhs * best_lhs < best_rhs * lhs:
+                best_rhs, best_lhs, best_log = rhs, lhs, lg
+    return violations, (Fraction(best_rhs, best_lhs) if best_lhs else None)
 
 
 def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
@@ -195,13 +182,15 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     is stepped one float away in the safe direction, so the computed value
     is at most the true bound.
 
-    Exact fallback.  A row is skipped only when its bound is positive (no
-    pair violates) and exceeds by more than 1e-9 the smallest float
-    log-margin seen so far (no pair of the row holds the minimal margin;
-    float log-margins are far more accurate than 1e-9).  Every pair of every
-    other row is compared in exact integers, and the minimal margin is
-    settled exactly among the float-near-minimal candidates, so certificates
-    equal those of a sweep that compares every pair exactly.
+    Exact fallback.  The smallest margin so far is kept as an integer pair
+    (rhs, lhs), replaced by cross-multiplication.  A row is skipped only when
+    its bound is positive (no pair violates) and exceeds by more than 1e-9
+    the float log2 of that running minimum, and a pair is cross-multiplied
+    only when its float log-margin is below that log2 plus 1e-9 (float
+    log-margins are far more accurate than 1e-9, so neither test passes
+    over a smaller margin).  Every pair of every other row is compared in
+    exact integers, so certificates equal those of a sweep that compares
+    every pair exactly.
     """
     c = table.c
     if not 0 <= a < c:

@@ -1,13 +1,15 @@
 """The library surface that the benchmark in `bench/` relies on.
 
 `bench/tracer.py` wraps library functions by module attribute, and
-`bench/workloads.py` calls library functions by module attribute, so a
-renamed or removed name would only show when the benchmark runs.  These
-tests read both files and fail in the suite instead.
+`bench/workloads.py` calls library functions by module attribute and
+builds `overrank` command lines, so a renamed or removed name or flag would
+only show when the benchmark runs.  These tests read both files and fail in
+the suite instead.
 """
 
 import ast
 import importlib.util
+import sys
 from collections import Counter
 from math import isqrt
 from pathlib import Path
@@ -20,11 +22,16 @@ MODULES = {"asymptotic": asymptotic, "bounds": bounds, "cli": cli, "counts": cou
            "verify": verify}
 
 
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return load_bench("tracer")
 
 
 def test_tracer_targets_exist():
@@ -49,6 +56,25 @@ def test_workload_references_exist():
     missing = sorted(f"{module.__name__}.{name}" for module, name in refs
                      if not hasattr(module, name))
     assert not missing
+
+
+def test_workload_argv_parse(tmp_path):
+    # every command line the workloads build parses; neither set-up nor any
+    # job runs
+    workloads = load_bench("workloads")
+    parser = cli.build_parser()
+    commands, bad = Counter(), []
+    for name, workload in workloads.WORKLOADS.items():
+        for job in workload(0, tmp_path).jobs:
+            if "argv" not in job.meta:
+                continue  # a direct library call
+            argv = job.meta["argv"]
+            try:
+                commands[parser.parse_args(argv).command] += 1
+            except SystemExit:
+                bad.append((name, argv))
+    assert not bad
+    assert set(commands) == {"asymptotic", "bounds", "count", "verify"}
 
 
 def kernel_calls(residues, c, n):

@@ -1,6 +1,7 @@
 """Command-line plumbing: outputs, reports, caching, exit codes."""
 
 import json
+from decimal import Decimal
 
 import pytest
 from mpmath import mp
@@ -83,6 +84,19 @@ def test_bounds_verdicts(capsys):
     code, out = run_cli(capsys, "bounds", "--c", "6", "--n", "100")
     assert code == 0
     assert "giant_threshold" in out
+
+
+@pytest.mark.parametrize("c", (8, 10))
+def test_bounds_prints_giant_threshold_in_full(capsys, c):
+    # n_min has 5,941 digits at c = 8 and 14,336 at c = 10, past the default
+    # int-to-str limit of 4300 digits
+    code, out = run_cli(capsys, "bounds", "--c", str(c), "--n", "2089",
+                        "--format", "json-lines")
+    assert code == 0
+    rec = [json.loads(line) for line in out.splitlines()
+           if '"record": "threshold"' in line][0]
+    assert rec["n_min"].isdigit()
+    assert int(Decimal(rec["n_min"])) == bounds.sandwich_threshold(c).n_min
 
 
 def test_bounds_threshold_verdict_checks_ratio_at_threshold(capsys, monkeypatch):
@@ -255,7 +269,7 @@ def test_report_embeds_config(capsys):
     rec = [json.loads(line) for line in out.splitlines()
            if '"record": "config"' in line][0]
     assert rec["precision_bits"] == 96
-    assert sorted(rec) == ["cache_path", "n_max", "parallelism", "precision_bits", "record"]
+    assert sorted(rec) == ["cache_path", "n_max", "precision_bits", "record"]
 
 
 def test_main_leaves_caller_precision(capsys):
@@ -271,8 +285,9 @@ def test_report_rejects_unknown_config_key(capsys):
     lines = out.splitlines()
     config = json.loads(lines[1])
     assert config["record"] == "config"
-    # a report written while RunConfig still had a margin_policy field
-    for key in ("margin_policy", "bogus"):
+    # reports written while RunConfig still had a margin_policy or a
+    # parallelism field
+    for key in ("margin_policy", "parallelism", "bogus"):
         lines[1] = json.dumps({**config, key: 1}, sort_keys=True)
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             Report.from_json_lines("\n".join(lines))
@@ -345,7 +360,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(precision_bits=32)
     with pytest.raises(ValueError):
-        RunConfig(parallelism=0)
+        RunConfig(n_max=-1)
 
 
 def _header_key_renamed(lines):
@@ -416,6 +431,11 @@ def _count_negative_n(tmp_path):
     return ["count", "--n", "-1", "--c", "3", "--n-max", "10", "--cache", str(cache)]
 
 
+def _count_class_without_modulus(tmp_path):
+    # --a names a rank class, which means nothing without --c
+    return ["count", "--n", "5", "--a", "1"]
+
+
 def _verify_modulus_zero(tmp_path):
     # the residue list is reduced mod c, so c must be checked before it
     return ["verify", "--c", "0", "--n-lo", "1", "--n-hi", "2", "--a-list", "1"]
@@ -437,12 +457,13 @@ def _verify_modulus_zero(tmp_path):
     (_header_field(b"c", b"3.0"), "bad cache header: c=3.0 is not a plain decimal integer"),
     (_header_field(b"c", b"1"), "bad cache header: c=1 is below 2"),
     (_count_negative_n, "--n must be >= 0"),
+    (_count_class_without_modulus, "--a needs --c"),
     (_verify_modulus_zero, "--c must be >= 2"),
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
         "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
         "duplicate-line", "header-non-ascii", "header-c-word", "header-n-max-empty",
         "header-c-float", "header-c-one",
-        "count-n-negative", "verify-c-zero"])
+        "count-n-negative", "count-a-without-c", "verify-c-zero"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
     # bad input, such as a corrupt cache or a modulus below 2, is one line and exit 2
     code = main(make_argv(tmp_path))
@@ -450,6 +471,18 @@ def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, mess
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message in err
+
+
+@pytest.mark.parametrize("n_lo,n_hi", [(0, 5000), (5, -1), (10, 9)])
+def test_verify_bad_range_exits_2_before_any_table(capsys, tmp_path, n_lo, n_hi):
+    # the range is checked before a table is built, so no cache is written
+    cache = tmp_path / "t3.tbl"
+    code = main(["verify", "--c", "3", "--n-lo", str(n_lo), "--n-hi", str(n_hi),
+                 "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: need 1 <= n_lo <= n_hi, got n_lo={n_lo} n_hi={n_hi}\n"
+    assert not cache.exists()
 
 
 def test_invalid_format_from_environment_exits_2(capsys, monkeypatch):

@@ -199,6 +199,19 @@ def test_planted_near_equalities_settle_exactly():
     assert cert.min_margin < Fraction(rhs_a, rhs_a - 1)
 
 
+def test_tight_row_holding_the_minimum_is_not_skipped():
+    # logs 3, 5, 7, 9 (in units of 100 bits) make row 2's bound equal its one
+    # margin, 2 log2(X^5) - log2(X^9 + 1), which lies less than 2^-899 below
+    # log2 of the running minimum X that row 1 leaves; the row must be
+    # compared, not skipped
+    x = 2 ** 100
+    vals = [1, x ** 3, x ** 5, x ** 7, x ** 9 + 1]
+    assert 100 - 1e-9 < row_bounds(vals, 1, 2)[2] <= 100
+    cert = assert_matches_oracle(vals, 1, 2)
+    assert cert.violations == []
+    assert cert.min_margin == Fraction(x ** 10, x ** 9 + 1)
+
+
 def test_spike_in_last_row_is_not_skipped():
     vals = smooth_vals(2 * N_HI)
     assert row_bounds(vals, N_LO, N_HI)[N_HI] > 0  # cleared without the spike
