@@ -228,17 +228,19 @@ def cmd_verify(args) -> int:
                      "a_list": ",".join(map(str, residues))}
     t0 = time.perf_counter()
     table = _get_table(cfg, c, 2 * n_hi, report)
-    total_violations = 0
+    total_violations = exact_rows = 0
     t_sweep = time.perf_counter()
     for a in residues:
         cert = verify_subadditivity(table, a, n_lo, n_hi)
         total_violations += len(cert.violations)
+        exact_rows += cert.exact_rows
         margin = "none" if cert.min_margin is None else fmt_value(cert.min_margin)
         report.add("certificate", c=c, a=a, pairs=cert.pairs_checked,
                    violations=len(cert.violations), min_margin=margin,
                    table_sha256=cert.table_checksum,
                    text=cert.serialize())
     report.timings["sweep_s"] = round(time.perf_counter() - t_sweep, 6)
+    report.timings["exact_rows"] = exact_rows
     report.timings["total_s"] = round(time.perf_counter() - t0, 6)
     _emit(report, args)
     return 1 if total_violations else 0

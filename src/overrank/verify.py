@@ -2,21 +2,21 @@
 
 The target inequality is count(a,c,n1+n2) < count(a,c,n1) * count(a,c,n2).
 `verify_subadditivity` settles it for every unordered pair in a range and
-emits a deterministic, reproducible Certificate.  Most rows n1 of the pair
-triangle are cleared at once by a telescoping lower bound on log2(rhs/lhs),
-evaluated in outward-rounded floats; every other row is compared pair by
-pair in exact integers, which also keep the minimal margin as a running
-minimum.  The analytic gap inequality `t_inequality` covers the crossing
-that extends the finite checks; it takes its coefficients from the modulus,
-the sandwich row for c = 3, 4, 5 and the generic 48*c bound for c >= 6.
+emits a deterministic, reproducible Certificate.  A row n1 of the pair
+triangle is skipped when an outward-rounded lower bound on its log2(rhs/lhs)
+exceeds max(0, an outward upper bound on log2 of the running minimum); every
+other row is compared pair by pair in exact integers, which also keep that
+minimum exactly.  The analytic gap inequality `t_inequality` covers the
+crossing that extends the finite checks; it takes its coefficients from the
+modulus, the sandwich row for c = 3, 4, 5 and the generic 48*c bound for c >= 6.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
@@ -48,6 +48,7 @@ class Certificate:
     min_margin: Fraction | None  # smallest rhs/lhs over pairs with lhs > 0
     table_checksum: str
     schema_version: int = CERTIFICATE_SCHEMA
+    exact_rows: int = field(default=0, compare=False)  # rows compared pair by pair
 
     def serialize(self) -> str:
         lines = [
@@ -67,41 +68,25 @@ class Certificate:
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = text.strip().splitlines()
-    head = dict(part.split("=") for part in lines[0].split()[1:])
-    mm_line = lines[1].split()
-    if mm_line[1] == "none":
-        mm = None
-    else:
-        num, den = mm_line[1].split("/")
-        mm = Fraction(int(num), int(den))
-    violations = []
-    for line in lines[2:]:
-        if line == "end":
-            break
-        _, n1, n2, lhs, rhs = line.split()
-        violations.append((int(n1), int(n2), int(lhs), int(rhs)))
-    return Certificate(c=int(head["c"]), a=int(head["a"]), n_lo=int(head["n_lo"]),
-                       n_hi=int(head["n_hi"]), pairs_checked=int(head["pairs"]),
-                       violations=violations, min_margin=mm,
-                       table_checksum=head["table_sha256"],
-                       schema_version=int(head["schema"]))
-
-
-def _log2_int(v: int) -> float:
-    """log2 of a positive integer without float overflow.
-
-    The result is within two ulps of the true value: the shift keeps 53
-    leading bits (truncation costs under 2^-52 / ln 2), math.log2 of that
-    53-bit integer is within one ulp, and adding the shift rounds once more.
-    """
-    nbits = v.bit_length()
-    if nbits <= 53:
-        return math.log2(v)
-    return math.log2(v >> (nbits - 53)) + (nbits - 53)
-
-
-_LOG_SLACK_ULPS = 4  # widening of each _log2_int value, twice its error
+    """The Certificate whose `serialize()` is exactly `text`, else ValueError."""
+    try:
+        lines = text.splitlines()
+        head = dict(part.split("=") for part in lines[0].split()[1:])
+        mm = lines[1].split()[1]
+        violations = [tuple(map(int, line.split()[1:])) for line in lines[2:-1]]
+        cert = Certificate(c=int(head["c"]), a=int(head["a"]), n_lo=int(head["n_lo"]),
+                           n_hi=int(head["n_hi"]), pairs_checked=int(head["pairs"]),
+                           violations=violations,
+                           min_margin=None if mm == "none" else Fraction(mm),
+                           table_checksum=head["table_sha256"],
+                           schema_version=int(head["schema"]))
+        canonical = (cert.schema_version == CERTIFICATE_SCHEMA
+                     and cert.serialize() == text)
+    except (IndexError, KeyError, ValueError, ZeroDivisionError):
+        canonical = False
+    if not canonical:
+        raise ValueError(f"not a canonical schema-{CERTIFICATE_SCHEMA} certificate")
+    return cert
 
 
 def _up(x: float) -> float:
@@ -112,56 +97,62 @@ def _down(x: float) -> float:
     return math.nextafter(x, -math.inf)
 
 
-def _log_interval(x: float) -> tuple[float, float]:
-    """Float interval around a _log2_int value that contains the true log."""
-    slack = _LOG_SLACK_ULPS * math.ulp(x)
+def _log_interval(v: int) -> tuple[float, float]:
+    """Floats lo <= log2(v) <= hi for an integer v >= 0; a zero gets (-inf, inf).
+
+    x = log2 of the leading 53 bits plus the shift is within two ulps of
+    log2(v): truncation costs under 2^-52 / ln 2, math.log2 of a 53-bit
+    integer one ulp, adding the shift one more.  lo, hi widen x by four ulps.
+    """
+    if not v:
+        return -math.inf, math.inf
+    shift = max(v.bit_length() - 53, 0)
+    x = math.log2(v >> shift) + shift
+    slack = 4 * math.ulp(x)
     return _down(x - slack), _up(x + slack)
 
 
-def _row_bounds(vals: list[int], logs: list[float], n_lo: int,
+def _row_bounds(lo: Sequence[float], hi: Sequence[float], n_lo: int,
                 n_hi: int) -> list[float]:
     """bounds[n1] <= log2(rhs/lhs) for every pair of row n1, for n_lo <= n1 <= n_hi.
 
-    The bound is L(n1) - n1 * S(n1) of `verify_subadditivity`, with S the
-    suffix maximum of the steps, found in one pass down from m = 2*n_hi - 1.
+    The bound of `verify_subadditivity`, from one pass down from m = 2*n_hi - 1
+    that keeps the suffix maximum s = S(m) and q[m] >= sum_{k >= m} S(k).
     """
     bounds = [-math.inf] * (n_hi + 1)
+    q = [0.0] * (2 * n_hi + 1)
     s = -math.inf
     for m in range(2 * n_hi - 1, n_lo - 1, -1):
-        lo_m = _log_interval(logs[m])[0]
-        if vals[m] and vals[m + 1]:
-            s = max(s, _up(_log_interval(logs[m + 1])[1] - lo_m))
-        else:
-            s = math.inf
-        if m <= n_hi:
-            bounds[m] = _down(lo_m - _up(m * s))
+        s = max(s, _up(hi[m + 1] - lo[m]))
+        q[m] = _up(q[m + 1] + s)
+        if m <= n_hi and s < math.inf:
+            bounds[m] = _down(lo[m] - _up(q[m] - q[2 * m]))
     return bounds
 
 
 def _sweep_rows(vals: list[int], n_lo: int, n_hi: int):
-    """Violations and exact min margin over the (n1 <= n2) triangle.
-
-    Rows whose bound clears both tests of `verify_subadditivity` are skipped;
-    every other row compares its pairs exactly and keeps the running minimum.
-    """
-    logs = [(_log2_int(v) if v else -math.inf) for v in vals]
-    bounds = _row_bounds(vals, logs, n_lo, n_hi)
+    """Violations, exact min margin and exact rows over the (n1 <= n2) triangle."""
+    lo, hi = zip(*map(_log_interval, vals))
+    bounds = _row_bounds(lo, hi, n_lo, n_hi)
     violations = []
     best_rhs, best_lhs = 1, 0  # smallest rhs/lhs so far; (1, 0) is +inf
-    best_log = math.inf
+    best_up = math.inf
+    exact_rows = 0
     for n1 in range(n_lo, n_hi + 1):
-        if bounds[n1] > 0 and bounds[n1] > best_log + 1e-9:
+        if bounds[n1] > max(0.0, best_up):
             continue
-        v1, l1 = vals[n1], logs[n1]
+        exact_rows += 1
+        v1 = vals[n1]
         for n2 in range(n1, n_hi + 1):
             lhs = vals[n1 + n2]
             rhs = v1 * vals[n2]
             if lhs >= rhs:
                 violations.append((n1, n2, lhs, rhs))
-            lg = l1 + logs[n2] - logs[n1 + n2]
-            if lg < best_log + 1e-9 and rhs * best_lhs < best_rhs * lhs:
-                best_rhs, best_lhs, best_log = rhs, lhs, lg
-    return violations, (Fraction(best_rhs, best_lhs) if best_lhs else None)
+            if rhs * best_lhs < best_rhs * lhs:
+                best_rhs, best_lhs = rhs, lhs
+                best_up = _up(_up(hi[n1] + hi[n2]) - lo[n1 + n2])
+    min_margin = Fraction(best_rhs, best_lhs) if best_lhs else None
+    return violations, min_margin, exact_rows
 
 
 def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
@@ -171,26 +162,25 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     Covers every unordered pair n_lo <= n1 <= n2 <= n_hi; the table must
     reach 2*n_hi.
 
-    Bound.  With L(n) = log2 count(a,c,n) and delta(m) = L(m+1) - L(m), a
-    pair of row n1 has L(n1+n2) - L(n2) = sum_{m=n2}^{n2+n1-1} delta(m)
-    <= n1 * S(n1), where S(n1) = max delta(m) over n1 <= m < 2*n_hi, so
-    log2(rhs/lhs) >= L(n1) - n1 * S(n1) for every pair of the row.  A zero
+    Bound.  With L(n) = log2 count(a,c,n), a pair of row n1 has
+    log2(rhs/lhs) = L(n1) - sum_{m=n2}^{n2+n1-1} (L(m+1) - L(m)).  The suffix
+    maximum S(m) of the steps L(k+1) - L(k), m <= k < 2*n_hi, does not
+    increase and n2 >= n1, so log2(rhs/lhs) >= L(n1) - sum_{m=n1}^{2*n1-1}
+    S(m), the diagonal pair's margin where the column is log-concave.  A zero
     count at or after n1 makes S(n1) infinite.
 
-    Rounding.  The bound is evaluated in floats rounded outward: each log is
-    widened by four ulps (twice its error), and each subtraction and product
-    is stepped one float away in the safe direction, so the computed value
-    is at most the true bound.
+    Rounding.  Each log is widened by four ulps, twice its error, and each
+    step, suffix sum q[m] of S and difference is stepped one float outward.
+    The q rounded up at every step telescope: q[n1] - q[2*n1] is at least the
+    window sum, so the computed row bound is at most the true one.
 
     Exact fallback.  The smallest margin so far is kept as an integer pair
-    (rhs, lhs), replaced by cross-multiplication.  A row is skipped only when
-    its bound is positive (no pair violates) and exceeds by more than 1e-9
-    the float log2 of that running minimum, and a pair is cross-multiplied
-    only when its float log-margin is below that log2 plus 1e-9 (float
-    log-margins are far more accurate than 1e-9, so neither test passes
-    over a smaller margin).  Every pair of every other row is compared in
-    exact integers, so certificates equal those of a sweep that compares
-    every pair exactly.
+    (rhs, lhs), replaced by cross-multiplication, beside best_up >= its log2
+    from the widened logs rounded up.  A row is skipped only when its bound
+    exceeds max(0, best_up): then no pair of it violates or holds a smaller
+    margin.  Every pair of every other row (counted in `exact_rows`) is
+    compared in exact integers, so certificates equal those of a sweep that
+    compares every pair exactly.
     """
     c = table.c
     if not 0 <= a < c:
@@ -200,12 +190,12 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     if table.n_max < 2 * n_hi:
         raise ValueError(f"table reaches n={table.n_max}, need {2 * n_hi}")
     vals = [table.counts[n][a] for n in range(2 * n_hi + 1)]
-    violations, min_margin = _sweep_rows(vals, n_lo, n_hi)
+    violations, min_margin, exact_rows = _sweep_rows(vals, n_lo, n_hi)
     width = n_hi - n_lo + 1
     return Certificate(c=c, a=a, n_lo=n_lo, n_hi=n_hi,
                        pairs_checked=width * (width + 1) // 2,
                        violations=violations, min_margin=min_margin,
-                       table_checksum=table.checksum())
+                       table_checksum=table.checksum(), exact_rows=exact_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -93,39 +93,22 @@ def rank_class_table_dp(n_max: int, c: int) -> RankClassTable:
 def sweep_oracle(vals: list[int], n_lo: int, n_hi: int):
     """Violations and exact min margin of vals[n1+n2] < vals[n1]*vals[n2].
 
-    Every pair n_lo <= n1 <= n2 <= n_hi gets one big-int product and one
-    float log comparison; the minimal margin rhs/lhs over pairs with lhs > 0
-    is settled exactly among the float-near-minimal candidates.  Returns
-    (violations, min_margin), violations as sorted (n1, n2, lhs, rhs).
+    Every pair n_lo <= n1 <= n2 <= n_hi is compared in integers, and the
+    minimal margin rhs/lhs over pairs with lhs > 0 is kept by
+    cross-multiplication; no float enters.  Returns (violations,
+    min_margin), violations as sorted (n1, n2, lhs, rhs).
     """
-    logs = [(math.log2(v) if v else -math.inf) for v in vals]
     violations = []
-    best_log = math.inf
-    candidates: list[tuple[int, int]] = []
+    best = None  # (rhs, lhs) of the smallest margin so far
     for n1 in range(n_lo, n_hi + 1):
-        v1 = vals[n1]
-        l1 = logs[n1]
         for n2 in range(n1, n_hi + 1):
             lhs = vals[n1 + n2]
-            rhs = v1 * vals[n2]
+            rhs = vals[n1] * vals[n2]
             if lhs >= rhs:
                 violations.append((n1, n2, lhs, rhs))
-            if lhs:
-                lg = l1 + logs[n2] - logs[n1 + n2]
-                if lg < best_log + 1e-9:
-                    if lg < best_log - 1e-9:
-                        candidates = [(n1, n2)]
-                        best_log = min(best_log, lg)
-                    else:
-                        candidates.append((n1, n2))
-                        best_log = min(best_log, lg)
-    # exact minimum over the float-near-minimal candidates
-    best: Fraction | None = None
-    for n1, n2 in candidates:
-        m = Fraction(vals[n1] * vals[n2], vals[n1 + n2])
-        if best is None or m < best:
-            best = m
-    return violations, best
+            if lhs and (best is None or rhs * best[1] < best[0] * lhs):
+                best = (rhs, lhs)
+    return violations, (None if best is None else Fraction(*best))
 
 
 def dedekind_sum_direct(h: int, k: int) -> Fraction:

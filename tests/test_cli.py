@@ -200,8 +200,10 @@ def test_verify_reports_stage_timings(capsys):
     assert code == 0
     report = Report.from_json_lines(out)
     assert set(report.timings) == {"table_cache", "table_n_max", "table_sha256", "table_s",
-                                   "sweep_s", "total_s"}
+                                   "sweep_s", "exact_rows", "total_s"}
     assert report.timings["table_cache"] == "none"
+    # every residue compares its first row exactly, whatever else the bound clears
+    assert 4 <= report.timings["exact_rows"] <= 4 * 22
     assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
     assert 0 <= report.timings["sweep_s"] <= report.timings["total_s"]
 

@@ -12,7 +12,7 @@ from oracles import sweep_oracle
 
 from overrank import r_ratio, rank_class_table, t_inequality, verify_subadditivity
 from overrank.counts import RankClassTable
-from overrank.verify import _log2_int, _row_bounds, parse_certificate
+from overrank.verify import _log_interval, _row_bounds, parse_certificate
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,27 @@ def test_certificate_round_trip(table3_small):
     assert back.serialize() == text
 
 
+def test_parse_rejects_non_canonical_certificates(table3_small):
+    text = verify_subadditivity(table3_small, 1, 1, 12).serialize()
+    lines = text.splitlines(keepends=True)
+    assert len(lines) > 4  # a header, the margin, violations and end
+    head = lines[0]
+    bad = {
+        "truncated": "".join(lines[:3]),
+        "no trailing newline": text[:-1],
+        "extra line": text + "end\n",
+        "count mismatch": "".join([head.replace(" violations=", " violations=9")] + lines[1:]),
+        "zero denominator": "".join([head, "min_margin 1/0\n"] + lines[2:]),
+        "unreduced margin": "".join([head, "min_margin 2/2\n"] + lines[2:]),
+        "unknown schema": text.replace("schema=1 ", "schema=2 ", 1),
+        "garbled": "certificate\n",
+        "empty": "",
+    }
+    for case in bad.values():
+        with pytest.raises(ValueError, match="not a canonical"):
+            parse_certificate(case)
+
+
 # ---------------------------------------------------------------------------
 # Row pruning: the sweep against the every-pair oracle
 # ---------------------------------------------------------------------------
@@ -80,8 +101,8 @@ def column_table(vals: list[int]) -> RankClassTable:
 
 
 def row_bounds(vals, n_lo, n_hi):
-    logs = [(_log2_int(v) if v else -math.inf) for v in vals]
-    return _row_bounds(vals, logs, n_lo, n_hi)
+    lo, hi = zip(*map(_log_interval, vals))
+    return _row_bounds(lo, hi, n_lo, n_hi)
 
 
 def assert_bounds_sound(vals, n_lo, n_hi):
@@ -200,7 +221,8 @@ def test_planted_near_equalities_settle_exactly():
 
 
 def test_tight_row_holding_the_minimum_is_not_skipped():
-    # logs 3, 5, 7, 9 (in units of 100 bits) make row 2's bound equal its one
+    # logs 3, 5, 7, 9 (in units of 100 bits): row 2's bound, L(2) minus the
+    # suffix-maximal steps 2 * (L(4) - L(3)), is within 2^-899 of its one
     # margin, 2 log2(X^5) - log2(X^9 + 1), which lies less than 2^-899 below
     # log2 of the running minimum X that row 1 leaves; the row must be
     # compared, not skipped
@@ -210,6 +232,24 @@ def test_tight_row_holding_the_minimum_is_not_skipped():
     cert = assert_matches_oracle(vals, 1, 2)
     assert cert.violations == []
     assert cert.min_margin == Fraction(x ** 10, x ** 9 + 1)
+
+
+def test_row_below_a_float_underestimated_minimum_is_not_skipped():
+    # row 1's minimum A^2/B has logs near 7000 and 14000, and the plain float
+    # log2 of it, 2 log2(A) - log2(B) rounded to nearest, falls more than
+    # 2^-40 below the true one; row 3 holds a margin 2^-41 smaller, whose
+    # bound clears that float but not the outward upper bound
+    a = 3 ** 4417
+    b = a * a // 1035
+    with mp.workprec(200):
+        log_min = mp.log(a * a, 2) - mp.log(b, 2)
+        float_log = 2 * math.log2(a) - math.log2(b)
+        assert float_log < log_min - 2 ** -40
+        v6 = int(mp.floor(mp.power(2, 60 - log_min + mpf(2) ** -41)))
+    vals = [1, a, b, 2 ** 30, 2 ** 38, 2 ** 45, v6]
+    assert row_bounds(vals, 1, 3)[3] > float_log
+    cert = assert_matches_oracle(vals, 1, 3)
+    assert cert.min_margin == Fraction(2 ** 60, v6) < Fraction(a * a, b)
 
 
 def test_spike_in_last_row_is_not_skipped():
@@ -235,14 +275,16 @@ def test_zero_count_mid_range():
 
 
 def test_bound_clears_nearly_every_row_of_the_paper_range(table3, table4, table5):
-    # the point of the pruning: a handful of the 792 rows reach the exact loop
-    for table in (table3, table4, table5):
-        for a in range(table.c):
-            vals = [table.counts[n][a] for n in range(1601)]
-            cert = verify_subadditivity(table, a, 9, 800)
-            floor = math.log2(cert.min_margin) + 1e-9
-            bounds = row_bounds(vals, 9, 800)
-            assert sum(1 for n1 in range(9, 801) if bounds[n1] <= floor) <= 8
+    # the point of the pruning: at most 2 rows of a sweep reach the exact
+    # loop, also on high sub-ranges, where a bound of n1 times the largest
+    # step sent 149 of 400 rows (400..799) and all 100 (700..799) of c = 3,
+    # a = 0; the window sum of suffix-maximal steps is the diagonal pair's
+    # margin wherever the column is log-concave
+    sweeps = [(t, a, 9, 800) for t in (table3, table4, table5) for a in range(t.c)]
+    sweeps += [(table3, 0, 400, 799), (table3, 0, 700, 799)]
+    for table, a, n_lo, n_hi in sweeps:
+        cert = verify_subadditivity(table, a, n_lo, n_hi)
+        assert cert.violations == [] and cert.exact_rows <= 2, (table.c, a, n_lo)
 
 
 # ---------------------------------------------------------------------------
