@@ -37,6 +37,16 @@ def test_count_single_class(capsys):
     assert "value=1" in out
 
 
+def test_count_single_class_labels_its_residue(capsys):
+    # --a is reduced mod c, and the record names the class it counts
+    _, row = run_cli(capsys, "count", "--n", "5", "--c", "3")
+    for a, residue in (("-1", 2), ("7", 1), ("2", 2)):
+        code, out = run_cli(capsys, "count", "--n", "5", "--c", "3", "--a", a)
+        assert code == 0
+        line = next(line for line in out.splitlines() if line.startswith("count "))
+        assert line in row.splitlines() and f" a={residue} " in line, (a, line)
+
+
 def test_count_range_guard(capsys):
     code = main(["count", "--n", "50", "--n-max", "10"])
     assert code == 2
@@ -200,10 +210,13 @@ def test_verify_reports_stage_timings(capsys):
     assert code == 0
     report = Report.from_json_lines(out)
     assert set(report.timings) == {"table_cache", "table_n_max", "table_sha256", "table_s",
-                                   "sweep_s", "exact_rows", "total_s"}
+                                   "sweep_s", "pairs_compared", "total_s"}
     assert report.timings["table_cache"] == "none"
-    # every residue compares its first row exactly, whatever else the bound clears
-    assert 4 <= report.timings["exact_rows"] <= 4 * 22
+    # each of the 4 x 22 rows compares at least its first pair, and the
+    # log-concave tails spare most of the 4 x 253 pairs (538 are compared)
+    assert 4 * 22 <= report.timings["pairs_compared"] < 4 * 253
+    assert not any("pairs_compared" in rec or "pairs_compared" in rec["text"]
+                   for rec in report.outputs)
     assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
     assert 0 <= report.timings["sweep_s"] <= report.timings["total_s"]
 
@@ -438,6 +451,12 @@ def _count_class_without_modulus(tmp_path):
     return ["count", "--n", "5", "--a", "1"]
 
 
+def _verify_residue_list(a_list):
+    def make_argv(tmp_path):
+        return ["verify", "--c", "3", "--n-lo", "1", "--n-hi", "2", "--a-list", a_list]
+    return make_argv
+
+
 def _verify_modulus_zero(tmp_path):
     # the residue list is reduced mod c, so c must be checked before it
     return ["verify", "--c", "0", "--n-lo", "1", "--n-hi", "2", "--a-list", "1"]
@@ -461,11 +480,16 @@ def _verify_modulus_zero(tmp_path):
     (_count_negative_n, "--n must be >= 0"),
     (_count_class_without_modulus, "--a needs --c"),
     (_verify_modulus_zero, "--c must be >= 2"),
+    (_verify_residue_list("1,,2"), "--a-list must be 'all' or comma-separated integers, "
+                                   "got '1,,2'"),
+    (_verify_residue_list("x"), "--a-list must be 'all' or comma-separated integers, "
+                                "got 'x'"),
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
         "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
         "duplicate-line", "header-non-ascii", "header-c-word", "header-n-max-empty",
         "header-c-float", "header-c-one",
-        "count-n-negative", "count-a-without-c", "verify-c-zero"])
+        "count-n-negative", "count-a-without-c", "verify-c-zero",
+        "verify-a-list-empty-entry", "verify-a-list-word"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
     # bad input, such as a corrupt cache or a modulus below 2, is one line and exit 2
     code = main(make_argv(tmp_path))

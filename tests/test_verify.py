@@ -1,6 +1,7 @@
 """Subadditivity certificates and the analytic crossing machinery."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from oracles import sweep_oracle
 
 from overrank import r_ratio, rank_class_table, t_inequality, verify_subadditivity
 from overrank.counts import RankClassTable
-from overrank.verify import _log_interval, _row_bounds, parse_certificate
+from overrank.verify import _sweep_rows, parse_certificate
 
 
 @pytest.fixture(scope="module")
@@ -100,29 +101,6 @@ def column_table(vals: list[int]) -> RankClassTable:
     return RankClassTable(c=1, n_max=len(vals) - 1, counts=[[v] for v in vals])
 
 
-def row_bounds(vals, n_lo, n_hi):
-    lo, hi = zip(*map(_log_interval, vals))
-    return _row_bounds(lo, hi, n_lo, n_hi)
-
-
-def assert_bounds_sound(vals, n_lo, n_hi):
-    """Every row bound is at most the exact log2 margin of each pair in the row."""
-    bounds = row_bounds(vals, n_lo, n_hi)
-    for n1 in range(n_lo, n_hi + 1):
-        margins = [Fraction(vals[n1] * vals[n2], vals[n1 + n2])
-                   for n2 in range(n1, n_hi + 1) if vals[n1 + n2]]
-        if any(not vals[n1 + n2] and not vals[n1] * vals[n2]
-               for n2 in range(n1, n_hi + 1)):
-            assert bounds[n1] <= 0, n1  # a 0 >= 0 violation
-        if not margins:
-            continue
-        low = min(margins)
-        if low == 0:
-            assert bounds[n1] == -math.inf, n1
-        else:
-            assert bounds[n1] <= mp.log(low.numerator, 2) - mp.log(low.denominator, 2), n1
-
-
 def assert_matches_oracle(vals, n_lo, n_hi):
     cert = verify_subadditivity(column_table(vals), 0, n_lo, n_hi)
     violations, min_margin = sweep_oracle(vals, n_lo, n_hi)
@@ -140,7 +118,17 @@ def test_sweep_matches_oracle_every_residue(c):
         for n_lo in (1, 9):
             cert = verify_subadditivity(table, a, n_lo, 100)
             assert (cert.violations, cert.min_margin) == sweep_oracle(vals, n_lo, 100)
-        assert_bounds_sound(vals, 1, 100)  # the row bounds do not depend on n_lo
+
+
+def test_sweep_matches_oracle_on_every_small_column():
+    # every column over {0, 1, 2, 3} of length 2*n_hi + 1, n_hi <= 3, at every
+    # n_lo: zeros, ties, and log-concave tails that start anywhere or nowhere
+    for n_hi in (1, 2, 3):
+        for vals in itertools.product(range(4), repeat=2 * n_hi + 1):
+            vals = list(vals)
+            for n_lo in range(1, n_hi + 1):
+                found = _sweep_rows(vals, n_lo, n_hi)[:2]
+                assert found == sweep_oracle(vals, n_lo, n_hi), (vals, n_lo)
 
 
 @functools.cache
@@ -172,7 +160,6 @@ def test_sweep_matches_oracle_on_perturbed_columns(c, a, n_lo, width, perturbati
         else:  # a spike of num bits
             vals[n] = (vals[n] or 1) << num
     assert_matches_oracle(vals, n_lo, n_hi)
-    assert_bounds_sound(vals, n_lo, n_hi)
 
 
 def smooth_vals(top: int) -> list[int]:
@@ -189,9 +176,16 @@ def test_smooth_column_prunes_and_passes():
     vals = smooth_vals(2 * N_HI)
     cert = assert_matches_oracle(vals, N_LO, N_HI)
     assert cert.violations == [] and cert.min_margin > 2 ** 30
-    bounds = row_bounds(vals, N_LO, N_HI)
-    assert sum(1 for n1 in range(N_LO, N_HI + 1) if bounds[n1] > 0) > N_HI - N_LO - 5
-    assert_bounds_sound(vals, N_LO, N_HI)
+    assert cert.pairs_compared == N_HI - N_LO + 1  # log-concave from N_LO on
+
+
+def test_log_linear_column_compares_one_pair_per_row():
+    # 3 * 2^n has v(m)^2 = v(m-1) * v(m+1) everywhere: an equality, which
+    # still makes the whole column its log-concave tail
+    vals = [3 << n for n in range(2 * N_HI + 1)]
+    cert = assert_matches_oracle(vals, N_LO, N_HI)
+    assert cert.violations == [] and cert.min_margin == 3
+    assert cert.pairs_compared == N_HI - N_LO + 1
 
 
 def test_planted_equality_is_a_violation():
@@ -221,14 +215,11 @@ def test_planted_near_equalities_settle_exactly():
 
 
 def test_tight_row_holding_the_minimum_is_not_skipped():
-    # logs 3, 5, 7, 9 (in units of 100 bits): row 2's bound, L(2) minus the
-    # suffix-maximal steps 2 * (L(4) - L(3)), is within 2^-899 of its one
-    # margin, 2 log2(X^5) - log2(X^9 + 1), which lies less than 2^-899 below
-    # log2 of the running minimum X that row 1 leaves; the row must be
-    # compared, not skipped
+    # logs 3, 5, 7, 9 (in units of 100 bits): row 2's one margin,
+    # X^10 / (X^9 + 1), lies less than 2^-899 below the running minimum X that
+    # row 1 leaves; the +1 also breaks log-concavity at the top of the column
     x = 2 ** 100
     vals = [1, x ** 3, x ** 5, x ** 7, x ** 9 + 1]
-    assert 100 - 1e-9 < row_bounds(vals, 1, 2)[2] <= 100
     cert = assert_matches_oracle(vals, 1, 2)
     assert cert.violations == []
     assert cert.min_margin == Fraction(x ** 10, x ** 9 + 1)
@@ -237,8 +228,8 @@ def test_tight_row_holding_the_minimum_is_not_skipped():
 def test_row_below_a_float_underestimated_minimum_is_not_skipped():
     # row 1's minimum A^2/B has logs near 7000 and 14000, and the plain float
     # log2 of it, 2 log2(A) - log2(B) rounded to nearest, falls more than
-    # 2^-40 below the true one; row 3 holds a margin 2^-41 smaller, whose
-    # bound clears that float but not the outward upper bound
+    # 2^-40 below the true one; row 3 holds a margin 2^-41 smaller, which a
+    # minimum kept as that float would miss
     a = 3 ** 4417
     b = a * a // 1035
     with mp.workprec(200):
@@ -247,16 +238,13 @@ def test_row_below_a_float_underestimated_minimum_is_not_skipped():
         assert float_log < log_min - 2 ** -40
         v6 = int(mp.floor(mp.power(2, 60 - log_min + mpf(2) ** -41)))
     vals = [1, a, b, 2 ** 30, 2 ** 38, 2 ** 45, v6]
-    assert row_bounds(vals, 1, 3)[3] > float_log
     cert = assert_matches_oracle(vals, 1, 3)
     assert cert.min_margin == Fraction(2 ** 60, v6) < Fraction(a * a, b)
 
 
 def test_spike_in_last_row_is_not_skipped():
     vals = smooth_vals(2 * N_HI)
-    assert row_bounds(vals, N_LO, N_HI)[N_HI] > 0  # cleared without the spike
     vals[2 * N_HI] = vals[N_HI] ** 2 + 5
-    assert row_bounds(vals, N_LO, N_HI)[N_HI] <= 0
     cert = assert_matches_oracle(vals, N_LO, N_HI)
     assert cert.violations == [(N_HI, N_HI, vals[2 * N_HI], vals[N_HI] ** 2)]
 
@@ -269,22 +257,17 @@ def test_zero_count_mid_range():
     assert {(n1, n2) for n1, n2, _, _ in cert.violations} == (
         {(n1, 30) for n1 in range(N_LO, 31)} | {(30, n2) for n2 in range(30, N_HI + 1)})
     assert cert.min_margin == 0
-    bounds = row_bounds(vals, N_LO, N_HI)
-    assert all(bounds[n1] == -math.inf for n1 in range(N_LO, 31))
-    assert_bounds_sound(vals, N_LO, N_HI)
 
 
 def test_bound_clears_nearly_every_row_of_the_paper_range(table3, table4, table5):
-    # the point of the pruning: at most 2 rows of a sweep reach the exact
-    # loop, also on high sub-ranges, where a bound of n1 times the largest
-    # step sent 149 of 400 rows (400..799) and all 100 (700..799) of c = 3,
-    # a = 0; the window sum of suffix-maximal steps is the diagonal pair's
-    # margin wherever the column is log-concave
+    # the point of the pruning: every column is log-concave from about
+    # n = 32 on, so a row stops at its first passing pair there, and a sweep
+    # of 792 rows (313,236 pairs) multiplies out at most 1,100 of them
     sweeps = [(t, a, 9, 800) for t in (table3, table4, table5) for a in range(t.c)]
     sweeps += [(table3, 0, 400, 799), (table3, 0, 700, 799)]
     for table, a, n_lo, n_hi in sweeps:
         cert = verify_subadditivity(table, a, n_lo, n_hi)
-        assert cert.violations == [] and cert.exact_rows <= 2, (table.c, a, n_lo)
+        assert cert.violations == [] and cert.pairs_compared <= 1100, (table.c, a, n_lo)
 
 
 # ---------------------------------------------------------------------------
