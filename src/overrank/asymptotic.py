@@ -9,11 +9,10 @@ elsewhere (see bounds); here it is simply left out.
 
 Both sums run in one walk over the arcs that serves every residue of one
 modulus at once: the B arcs ascending, then the D arcs ascending, with one
-`KernelTables` shared by all kernel calls (one arc's multipliers at a time,
-linear phases per B arc and per D arc and residue pair {a, c-a}, the sines
-for the whole walk).  `nbar_asymptotic` walks once per reduced
-denominator.  Each residue's terms are still added in the order of a walk of
-its own, so sharing changes no output bit.
+`KernelTables` shared by all kernel calls (one arc's multipliers and linear
+phases at a time, the sines for the whole walk).  `nbar_asymptotic` walks
+once per reduced denominator.  Each residue's terms are still added in the
+order of a walk of its own, so sharing changes no output bit.
 
 Everything is computed fully complex; the imaginary part of the result is
 reported as a residual, never silently dropped.
@@ -91,12 +90,9 @@ def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
     """Unrounded main-term totals of `a_asymptotic(a, c, n, prec)` for every a in
     residues, in one walk over the arcs, and each a's k-terms if keep_terms.
 
-    At each arc every residue's kernel calls share one KernelTables, made
-    pair by pair {a, c-a} so that the D arcs' phase memo serves both residues
-    that share its keys; each residue's own terms are summed in arc order, as
-    in a walk of its own.
+    At each arc every residue's kernel calls share one KernelTables; each
+    residue's own terms are summed in arc order, as in a walk of its own.
     """
-    residues = sorted(residues, key=lambda a: (min(a, c - a), a))
     kmax = isqrt(n)
     terms: dict[int, list[tuple[int, mpc]]] = {a: [] for a in residues}
     totals = dict.fromkeys(residues, mpc(0))
@@ -110,7 +106,7 @@ def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
             sqrt_k = mp.sqrt(k)
             growth = mp.sinh(mp.pi * mp.sqrt(n) / k)
             for a in residues:
-                B = kloosterman_B(a, c, k, -n, 0, prec + 20, tables=tables)
+                B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
                 t = mpc(0, 1) * root * B / sqrt_k * growth
                 if keep_terms:
                     terms[a].append((k, t))

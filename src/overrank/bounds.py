@@ -5,8 +5,8 @@ closed-form tail bound), their coarse closed-form majorants, the fourteen
 error-piece bounds with their aggregation, the per-modulus deviation ratio
 R_c, the giant thresholds M_c, the two-sided envelope for the overpartition
 count, and a self-test of the auxiliary scalar inequalities the envelopes
-rest on.  The self-test's fixed grids depend only on the working precision,
-so they are evaluated once per precision per process.
+rest on.  The self-test's grids depend only on the working precision, so
+they are evaluated once per precision per process.
 
 Strict float comparisons here never masquerade as proofs: `strict_verdict`
 returns 'inconclusive' when a margin is thinner than the fixed relative
@@ -441,45 +441,15 @@ def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
     return tuple(checks)
 
 
-def _series_closed_form(pbar: Sequence[int], prec: int) -> tuple[bool, float]:
-    """sum p(n) e^{-2 pi n y} <= exp(2 e^{-2 pi y} / (1 - e^{-2 pi y})^2), 200 terms."""
-    with mp.workprec(prec):
-        pi = mp.pi
-        margins = []
-        ys = [Fraction(c * c - 8, 32 * c * c) for c in range(3, 9)]
-        ys += [Fraction(1, 4 * c * c) for c in range(3, 9)]
-        for y in ys:
-            yv = mpf(y.numerator) / y.denominator
-            partial = sum(pbar[nn] * mp.exp(-2 * pi * nn * yv) for nn in range(201))
-            q = mp.exp(-2 * pi * yv)
-            margins.append(mp.exp(2 * q / (1 - q) ** 2) - partial)
-        return _verdict(margins, strict=False)
-
-
-def aux_inequalities_selftest(pbar: Sequence[int] | None = None,
-                              prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
+def aux_inequalities_selftest(prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
     """Grid-verify the scalar inequalities the envelopes rest on.
 
     Returns name -> {passed, worst_margin, grid} entries; failures are report
-    entries, never exceptions.  `pbar` (exact counts, length >= 201; a shorter
-    one is a ValueError) enables the series-versus-closed-form check.
-
-    The fixed-grid checks depend only on `prec`, so they run once per
-    precision per process (`selftest_cached` says whether they have); the
-    `pbar` check runs on every call that passes one.  Each call returns a
-    fresh dict.
+    entries, never exceptions.  The grids depend only on `prec`, so they run
+    once per precision per process (`selftest_cached` says whether they
+    have).  Each call returns a fresh dict.
     """
-    if pbar is not None and len(pbar) < 201:
-        raise ValueError(f"pbar needs at least 201 terms (r = 0..200), got {len(pbar)}")
     if prec not in _GRID_CHECKS:
         _GRID_CHECKS[prec] = _grid_checks(prec)
-    report: dict[str, dict] = {}
-    for name, passed, worst, grid in _GRID_CHECKS[prec]:
-        report[name] = {"passed": passed, "worst_margin": worst, "grid": grid}
-        if name == "exp_square_ratio" and pbar is not None:
-            # the series check keeps its place in the report's key order
-            passed, worst = _series_closed_form(pbar, prec)
-            report["series_closed_form"] = {
-                "passed": passed, "worst_margin": worst,
-                "grid": "200-term partial sums, y from both substitution families"}
-    return report
+    return {name: {"passed": passed, "worst_margin": worst, "grid": grid}
+            for name, passed, worst, grid in _GRID_CHECKS[prec]}

@@ -27,6 +27,7 @@ import contextlib
 import hashlib
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
@@ -92,16 +93,16 @@ class RankDistribution:
         return out
 
 
-def brute_force_rank_counts(n: int, limit: int = BRUTE_FORCE_LIMIT) -> RankDistribution:
+def brute_force_rank_counts(n: int) -> RankDistribution:
     """Oracle: enumerate every partition of n, weight 2^{#distinct parts}.
 
     Independent of the generating functions; kept deliberately naive.  Rejects
-    n above `limit` because the enumeration grows superpolynomially.
+    n above BRUTE_FORCE_LIMIT because the enumeration grows superpolynomially.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration guard ({limit})")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"n={n} exceeds the enumeration guard ({BRUTE_FORCE_LIMIT})")
     dist = RankDistribution(n)
     if n == 0:
         dist.entries[0] = 1
@@ -163,9 +164,19 @@ def _checksum_hash(c: int, n_max: int):
 
 
 def _row_lines(counts: list[list[int]]):
-    """Each row's cache line: its counts in decimal, each followed by a comma."""
-    for row in counts:
-        yield (",".join(map(str, row)) + ",\n").encode()
+    """Each row's cache line: its counts in decimal, each followed by a comma.
+
+    str() refuses integers above sys.get_int_max_str_digits() digits (4,300
+    by default); that refusal is raised again naming the row.
+    """
+    for n, row in enumerate(counts):
+        try:
+            line = ",".join(map(str, row))
+        except ValueError:
+            raise ValueError(
+                f"row n={n} has a count above {sys.get_int_max_str_digits()} decimal "
+                "digits, Python's limit for int-to-str conversion") from None
+        yield (line + ",\n").encode()
 
 
 def rank_class_table(n_max: int, c: int) -> RankClassTable:

@@ -11,8 +11,8 @@ integral) linear parameter 2*m in the secondary sum, validated against exact
 rank-class counts in tests/test_asymptotic.py.  The values calls share live
 in a `KernelTables`: omega_{h,k} and the multiplier ratio, evaluated once per
 arc k and only for h < k/2 (the entry of k-h is the exact conjugate); each
-distinct linear phase, reduced in integers, once per B arc, and once per D arc
-and residue pair {a, c-a}; and sin(pi*a*h'/c) once per value of a*h'.  Each call evaluates at most 2c quadratic phases.  A
+distinct linear phase, reduced in integers, once per arc; and sin(pi*a*h'/c)
+once per value of a*h'.  Each call evaluates at most 2c quadratic phases.  A
 call without tables gets fresh ones, so the tables change which values are
 recomputed, never a result bit.
 """
@@ -206,56 +206,45 @@ class KernelTables:
 
     One table serves the calls for modulus c at kernel precision prec; its
     entries are made at the kernels' working precision prec + 10.  It keeps
-    the multipliers of one arc k, dropped as soon as a call moves to another
-    arc, and sin(pi*x/c) by x = a*h' for as long as it lives.  Linear phases
-    are kept for one arc on a B arc, where they do not depend on a (m = 0),
-    and for one arc and one residue pair {a, c-a} on a D arc, where only a
-    and c-a share them; callers that serve several residues order them pair
-    by pair.  Every entry is the value a call would compute for itself.
+    the multipliers and the linear phases of one arc k, dropped as soon as a
+    call moves to another arc, and sin(pi*x/c) by x = a*h' for as long as it
+    lives.  A linear phase is keyed by its reduced fraction, so one memo
+    serves every residue and r-term of an arc.  Every entry is the value a
+    call would compute for itself.
     """
 
     def __init__(self, c: int, prec: int):
         self.c, self.prec = c, prec
         self.k: int | None = None
         self.multipliers: list[tuple[int, int, mpc]] = []
-        self.pair: int | None = None
         self.phases: dict[tuple[int, int], mpc] = {}
         self.sines: dict[int, mpf] = {}
-        self.sine_values: dict[tuple, mpf] = {}
 
-    def enter(self, a: int, c: int, k: int, prec: int) -> list[tuple[int, int, mpc]]:
-        """The multipliers of arc k, built on the first call at k, with the
-        phase memo made ready for residue a."""
+    def enter(self, c: int, k: int, prec: int) -> list[tuple[int, int, mpc]]:
+        """The multipliers of arc k, built on the first call at k."""
         if (c, prec) != (self.c, self.prec):
             raise ValueError("tables made for another modulus or precision")
         if k != self.k:
             # drop the last arc's tables before building this one's
-            self.k, self.multipliers, self.pair, self.phases = None, [], None, {}
+            self.k, self.multipliers, self.phases = None, [], {}
             self.multipliers = _multipliers(k)
             self.k = k
-        pair = None if k % c == 0 else min(a, c - a)
-        if pair != self.pair:
-            self.pair, self.phases = pair, {}
         return self.multipliers
 
     def sine(self, x: int) -> mpf:
         """sin(pi*x/c) at the working precision."""
         value = self.sines.get(x)
         if value is None:
-            # sin(pi*x/c) rounds to few distinct values (16 for c = 3 over
-            # 0 < x < 600), so entries with equal bits share one object
-            value = mp.sinpi(mpf(x) / self.c)
-            value = self.sines[x] = self.sine_values.setdefault(value._mpf_, value)
+            value = self.sines[x] = mp.sinpi(mpf(x) / self.c)
         return value
 
 
-def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
-                  prec: int = DEFAULT_PRECISION, *,
+def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION, *,
                   tables: KernelTables | None = None) -> mpc:
     """Sine-weighted Kloosterman-type sum over c | k with k odd.
 
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
-    quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*(n*h+m*h')/k).
+    quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*n*h/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
     sine never vanishes.  The multipliers, linear phases and sines come from
     `tables` (fresh ones by default); the quadratic phase is evaluated once
@@ -267,10 +256,9 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
         raise ValueError("need 0 < a < c coprime")
     if tables is None:
         tables = KernelTables(c, prec)
-    mn, md = Fraction(m).as_integer_ratio()
     quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
-        mults = tables.enter(a, c, k, prec)
+        mults = tables.enter(c, k, prec)
         quad = {r: mp.expjpi(-mpf(r) / c)
                 for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
         phases = tables.phases
@@ -278,7 +266,7 @@ def kloosterman_B(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
         for h, hp, w in mults:
             term = w / tables.sine(a * hp)
             term *= quad[quad_coeff * hp % (2 * c)]
-            term *= _unit_phase(n * h * md + mn * hp, k * md, phases)
+            term *= _unit_phase(n * h, k, phases)
             total += term
         total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
@@ -306,7 +294,7 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         tables = KernelTables(c, prec)
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
-        mults = tables.enter(a, c, k, prec)
+        mults = tables.enter(c, k, prec)
         phases = tables.phases
         total = mpc(0)
         for h, hp, w in mults:

@@ -154,14 +154,13 @@ def rational_phase(x: Fraction, prec: int = DEFAULT_PRECISION) -> mpc:
         return mp.expjpi(2 * mpf(x.numerator) / x.denominator)
 
 
-def kloosterman_B_direct(a: int, c: int, k: int, n: int, m: Fraction = Fraction(0),
+def kloosterman_B_direct(a: int, c: int, k: int, n: int,
                          prec: int = DEFAULT_PRECISION) -> mpc:
     """`overrank.modsums.kloosterman_B`, one independent evaluation per summand."""
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
     if math.gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
-    m = Fraction(m)
     k1 = k // c
     with mp.workprec(prec + 10):
         total = mpc(0)
@@ -170,7 +169,7 @@ def kloosterman_B_direct(a: int, c: int, k: int, n: int, m: Fraction = Fraction(
             w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
             term = w / mp.sinpi(mpf(a * hp) / c)
             term *= mp.expjpi(-mpf((a * a * k1 * (c - 2) * hp) % (2 * c)) / c)
-            term *= rational_phase(Fraction(n * h, k) + m * Fraction(hp, k), prec + 10)
+            term *= rational_phase(Fraction(n * h, k), prec + 10)
             total += term
         total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
@@ -212,7 +211,7 @@ def a_asymptotic_per_residue(a: int, c: int, n: int,
         for k in range(c, kmax + 1, c):
             if k % 2 == 0:
                 continue
-            B = kloosterman_B(a, c, k, -n, 0, prec + 20)
+            B = kloosterman_B(a, c, k, -n, prec + 20)
             t = mpc(0, 1) * root * B / mp.sqrt(k) * mp.sinh(mp.pi * mp.sqrt(n) / k)
             terms.append((k, t))
             total += t

@@ -2,13 +2,14 @@
 
 `bench/tracer.py` wraps library functions by module attribute, and
 `bench/workloads.py` calls library functions by module attribute and
-builds `overrank` command lines, so a renamed or removed name or flag would
-only show when the benchmark runs.  These tests read both files and fail in
+builds `overrank` command lines, so a renamed or removed name, parameter or
+flag would only show when the benchmark runs.  These tests read both files and fail in
 the suite instead.
 """
 
 import ast
 import importlib.util
+import inspect
 import sys
 from collections import Counter
 from math import isqrt
@@ -56,6 +57,42 @@ def test_workload_references_exist():
     missing = sorted(f"{module.__name__}.{name}" for module, name in refs
                      if not hasattr(module, name))
     assert not missing
+
+
+def test_workload_calls_bind_to_library_signatures():
+    # each library call in the workloads binds, by its positional count and
+    # keyword names, to the function's signature as it stands, so a removed
+    # or renamed parameter fails here and not in a benchmark run
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    names = dict(MODULES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("overrank."):
+            module = importlib.import_module(node.module)
+            names.update((alias.asname or alias.name, getattr(module, alias.name))
+                         for alias in node.names)
+    calls, unbound = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            target = names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in names):
+            target = getattr(names[func.value.id], func.attr)
+        else:
+            continue
+        call = ast.unparse(node)
+        assert not any(isinstance(arg, ast.Starred) for arg in node.args), call
+        assert all(kw.arg for kw in node.keywords), call
+        calls += 1
+        try:
+            inspect.signature(target).bind(*node.args,
+                                           **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append((node.lineno, call, str(exc)))
+    assert calls > 15  # the walk found the library calls
+    assert not unbound
 
 
 def test_workload_argv_parse(tmp_path):

@@ -8,8 +8,8 @@ from oracles import raw_error_aggregate
 
 from overrank import (aux_inequalities_selftest, bounds, cbar2, cbar4, const_C,
                       error_pieces, error_term_bound, m_c, m_c_prime,
-                      main_term_bound, pbar_sandwich, pbar_series, r_ratio,
-                      sandwich_threshold, selftest_cached, strict_verdict)
+                      main_term_bound, pbar_sandwich, r_ratio, sandwich_threshold,
+                      selftest_cached, strict_verdict)
 
 
 def test_strict_verdict_policy():
@@ -288,9 +288,9 @@ def test_normalized_error_dominates_observed_deviation(table3, table5):
 # Auxiliary inequalities
 # ---------------------------------------------------------------------------
 
-def test_aux_selftest_all_pass(pbar3000):
-    report = aux_inequalities_selftest(pbar=pbar3000)
-    assert "series_closed_form" in report
+def test_aux_selftest_all_pass():
+    report = aux_inequalities_selftest()
+    assert len(report) == 7
     for name, entry in report.items():
         assert entry["passed"], (name, entry)
         assert entry["worst_margin"] >= 0
@@ -332,29 +332,26 @@ def test_aux_selftest_grids_match_margin_lists(prec):
     for name, (margins, strict) in selftest_grid_margins(prec).items():
         worst = min(margins)
         expected[name] = (bool(worst > 0 if strict else worst >= 0), float(worst))
-    for pbar in (None, pbar_series(200)):
-        report = aux_inequalities_selftest(pbar=pbar, prec=prec)
-        assert ("series_closed_form" in report) == (pbar is not None)
-        got = {name: (report[name]["passed"], report[name]["worst_margin"])
-               for name in expected}
-        assert got == expected, (prec, pbar is None)
+    report = aux_inequalities_selftest(prec=prec)
+    got = {name: (report[name]["passed"], report[name]["worst_margin"])
+           for name in expected}
+    assert got == expected, prec
 
 
 @pytest.mark.parametrize("prec", (64, 160, 240))
 def test_aux_selftest_cache_matches_fresh_evaluation(prec):
     # the grids are cached by precision alone; the ambient mp.prec at the
     # call that filled the cache must not show in a later call's result
-    pbar = pbar_series(200)
     for ambient_fill, ambient_read in ((53, 1000), (1000, 53)):
         bounds._GRID_CHECKS.clear()
         assert not selftest_cached(prec)
         with mp.workprec(ambient_fill):
-            aux_inequalities_selftest(pbar, prec)
+            aux_inequalities_selftest(prec)
         assert selftest_cached(prec)
         with mp.workprec(ambient_read):
-            cached = aux_inequalities_selftest(pbar, prec)
+            cached = aux_inequalities_selftest(prec)
             bounds._GRID_CHECKS.clear()
-            fresh = aux_inequalities_selftest(pbar, prec)
+            fresh = aux_inequalities_selftest(prec)
         assert list(cached.items()) == list(fresh.items()), (prec, ambient_fill)
 
 
@@ -369,19 +366,26 @@ def test_aux_selftest_returns_a_fresh_report():
     assert "sin_lower_bound" in again
 
 
-def test_aux_selftest_series_check_is_not_cached():
-    pbar = list(pbar_series(200))
-    assert aux_inequalities_selftest(pbar)["series_closed_form"]["passed"]
-    inflated = pbar.copy()
+# y of both substitution families behind the series constants, c = 3..8
+SERIES_YS = ([Fraction(c * c - 8, 32 * c * c) for c in range(3, 9)]
+             + [Fraction(1, 4 * c * c) for c in range(3, 9)])
+
+
+def series_closed_form_margin(pbar):
+    """min over SERIES_YS of exp(2q/(1-q)^2) - sum_{n<=200} pbar(n) e^{-2 pi n y},
+    q = e^{-2 pi y}."""
+    with mp.workprec(160):
+        margins = []
+        for y in SERIES_YS:
+            yv = mpf(y.numerator) / y.denominator
+            partial = sum(pbar[n] * mp.exp(-2 * mp.pi * n * yv) for n in range(201))
+            q = mp.exp(-2 * mp.pi * yv)
+            margins.append(mp.exp(2 * q / (1 - q) ** 2) - partial)
+        return min(margins)
+
+
+def test_series_below_closed_form(pbar3000):
+    assert series_closed_form_margin(pbar3000) >= 0
+    inflated = list(pbar3000)
     inflated[100] *= 10 ** 60
-    report = aux_inequalities_selftest(inflated)
-    assert list(report).index("series_closed_form") == 4
-    assert not report["series_closed_form"]["passed"]
-    assert all(entry["passed"] for name, entry in report.items()
-               if name != "series_closed_form")
-    assert aux_inequalities_selftest(pbar)["series_closed_form"]["passed"]
-
-
-def test_aux_selftest_rejects_a_short_series():
-    with pytest.raises(ValueError, match="201 terms"):
-        aux_inequalities_selftest(pbar_series(199))
+    assert series_closed_form_margin(inflated) < 0

@@ -58,9 +58,10 @@ def test_brute_force_totals_match_series():
 
 
 def test_brute_force_guard():
-    with pytest.raises(ValueError):
-        brute_force_rank_counts(31)
-    brute_force_rank_counts(31, limit=31)  # guard is configurable
+    assert brute_force_rank_counts(counts.BRUTE_FORCE_LIMIT).total() == \
+        pbar_series(counts.BRUTE_FORCE_LIMIT)[-1]
+    with pytest.raises(ValueError, match="enumeration guard"):
+        brute_force_rank_counts(counts.BRUTE_FORCE_LIMIT + 1)
 
 
 def test_brute_force_rank_support_and_symmetry():
@@ -288,6 +289,18 @@ def test_failed_save_keeps_previous_cache(tmp_path):
     assert path.read_bytes() == before
     assert load_table(path).checksum() == table.checksum()
     assert os.listdir(tmp_path) == ["t3.tbl"]  # no temporary file left behind
+
+
+def test_count_past_the_int_str_limit_names_its_row(tmp_path):
+    # str() refuses a count of more than 4,300 digits; checksum and save say
+    # which row holds it, and the save leaves no file behind
+    table = RankClassTable(c=2, n_max=0, counts=[[2 ** 65536, 0]])
+    message = r"^row n=0 has a count above 4300 decimal digits"
+    with pytest.raises(ValueError, match=message):
+        table.checksum()
+    with pytest.raises(ValueError, match=message):
+        save_table(table, tmp_path / "big.tbl")
+    assert os.listdir(tmp_path) == []
 
 
 FUZZ_TABLE = rank_class_table(12, 3)

@@ -169,25 +169,46 @@ def test_b_precondition_checks():
         kloosterman_B(1, 3, 6, 0)  # k even
 
 
-def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision():
+def phase_keys(k, n, m=Fraction(0)):
+    """The reduced linear phases (num, den) that one kernel call at arc k uses."""
+    mn, md = (2 * m).as_integer_ratio()
+    keys = set()
+    for h in coprime_residues(k):
+        num, den = n * h * md + mn * mod_inverse(h, k), k * md
+        g = gcd(num, den)
+        keys.add((num // g % (den // g), den // g))
+    return keys
+
+
+def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
+    fresh = {(a, k): kloosterman_B(a, 3, k, -100, 160)._mpc_ for k in (9, 15) for a in (1, 2)}
+    built = []
+    omega = modsums.omega
+    monkeypatch.setattr(modsums, "omega", lambda h, k, prec: built.append(k) or omega(h, k, prec))
     tables = modsums.KernelTables(3, 160)
-    for k in (9, 15):
-        fresh = kloosterman_B(1, 3, k, -100, 0, 160)
-        assert kloosterman_B(1, 3, k, -100, 0, 160, tables=tables)._mpc_ == fresh._mpc_
-        assert kloosterman_B(2, 3, k, -100, 0, 160, tables=tables)._mpc_ == \
-            kloosterman_B(2, 3, k, -100, 0, 160)._mpc_
-    assert tables.k == 15 and len(tables.multipliers) == len(coprime_residues(15))
+    for k in (9, 15, 9):
+        built.clear()
+        for a in (1, 2):
+            assert kloosterman_B(a, 3, k, -100, 160, tables=tables)._mpc_ == fresh[a, k]
+        # on a new arc the multipliers, built once for both residues, and the
+        # phase memo hold that arc only; a return to arc 9 builds it again
+        assert built == [k] * sum(2 * h < k for h in coprime_residues(k))
+        assert tables.k == k
+        assert [h for h, _, _ in tables.multipliers] == coprime_residues(k)
+        assert set(tables.phases) == phase_keys(k, -100)
     with pytest.raises(ValueError):
-        kloosterman_B(1, 5, 15, -100, 0, 160, tables=tables)
+        kloosterman_B(1, 5, 15, -100, 160, tables=tables)
     with pytest.raises(ValueError):
         kloosterman_D(1, 3, 5, -100, Fraction(0), 1, 200, tables=tables)
-    # on a D arc the phase memo serves one residue pair {a, c-a} at a time
+    # on a D arc one phase memo serves every residue and r-term
     tables = modsums.KernelTables(5, 160)
-    for a in (1, 4, 2, 3):
-        m = Fraction(-3, 2)
+    keys = set()
+    for a, m in ((1, Fraction(-3, 2)), (2, Fraction(7, 50)), (4, Fraction(0)),
+                 (3, Fraction(-3, 2))):
         assert kloosterman_D(a, 5, 7, -100, m, 1, 160, tables=tables)._mpc_ == \
             kloosterman_D(a, 5, 7, -100, m, 1, 160)._mpc_
-        assert tables.pair == min(a, 5 - a)
+        keys |= phase_keys(7, -100, m)
+        assert set(tables.phases) == keys
 
 
 def test_d_single_term_value():
@@ -270,11 +291,12 @@ KERNEL_PRECS = (64, 160, 240)
 
 
 def kernel_cases(c_divides_k: bool):
-    """(c, a, k, n, m, prec) over c in {3, 5, 7} and odd k <= 150.
+    """(c, a, k, n, prec) for B and (c, a, k, n, m, prec) for D, over c in
+    {3, 5, 7} and odd k <= 150.
 
-    Case i takes the i-th valid a of its c and the i-th (n, m, prec) of the
-    product of the grids, cyclically, so every a and every combination
-    recurs; D adds the m_param values of its context to the m grid.
+    Case i takes the i-th valid a of its c and the i-th combination of the
+    grids, cyclically, so every a and every combination recurs; D adds the
+    m_param values of its context to the m grid.
     """
     i = 0
     for c in (3, 5, 7):
@@ -283,19 +305,20 @@ def kernel_cases(c_divides_k: bool):
             if (k % c == 0) != c_divides_k:
                 continue
             a = residues[i % len(residues)]
-            ms = KERNEL_MS
-            if not c_divides_k:
+            if c_divides_k:
+                combos = list(product(KERNEL_NS, KERNEL_PRECS))
+            else:
                 ctx = context(a, c, k)
-                ms += (m_param(ctx, 0), m_param(ctx, 1))
-            combos = list(product(KERNEL_NS, ms, KERNEL_PRECS))
+                ms = KERNEL_MS + (m_param(ctx, 0), m_param(ctx, 1))
+                combos = list(product(KERNEL_NS, ms, KERNEL_PRECS))
             yield (c, a, k) + combos[i % len(combos)]
             i += 1
 
 
 def test_kloosterman_B_bits_equal_direct(shared_omega):
-    for c, a, k, n, m, prec in kernel_cases(c_divides_k=True):
-        got = kloosterman_B(a, c, k, n, m, prec)
-        assert got._mpc_ == kloosterman_B_direct(a, c, k, n, m, prec)._mpc_, (a, c, k, n, m, prec)
+    for c, a, k, n, prec in kernel_cases(c_divides_k=True):
+        got = kloosterman_B(a, c, k, n, prec)
+        assert got._mpc_ == kloosterman_B_direct(a, c, k, n, prec)._mpc_, (a, c, k, n, prec)
 
 
 def test_kloosterman_D_bits_equal_direct(shared_omega):
