@@ -9,12 +9,13 @@ The finite exponential sums B and D follow one convention: the phase
 exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
 integral) linear parameter 2*m in the secondary sum, validated against exact
 rank-class counts in tests/test_asymptotic.py.  The values calls share live
-in a `KernelTables`: omega_{h,k} and the multiplier ratio, evaluated once per
-arc k and only for h < k/2 (the entry of k-h is the exact conjugate); each
-distinct linear phase, reduced in integers, once per arc; and sin(pi*a*h'/c)
-once per value of a*h'.  Each call evaluates at most 2c quadratic phases.  A
-call without tables gets fresh ones, so the tables change which values are
-recomputed, never a result bit.
+in a `KernelTables`: per arc k, omega_{h,k} once per class {h, h', k-h, k-h'}
+and the multiplier ratio once per pair {h, k-h}; each distinct linear phase,
+reduced in integers, once per arc; and sin(pi*a*h'/c) once per value of a*h'.
+Each call evaluates at most 2c quadratic phases.  A call without tables gets
+fresh ones, so the tables change which values are recomputed, never a result
+bit.  The summand loops run on libmp tuples with the functions the mpc
+operators call, in the same order, so they give the operators' bits.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from fractions import Fraction
 from math import gcd
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (from_int, mpc_add, mpc_conjugate, mpc_div, mpc_div_mpf, mpc_mul,
+                          mpc_pow_int, mpc_zero, mpf_cos_sin_pi, mpf_div, mpf_pos)
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -69,11 +72,16 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _cos_sin_pi(num: int, den: int, prec: int, rnd: str) -> tuple:
+    """exp(pi*i*num/den) as a libmp pair: the bits of mp.expjpi(mpf(num)/den) at prec."""
+    x = mpf_div(mpf_pos(from_int(num), prec, rnd), from_int(den), prec, rnd)
+    return mpf_cos_sin_pi(x, prec, rnd)
+
+
 def omega(h: int, k: int, prec: int = DEFAULT_PRECISION) -> mpc:
     """Multiplier omega_{h,k} = exp(pi*i*s(h,k)); unit modulus."""
     s = dedekind_sum(h, k)
-    with mp.workprec(prec):
-        return mp.expjpi(mpf(s.numerator) / s.denominator)
+    return mp.make_mpc(_cos_sin_pi(s.numerator, s.denominator, prec, mp._prec_rounding[1]))
 
 
 def mod_inverse(h: int, k: int) -> int:
@@ -166,38 +174,51 @@ def m_param(ctx: KloostermanContext, r: int) -> Fraction:
                     2 * c1 * c1)
 
 
-def _multipliers(k: int) -> list[tuple[int, int, mpc]]:
-    """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, at the
-    working precision.
+def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
+    """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, the
+    ratio a libmp pair at the working precision.
 
-    s(k-h,k) = -s(h,k), and every rounding on the way (the quotient, cos/sin,
-    the square, the division) is symmetric under negation, so the entry of
-    h > k/2 is exactly the conjugate of the entry of k-h: omega and the ratio
-    are evaluated for h < k/2 only.  .conjugate() rounds at the current
-    mp.prec, the precision the entries were made at, so it loses nothing.
-    2h mod k runs over the same h.
+    s(h',k) = s(h,k) and s(k-h,k) = -s(h,k), and every rounding on the way (the
+    quotient, cos/sin, the square, the division) is symmetric under negation.
+    So omega is evaluated once per class {h, h', k-h, k-h'}: h' gets the very
+    bits of h, and k-h, k-h' their exact conjugate.  The ratio is evaluated
+    for h < k/2 and conjugated for k-h; 2h mod k runs over the same h.
+    Conjugation rounds at the working precision, the precision of the
+    entries, so it loses nothing.
     """
-    def at(half: dict[int, mpc], j: int) -> mpc:
-        return half[j] if 2 * j < k else half[k - j].conjugate()
-
+    prec, rnd = mp._prec_rounding
     hs = coprime_residues(k)
-    om = {h: omega(h, k, mp.prec) for h in hs if 2 * h < k}
-    ratio = {h: w ** 2 / at(om, 2 * h % k) for h, w in om.items()}
-    return [(h, mod_inverse(h, k), at(ratio, h)) for h in hs]
+    inverse = {h: mod_inverse(h, k) for h in hs}
+    om: dict[int, tuple] = {}
+    for h in hs:
+        if h not in om:
+            w = omega(h, k, prec)._mpc_
+            # conjugates first; where they meet h's own entry (k = 1, or h' = k-h,
+            # so s(h,k) = 0), w is real and they have its bits
+            om[-h % k] = om[-inverse[h] % k] = mpc_conjugate(w, prec, rnd)
+            om[h] = om[inverse[h]] = w
+    ratio = {h: mpc_div(mpc_pow_int(om[h], 2, prec, rnd), om[2 * h % k], prec, rnd)
+             for h in hs if 2 * h < k}
+    return [(h, inverse[h],
+             ratio[h] if 2 * h < k else mpc_conjugate(ratio[k - h], prec, rnd))
+            for h in hs]
 
 
-def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], mpc]) -> mpc:
-    """exp(2*pi*i*num/den) at the working precision, from num/den in lowest terms mod 1.
+def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], tuple]) -> tuple:
+    """exp(2*pi*i*num/den) as a libmp pair at the working precision, from num/den
+    in lowest terms mod 1.
 
     memo maps each reduced (num, den) to its value, so a phase that recurs
-    is evaluated once; it must only be used at one precision.
+    is evaluated once; it must only be used at one precision.  Doubling
+    commutes with rounding, so the value has the bits of
+    mp.expjpi(2*mpf(num)/den).
     """
     g = gcd(num, den)
     den //= g
     key = (num // g % den, den)
     value = memo.get(key)
     if value is None:
-        value = memo[key] = mp.expjpi(2 * mpf(key[0]) / den)
+        value = memo[key] = _cos_sin_pi(2 * key[0], den, *mp._prec_rounding)
     return value
 
 
@@ -205,22 +226,23 @@ class KernelTables:
     """Values that calls of `kloosterman_B` and `kloosterman_D` share.
 
     One table serves the calls for modulus c at kernel precision prec; its
-    entries are made at the kernels' working precision prec + 10.  It keeps
-    the multipliers and the linear phases of one arc k, dropped as soon as a
-    call moves to another arc, and sin(pi*x/c) by x = a*h' for as long as it
-    lives.  A linear phase is keyed by its reduced fraction, so one memo
-    serves every residue and r-term of an arc.  Every entry is the value a
-    call would compute for itself.
+    entries are libmp tuples made at the kernels' working precision
+    prec + 10.  It keeps the multipliers and the linear phases of one arc k,
+    dropped as soon as a call moves to another arc, and sin(pi*x/c) by
+    x = a*h' for as long as it lives.  The multipliers take one omega per
+    class {h, h', k-h, k-h'} (see `_multipliers`).  A linear phase is keyed by
+    its reduced fraction, so one memo serves every residue and r-term of an
+    arc.  Every entry has the bits a call would compute for itself.
     """
 
     def __init__(self, c: int, prec: int):
         self.c, self.prec = c, prec
         self.k: int | None = None
-        self.multipliers: list[tuple[int, int, mpc]] = []
-        self.phases: dict[tuple[int, int], mpc] = {}
-        self.sines: dict[int, mpf] = {}
+        self.multipliers: list[tuple[int, int, tuple]] = []
+        self.phases: dict[tuple[int, int], tuple] = {}
+        self.sines: dict[int, tuple] = {}
 
-    def enter(self, c: int, k: int, prec: int) -> list[tuple[int, int, mpc]]:
+    def enter(self, c: int, k: int, prec: int) -> list[tuple[int, int, tuple]]:
         """The multipliers of arc k, built on the first call at k."""
         if (c, prec) != (self.c, self.prec):
             raise ValueError("tables made for another modulus or precision")
@@ -231,11 +253,11 @@ class KernelTables:
             self.k = k
         return self.multipliers
 
-    def sine(self, x: int) -> mpf:
-        """sin(pi*x/c) at the working precision."""
+    def sine(self, x: int) -> tuple:
+        """sin(pi*x/c) at the working precision, a libmp value."""
         value = self.sines.get(x)
         if value is None:
-            value = self.sines[x] = mp.sinpi(mpf(x) / self.c)
+            value = self.sines[x] = mp.sinpi(mpf(x) / self.c)._mpf_
         return value
 
 
@@ -258,17 +280,19 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
         tables = KernelTables(c, prec)
     quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
+        wp, rnd = mp._prec_rounding
         mults = tables.enter(c, k, prec)
-        quad = {r: mp.expjpi(-mpf(r) / c)
+        # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
+        quad = {r: _cos_sin_pi(-r, c, wp, rnd)
                 for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
         phases = tables.phases
-        total = mpc(0)
+        total = mpc_zero
         for h, hp, w in mults:
-            term = w / tables.sine(a * hp)
-            term *= quad[quad_coeff * hp % (2 * c)]
-            term *= _unit_phase(n * h, k, phases)
-            total += term
-        total *= 1 / mp.sqrt(2) * mp.tan(mp.pi * a / c)
+            term = mpc_div_mpf(w, tables.sine(a * hp), wp, rnd)
+            term = mpc_mul(term, quad[quad_coeff * hp % (2 * c)], wp, rnd)
+            term = mpc_mul(term, _unit_phase(n * h, k, phases), wp, rnd)
+            total = mpc_add(total, term, wp, rnd)
+        total = mp.make_mpc(total) * (1 / mp.sqrt(2) * mp.tan(mp.pi * a / c))
     with mp.workprec(prec):
         return +total
 
@@ -294,11 +318,13 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         tables = KernelTables(c, prec)
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
+        wp, rnd = mp._prec_rounding
         mults = tables.enter(c, k, prec)
         phases = tables.phases
-        total = mpc(0)
+        total = mpc_zero
         for h, hp, w in mults:
-            total += w * _unit_phase(n * h * md + mn * hp, k * md, phases)
-        total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
+            term = mpc_mul(w, _unit_phase(n * h * md + mn * hp, k * md, phases), wp, rnd)
+            total = mpc_add(total, term, wp, rnd)
+        total = mp.make_mpc(total) * (region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
     with mp.workprec(prec):
         return +total

@@ -52,7 +52,9 @@ def shared_omega(monkeypatch):
     """One memoized omega for the Kloosterman kernels and their oracles.
 
     omega is a pure function of (h, k, prec), checked against the direct
-    Dedekind sums in test_modsums; sharing its values keeps the bit-for-bit
+    Dedekind sums in test_modsums.  The kernels call it once per class
+    {h, h', k-h, k-h'} and take the other members' values from that one, the
+    oracles twice per summand; sharing the values keeps the bit-for-bit
     comparisons fast and leaves what each side does with them to compare.
     """
     cached = functools.cache(modsums.omega)

@@ -9,9 +9,11 @@ compares every pair of the subadditivity triangle exactly, with no row
 pruning; `overrank.verify.verify_subadditivity` is checked against it.  The
 Dedekind oracles sum s(h,k) from its definition, in O(k) per value, to check
 the reciprocity-law recursion `overrank.modsums.dedekind_sum`.  The
-Kloosterman oracles evaluate every summand of B and D on its own: two omegas,
-a fresh quadratic phase and a `Fraction` linear phase per summand.  The
-production kernels share these values and must match them bit for bit.
+multiplier classes close each residue under inversion and negation, to count
+the omegas the kernels evaluate.  The Kloosterman oracles evaluate every
+summand of B and D on its own: two omegas, a fresh quadratic phase and a
+`Fraction` linear phase per summand.  The production kernels share these
+values and must match them bit for bit.
 The per-residue estimate oracles are the main-term loops as they stood
 before the arc walk: one pass over the arcs per residue, every kernel call
 with fresh tables; `overrank.asymptotic` must match them bit for bit.
@@ -144,6 +146,22 @@ def dedekind_sums_direct_row(k: int) -> dict[int, Fraction]:
     v = (np.array(hs, dtype=np.int64)[:, None] * u) % k
     acc = (2 * v - k) @ (2 * u - k)
     return {h: Fraction(int(x), 4 * k * k) for h, x in zip(hs, acc)}
+
+
+def multiplier_classes(k: int) -> list[set[int]]:
+    """The classes {h, h', k-h, k-h'} of the coprime residues of k, h' = h^-1 mod k,
+    each grown by inversion and negation until it is closed."""
+    classes: list[set[int]] = []
+    seen: set[int] = set()
+    for h in coprime_residues(k):
+        if h in seen:
+            continue
+        cls = {h}
+        while (grown := cls | {pow(x, -1, k) for x in cls} | {-x % k for x in cls}) != cls:
+            cls = grown
+        classes.append(cls)
+        seen |= cls
+    return classes
 
 
 def rational_phase(x: Fraction, prec: int = DEFAULT_PRECISION) -> mpc:

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import (a_asymptotic_per_residue, kloosterman_B_direct, kloosterman_D_direct,
-                     nbar_asymptotic_per_residue)
+                     multiplier_classes, nbar_asymptotic_per_residue)
 from overrank import (a_asymptotic, a_exact, asymptotic, const_C, engel_pbar,
                       error_term_bound, kloosterman_B, kloosterman_D, modsums,
                       nbar_asymptotic, pbar_series, r_ratio, rank_class_table)
@@ -112,11 +112,13 @@ def counting(monkeypatch, owner, name):
 
 def test_nbar_builds_each_arc_multipliers_once(monkeypatch):
     # both residues of c = 3 share one walk, so the multipliers cost what
-    # one residue's do, where a walk per residue pays twice
+    # one residue's do, one omega per class of each arc, where a walk per
+    # residue pays twice
     calls = counting(monkeypatch, modsums, "omega")
     a_asymptotic(1, 3, 5000)
     single = len(calls)
-    assert single > 0
+    arcs = {k for _, k, _ in calls}
+    assert single == sum(len(multiplier_classes(k)) for k in arcs) > 0
     for a in range(3):
         calls.clear()
         nbar_asymptotic(a, 3, 5000)

@@ -290,7 +290,9 @@ def test_normalized_error_dominates_observed_deviation(table3, table5):
 
 def test_aux_selftest_all_pass():
     report = aux_inequalities_selftest()
-    assert len(report) == 7
+    assert list(report) == ["log_power_bound", "cot_linear_bound", "log_factor_linear",
+                            "exp_square_ratio", "exp_vs_power", "sqrt_partial_sum",
+                            "sin_lower_bound"]
     for name, entry in report.items():
         assert entry["passed"], (name, entry)
         assert entry["worst_margin"] >= 0

@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 
 import oracles
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
-                     kloosterman_B_direct, kloosterman_D_direct)
+                     kloosterman_B_direct, kloosterman_D_direct, multiplier_classes)
 from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
                       m_param, mod_inverse, omega)
 from overrank import modsums
@@ -190,9 +190,10 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
         built.clear()
         for a in (1, 2):
             assert kloosterman_B(a, 3, k, -100, 160, tables=tables)._mpc_ == fresh[a, k]
-        # on a new arc the multipliers, built once for both residues, and the
-        # phase memo hold that arc only; a return to arc 9 builds it again
-        assert built == [k] * sum(2 * h < k for h in coprime_residues(k))
+        # on a new arc the multipliers, built once for both residues with one
+        # omega per class, and the phase memo hold that arc only; a return to
+        # arc 9 builds it again
+        assert built == [k] * len(multiplier_classes(k))
         assert tables.k == k
         assert [h for h, _, _ in tables.multipliers] == coprime_residues(k)
         assert set(tables.phases) == phase_keys(k, -100)
@@ -242,31 +243,56 @@ def test_unit_phase_reduction():
     # (a fresh memo per call, so each value is evaluated from its own reduction)
     with mp.workprec(170):
         third = _unit_phase(1, 3, {})
-        assert third._mpc_ == mp.expjpi(2 * mpf(1) / 3)._mpc_
-        assert _unit_phase(10 ** 30, 3, {})._mpc_ == third._mpc_  # 10^30 = 1 (mod 3)
-        assert _unit_phase(-2, 3, {})._mpc_ == third._mpc_
-        assert _unit_phase(8 - 10 ** 40, 12, {})._mpc_ == third._mpc_  # 10^40 = 4 (mod 12)
-        assert _unit_phase(0, 7, {})._mpc_ == _unit_phase(-21, 7, {})._mpc_ == mpc(1)._mpc_
+        assert third == mp.expjpi(2 * mpf(1) / 3)._mpc_
+        assert _unit_phase(10 ** 30, 3, {}) == third  # 10^30 = 1 (mod 3)
+        assert _unit_phase(-2, 3, {}) == third
+        assert _unit_phase(8 - 10 ** 40, 12, {}) == third  # 10^40 = 4 (mod 12)
+        assert _unit_phase(0, 7, {}) == _unit_phase(-21, 7, {}) == mpc(1)._mpc_
         # one shared memo keys every representation by the reduced fraction
         memo = {}
         for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
-            assert _unit_phase(num, den, memo)._mpc_ == third._mpc_
+            assert _unit_phase(num, den, memo) == third
         assert list(memo) == [(1, 3)]
-    assert close(third, oracles.rational_phase(Fraction(1, 3), 170), 150)
+    assert close(mp.make_mpc(third), oracles.rational_phase(Fraction(1, 3), 170), 150)
 
 
 @pytest.mark.parametrize("prec", (64, 190, 210))
 def test_multipliers_half_table_equals_per_h_form(prec, shared_omega):
-    # s(k-h,k) = -s(h,k) makes omega(k-h,k) the exact conjugate of omega(h,k);
-    # the half table behind _multipliers must give the plain per-h form's bits
+    # s(h',k) = s(h,k) gives omega(h',k) the bits of omega(h,k), and
+    # s(k-h,k) = -s(h,k) makes omega(k-h,k) their exact conjugate; the class
+    # table behind _multipliers must give the plain per-h form's bits
     for k in range(1, 402, 2):
         with mp.workprec(prec):
             om = {h: modsums.omega(h, k, prec) for h in coprime_residues(k)}
             for h, w in om.items():
+                assert w._mpc_ == om[mod_inverse(h, k)]._mpc_, (h, k)
                 assert w._mpc_ == om[-h % k].conjugate()._mpc_, (h, k)
             plain = [(h, mod_inverse(h, k), (w ** 2 / om[2 * h % k])._mpc_)
                      for h, w in om.items()]
-            assert [(h, hp, w._mpc_) for h, hp, w in _multipliers(k)] == plain, k
+            assert _multipliers(k) == plain, k
+
+
+def test_dedekind_sum_class_symmetry():
+    # the identities behind one omega per class, on the direct sums
+    for k in range(1, 402, 2):
+        row = dedekind_sums_direct_row(k)
+        for h, s in row.items():
+            assert row[mod_inverse(h, k)] == s, (h, k)
+            assert row[-h % k] == -s, (h, k)
+
+
+def test_multipliers_evaluate_omega_once_per_class(monkeypatch, shared_omega):
+    omega = modsums.omega
+    called = []
+    monkeypatch.setattr(modsums, "omega",
+                        lambda h, k, prec: called.append(h) or omega(h, k, prec))
+    for k in range(1, 402, 2):
+        called.clear()
+        with mp.workprec(64):
+            _multipliers(k)
+        classes = multiplier_classes(k)
+        assert len(called) == len(classes), k
+        assert all(sum(h in cls for h in called) == 1 for cls in classes), k
 
 
 def test_exact_rationals_insensitive_to_precision():
