@@ -42,7 +42,8 @@ __all__ = [
 class AsymptoticEstimate:
     """Real main-term value plus bookkeeping.
 
-    k_terms lists (k, complex contribution); their sum is value + i * residual
+    k_terms lists (k, complex contribution) for `a_asymptotic` and (j, complex
+    contribution) for `nbar_asymptotic`; their sum is value + i * residual
     components.  imag_residual is the magnitude of the discarded imaginary
     part; large residuals are a red flag, not an assertion failure.
     precision_bits is the working precision requested, not an accuracy
@@ -78,7 +79,7 @@ def a_asymptotic(a: int, c: int, n: int,
         raise ValueError("need c > 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    totals, terms = _arc_walk((a,), c, n, prec, keep_terms=True)
+    totals, terms = _arc_walk((a,), c, n, prec)
     with mp.workprec(prec):
         return AsymptoticEstimate(value=+totals[a].real,
                                   imag_residual=+abs(totals[a].imag),
@@ -86,9 +87,9 @@ def a_asymptotic(a: int, c: int, n: int,
                                   precision_bits=prec)
 
 
-def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
+def _arc_walk(residues, c: int, n: int, prec: int):
     """Unrounded main-term totals of `a_asymptotic(a, c, n, prec)` for every a in
-    residues, in one walk over the arcs, and each a's k-terms if keep_terms.
+    residues, in one walk over the arcs, and each a's k-terms.
 
     At each arc every residue's kernel calls share one KernelTables; each
     residue's own terms are summed in arc order, as in a walk of its own.
@@ -108,8 +109,7 @@ def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
             for a in residues:
                 B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
                 t = mpc(0, 1) * root * B / sqrt_k * growth
-                if keep_terms:
-                    terms[a].append((k, t))
+                terms[a].append((k, t))
                 totals[a] += t
         # secondary sum: c not dividing k, k odd, c1 != 4, r >= 0 with delta > 0
         for k in range(1, kmax + 1):
@@ -130,8 +130,7 @@ def _arc_walk(residues, c: int, n: int, prec: int, keep_terms: bool):
                            * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                     r += 1
                 if tk != 0:
-                    if keep_terms:
-                        terms[a].append((k, tk))
+                    terms[a].append((k, tk))
                     totals[a] += tk
     return totals, terms
 
@@ -194,8 +193,7 @@ def nbar_asymptotic(a: int, c: int, n: int,
         values = {}
         for g, js in by_gcd.items():
             # each value rounded as a_asymptotic(j // g, c // g, n, prec + 20) rounds it
-            totals, _ = _arc_walk([j // g for j in js], c // g, n, prec + 20,
-                                  keep_terms=False)
+            totals, _ = _arc_walk([j // g for j in js], c // g, n, prec + 20)
             values.update((j, +totals[j // g].real) for j in js)
         terms: list[tuple[int, mpc]] = []
         for j in range(1, c):

@@ -1,9 +1,9 @@
 """Command-line front end: exact counts, asymptotics, bounds, certificates.
 
-Every flag can also be supplied through an OVERRANK_-prefixed environment
-variable (flag --n-max -> OVERRANK_N_MAX, and so on); explicit flags win.
-Exit codes: 0 all verdicts pass, 1 violations or inconclusive verdicts
-present, 2 usage errors, bad input or any other failure.
+Every common flag can also be supplied through an OVERRANK_-prefixed
+environment variable (flag --n-max -> OVERRANK_N_MAX, and so on); explicit
+flags win.  Exit codes: 0 all verdicts pass, 1 violations or inconclusive
+verdicts present, 2 usage errors, bad input or any other failure.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ def _env_default(flag: str):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=_env_default("n-max") or 3000,
-                   help="table depth for exact computations (default 3000)")
+    p.add_argument("--n-max", type=int, default=_env_default("n-max") or RunConfig.n_max,
+                   help=f"table depth for exact computations (default {RunConfig.n_max})")
     p.add_argument("--precision", type=int,
-                   default=_env_default("precision") or 160,
-                   help="working precision in mantissa bits (default 160)")
+                   default=_env_default("precision") or RunConfig.precision_bits,
+                   help=f"working precision in mantissa bits (default {RunConfig.precision_bits})")
     p.add_argument("--cache", default=_env_default("cache"),
                    help="path of the rank-class table cache file")
     p.add_argument("--jobs", type=int, default=_env_default("jobs") or 1,
@@ -60,7 +60,7 @@ def _config(args) -> RunConfig:
                      cache_path=args.cache)
 
 
-def _get_table(cfg: RunConfig, c: int, need_n: int, report: Report):
+def _get_table(report: Report, c: int, need_n: int):
     """Load the cached table when usable, else build (and cache when asked).
 
     Reports in timings, never in outputs: where the table came from as
@@ -68,6 +68,7 @@ def _get_table(cfg: RunConfig, c: int, need_n: int, report: Report):
     none: built, no cache asked for), the depth built or loaded as
     `table_n_max`, its checksum as `table_sha256`, and `table_s`.
     """
+    cfg = report.config
     t0 = time.perf_counter()
     if cfg.cache_path and Path(cfg.cache_path).exists():
         table = load_table(cfg.cache_path)
@@ -97,47 +98,39 @@ def _emit(report: Report, args) -> None:
     sys.stdout.write(text)
 
 
-def cmd_count(args) -> int:
-    cfg = _config(args)
-    report = Report(command="count", config=cfg)
+def cmd_count(args, report: Report) -> list[str]:
     n = args.n
     report.inputs = {"n": n, "c": args.c, "a": args.a}
     if args.c is None and args.a is not None:
         raise ValueError("--a needs --c")
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
-    if n > cfg.n_max:
-        raise ValueError(f"n={n} exceeds --n-max={cfg.n_max}")
-    t0 = time.perf_counter()
+    if n > report.config.n_max:
+        raise ValueError(f"n={n} exceeds --n-max={report.config.n_max}")
     if args.c is None:
         series = pbar_series(n)
         report.add("count", kind="pbar", n=n, value=str(series[n]))
     else:
-        table = _get_table(cfg, args.c, n, report)
+        table = _get_table(report, args.c, n)
         residues = range(args.c) if args.a is None else [args.a % args.c]
         for r in residues:
             report.add("count", kind="rank_class", n=n, c=args.c, a=r,
                        value=str(table.counts[n][r]))
-    report.timings["total_s"] = round(time.perf_counter() - t0, 6)
-    _emit(report, args)
-    return 0
+    return []
 
 
-def cmd_asymptotic(args) -> int:
-    cfg = _config(args)
-    prec = cfg.precision_bits
-    report = Report(command="asymptotic", config=cfg)
+def cmd_asymptotic(args, report: Report) -> list[str]:
+    prec = report.config.precision_bits
     a, c, n = args.a, args.c, args.n
     report.inputs = {"a": a, "c": c, "n": n}
-    t0 = time.perf_counter()
     est = a_asymptotic(a, c, n, prec=prec)
     row = {"estimate": fmt_value(est.value),
            "imag_residual": fmt_value(est.imag_residual),
            "precision_bits": est.precision_bits,
            "k_terms": len(est.k_terms)}
     verdicts = []
-    if n <= cfg.n_max:
-        table = _get_table(cfg, c, n, report)
+    if n <= report.config.n_max:
+        table = _get_table(report, c, n)
         exact = a_exact(a, c, n, table, prec=prec)
         diff = abs(exact.real - est.value)
         row["exact"] = fmt_value(exact.real)
@@ -155,18 +148,13 @@ def cmd_asymptotic(args) -> int:
     eng = engel_pbar(n, prec=prec)
     report.add("engel", estimate=fmt_value(eng.estimate),
                certified_bound=fmt_value(eng.certified_bound))
-    report.timings["total_s"] = round(time.perf_counter() - t0, 6)
-    _emit(report, args)
-    return 0 if all(v == "pass" for v in verdicts) else 1
+    return verdicts
 
 
-def cmd_bounds(args) -> int:
-    cfg = _config(args)
-    prec = cfg.precision_bits
-    report = Report(command="bounds", config=cfg)
+def cmd_bounds(args, report: Report) -> list[str]:
+    prec = report.config.precision_bits
     c, n = args.c, args.n
     report.inputs = {"c": c, "n": n}
-    t0 = time.perf_counter()
     verdicts = []
 
     bb = error_pieces(c, n, prec)
@@ -202,15 +190,10 @@ def cmd_bounds(args) -> int:
         report.add("aux_inequality", name=name, passed=entry["passed"],
                    worst_margin=entry["worst_margin"])
         verdicts.append("pass" if entry["passed"] else "fail")
-
-    report.timings["total_s"] = round(time.perf_counter() - t0, 6)
-    _emit(report, args)
-    return 0 if all(v == "pass" for v in verdicts) else 1
+    return verdicts
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
-    report = Report(command="verify", config=cfg)
+def cmd_verify(args, report: Report) -> list[str]:
     c = args.c
     n_lo, n_hi = args.n_lo, args.n_hi
     if c < 2:
@@ -227,8 +210,7 @@ def cmd_verify(args) -> int:
                              f"got {args.a_list!r}") from None
     report.inputs = {"c": c, "n_lo": n_lo, "n_hi": n_hi,
                      "a_list": ",".join(map(str, residues))}
-    t0 = time.perf_counter()
-    table = _get_table(cfg, c, 2 * n_hi, report)
+    table = _get_table(report, c, 2 * n_hi)
     total_violations = pairs_compared = 0
     t_sweep = time.perf_counter()
     for a in residues:
@@ -242,9 +224,7 @@ def cmd_verify(args) -> int:
                    text=cert.serialize())
     report.timings["sweep_s"] = round(time.perf_counter() - t_sweep, 6)
     report.timings["pairs_compared"] = pairs_compared
-    report.timings["total_s"] = round(time.perf_counter() - t0, 6)
-    _emit(report, args)
-    return 1 if total_violations else 0
+    return ["fail"] if total_violations else []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,12 +270,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with mp.workprec(max(int(args.precision), 64)):
-            return args.func(args)
+        report = Report(command=args.command, config=_config(args))
+        with mp.workprec(report.config.precision_bits):
+            t0 = time.perf_counter()
+            verdicts = args.func(args, report)
+            report.timings["total_s"] = round(time.perf_counter() - t0, 6)
+            _emit(report, args)
     except Exception as exc:  # bad input or a fault: exit 2, one line, no traceback
         bad_input = isinstance(exc, (ValueError, OSError))
         print(f"error: {exc if bad_input else repr(exc)}", file=sys.stderr)
         return 2
+    return 0 if all(v == "pass" for v in verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -11,6 +12,8 @@ from overrank.cli import main
 from overrank.counts import rank_class_table, save_table
 from overrank.report import Report, RunConfig
 from overrank.verify import verify_subadditivity
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +62,7 @@ def test_usage_error_exit_code():
 
 
 def test_unexpected_exception_exit_code(capsys, monkeypatch):
-    def boom(args):
+    def boom(*args):
         raise RuntimeError("boom\nsecond line")
 
     monkeypatch.setattr(cli, "cmd_count", boom)
@@ -69,6 +72,38 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: RuntimeError(")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("verdicts,expected", [
+    (["pass"], 0), ([], 0), (["inconclusive"], 1), (["fail"], 1)])
+def test_exit_code_follows_returned_verdicts(capsys, monkeypatch, verdicts, expected):
+    # main alone maps a command's verdicts to the exit code, times it and prints its report
+    def command(args, report):
+        report.add("probe", n=args.n)
+        report.timings["probe_s"] = 0.0
+        return verdicts
+
+    monkeypatch.setattr(cli, "cmd_count", command)
+    code, out = run_cli(capsys, "count", "--n", "4")
+    assert code == expected
+    lines = out.splitlines()
+    assert lines[0] == "report schema=1 command=count" and lines[-1] == "end"
+    assert lines.count("end") == 1 and "probe n=4" in lines
+    timings = [line for line in lines if line.startswith("timings ")]
+    assert len(timings) == 1
+    assert [kv.split("=")[0] for kv in timings[0].split()[1:]] == ["probe_s", "total_s"]
+
+
+def test_readme_command_line_examples_exit_0(capsys):
+    # every `overrank` line of the README's "Command line" block runs and passes
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("overrank ")]
+    assert commands
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out.endswith("\nend\n"), argv
 
 
 def test_asymptotic_side_by_side(capsys):
