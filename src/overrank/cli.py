@@ -123,7 +123,9 @@ def cmd_asymptotic(args, report: Report) -> list[str]:
     prec = report.config.precision_bits
     a, c, n = args.a, args.c, args.n
     report.inputs = {"a": a, "c": c, "n": n}
+    t0 = time.perf_counter()
     est = a_asymptotic(a, c, n, prec=prec)
+    report.timings["estimate_s"] = round(time.perf_counter() - t0, 6)
     row = {"estimate": fmt_value(est.value),
            "imag_residual": fmt_value(est.imag_residual),
            "precision_bits": est.precision_bits,

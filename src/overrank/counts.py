@@ -298,7 +298,9 @@ def save_table(table: RankClassTable, path) -> None:
     """Write the cache atomically: a fresh file beside `path`, then os.replace.
 
     A concurrent reader sees either the previous file or the complete new one,
-    and a write that fails part way leaves the previous file untouched.
+    and a write that fails part way leaves the previous file untouched.  Each
+    row is hashed as it is written, and that digest becomes the table's
+    checksum; a checksum the table already holds must equal it.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
@@ -306,8 +308,16 @@ def save_table(table: RankClassTable, path) -> None:
         with open(tmp, "xb") as fh:
             fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
                      f"c={table.c} n_max={table.n_max}\n".encode())
-            fh.writelines(_row_lines(table.counts))
-            fh.write(f"checksum sha256:{table.checksum()}\n".encode())
+            h = _checksum_hash(table.c, table.n_max)
+            for line in _row_lines(table.counts):
+                fh.write(line)
+                h.update(line[:-1])
+            digest = h.hexdigest()
+            if table._checksum not in (None, digest):
+                raise ValueError(f"table checksum {table._checksum} does not match its rows "
+                                 f"(sha256:{digest}); not saved")
+            table._checksum = digest
+            fh.write(f"checksum sha256:{digest}\n".encode())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

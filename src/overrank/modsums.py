@@ -14,8 +14,13 @@ and the multiplier ratio once per pair {h, k-h}; each distinct linear phase,
 reduced in integers, once per arc; and sin(pi*a*h'/c) once per value of a*h'.
 Each call evaluates at most 2c quadratic phases.  A call without tables gets
 fresh ones, so the tables change which values are recomputed, never a result
-bit.  The summand loops run on libmp tuples with the functions the mpc
-operators call, in the same order, so they give the operators' bits.
+bit.  The multiplier ratios, the summand loops and the table entries run on
+plain integers: a value is a pair (signed odd mantissa, exponent), zero is
+(0, 0), and a complex value is two such pairs.  Private helpers round these
+exactly as libmp rounds in the operations the mpc operators call, in the same
+order, so every result has the operators' bits.  Two of libmp's behaviours
+are copied with the rest: mpf_add's sticky +-1 when one addend lies far below
+the other, and the three sums inside mpc_div, which libmp rounds toward zero.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_int, mpc_add, mpc_conjugate, mpc_div, mpc_div_mpf, mpc_mul,
-                          mpc_pow_int, mpc_zero, mpf_cos_sin_pi, mpf_div, mpf_pos)
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_pos
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -174,39 +178,163 @@ def m_param(ctx: KloostermanContext, r: int) -> Fraction:
                     2 * c1 * c1)
 
 
+def _add(xm: int, xe: int, ym: int, ye: int, prec: int,
+         down: bool = False) -> tuple[int, int]:
+    """x + y rounded to prec bits as libmp's mpf_add rounds it: to nearest with
+    ties to even, or toward zero when down.  With y = (0, 0) it rounds x alone.
+
+    The result is normalized: an odd mantissa, or (0, 0).  Like mpf_add, when
+    the exponents differ by more than 100 and the larger operand's top bit
+    lies more than prec + 4 bits above the other's, the smaller one only
+    perturbs the larger by a sticky +-1 at 2**-(prec + 4) of its mantissa.
+    Those offsets read normalized exponents, which is why every rounding
+    strips trailing zeros.
+    """
+    if xm and ym:
+        offset = xe - ye
+        if offset < 0:
+            xm, xe, ym, ye, offset = ym, ye, xm, xe, -offset
+        if offset > 100 and xm.bit_length() + xe - ym.bit_length() - ye > prec + 4:
+            xm, xe = (xm << (prec + 4)) + (1 if ym > 0 else -1), xe - prec - 4
+        else:
+            xm, xe = (xm << offset) + ym, ye
+    elif ym:
+        xm, xe = ym, ye
+    if not xm:
+        return 0, 0
+    neg = xm < 0
+    if neg:
+        xm = -xm
+    n = xm.bit_length() - prec
+    if n > 0:
+        if down:
+            xm >>= n
+        else:
+            t = xm >> (n - 1)
+            if t & 1 and (t & 2 or xm & ((1 << (n - 1)) - 1)):
+                xm = (t >> 1) + 1
+            else:
+                xm = t >> 1
+        xe += n
+    if not xm & 1:
+        z = (xm & -xm).bit_length() - 1
+        xm >>= z
+        xe += z
+    return (-xm if neg else xm), xe
+
+
+def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
+    """x / y rounded to nearest at prec bits, as libmp's mpf_div rounds it."""
+    if not xm:
+        return 0, 0
+    neg = (xm < 0) != (ym < 0)
+    xm, ym = abs(xm), abs(ym)
+    if ym == 1:
+        quot, exp = xm, xe - ye
+    else:
+        extra = max(prec - xm.bit_length() + ym.bit_length() + 5, 5)
+        quot, rem = divmod(xm << extra, ym)
+        if rem:
+            # a sticky bit below the quotient's last bit stands for the remainder
+            quot = quot << 1 | 1
+            extra += 1
+        exp = xe - ye - extra
+    return _add(-quot if neg else quot, exp, 0, 0, prec)
+
+
+def _cmul(z: tuple, w: tuple, prec: int) -> tuple:
+    """z * w as libmp's mpc_mul: exact products, each part rounded once.
+
+    A complex value is (re mantissa, re exponent, im mantissa, im exponent);
+    see `_from_mpc`.
+    """
+    am, ae, bm, be = z
+    cm, ce, dm, de = w
+    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec)
+            + _add(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _cadd(z: tuple, w: tuple, prec: int) -> tuple:
+    """z + w as libmp's mpc_add."""
+    return _add(z[0], z[1], w[0], w[1], prec) + _add(z[2], z[3], w[2], w[3], prec)
+
+
+def _cdiv_real(z: tuple, xm: int, xe: int, prec: int) -> tuple:
+    """z / x for real x, as libmp's mpc_div_mpf."""
+    return _div(z[0], z[1], xm, xe, prec) + _div(z[2], z[3], xm, xe, prec)
+
+
+def _csquare(z: tuple, prec: int) -> tuple:
+    """z**2 as libmp's mpc_pow_int(z, 2), that is mpc_square: a^2 - b^2 from exact
+    squares rounded once, 2ab as ab rounded and doubled.  mpc_pow_int's own
+    cases for a zero real or imaginary part give the same bits."""
+    am, ae, bm, be = z
+    abm, abe = _add(am * bm, ae + be, 0, 0, prec)
+    return _add(am * am, 2 * ae, -bm * bm, 2 * be, prec) + (abm, abe + 1 if abm else 0)
+
+
+def _cdiv(z: tuple, w: tuple, prec: int) -> tuple:
+    """z / w as libmp's mpc_div.  Its sums c^2 + d^2, ac + bd and bc - ad are taken
+    at prec + 10 bits in libmp's default rounding, toward zero, not to nearest."""
+    am, ae, bm, be = z
+    cm, ce, dm, de = w
+    wp = prec + 10
+    mag = _add(cm * cm, 2 * ce, dm * dm, 2 * de, wp, True)
+    return (_div(*_add(am * cm, ae + ce, bm * dm, be + de, wp, True), *mag, prec)
+            + _div(*_add(bm * cm, be + ce, -am * dm, ae + de, wp, True), *mag, prec))
+
+
+def _from_mpf(x: tuple) -> tuple[int, int]:
+    """A libmp mpf as (signed odd mantissa, exponent); zero is (0, 0)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _from_mpc(z: tuple) -> tuple:
+    """A libmp complex value as (re mantissa, re exponent, im mantissa, im exponent)."""
+    return _from_mpf(z[0]) + _from_mpf(z[1])
+
+
+def _conjugate(z: tuple) -> tuple:
+    return z[0], z[1], -z[2], z[3]
+
+
+def _to_mpc(z: tuple) -> mpc:
+    return mp.make_mpc((from_man_exp(z[0], z[1]), from_man_exp(z[2], z[3])))
+
+
 def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
     """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, the
-    ratio a libmp pair at the working precision.
+    ratio an integer pair (see `_from_mpc`) with the bits mpc's operators give
+    at the working precision.
 
     s(h',k) = s(h,k) and s(k-h,k) = -s(h,k), and every rounding on the way (the
     quotient, cos/sin, the square, the division) is symmetric under negation.
     So omega is evaluated once per class {h, h', k-h, k-h'}: h' gets the very
     bits of h, and k-h, k-h' their exact conjugate.  The ratio is evaluated
-    for h < k/2 and conjugated for k-h; 2h mod k runs over the same h.
-    Conjugation rounds at the working precision, the precision of the
-    entries, so it loses nothing.
+    for h < k/2 and conjugated for k-h; 2h mod k runs over the same h.  The
+    square and the quotient round as mpc_pow_int and mpc_div do (see
+    `_csquare` and `_cdiv`).
     """
-    prec, rnd = mp._prec_rounding
+    prec = mp.prec
     hs = coprime_residues(k)
     inverse = {h: mod_inverse(h, k) for h in hs}
     om: dict[int, tuple] = {}
     for h in hs:
         if h not in om:
-            w = omega(h, k, prec)._mpc_
+            w = _from_mpc(omega(h, k, prec)._mpc_)
             # conjugates first; where they meet h's own entry (k = 1, or h' = k-h,
             # so s(h,k) = 0), w is real and they have its bits
-            om[-h % k] = om[-inverse[h] % k] = mpc_conjugate(w, prec, rnd)
+            om[-h % k] = om[-inverse[h] % k] = _conjugate(w)
             om[h] = om[inverse[h]] = w
-    ratio = {h: mpc_div(mpc_pow_int(om[h], 2, prec, rnd), om[2 * h % k], prec, rnd)
-             for h in hs if 2 * h < k}
-    return [(h, inverse[h],
-             ratio[h] if 2 * h < k else mpc_conjugate(ratio[k - h], prec, rnd))
+    ratio = {h: _cdiv(_csquare(om[h], prec), om[2 * h % k], prec) for h in hs if 2 * h < k}
+    return [(h, inverse[h], ratio[h] if 2 * h < k else _conjugate(ratio[k - h]))
             for h in hs]
 
 
 def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], tuple]) -> tuple:
-    """exp(2*pi*i*num/den) as a libmp pair at the working precision, from num/den
-    in lowest terms mod 1.
+    """exp(2*pi*i*num/den) as an integer pair at the working precision, from
+    num/den in lowest terms mod 1.
 
     memo maps each reduced (num, den) to its value, so a phase that recurs
     is evaluated once; it must only be used at one precision.  Doubling
@@ -218,7 +346,7 @@ def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], tuple]) -> tuple
     key = (num // g % den, den)
     value = memo.get(key)
     if value is None:
-        value = memo[key] = _cos_sin_pi(2 * key[0], den, *mp._prec_rounding)
+        value = memo[key] = _from_mpc(_cos_sin_pi(2 * key[0], den, *mp._prec_rounding))
     return value
 
 
@@ -226,13 +354,14 @@ class KernelTables:
     """Values that calls of `kloosterman_B` and `kloosterman_D` share.
 
     One table serves the calls for modulus c at kernel precision prec; its
-    entries are libmp tuples made at the kernels' working precision
-    prec + 10.  It keeps the multipliers and the linear phases of one arc k,
-    dropped as soon as a call moves to another arc, and sin(pi*x/c) by
-    x = a*h' for as long as it lives.  The multipliers take one omega per
-    class {h, h', k-h, k-h'} (see `_multipliers`).  A linear phase is keyed by
-    its reduced fraction, so one memo serves every residue and r-term of an
-    arc.  Every entry has the bits a call would compute for itself.
+    entries are integer pairs (see `_from_mpc`) with the bits of the libmp
+    values at the kernels' working precision prec + 10.  It keeps the
+    multipliers and the linear phases of one arc k, dropped as soon as a call
+    moves to another arc, and sin(pi*x/c) by x = a*h' for as long as it
+    lives.  The multipliers take one omega per class {h, h', k-h, k-h'} (see
+    `_multipliers`).  A linear phase is keyed by its reduced fraction, so one
+    memo serves every residue and r-term of an arc.  Every entry has the bits
+    a call would compute for itself.
     """
 
     def __init__(self, c: int, prec: int):
@@ -253,11 +382,11 @@ class KernelTables:
             self.k = k
         return self.multipliers
 
-    def sine(self, x: int) -> tuple:
-        """sin(pi*x/c) at the working precision, a libmp value."""
+    def sine(self, x: int) -> tuple[int, int]:
+        """sin(pi*x/c) at the working precision, as (mantissa, exponent)."""
         value = self.sines.get(x)
         if value is None:
-            value = self.sines[x] = mp.sinpi(mpf(x) / self.c)._mpf_
+            value = self.sines[x] = _from_mpf(mp.sinpi(mpf(x) / self.c)._mpf_)
         return value
 
 
@@ -283,16 +412,16 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
         wp, rnd = mp._prec_rounding
         mults = tables.enter(c, k, prec)
         # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
-        quad = {r: _cos_sin_pi(-r, c, wp, rnd)
+        quad = {r: _from_mpc(_cos_sin_pi(-r, c, wp, rnd))
                 for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
         phases = tables.phases
-        total = mpc_zero
+        total = (0, 0, 0, 0)
         for h, hp, w in mults:
-            term = mpc_div_mpf(w, tables.sine(a * hp), wp, rnd)
-            term = mpc_mul(term, quad[quad_coeff * hp % (2 * c)], wp, rnd)
-            term = mpc_mul(term, _unit_phase(n * h, k, phases), wp, rnd)
-            total = mpc_add(total, term, wp, rnd)
-        total = mp.make_mpc(total) * (1 / mp.sqrt(2) * mp.tan(mp.pi * a / c))
+            term = _cdiv_real(w, *tables.sine(a * hp), wp)
+            term = _cmul(term, quad[quad_coeff * hp % (2 * c)], wp)
+            term = _cmul(term, _unit_phase(n * h, k, phases), wp)
+            total = _cadd(total, term, wp)
+        total = _to_mpc(total) * (1 / mp.sqrt(2) * mp.tan(mp.pi * a / c))
     with mp.workprec(prec):
         return +total
 
@@ -318,13 +447,13 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         tables = KernelTables(c, prec)
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
-        wp, rnd = mp._prec_rounding
+        wp = mp.prec
         mults = tables.enter(c, k, prec)
         phases = tables.phases
-        total = mpc_zero
+        total = (0, 0, 0, 0)
         for h, hp, w in mults:
-            term = mpc_mul(w, _unit_phase(n * h * md + mn * hp, k * md, phases), wp, rnd)
-            total = mpc_add(total, term, wp, rnd)
-        total = mp.make_mpc(total) * (region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
+            term = _cmul(w, _unit_phase(n * h * md + mn * hp, k * md, phases), wp)
+            total = _cadd(total, term, wp)
+        total = _to_mpc(total) * (region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
     with mp.workprec(prec):
         return +total

@@ -1,5 +1,6 @@
 """Command-line plumbing: outputs, reports, caching, exit codes."""
 
+import hashlib
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -291,6 +292,30 @@ def test_table_depth_and_checksum_in_timings_only(capsys, tmp_path):
         (tmp_path / "t3.tbl").unlink()
     certs = [r["text"] for r in runs[0].outputs if r["record"] == "certificate"]
     assert certs == [verify_subadditivity(table, a, 9, 30).serialize() for a in range(3)]
+
+
+# sha256 of the json-lines records of `asymptotic` other than its timings
+# record, as they were before the estimate was timed
+ASYMPTOTIC_RECORDS_SHA256 = {
+    ("--a", "1", "--c", "3", "--n", "400", "--n-max", "400"):
+        "a6d27aedc5245853a15ce19c8b5a502fb0561575ce6bce3176fd7a346abeb205",
+    ("--a", "2", "--c", "5", "--n", "2000", "--n-max", "400"):
+        "bb066af37de44f944264654a1cd3e5e9aedd04fff40e06f809ba4bde5834f870",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ASYMPTOTIC_RECORDS_SHA256))
+def test_asymptotic_times_its_estimate_in_timings_only(capsys, argv):
+    # a one-shot run shows the estimate's own time, and the outputs keep
+    # every byte they had without it
+    code, out = run_cli(capsys, "asymptotic", *argv, "--format", "json-lines")
+    assert code == 0
+    report = Report.from_json_lines(out)
+    assert 0 < report.timings["estimate_s"] <= report.timings["total_s"]
+    assert not any("estimate_s" in record for record in report.outputs)
+    records = "".join(line for line in out.splitlines(keepends=True)
+                      if json.loads(line)["record"] != "timings")
+    assert hashlib.sha256(records.encode()).hexdigest() == ASYMPTOTIC_RECORDS_SHA256[argv]
 
 
 def test_verify_a_list(capsys):

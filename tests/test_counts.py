@@ -255,18 +255,50 @@ def test_checksum_is_computed_once(tmp_path, monkeypatch):
     monkeypatch.setattr(counts.hashlib, "sha256", counting_sha256)
     table = rank_class_table(40, 3)
     first = table.checksum()
-    save_table(table, tmp_path / "t3.tbl")
     assert table.checksum() == first and len(hashes) == 1
+    # save_table hashes the lines it writes, which checks the memo against them
+    save_table(table, tmp_path / "t3.tbl")
+    assert table.checksum() == first and len(hashes) == 2
     # load_table keeps the checksum it verified
     loaded = load_table(tmp_path / "t3.tbl")
-    assert loaded.checksum() == first and len(hashes) == 2
+    assert loaded.checksum() == first and len(hashes) == 3
     # the memo takes no part in equality
     assert RankClassTable(c=3, n_max=40, counts=table.counts) == table
-    # saving a table of unknown checksum hashes the lines it writes, once
+    # saving a table of unknown checksum memoizes the digest of the lines it writes
     fresh = rank_class_table(40, 3)
     save_table(fresh, tmp_path / "fresh.tbl")
-    assert fresh.checksum() == first and len(hashes) == 3
+    assert fresh.checksum() == first and len(hashes) == 4
     assert (tmp_path / "fresh.tbl").read_bytes() == (tmp_path / "t3.tbl").read_bytes()
+
+
+# sha256 of the bytes save_table writes for rank_class_table(1600, 5), the
+# depth-1600 c = 5 cache of the paper's certificates
+C5_CACHE_SHA256 = "9e7f2b890dc1ef92bbb0d52801b4089a4ce8f300cc38aa84f0804be68701f851"
+
+
+def test_save_converts_each_count_once(tmp_path, monkeypatch):
+    # one decimal pass per save: it writes the rows and hashes them; the
+    # checksum afterwards is the memo, and the file bytes are the format's
+    passes = []
+    row_lines = counts._row_lines
+    monkeypatch.setattr(counts, "_row_lines", lambda rows: passes.append(1) or row_lines(rows))
+    table = rank_class_table(1600, 5)
+    save_table(table, tmp_path / "c5.tbl")
+    assert len(passes) == 1
+    assert table.checksum() == DP_CHECKSUMS[1600, 5] and len(passes) == 1
+    data = (tmp_path / "c5.tbl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == C5_CACHE_SHA256
+    assert data.endswith(f"checksum sha256:{DP_CHECKSUMS[1600, 5]}\n".encode())
+
+
+def test_save_rejects_a_checksum_memo_that_disagrees_with_the_rows(tmp_path):
+    table = rank_class_table(30, 3)
+    table.checksum()
+    table.counts[20][1] += 1  # the rows change under a memoized checksum
+    with pytest.raises(ValueError, match=r"^table checksum [0-9a-f]{64} does not match "
+                                         r"its rows \(sha256:[0-9a-f]{64}\); not saved$"):
+        save_table(table, tmp_path / "t3.tbl")
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_save_keeps_previous_cache(tmp_path):

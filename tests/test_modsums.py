@@ -5,7 +5,12 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (from_man_exp, fzero, mpc_add, mpc_div, mpc_div_mpf, mpc_mul,
+                          mpc_pow_int, mpc_zero, mpf_add, mpf_div, mpf_sub)
+from mpmath.libmp.libmpf import python_mpf_mul
 
 import oracles
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
@@ -14,6 +19,12 @@ from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D
                       m_param, mod_inverse, omega)
 from overrank import modsums
 from overrank.modsums import _multipliers, _unit_phase, coprime_residues
+
+
+def libmp(z):
+    """A kernel table entry, an integer pair (re man, re exp, im man, im exp), as the
+    libmp tuple it stands for."""
+    return from_man_exp(z[0], z[1]), from_man_exp(z[2], z[3])
 
 
 def close(x, y, bits=140):
@@ -243,17 +254,18 @@ def test_unit_phase_reduction():
     # (a fresh memo per call, so each value is evaluated from its own reduction)
     with mp.workprec(170):
         third = _unit_phase(1, 3, {})
-        assert third == mp.expjpi(2 * mpf(1) / 3)._mpc_
+        assert libmp(third) == mp.expjpi(2 * mpf(1) / 3)._mpc_
         assert _unit_phase(10 ** 30, 3, {}) == third  # 10^30 = 1 (mod 3)
         assert _unit_phase(-2, 3, {}) == third
         assert _unit_phase(8 - 10 ** 40, 12, {}) == third  # 10^40 = 4 (mod 12)
-        assert _unit_phase(0, 7, {}) == _unit_phase(-21, 7, {}) == mpc(1)._mpc_
+        assert _unit_phase(0, 7, {}) == _unit_phase(-21, 7, {})
+        assert libmp(_unit_phase(0, 7, {})) == mpc(1)._mpc_
         # one shared memo keys every representation by the reduced fraction
         memo = {}
         for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
             assert _unit_phase(num, den, memo) == third
         assert list(memo) == [(1, 3)]
-    assert close(mp.make_mpc(third), oracles.rational_phase(Fraction(1, 3), 170), 150)
+    assert close(mp.make_mpc(libmp(third)), oracles.rational_phase(Fraction(1, 3), 170), 150)
 
 
 @pytest.mark.parametrize("prec", (64, 190, 210))
@@ -269,7 +281,7 @@ def test_multipliers_half_table_equals_per_h_form(prec, shared_omega):
                 assert w._mpc_ == om[-h % k].conjugate()._mpc_, (h, k)
             plain = [(h, mod_inverse(h, k), (w ** 2 / om[2 * h % k])._mpc_)
                      for h, w in om.items()]
-            assert _multipliers(k) == plain, k
+            assert [(h, hp, libmp(w)) for h, hp, w in _multipliers(k)] == plain, k
 
 
 def test_dedekind_sum_class_symmetry():
@@ -305,6 +317,116 @@ def test_exact_rationals_insensitive_to_precision():
         assert delta(ctx, 1) == d1
         assert m_param(ctx, 1) == m1
         assert dedekind_sum(97, 250) == s1
+
+
+# ---------------------------------------------------------------------------
+# The kernels' integer arithmetic against libmp, bit for bit
+# ---------------------------------------------------------------------------
+
+# kernel working precisions: prec + 20 + 10 for a_asymptotic at 64 and 160
+# bits, prec + 40 + 10 for nbar_asymptotic at 160 bits, and 200 between them
+MANTISSA_PRECS = (94, 190, 200, 210)
+
+
+def pair(x):
+    """A libmp mpf as the kernels' (signed odd mantissa, exponent) pair."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def cpair(z):
+    return pair(z[0]) + pair(z[1])
+
+
+def check_helpers(wp, x, y, u, v):
+    """Every integer helper on libmp values x, y, u, v at wp, against the libmp
+    function whose bits it reproduces; x + iy and u + iv for the complex ones."""
+    xp, yp = pair(x), pair(y)
+    for rnd, down in (("n", False), ("d", True)):
+        assert modsums._add(*xp, *yp, wp, down) == pair(mpf_add(x, y, wp, rnd))
+        assert modsums._add(*xp, -yp[0], yp[1], wp, down) == pair(mpf_sub(x, y, wp, rnd))
+    # the kernels multiply exactly: a product's pair is libmp's unrounded mpf_mul
+    exact = xp[0] * yp[0], xp[1] + yp[1]
+    if exact[0]:
+        assert exact == pair(python_mpf_mul(x, y))
+    assert modsums._add(*exact, 0, 0, wp) == pair(python_mpf_mul(x, y, wp, "n"))
+    z, w = (x, y), (u, v)
+    zp, wpair = cpair(z), cpair(w)
+    assert modsums._cadd(zp, wpair, wp) == cpair(mpc_add(z, w, wp, "n"))
+    assert modsums._cmul(zp, wpair, wp) == cpair(mpc_mul(z, w, wp, "n"))
+    assert modsums._csquare(zp, wp) == cpair(mpc_pow_int(z, 2, wp, "n"))
+    if yp[0]:
+        assert modsums._div(*xp, *yp, wp) == pair(mpf_div(x, y, wp, "n"))
+        assert modsums._cdiv_real(wpair, *yp, wp) == cpair(mpc_div_mpf(w, y, wp, "n"))
+    if w != mpc_zero:
+        assert modsums._cdiv(zp, wpair, wp) == cpair(mpc_div(z, w, wp, "n"))
+
+
+@st.composite
+def helper_operands(draw):
+    """A precision and four libmp values: zeros, mantissas of 1 to 2*wp bits
+    (wp + 1 bits is an exact tie), exponents near each other or far apart."""
+    wp = draw(st.sampled_from(MANTISSA_PRECS))
+    base = draw(st.integers(-2 * wp, 2 * wp))
+
+    def value():
+        if draw(st.integers(0, 7)) == 0:
+            return fzero
+        bits = draw(st.sampled_from((1, wp, wp + 1, 2 * wp)) | st.integers(1, 2 * wp))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        exp = base + draw(st.integers(-4, 4) | st.integers(-3 * wp, 3 * wp))
+        return from_man_exp(-man if draw(st.booleans()) else man, exp)
+
+    return wp, value(), value(), value(), value()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(operands=helper_operands())
+def test_integer_helpers_equal_libmp(operands):
+    check_helpers(*operands)
+
+
+@pytest.mark.parametrize("wp", MANTISSA_PRECS)
+def test_integer_helpers_round_ties_to_even(wp):
+    # a (wp + 1)-bit odd mantissa lies exactly halfway between two wp-bit ones;
+    # its even neighbour wins, in a rounding, a sum and an exact quotient
+    one, divisor = from_man_exp(1, 0), from_man_exp(-12345, -7)
+    for q in (1 << (wp - 1), (1 << (wp - 1)) + 1, (1 << wp) - 1):
+        for sign in (1, -1):
+            tie = from_man_exp(sign * (2 * q + 1), -3)
+            assert modsums._add(*pair(tie), 0, 0, wp) == pair(mpf_add(tie, fzero, wp, "n"))
+            check_helpers(wp, from_man_exp(sign * q, 1), one, tie, one)
+            dividend = python_mpf_mul(tie, divisor)
+            assert modsums._div(*pair(dividend), *pair(divisor), wp) == \
+                pair(mpf_div(dividend, divisor, wp, "n")) == pair(mpf_add(tie, fzero, wp, "n"))
+
+
+@pytest.mark.parametrize("wp", MANTISSA_PRECS)
+def test_integer_helpers_copy_the_sticky_shortcut(wp):
+    # x has 2*wp bits, as an exact product does, and the wp bits rounding drops
+    # sit just below one half (just above, when y is subtracted).  y lies 101
+    # exponents lower and wp + 10 bits below x's top, yet is large enough to
+    # carry those bits past one half; libmp's sticky +-1 does not, and neither
+    # may the helpers
+    top = (1 << (wp - 1)) | 1
+    for sign in (1, -1):
+        for low, y_sign in (((1 << (wp - 1)) - 1, 1), ((1 << (wp - 1)) + 1, -1)):
+            xm, ym = sign * (top << wp | low), sign * y_sign * ((1 << (wp + 90)) + 1)
+            x, y = from_man_exp(xm, 0), from_man_exp(ym, -101)
+            exact = from_man_exp((xm << 101) + ym, -101, wp, "n")
+            assert mpf_add(x, y, wp, "n") == mpf_add(x, fzero, wp, "n") != exact
+            check_helpers(wp, x, y, y, x)
+
+
+def test_cdiv_sums_round_toward_zero():
+    # mpc_div takes c^2 + d^2, ac + bd and bc - ad at wp + 10 bits in libmp's
+    # default rounding, toward zero; here rounding them to nearest would move
+    # the quotient's last bit
+    z = (from_man_exp(-16863462493893765447198548445, -94),
+         from_man_exp(-13586525341659391112305497499, -93))
+    w = (from_man_exp(-7606952027076357936788279163, -97),
+         from_man_exp(1071492434897504605986739923, -96))
+    check_helpers(94, *z, *w)
 
 
 # ---------------------------------------------------------------------------
