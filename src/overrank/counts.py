@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
 from mpmath import mp, mpc, mpf
 
@@ -288,10 +289,11 @@ def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = 160) -> m
 #   checksum sha256:<RankClassTable.checksum()>
 #
 # The rows joined without their newlines are the stream that `checksum`
-# hashes after its prefix, so `load_table` hashes each row as it reads it.
-# That digest is the table's checksum only because every count is written
-# canonically: ASCII digits, no sign, separator or leading zero.  Files of
-# another format_version, such as the per-cell version 1, are rejected.
+# hashes after its prefix, so `load_table` hashes each block of rows it reads,
+# newlines removed.  That digest is the table's checksum only because every
+# count is written canonically: ASCII digits, no sign, separator or leading
+# zero.  Files of another format_version, such as the per-cell version 1, are
+# rejected.
 # ---------------------------------------------------------------------------
 
 def save_table(table: RankClassTable, path) -> None:
@@ -326,10 +328,16 @@ def save_table(table: RankClassTable, path) -> None:
 
 
 _HEADER_KEYS = ("c", "format_version", "n_max")
-# a canonical header value, and a canonical row line: counts without sign,
-# separator or leading zero
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
-_ROW = re.compile(rb"(?:(?:0|[1-9][0-9]*),)+\n")
+# a canonical count or header value: ASCII digits without sign, separator or
+# leading zero; a canonical row line holds counts, each followed by a comma,
+# then a newline, and a canonical block is one or more such lines
+_COUNT = "0|[1-9][0-9]*"
+_DECIMAL = re.compile(_COUNT)
+_ROW = re.compile(f"(?:(?:{_COUNT}),)+\n".encode())
+_ROWS = re.compile(b"(?:%s)+" % _ROW.pattern)
+# rows that `load_table` matches, hashes and parses at once; a constant, so a
+# load's transient memory stays bounded whatever the table depth
+_BLOCK_ROWS = 128
 
 
 def _row_fault(n: int, line: bytes, c: int) -> str:
@@ -345,8 +353,10 @@ def _row_fault(n: int, line: bytes, c: int) -> str:
 def load_table(path) -> RankClassTable:
     """Reload a cached table; raises ValueError on any malformed or corrupt file.
 
-    Each row is checked to be canonical, hashed and parsed as it is read, and
-    the verified digest becomes the table's checksum.
+    Rows are read in blocks of `_BLOCK_ROWS`.  Each block is checked to be
+    canonical rows of c counts, hashed and parsed at once, and the verified
+    digest becomes the table's checksum.  A block that fails its check is
+    scanned again line by line, so the error names its first bad row.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", "backslashreplace").split()
@@ -370,14 +380,24 @@ def load_table(path) -> RankClassTable:
             raise ValueError(f"bad cache header: c={c} is below 2")
         h = _checksum_hash(c, n_max)
         counts = []
-        for n in range(n_max + 1):
-            line = fh.readline()
-            values = line.split(b",")
-            if len(values) != c + 1 or not _ROW.fullmatch(line):
-                raise ValueError(_row_fault(n, line, c))
-            h.update(line[:-1])
-            del values[-1]
-            counts.append(list(map(int, values)))
+        for start in range(0, n_max + 1, _BLOCK_ROWS):
+            size = min(_BLOCK_ROWS, n_max + 1 - start)
+            lines = list(islice(fh, size))
+            block = b"".join(lines)
+            # a canonical row's newline follows its last comma, so it leads
+            # the next row's first value, and the block's last value is its
+            # final newline alone
+            values = block.split(b",")
+            # `size` canonical rows of c counts: newlines lead values c, 2c,
+            # ..., c * size, and no value holds two
+            if (len(values) != c * size + 1 or not _ROWS.fullmatch(block)
+                    or b"".join(values[c::c]).count(b"\n") != size):
+                for n, line in enumerate(lines + [b""] * (size - len(lines)), start):
+                    if line.count(b",") != c or not _ROW.fullmatch(line):
+                        raise ValueError(_row_fault(n, line, c))
+            h.update(block.replace(b"\n", b""))
+            values = list(map(int, values[:-1]))  # int() skips a leading newline
+            counts += [values[i:i + c] for i in range(0, c * size, c)]
         digest = h.hexdigest()
         last = fh.readline()
         if last != f"checksum sha256:{digest}\n".encode():

@@ -537,6 +537,9 @@ def _verify_modulus_zero(tmp_path):
     (_header_field(b"n_max", b""), "bad cache header: n_max= is not a plain decimal integer"),
     (_header_field(b"c", b"3.0"), "bad cache header: c=3.0 is not a plain decimal integer"),
     (_header_field(b"c", b"1"), "bad cache header: c=1 is below 2"),
+    # no repetition count of a regular expression can hold these
+    (_header_field(b"c", b"1000000000000"), "cache row n=0 holds 3 counts, not c=1000000000000"),
+    (_header_field(b"c", b"4294967295"), "cache row n=0 holds 3 counts, not c=4294967295"),
     (_count_negative_n, "--n must be >= 0"),
     (_count_class_without_modulus, "--a needs --c"),
     (_verify_modulus_zero, "--c must be >= 2"),
@@ -547,7 +550,7 @@ def _verify_modulus_zero(tmp_path):
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
         "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
         "duplicate-line", "header-non-ascii", "header-c-word", "header-n-max-empty",
-        "header-c-float", "header-c-one",
+        "header-c-float", "header-c-one", "header-c-huge", "header-c-max-repeat",
         "count-n-negative", "count-a-without-c", "verify-c-zero",
         "verify-a-list-empty-entry", "verify-a-list-word"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):

@@ -291,6 +291,25 @@ def test_save_converts_each_count_once(tmp_path, monkeypatch):
     assert data.endswith(f"checksum sha256:{DP_CHECKSUMS[1600, 5]}\n".encode())
 
 
+# tracemalloc peak of load_table on that cache when it read one row at a time
+# (CPython 3.11); reading blocks of rows may add a bounded amount per block
+ROW_BY_ROW_LOAD_PEAK = 533_677
+
+
+def test_load_peak_allocation(tmp_path):
+    path = tmp_path / "c5.tbl"
+    table = rank_class_table(1600, 5)
+    save_table(table, path)
+    tracemalloc.start()
+    try:
+        loaded = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == table and loaded.checksum() == DP_CHECKSUMS[1600, 5]
+    assert peak <= 1.5 * ROW_BY_ROW_LOAD_PEAK, peak
+
+
 def test_save_rejects_a_checksum_memo_that_disagrees_with_the_rows(tmp_path):
     table = rank_class_table(30, 3)
     table.checksum()
@@ -336,6 +355,10 @@ def test_count_past_the_int_str_limit_names_its_row(tmp_path):
 
 
 FUZZ_TABLE = rank_class_table(12, 3)
+# deeper than two of load_table's blocks, so edits land on both sides of a
+# block boundary
+DEEP_TABLE = rank_class_table(300, 3)
+FUZZ_TABLES = pytest.mark.parametrize("table", [FUZZ_TABLE, DEEP_TABLE], ids=["12", "300"])
 BYTE_EDIT = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 10 ** 6), st.integers(0, 7)),
     st.tuples(st.just("insert"), st.integers(0, 10 ** 6), st.integers(0, 255)),
@@ -358,14 +381,15 @@ def _edit(data: bytearray, edit) -> None:
             del data[pos]
 
 
+@FUZZ_TABLES
 @settings(max_examples=300, deadline=None, database=None)
 @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=3))
-def test_load_table_fuzzed_cache(edits):
+def test_load_table_fuzzed_cache(table, edits):
     # a damaged cache either loads as the very table that was saved (say, a
     # leading zero inserted into a count) or raises ValueError, never else
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t3.tbl")
-        save_table(FUZZ_TABLE, path)
+        save_table(table, path)
         with open(path, "rb") as fh:
             data = bytearray(fh.read())
         for edit in edits:
@@ -376,8 +400,8 @@ def test_load_table_fuzzed_cache(edits):
             loaded = load_table(path)
         except ValueError:
             return
-    assert loaded == FUZZ_TABLE
-    assert loaded.checksum() == FUZZ_TABLE.checksum()
+    assert loaded == table
+    assert loaded.checksum() == table.checksum()
 
 
 def _rechecksummed(header: bytes, rows: bytes, c: int, n_max: int) -> bytes:
@@ -409,23 +433,80 @@ def test_cache_rejects_non_canonical_count(tmp_path, spell):
         load_table(path)
 
 
+@FUZZ_TABLES
 @settings(max_examples=200, deadline=None, database=None)
 @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=3))
-def test_loaded_checksum_is_the_tables_own(edits):
+def test_loaded_checksum_is_the_tables_own(table, edits):
     # rows edited and the checksum line recomputed over them: whatever loads
     # has the checksum of its counts, as a table built from them would
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t3.tbl")
-        save_table(FUZZ_TABLE, path)
+        save_table(table, path)
         with open(path, "rb") as fh:
             header, body = fh.read().split(b"\n", 1)
         rows = bytearray(body[:body.rindex(b"checksum")])
         for edit in edits:
             _edit(rows, edit)
         with open(path, "wb") as fh:
-            fh.write(_rechecksummed(header, bytes(rows), 3, 12))
+            fh.write(_rechecksummed(header, bytes(rows), table.c, table.n_max))
         try:
             loaded = load_table(path)
         except ValueError:
             return
-    assert loaded.checksum() == RankClassTable(3, 12, loaded.counts).checksum()
+    assert loaded.checksum() == RankClassTable(table.c, table.n_max, loaded.counts).checksum()
+
+
+def _cut_row(lines, n):
+    # the file ends halfway through row n
+    del lines[2 + n:]
+    lines[1 + n] = lines[1 + n][:len(lines[1 + n]) // 2]
+
+
+def _extra_count(lines, n):
+    lines[1 + n] = b"7," + lines[1 + n]
+
+
+def _leading_zero(lines, n):
+    lines[1 + n] = b"0" + lines[1 + n]
+
+
+def _delete_row(lines, n):
+    del lines[1 + n]
+
+
+NOT_CANONICAL = "is not canonical: counts must be plain decimal, each followed by a comma"
+
+
+# the first and last rows of each of the depth-300 cache's three blocks
+@pytest.mark.parametrize("n", [0, 127, 128, 255, 256, 300])
+@pytest.mark.parametrize("fault,message", [
+    (_cut_row, "cache file truncated in row n={n}"),
+    (_extra_count, "cache row n={n} holds 4 counts, not c=3"),
+    (_leading_zero, f"cache row n={{n}} {NOT_CANONICAL}"),
+    (_delete_row, "cache row n=300 is missing"),  # the checksum line moves up into row 300
+], ids=["cut", "extra-count", "leading-zero", "deleted"])
+def test_block_edge_fault_names_its_row(tmp_path, fault, message, n):
+    # a fault on either side of a block boundary is reported at its own row,
+    # as a row-by-row read would report it
+    path = tmp_path / "t3.tbl"
+    save_table(DEEP_TABLE, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    fault(lines, n)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as excinfo:
+        load_table(path)
+    assert str(excinfo.value) == message.format(n=n)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: data[:-1], "cache checksum mismatch"),
+    (lambda data: data.replace(b"\n", b"\r\n"), f"cache row n=0 {NOT_CANONICAL}"),
+], ids=["checksum-line-unterminated", "crlf"])
+def test_deep_cache_line_ending_faults(tmp_path, edit, message):
+    # a canonical line ends in one newline: not in none, not in CR LF
+    path = tmp_path / "t3.tbl"
+    save_table(DEEP_TABLE, path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError) as excinfo:
+        load_table(path)
+    assert str(excinfo.value) == message
