@@ -2,8 +2,10 @@
 
 Every common flag can also be supplied through an OVERRANK_-prefixed
 environment variable (flag --n-max -> OVERRANK_N_MAX, and so on); explicit
-flags win.  Exit codes: 0 all verdicts pass, 1 violations or inconclusive
-verdicts present, 2 usage errors, bad input or any other failure.
+flags win.  The variables are read on every `main` call, while in-process
+callers share one argument parser, built by the first call.  Exit codes: 0
+all verdicts pass, 1 violations or inconclusive verdicts present, 2 usage
+errors, bad input or any other failure.
 """
 
 from __future__ import annotations
@@ -30,33 +32,50 @@ ENV_PREFIX = "OVERRANK_"
 FORMATS = ("text", "json-lines")
 
 
-def _env_default(flag: str):
-    return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper())
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=_env_default("n-max") or RunConfig.n_max,
+    # defaults are None: _config fills them from the environment on every call
+    p.add_argument("--n-max", type=int,
                    help=f"table depth for exact computations (default {RunConfig.n_max})")
     p.add_argument("--precision", type=int,
-                   default=_env_default("precision") or RunConfig.precision_bits,
                    help=f"working precision in mantissa bits (default {RunConfig.precision_bits})")
-    p.add_argument("--cache", default=_env_default("cache"),
-                   help="path of the rank-class table cache file")
-    p.add_argument("--jobs", type=int, default=_env_default("jobs") or 1,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--report", default=_env_default("report"),
-                   help="write the full report to this path")
-    p.add_argument("--format", choices=FORMATS,
-                   default=_env_default("format") or "text",
-                   help="report format (default text)")
+    p.add_argument("--cache", help="path of the rank-class table cache file")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
+    p.add_argument("--report", help="write the full report to this path")
+    p.add_argument("--format", choices=FORMATS, help="report format (default text)")
+
+
+# common flag -> its value when neither the flag nor its OVERRANK_ variable is
+# given; a flag with an int default takes an integer.  An empty variable counts
+# as unset, except that an empty --cache or --report stays an empty path, which
+# uses no cache and writes no report
+_COMMON_DEFAULTS = {"n_max": RunConfig.n_max, "precision": RunConfig.precision_bits,
+                    "cache": None, "jobs": 1, "report": None, "format": "text"}
+
+
+def _apply_env(args) -> None:
+    """Fill each common flag not given on the command line from the environment."""
+    for dest, default in _COMMON_DEFAULTS.items():
+        if getattr(args, dest) is not None:
+            continue
+        name = ENV_PREFIX + dest.upper()
+        value = os.environ.get(name)
+        if value is None or (value == "" and default is not None):
+            value = default
+        elif isinstance(default, int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        setattr(args, dest, value)
 
 
 def _config(args) -> RunConfig:
-    # argparse checks `choices` only on the command line, not on a default
+    _apply_env(args)
+    # argparse checks `choices` only on the command line, not on a value
     # taken from the environment
     if args.format not in FORMATS:
         raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {args.format!r}")
-    return RunConfig(precision_bits=int(args.precision), n_max=int(args.n_max),
+    return RunConfig(precision_bits=args.precision, n_max=args.n_max,
                      cache_path=args.cache)
 
 
@@ -242,20 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--a", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("asymptotic", help="exact vs asymptotic, side by side")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("bounds", help="bound breakdown, ratios, thresholds, selftest")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="exhaustive subadditivity certificates")
     p.add_argument("--c", type=int, required=True)
@@ -264,18 +280,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-list", default="all",
                    help="comma-separated residues, or 'all' (default)")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call, then only read
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         report = Report(command=args.command, config=_config(args))
         with mp.workprec(report.config.precision_bits):
             t0 = time.perf_counter()
-            verdicts = args.func(args, report)
+            # looked up per call, so a replaced cmd_* runs
+            verdicts = globals()[f"cmd_{args.command}"](args, report)
             report.timings["total_s"] = round(time.perf_counter() - t0, 6)
             _emit(report, args)
     except Exception as exc:  # bad input or a fault: exit 2, one line, no traceback

@@ -28,6 +28,9 @@ class RunConfig:
     cache_path: str | None = None
 
     def __post_init__(self):
+        for name in ("precision_bits", "n_max"):
+            if not isinstance(value := getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if self.n_max < 0:
@@ -94,7 +97,11 @@ class Report:
         environment: dict = {}
         for line in text.strip().splitlines():
             rec = json.loads(line)
-            kind = rec.pop("record")
+            try:
+                kind = rec.pop("record")
+            except (AttributeError, KeyError, TypeError):
+                raise ValueError(f"report line is not an object with a 'record' key: "
+                                 f"{line[:80]!r}") from None
             if kind == "header":
                 header = rec
             elif kind == "config":
@@ -109,6 +116,8 @@ class Report:
                 outputs.append({"record": kind, **rec})
         if header is None or config is None:
             raise ValueError("missing header or config record")
+        if missing := {"command", "inputs", "schema_version"} - set(header):
+            raise ValueError(f"header record lacks {min(missing)!r}")
         return cls(command=header["command"], config=config, inputs=header["inputs"],
                    outputs=outputs, timings=timings, environment=environment,
                    schema_version=header["schema_version"])

@@ -368,6 +368,28 @@ def test_report_rejects_unknown_config_key(capsys):
             Report.from_json_lines("\n".join(lines))
 
 
+NOT_A_RECORD = "report line is not an object with a 'record' key: "
+
+
+@pytest.mark.parametrize("line,edit,message", [
+    (2, lambda rec: {k: v for k, v in rec.items() if k != "record"},
+     NOT_A_RECORD + """'{"kind": "pbar", "n": 2, "value": "4"}'"""),
+    (2, lambda rec: [rec["record"], rec["value"]], NOT_A_RECORD + """'["count", "4"]'"""),
+    (2, lambda rec: 5, NOT_A_RECORD + "'5'"),
+    (0, lambda rec: {k: v for k, v in rec.items() if k != "inputs"},
+     "header record lacks 'inputs'"),
+    (1, lambda rec: {**rec, "precision_bits": "abc"},
+     "precision_bits must be an integer, got 'abc'"),
+], ids=["no-record-key", "array", "scalar", "header-no-inputs", "precision-abc"])
+def test_report_rejects_malformed_line_with_one_value_error(capsys, line, edit, message):
+    _, out = run_cli(capsys, "count", "--n", "2", "--format", "json-lines")
+    lines = out.splitlines()
+    lines[line] = json.dumps(edit(json.loads(lines[line])), sort_keys=True)
+    with pytest.raises(ValueError) as exc:
+        Report.from_json_lines("\n".join(lines))
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_cache_round_trip_and_reuse(capsys, tmp_path):
     cache = tmp_path / "t3.tbl"
     code, out1 = run_cli(capsys, "verify", "--c", "3", "--n-lo", "9",
@@ -429,6 +451,75 @@ def test_env_overrides(capsys, monkeypatch):
     rec = [json.loads(line) for line in out.splitlines()
            if '"record": "config"' in line][0]
     assert rec["precision_bits"] == 128
+
+
+def config_line(out):
+    return next(line for line in out.splitlines()
+                if line.startswith(("config ", '{"cache_path"')))
+
+
+def test_environment_is_read_on_every_call(capsys, monkeypatch):
+    # calls share one parser but not their OVERRANK_ variables
+    monkeypatch.setattr(cli, "_parser", None)
+    for precision, n_max, fmt, config in [
+            ("128", "10", "json-lines",
+             '{"cache_path": null, "n_max": 10, "precision_bits": 128, "record": "config"}'),
+            ("96", "", "text", "config precision_bits=96 n_max=3000 cache_path=None"),
+            (None, None, None, "config precision_bits=160 n_max=3000 cache_path=None")]:
+        for name, value in (("PRECISION", precision), ("N_MAX", n_max), ("FORMAT", fmt)):
+            if value is None:
+                monkeypatch.delenv("OVERRANK_" + name, raising=False)
+            else:
+                monkeypatch.setenv("OVERRANK_" + name, value)
+        code, out = run_cli(capsys, "count", "--n", "2")
+        assert code == 0 and config_line(out) == config
+
+
+def test_explicit_flags_beat_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("OVERRANK_PRECISION", "128")
+    monkeypatch.setenv("OVERRANK_FORMAT", "json-lines")
+    monkeypatch.setenv("OVERRANK_N_MAX", "abc")  # not read when the flag is given
+    code, out = run_cli(capsys, "count", "--n", "2", "--precision", "96",
+                        "--format", "text", "--n-max", "10")
+    assert code == 0
+    assert config_line(out) == "config precision_bits=96 n_max=10 cache_path=None"
+
+
+@pytest.mark.parametrize("name", ["N_MAX", "PRECISION", "JOBS"])
+def test_non_integer_variable_exits_2_with_one_line(capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "_parser", None)  # a process's first main call
+    for _ in range(2):
+        monkeypatch.setenv("OVERRANK_" + name, "abc")
+        code = main(["count", "--n", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: OVERRANK_{name} must be an integer, got 'abc'\n"
+        monkeypatch.delenv("OVERRANK_" + name)
+        assert run_cli(capsys, "count", "--n", "3")[0] == 0
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    build, builds = cli.build_parser, []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["count", "--n", "2"], ["count", "--n", "3", "--c", "3"],
+                 ["verify", "--c", "3", "--n-lo", "9", "--n-hi", "20"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["count"])
+    assert len(builds) == 1
+
+
+def test_command_is_looked_up_per_call(capsys, monkeypatch):
+    # a cmd_* replaced after the parser was built still runs
+    assert run_cli(capsys, "count", "--n", "2")[0] == 0
+    monkeypatch.setattr(cli, "cmd_count", lambda args, report: ["fail"])
+    assert run_cli(capsys, "count", "--n", "2")[0] == 1
 
 
 def test_run_config_validation():
