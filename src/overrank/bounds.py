@@ -2,11 +2,12 @@
 
 Carries the certified series constants C1..C5 (exact partial sums plus a
 closed-form tail bound), their coarse closed-form majorants, the fourteen
-error-piece bounds with their aggregation, the per-modulus deviation ratio
-R_c, the giant thresholds M_c, the two-sided envelope for the overpartition
-count, and a self-test of the auxiliary scalar inequalities the envelopes
-rest on.  The self-test's grids depend only on the working precision, so
-they are evaluated once per precision per process.
+error-piece bounds with their aggregation, the deviation ratio R_c and the
+sandwich rows (for c = 3, 4, 5 from `TABULATED`, the one table of the paper's
+per-modulus numbers), the giant thresholds M_c, the two-sided envelope for
+the overpartition count, and a self-test of the auxiliary scalar
+inequalities the envelopes rest on.  The self-test's grids depend only on
+the working precision, so they are evaluated once per precision per process.
 
 Strict float comparisons here never masquerade as proofs: `strict_verdict`
 returns 'inconclusive' when a margin is thinner than the fixed relative
@@ -28,6 +29,7 @@ __all__ = [
     "BoundBreakdown",
     "CertifiedConstant",
     "MARGIN_POLICY",
+    "TABULATED",
     "Threshold",
     "aux_inequalities_selftest",
     "cbar2",
@@ -197,18 +199,22 @@ class BoundBreakdown:
     total: mpf = mpf(0)
 
 
+# name -> (coefficient, n exponent, c power, majorant); the total sums in this order
 _PIECE_COEFS = {
-    "S1": ("1496.9", 0.25, 1),
-    "S2": ("3111.36", 0.25, 1),
-    "S4": ("82469.8", 0.25, 1),
-    "S7": ("0.9093", 0.875, 1),
-    "S8": ("0.9093", 0.875, 1),
-    "S2err": ("386.18", -0.25, 2),
-    "S5err": ("772.36", -0.25, 2),
-    "S6err": ("386.18", -0.25, 2),
-    "I2err": ("1433.39", 0.25, 2),
-    "I5err": ("2866.78", 0.25, 2),
-    "I6err": ("1433.39", 0.25, 2),
+    "S1": ("1496.9", 0.25, 1, None),
+    "S2": ("3111.36", 0.25, 1, None),
+    "S4": ("82469.8", 0.25, 1, None),
+    "S7": ("0.9093", 0.875, 1, None),
+    "S8": ("0.9093", 0.875, 1, None),
+    "S2err": ("386.18", -0.25, 2, None),
+    "S5err": ("772.36", -0.25, 2, None),
+    "S6err": ("386.18", -0.25, 2, None),
+    "I2err": ("1433.39", 0.25, 2, None),
+    "I5err": ("2866.78", 0.25, 2, None),
+    "I6err": ("1433.39", 0.25, 2, None),
+    "S3": ("1363.79", 0.25, 1, cbar4),
+    "S5": ("964.35", 0.25, 1, cbar2),
+    "S6": ("482.18", 0.25, 1, cbar2),
 }
 
 
@@ -220,14 +226,10 @@ def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdow
         raise ValueError("need n >= 2")
     with mp.workprec(prec + 10):
         nn = mpf(n)
-        pieces: dict[str, mpf] = {}
-        for name, (coef, expo, cpow) in _PIECE_COEFS.items():
-            pieces[name] = mpf(coef) * nn ** mpf(expo) * c ** cpow
-        q4 = cbar4(c, prec + 10)
-        q2 = cbar2(c, prec + 10)
-        pieces["S3"] = mpf("1363.79") * q4 * nn ** mpf("0.25") * c
-        pieces["S5"] = mpf("964.35") * q2 * nn ** mpf("0.25") * c
-        pieces["S6"] = mpf("482.18") * q2 * nn ** mpf("0.25") * c
+        # each majorant once per call; multiplying by the exact 1 moves no bit
+        factor = {None: 1, cbar4: cbar4(c, prec + 10), cbar2: cbar2(c, prec + 10)}
+        pieces = {name: mpf(coef) * factor[majorant] * nn ** mpf(expo) * c ** cpow
+                  for name, (coef, expo, cpow, majorant) in _PIECE_COEFS.items()}
         total = sum(pieces.values())
     with mp.workprec(prec):
         return BoundBreakdown(c=c, n=n,
@@ -265,8 +267,16 @@ def error_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
 # Deviation ratio R_c and thresholds
 # ---------------------------------------------------------------------------
 
+# c -> (lead, tail, sandwich) where the paper tabulates c; any other c >= 3 is generic
+TABULATED = {
+    3: ("13.32", ("379816.2", "5.3711e57", "149.07"), ("0.0019", "0.6648", 2089)),
+    4: ("17.76", ("675228.9", "6.9244e18", "198.76"), ("0.0091", "0.4909", 272)),
+    5: ("69.5", ("1.0551e6", "7.4708e24", "248.45"), ("0.0103", "0.3897", 449)),
+}
+
+
 def r_ratio(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
-    """Deviation envelope |N(a,c,n)/pbar(n) - 1/c| <= R_c(n), as tabulated."""
+    """Deviation envelope |N(a,c,n)/pbar(n) - 1/c| <= R_c(n), tabulated or generic."""
     if c < 3:
         raise ValueError("need c >= 3")
     if n < 2:
@@ -275,22 +285,13 @@ def r_ratio(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
         nn = mpf(n)
         s = mp.sqrt(nn)
         epi = mp.exp(-mp.pi * s)
-        if c == 3:
-            val = (mpf("13.32") * mp.exp(-2 * mp.pi * s / 3) * nn ** mpf("1.25")
-                   + 24 * mp.exp(-mpf(4) / 3 * mp.pi * s) * nn ** mpf("1.25")
-                   + epi * (mpf("379816.2") * nn ** mpf("0.75")
-                            + mpf("5.3711e57") * nn ** mpf("1.25")
-                            + mpf("149.07") * nn ** mpf("1.875")))
-        elif c == 4:
-            val = (mpf("17.76") * mp.exp(-3 * mp.pi * s / 4) * nn ** mpf("1.25")
-                   + epi * (mpf("675228.9") * nn ** mpf("0.75")
-                            + mpf("6.9244e18") * nn ** mpf("1.25")
-                            + mpf("198.76") * nn ** mpf("1.875")))
-        elif c == 5:
-            val = (mpf("69.5") * mp.exp(-4 * mp.pi * s / 5) * nn ** mpf("1.25")
-                   + epi * (mpf("1.0551e6") * nn ** mpf("0.75")
-                            + mpf("7.4708e24") * nn ** mpf("1.25")
-                            + mpf("248.45") * nn ** mpf("1.875")))
+        if c in TABULATED:
+            lead, tail, _ = TABULATED[c]
+            val = mpf(lead) * mp.exp(-(c - 1) * mp.pi * s / c) * nn ** mpf("1.25")
+            if c == 3:
+                val += 24 * mp.exp(-mpf(4) / 3 * mp.pi * s) * nn ** mpf("1.25")
+            val += epi * sum(mpf(k) * nn ** mpf(e)
+                             for k, e in zip(tail, ("0.75", "1.25", "1.875")))
         else:
             val = (mpf(37259) * c * cbar4(c, prec + 10)
                    * mp.exp(-4 * mp.pi * s / c) * nn ** mpf("1.25")
@@ -340,20 +341,13 @@ class Threshold:
     n_min: int
 
 
-_EXPLICIT_THRESHOLDS = {
-    3: ("0.0019", "0.6648", 2089),
-    4: ("0.0091", "0.4909", 272),
-    5: ("0.0103", "0.3897", 449),
-}
-
-
 def sandwich_threshold(c: int, prec: int = DEFAULT_PRECISION) -> Threshold:
     """Per-modulus sandwich row: lower * pbar < N(a,c,n) < upper * pbar for n >= n_min."""
     if c < 3:
         raise ValueError("need c >= 3")
     with mp.workprec(prec):
-        if c in _EXPLICIT_THRESHOLDS:
-            lo, hi, nmin = _EXPLICIT_THRESHOLDS[c]
+        if c in TABULATED:
+            lo, hi, nmin = TABULATED[c][2]
             return Threshold(c=c, lower_coef=mpf(lo), upper_coef=mpf(hi), n_min=nmin)
         nmin = int(mp.ceil(m_c(c, prec)))
         return Threshold(c=c, lower_coef=1 / mpf(2 * c), upper_coef=3 / mpf(2 * c),

@@ -1,11 +1,11 @@
 """Command-line front end: exact counts, asymptotics, bounds, certificates.
 
-Every common flag can also be supplied through an OVERRANK_-prefixed
-environment variable (flag --n-max -> OVERRANK_N_MAX, and so on); explicit
-flags win.  The variables are read on every `main` call, while in-process
-callers share one argument parser, built by the first call.  Exit codes: 0
-all verdicts pass, 1 violations or inconclusive verdicts present, 2 usage
-errors, bad input or any other failure.
+Every common flag but --jobs, which has no effect, can also be supplied
+through an OVERRANK_-prefixed environment variable (flag --n-max ->
+OVERRANK_N_MAX, and so on); explicit flags win.  The variables are read on
+every `main` call, while in-process callers share one argument parser,
+built by the first call.  Exit codes: 0 all verdicts pass, 1 violations or
+inconclusive verdicts present, 2 usage errors, bad input or any other failure.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .asymptotic import a_asymptotic, engel_pbar
-from .bounds import (aux_inequalities_selftest, error_pieces, error_term_bound,
-                     m_c, m_c_prime, main_term_bound, r_ratio, sandwich_threshold,
-                     selftest_cached, strict_verdict)
+from .bounds import (TABULATED, aux_inequalities_selftest, error_pieces,
+                     error_term_bound, m_c, m_c_prime, main_term_bound, r_ratio,
+                     sandwich_threshold, selftest_cached, strict_verdict)
 from .counts import a_exact, load_table, pbar_series, rank_class_table, save_table
 from .report import Report, RunConfig, fmt_value
 from .verify import verify_subadditivity
@@ -44,12 +44,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, help="report format (default text)")
 
 
-# common flag -> its value when neither the flag nor its OVERRANK_ variable is
-# given; a flag with an int default takes an integer.  An empty variable counts
-# as unset, except that an empty --cache or --report stays an empty path, which
-# uses no cache and writes no report
+# common flag -> its value when neither the flag nor a non-empty OVERRANK_
+# variable is given; a flag with an int default takes an integer
 _COMMON_DEFAULTS = {"n_max": RunConfig.n_max, "precision": RunConfig.precision_bits,
-                    "cache": None, "jobs": 1, "report": None, "format": "text"}
+                    "cache": None, "report": None, "format": "text"}
 
 
 def _apply_env(args) -> None:
@@ -59,7 +57,7 @@ def _apply_env(args) -> None:
             continue
         name = ENV_PREFIX + dest.upper()
         value = os.environ.get(name)
-        if value is None or (value == "" and default is not None):
+        if not value:
             value = default
         elif isinstance(default, int):
             try:
@@ -191,7 +189,7 @@ def cmd_bounds(args, report: Report) -> list[str]:
     report.add("threshold", lower_coef=fmt_value(th.lower_coef),
                upper_coef=fmt_value(th.upper_coef),
                n_min=format(Decimal(th.n_min), "f"))  # no int-to-str digit limit
-    if c in (3, 4, 5):
+    if c in TABULATED:
         # the sandwich coefficients must absorb the ratio at the threshold
         rr_th = r_ratio(c, th.n_min, prec)
         v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef)

@@ -33,6 +33,8 @@ from itertools import islice
 
 from mpmath import mp, mpc, mpf
 
+from .modsums import DEFAULT_PRECISION
+
 __all__ = [
     "BRUTE_FORCE_LIMIT",
     "RankClassTable",
@@ -254,7 +256,7 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
 # Root-of-unity evaluations
 # ---------------------------------------------------------------------------
 
-def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = 160) -> mpc:
+def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
     """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision.
 
     The integers in the table may need more mantissa bits than `prec`; the

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import mpmath
 
+from .modsums import DEFAULT_PRECISION
+
 __all__ = ["Report", "RunConfig", "environment_fingerprint", "fmt_value"]
 
 REPORT_SCHEMA = 1
@@ -23,7 +25,7 @@ REPORT_SCHEMA = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision_bits: int = 160
+    precision_bits: int = DEFAULT_PRECISION
     n_max: int = 3000
     cache_path: str | None = None
 
@@ -42,7 +44,9 @@ def environment_fingerprint() -> dict:
     return {
         "package": f"overrank-{__version__}",
         "python": platform.python_version(),
-        "platform": platform.platform(terse=True),
+        # platform.platform()'s Linux form, without its `uname -p` subprocess
+        "platform": "-".join([platform.system(), platform.release(), platform.machine(),
+                              "with", "".join(platform.libc_ver())]).rstrip("-"),
         "mpmath": mpmath.__version__,
     }
 

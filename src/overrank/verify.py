@@ -7,8 +7,8 @@ compared in exact integers, which also keep the minimal margin exactly; a
 row of the pair triangle stops at its first passing pair inside the
 log-concave tail of the column, past which its margin cannot fall.  The
 analytic gap inequality `t_inequality` covers the crossing that extends the
-finite checks; it takes its coefficients from the modulus, the sandwich row
-for c = 3, 4, 5 and the generic 48*c bound for c >= 6.
+finite checks; it takes its coefficients from the modulus: the sandwich row
+for a modulus in `bounds.TABULATED`, the generic 48*c bound for any other.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .bounds import sandwich_threshold
+from .bounds import TABULATED, sandwich_threshold
 from .counts import RankClassTable
 from .modsums import DEFAULT_PRECISION
 
@@ -159,8 +159,8 @@ class TInequalityResult(NamedTuple):
 def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityResult:
     """Exponent-gap inequality at equal arguments: T(1) > log V + log S.
 
-    T(1) = 2 pi sqrt(n1) - pi sqrt(2 n1).  For c = 3, 4, 5 the sandwich
-    coefficients of c give V = upper*8*n1/lower^2; for c >= 6, V = 48*c*n1.
+    T(1) = 2 pi sqrt(n1) - pi sqrt(2 n1).  For c in `bounds.TABULATED` the
+    sandwich coefficients of c give V = upper*8*n1/lower^2; else V = 48*c*n1.
     """
     if c < 3:
         raise ValueError("need c >= 3")
@@ -169,7 +169,7 @@ def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityR
     with mp.workprec(prec):
         x = mpf(n1)
         lhs = 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x)
-        if c in (3, 4, 5):
+        if c in TABULATED:
             th = sandwich_threshold(c, prec)
             v = th.upper_coef * 8 * x / th.lower_coef ** 2
         else:

@@ -186,6 +186,24 @@ def test_r_ratio_published_thresholds():
     assert strict_verdict(r_ratio(5, 449), mpf("0.1897")) == "pass"
 
 
+def test_tabulated_values_pinned():
+    # 160-bit digits of R_c at each tabulated n_min and at n = 20, where every
+    # term of R_c shows, and of two error totals: a digit drifting anywhere in
+    # TABULATED or _PIECE_COEFS moves one of them
+    assert [r_ratio(c, n)._mpf_ for c, n in ((3, 2089), (4, 272), (5, 449))] == [
+        (0, 968731994063010156513076492279009866149777261353, -161, 160),
+        (0, 175991344195759842820671782010052567485029241137, -159, 157),
+        (0, 554482349876076336431079984851391314708984084091, -161, 159)]
+    assert [r_ratio(c, 20)._mpf_ for c in (3, 4, 5)] == [
+        (0, 685700178746273495042559802685685648882979016619, 18, 159),
+        (0, 300810240687894153589157053030585335125851445703, -110, 158),
+        (0, 77378031125476542944904254971817214836310185313, -88, 156)]
+    assert error_pieces(3, 2089).total._mpf_ == (
+        0, 893591742086230100594323994383702875929881445679, 6051, 160)
+    assert error_pieces(7, 20050).total._mpf_ == (
+        0, 531925483515256701518444790385966066939894223583, 2756, 159)
+
+
 def test_r_ratio_strictly_decreasing():
     for c in (3, 4, 5):
         prev = None

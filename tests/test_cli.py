@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -15,6 +19,7 @@ from overrank.report import Report, RunConfig
 from overrank.verify import verify_subadditivity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -152,16 +157,28 @@ def test_bounds_threshold_verdict_checks_ratio_at_threshold(capsys, monkeypatch)
     code, out = run_cli(capsys, "bounds", "--c", "3", "--n", "20050")
     assert code == 0
     assert "threshold_verdict lower=pass upper=pass" in out
-    monkeypatch.setitem(bounds._EXPLICIT_THRESHOLDS, 3, ("0.0019", "0.6647", 2089))
+    lead, tail, _ = bounds.TABULATED[3]
+    monkeypatch.setitem(bounds.TABULATED, 3, (lead, tail, ("0.0019", "0.6647", 2089)))
     for n in ("2089", "20050"):
         code, out = run_cli(capsys, "bounds", "--c", "3", "--n", n)
         assert code == 1, n
         assert "threshold_verdict lower=pass upper=fail" in out, n
     # a lower coefficient above 1/c leaves 1/c - lower < 0 < R_3(2089)
-    monkeypatch.setitem(bounds._EXPLICIT_THRESHOLDS, 3, ("0.8", "0.6648", 2089))
+    monkeypatch.setitem(bounds.TABULATED, 3, (lead, tail, ("0.8", "0.6648", 2089)))
     code, out = run_cli(capsys, "bounds", "--c", "3", "--n", "20050")
     assert code == 1
     assert "threshold_verdict lower=fail upper=pass" in out
+
+
+def test_bounds_threshold_verdict_fails_on_a_planted_ratio_coefficient(capsys, monkeypatch):
+    # R_3's e^{-pi sqrt n} n^{5/4} coefficient 1% high, 5.3711e57 -> 5.424811e57,
+    # lifts R_3(2089) from 0.331417 to 0.334731, above both 1/3 - 0.0019 ~ 0.331433
+    # and 0.6648 - 1/3 ~ 0.331467, so the unchanged sandwich row fails both ways
+    lead, (k075, _, k1875), sandwich = bounds.TABULATED[3]
+    monkeypatch.setitem(bounds.TABULATED, 3, (lead, (k075, "5.424811e57", k1875), sandwich))
+    code, out = run_cli(capsys, "bounds", "--c", "3", "--n", "2089")
+    assert code == 1
+    assert "threshold_verdict lower=fail upper=fail" in out
 
 
 def bounds_report(capsys, *argv):
@@ -485,7 +502,7 @@ def test_explicit_flags_beat_the_environment(capsys, monkeypatch):
     assert config_line(out) == "config precision_bits=96 n_max=10 cache_path=None"
 
 
-@pytest.mark.parametrize("name", ["N_MAX", "PRECISION", "JOBS"])
+@pytest.mark.parametrize("name", ["N_MAX", "PRECISION"])
 def test_non_integer_variable_exits_2_with_one_line(capsys, monkeypatch, name):
     monkeypatch.setattr(cli, "_parser", None)  # a process's first main call
     for _ in range(2):
@@ -496,6 +513,22 @@ def test_non_integer_variable_exits_2_with_one_line(capsys, monkeypatch, name):
         assert err == f"error: OVERRANK_{name} must be an integer, got 'abc'\n"
         monkeypatch.delenv("OVERRANK_" + name)
         assert run_cli(capsys, "count", "--n", "3")[0] == 0
+
+
+def test_empty_cache_and_report_variables_count_as_unset(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OVERRANK_CACHE", "")
+    monkeypatch.setenv("OVERRANK_REPORT", "")
+    code, out = run_cli(capsys, "count", "--n", "2", "--c", "3")
+    assert code == 0
+    assert config_line(out) == "config precision_bits=160 n_max=3000 cache_path=None"
+    assert not any(tmp_path.iterdir())
+
+
+def test_jobs_variable_is_not_read(capsys, monkeypatch):
+    # --jobs has no effect, so OVERRANK_JOBS is not read, not even to check it
+    monkeypatch.setenv("OVERRANK_JOBS", "abc")
+    assert run_cli(capsys, "count", "--n", "3")[0] == 0
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
@@ -520,6 +553,22 @@ def test_command_is_looked_up_per_call(capsys, monkeypatch):
     assert run_cli(capsys, "count", "--n", "2")[0] == 0
     monkeypatch.setattr(cli, "cmd_count", lambda args, report: ["fail"])
     assert run_cli(capsys, "count", "--n", "2")[0] == 1
+
+
+def test_environment_fingerprint_starts_no_subprocess():
+    # a fresh interpreter, so no platform cache holds uname().processor, whose
+    # first read runs `uname -p` in a subprocess
+    script = ("import subprocess\n"
+              "def refuse(*args, **kwargs):\n"
+              "    raise RuntimeError('subprocess started')\n"
+              "subprocess.Popen = refuse\n"
+              "from overrank.report import environment_fingerprint\n"
+              "print(environment_fingerprint()['platform'])\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+    # where platform.platform() drops the processor field, the strings agree
+    if platform.system() == "Linux" and platform.uname().processor in ("", platform.machine()):
+        assert out == platform.platform(terse=True) + "\n"
 
 
 def test_run_config_validation():
