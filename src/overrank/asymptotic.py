@@ -1,10 +1,11 @@
 """Main-term asymptotics for the rank-class deviation coefficients.
 
-`a_asymptotic` evaluates the two main sums of the circle-method expansion of
-the coefficients A(a/c;n) = sum_r counts[n][r] zeta_c^{a r}: a sine-weighted
-sum over arc denominators k with c | k, k odd, and a secondary sum over
-c not dividing k (k odd, c1 != 4) ranging over the finitely many r with a
-positive growth parameter delta.  The unevaluated remainder is bounded
+The coefficients are A(a/c;n) = sum_r counts[n][r] zeta_c^{a r}.  `a_exact`
+evaluates one from a row of exact counts; `a_asymptotic` evaluates the two
+main sums of its circle-method expansion: a sine-weighted sum over arc
+denominators k with c | k, k odd, and a secondary sum over c not dividing k
+(k odd, c1 != 4) ranging over the finitely many r with a positive growth
+parameter delta.  The unevaluated remainder is bounded
 elsewhere (see bounds); here it is simply left out.
 
 Both sums run in one walk over the arcs that serves every residue of one
@@ -26,13 +27,15 @@ from math import gcd, isqrt
 
 from mpmath import mp, mpc, mpf
 
-from .modsums import (DEFAULT_PRECISION, KernelTables, context, delta,
-                      kloosterman_B, kloosterman_D, m_param)
+from . import DEFAULT_PRECISION
+from .counts import RankClassTable
+from .modsums import KernelTables, context, delta, kloosterman_B, kloosterman_D, m_param
 
 __all__ = [
     "AsymptoticEstimate",
     "EngelEstimate",
     "a_asymptotic",
+    "a_exact",
     "engel_pbar",
     "nbar_asymptotic",
 ]
@@ -62,6 +65,31 @@ class AsymptoticEstimate:
         if not self.k_terms:
             return mpf(0)
         return max(abs(t) for _, t in self.k_terms)
+
+
+def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
+    """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision.
+
+    The integers in the table may need more mantissa bits than `prec`; the
+    evaluation runs at enough bits to represent them exactly and rounds only
+    at the end, so precision is never silently lost to the data.
+    """
+    if table.c != c:
+        raise ValueError("table modulus mismatch")
+    if not 0 <= j < c:
+        raise ValueError("j out of range")
+    if not 0 <= n <= table.n_max:
+        raise ValueError("n out of table range")
+    row = table.counts[n]
+    data_bits = max(v.bit_length() for v in row)
+    work = max(prec, data_bits + prec // 2 + 16)
+    with mp.workprec(work):
+        total = mpc(0)
+        for r, v in enumerate(row):
+            if v:
+                total += v * mp.expjpi(mpf(2 * ((j * r) % c)) / c)
+    with mp.workprec(prec):
+        return +total
 
 
 def a_asymptotic(a: int, c: int, n: int,

@@ -5,7 +5,8 @@ closed-form tail bound), their coarse closed-form majorants, the fourteen
 error-piece bounds with their aggregation, the deviation ratio R_c and the
 sandwich rows (for c = 3, 4, 5 from `TABULATED`, the one table of the paper's
 per-modulus numbers), the giant thresholds M_c, the two-sided envelope for
-the overpartition count, and a self-test of the auxiliary scalar
+the overpartition count, the exponent-gap inequality that extends the finite
+subadditivity checks, and a self-test of the auxiliary scalar
 inequalities the envelopes rest on.  The self-test's grids depend only on
 the working precision, so they are evaluated once per precision per process.
 
@@ -19,17 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
-from .modsums import DEFAULT_PRECISION
+from . import DEFAULT_PRECISION
 
 __all__ = [
     "BoundBreakdown",
     "CertifiedConstant",
     "MARGIN_POLICY",
     "TABULATED",
+    "TInequalityResult",
     "Threshold",
     "aux_inequalities_selftest",
     "cbar2",
@@ -45,6 +47,7 @@ __all__ = [
     "sandwich_threshold",
     "selftest_cached",
     "strict_verdict",
+    "t_inequality",
 ]
 
 MARGIN_POLICY = 1e-12
@@ -352,6 +355,34 @@ def sandwich_threshold(c: int, prec: int = DEFAULT_PRECISION) -> Threshold:
         nmin = int(mp.ceil(m_c(c, prec)))
         return Threshold(c=c, lower_coef=1 / mpf(2 * c), upper_coef=3 / mpf(2 * c),
                          n_min=nmin)
+
+
+class TInequalityResult(NamedTuple):
+    holds: bool
+    margin: mpf
+
+
+def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityResult:
+    """Exponent-gap inequality at equal arguments: T(1) > log V + log S.
+
+    T(1) = 2 pi sqrt(n1) - pi sqrt(2 n1).  For c in `TABULATED` the sandwich
+    coefficients of c give V = upper*8*n1/lower^2; else V = 48*c*n1.
+    """
+    if c < 3:
+        raise ValueError("need c >= 3")
+    if n1 < 2:
+        raise ValueError("need n1 >= 2")
+    with mp.workprec(prec):
+        x = mpf(n1)
+        lhs = 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x)
+        if c in TABULATED:
+            th = sandwich_threshold(c, prec)
+            v = th.upper_coef * 8 * x / th.lower_coef ** 2
+        else:
+            v = 48 * c * x
+        s = (1 + 1 / mp.sqrt(2 * x)) / (1 - 1 / mp.sqrt(x)) ** 2
+        margin = lhs - (mp.log(v) + mp.log(s))
+        return TInequalityResult(holds=bool(margin > 0), margin=+margin)
 
 
 # ---------------------------------------------------------------------------

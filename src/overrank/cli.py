@@ -1,5 +1,9 @@
 """Command-line front end: exact counts, asymptotics, bounds, certificates.
 
+`count` and `verify` run on the exact layer alone and never load mpmath;
+`asymptotic` and `bounds` import the analytic layer when they run, and
+only they use --precision, the working precision of their mpmath evaluations.
+
 Every common flag but --jobs, which has no effect, can also be supplied
 through an OVERRANK_-prefixed environment variable (flag --n-max ->
 OVERRANK_N_MAX, and so on); explicit flags win.  The variables are read on
@@ -14,18 +18,11 @@ import argparse
 import os
 import sys
 import time
-from decimal import Decimal
 from pathlib import Path
 
-from mpmath import mp, mpf
-
 from . import __version__
-from .asymptotic import a_asymptotic, engel_pbar
-from .bounds import (TABULATED, aux_inequalities_selftest, error_pieces,
-                     error_term_bound, m_c, m_c_prime, main_term_bound, r_ratio,
-                     sandwich_threshold, selftest_cached, strict_verdict)
-from .counts import a_exact, load_table, pbar_series, rank_class_table, save_table
-from .report import Report, RunConfig, fmt_value
+from .counts import load_table, pbar_series, rank_class_table, save_table
+from .report import Report, RunConfig, environment_fingerprint, fmt_value
 from .verify import verify_subadditivity
 
 ENV_PREFIX = "OVERRANK_"
@@ -137,78 +134,92 @@ def cmd_count(args, report: Report) -> list[str]:
 
 
 def cmd_asymptotic(args, report: Report) -> list[str]:
+    from mpmath import mp
+
+    from .asymptotic import a_asymptotic, a_exact, engel_pbar
+    from .bounds import error_term_bound, strict_verdict
+
     prec = report.config.precision_bits
     a, c, n = args.a, args.c, args.n
     report.inputs = {"a": a, "c": c, "n": n}
-    t0 = time.perf_counter()
-    est = a_asymptotic(a, c, n, prec=prec)
-    report.timings["estimate_s"] = round(time.perf_counter() - t0, 6)
-    row = {"estimate": fmt_value(est.value),
-           "imag_residual": fmt_value(est.imag_residual),
-           "precision_bits": est.precision_bits,
-           "k_terms": len(est.k_terms)}
-    verdicts = []
-    if n <= report.config.n_max:
-        table = _get_table(report, c, n)
-        exact = a_exact(a, c, n, table, prec=prec)
-        diff = abs(exact.real - est.value)
-        row["exact"] = fmt_value(exact.real)
-        row["abs_deviation"] = fmt_value(diff)
-        if exact.real != 0:
-            row["rel_deviation"] = fmt_value(diff / abs(exact.real))
-        envelope = error_term_bound(c, n, prec)
-        verdict = strict_verdict(diff, envelope)
-        row["remainder_envelope"] = fmt_value(envelope)
-        row["envelope_verdict"] = verdict
-        verdicts.append(verdict)
-    else:
-        row["exact"] = "unavailable"
-    report.add("asymptotic", **row)
-    eng = engel_pbar(n, prec=prec)
-    report.add("engel", estimate=fmt_value(eng.estimate),
-               certified_bound=fmt_value(eng.certified_bound))
+    with mp.workprec(prec):
+        t0 = time.perf_counter()
+        est = a_asymptotic(a, c, n, prec=prec)
+        report.timings["estimate_s"] = round(time.perf_counter() - t0, 6)
+        row = {"estimate": fmt_value(est.value),
+               "imag_residual": fmt_value(est.imag_residual),
+               "precision_bits": est.precision_bits,
+               "k_terms": len(est.k_terms)}
+        verdicts = []
+        if n <= report.config.n_max:
+            table = _get_table(report, c, n)
+            exact = a_exact(a, c, n, table, prec=prec)
+            diff = abs(exact.real - est.value)
+            row["exact"] = fmt_value(exact.real)
+            row["abs_deviation"] = fmt_value(diff)
+            if exact.real != 0:
+                row["rel_deviation"] = fmt_value(diff / abs(exact.real))
+            envelope = error_term_bound(c, n, prec)
+            verdict = strict_verdict(diff, envelope)
+            row["remainder_envelope"] = fmt_value(envelope)
+            row["envelope_verdict"] = verdict
+            verdicts.append(verdict)
+        else:
+            row["exact"] = "unavailable"
+        report.add("asymptotic", **row)
+        eng = engel_pbar(n, prec=prec)
+        report.add("engel", estimate=fmt_value(eng.estimate),
+                   certified_bound=fmt_value(eng.certified_bound))
     return verdicts
 
 
 def cmd_bounds(args, report: Report) -> list[str]:
+    from decimal import Decimal
+
+    from mpmath import mp, mpf
+
+    from .bounds import (TABULATED, aux_inequalities_selftest, error_pieces,
+                         error_term_bound, m_c, m_c_prime, main_term_bound, r_ratio,
+                         sandwich_threshold, selftest_cached, strict_verdict)
+
     prec = report.config.precision_bits
     c, n = args.c, args.n
     report.inputs = {"c": c, "n": n}
     verdicts = []
+    with mp.workprec(prec):
+        bb = error_pieces(c, n, prec)
+        for name in sorted(bb.pieces):
+            report.add("error_piece", name=name, value=fmt_value(bb.pieces[name]))
+        report.add("error_total", value=fmt_value(bb.total))
+        report.add("main_term_bound", value=fmt_value(main_term_bound(c, n, prec)))
+        report.add("error_term_bound", value=fmt_value(error_term_bound(c, n, prec)))
 
-    bb = error_pieces(c, n, prec)
-    for name in sorted(bb.pieces):
-        report.add("error_piece", name=name, value=fmt_value(bb.pieces[name]))
-    report.add("error_total", value=fmt_value(bb.total))
-    report.add("main_term_bound", value=fmt_value(main_term_bound(c, n, prec)))
-    report.add("error_term_bound", value=fmt_value(error_term_bound(c, n, prec)))
+        rr = r_ratio(c, n, prec)
+        report.add("r_ratio", value=fmt_value(rr))
+        th = sandwich_threshold(c, prec)
+        report.add("threshold", lower_coef=fmt_value(th.lower_coef),
+                   upper_coef=fmt_value(th.upper_coef),
+                   n_min=format(Decimal(th.n_min), "f"))  # no int-to-str digit limit
+        if c in TABULATED:
+            # the sandwich coefficients must absorb the ratio at the threshold
+            rr_th = r_ratio(c, th.n_min, prec)
+            v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef)
+            v2 = strict_verdict(rr_th, th.upper_coef - 1 / mpf(c))
+            report.add("threshold_verdict", lower=v1, upper=v2)
+            verdicts += [v1, v2]
+        else:
+            report.add("giant_threshold", m_c=fmt_value(m_c(c, prec)),
+                       m_c_prime=fmt_value(m_c_prime(c, prec)))
 
-    rr = r_ratio(c, n, prec)
-    report.add("r_ratio", value=fmt_value(rr))
-    th = sandwich_threshold(c, prec)
-    report.add("threshold", lower_coef=fmt_value(th.lower_coef),
-               upper_coef=fmt_value(th.upper_coef),
-               n_min=format(Decimal(th.n_min), "f"))  # no int-to-str digit limit
-    if c in TABULATED:
-        # the sandwich coefficients must absorb the ratio at the threshold
-        rr_th = r_ratio(c, th.n_min, prec)
-        v1 = strict_verdict(rr_th, 1 / mpf(c) - th.lower_coef)
-        v2 = strict_verdict(rr_th, th.upper_coef - 1 / mpf(c))
-        report.add("threshold_verdict", lower=v1, upper=v2)
-        verdicts += [v1, v2]
-    else:
-        report.add("giant_threshold", m_c=fmt_value(m_c(c, prec)),
-                   m_c_prime=fmt_value(m_c_prime(c, prec)))
-
-    cached = selftest_cached(prec)
-    t_selftest = time.perf_counter()
-    selftest = aux_inequalities_selftest(prec=prec)
-    report.timings["selftest_s"] = round(time.perf_counter() - t_selftest, 6)
-    report.timings["selftest_cache"] = "hit" if cached else "miss"
-    for name, entry in sorted(selftest.items()):
-        report.add("aux_inequality", name=name, passed=entry["passed"],
-                   worst_margin=entry["worst_margin"])
-        verdicts.append("pass" if entry["passed"] else "fail")
+        cached = selftest_cached(prec)
+        t_selftest = time.perf_counter()
+        selftest = aux_inequalities_selftest(prec=prec)
+        report.timings["selftest_s"] = round(time.perf_counter() - t_selftest, 6)
+        report.timings["selftest_cache"] = "hit" if cached else "miss"
+        for name, entry in sorted(selftest.items()):
+            report.add("aux_inequality", name=name, passed=entry["passed"],
+                       worst_margin=entry["worst_margin"])
+            verdicts.append("pass" if entry["passed"] else "fail")
     return verdicts
 
 
@@ -291,12 +302,13 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         report = Report(command=args.command, config=_config(args))
-        with mp.workprec(report.config.precision_bits):
-            t0 = time.perf_counter()
-            # looked up per call, so a replaced cmd_* runs
-            verdicts = globals()[f"cmd_{args.command}"](args, report)
-            report.timings["total_s"] = round(time.perf_counter() - t0, 6)
-            _emit(report, args)
+        t0 = time.perf_counter()
+        # looked up per call, so a replaced cmd_* runs
+        verdicts = globals()[f"cmd_{args.command}"](args, report)
+        report.timings["total_s"] = round(time.perf_counter() - t0, 6)
+        # taken again now that the command ran: mpmath is listed if it loaded it
+        report.environment = environment_fingerprint()
+        _emit(report, args)
     except Exception as exc:  # bad input or a fault: exit 2, one line, no traceback
         bad_input = isinstance(exc, (ValueError, OSError))
         print(f"error: {exc if bad_input else repr(exc)}", file=sys.stderr)

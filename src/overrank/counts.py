@@ -18,7 +18,8 @@ The brute-force enumeration here and the O(c N^2) dynamic program and
 product-form series in tests/oracles.py are the independent checks on
 them.  Each table row sums to pbar(n); that is the exact link between the
 two counts, and the orthogonality identity that recovers a class count
-from the evaluations `a_exact` reduces to it.
+from the root-of-unity evaluations (`asymptotic.a_exact`) reduces to it.
+Nothing here imports mpmath.
 """
 
 from __future__ import annotations
@@ -31,15 +32,10 @@ import sys
 from dataclasses import dataclass, field
 from itertools import islice
 
-from mpmath import mp, mpc, mpf
-
-from .modsums import DEFAULT_PRECISION
-
 __all__ = [
     "BRUTE_FORCE_LIMIT",
     "RankClassTable",
     "RankDistribution",
-    "a_exact",
     "brute_force_rank_counts",
     "load_table",
     "pbar_series",
@@ -250,35 +246,6 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
     cols += cols[1:(c + 1) // 2][::-1]
     counts = [list(row) for row in zip(*cols)]
     return RankClassTable(c=c, n_max=n_max, counts=counts)
-
-
-# ---------------------------------------------------------------------------
-# Root-of-unity evaluations
-# ---------------------------------------------------------------------------
-
-def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
-    """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision.
-
-    The integers in the table may need more mantissa bits than `prec`; the
-    evaluation runs at enough bits to represent them exactly and rounds only
-    at the end, so precision is never silently lost to the data.
-    """
-    if table.c != c:
-        raise ValueError("table modulus mismatch")
-    if not 0 <= j < c:
-        raise ValueError("j out of range")
-    if not 0 <= n <= table.n_max:
-        raise ValueError("n out of table range")
-    row = table.counts[n]
-    data_bits = max(v.bit_length() for v in row)
-    work = max(prec, data_bits + prec // 2 + 16)
-    with mp.workprec(work):
-        total = mpc(0)
-        for r, v in enumerate(row):
-            if v:
-                total += v * mp.expjpi(mpf(2 * ((j * r) % c)) / c)
-    with mp.workprec(prec):
-        return +total
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from math import gcd
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_pos
 
+from . import DEFAULT_PRECISION
+
 __all__ = [
     "DEFAULT_PRECISION",
     "KernelTables",
@@ -46,8 +48,6 @@ __all__ = [
     "mod_inverse",
     "omega",
 ]
-
-DEFAULT_PRECISION = 160
 
 QUARTER = Fraction(1, 4)
 THREE_QUARTERS = Fraction(3, 4)

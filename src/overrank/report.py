@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import platform
 import shlex
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
-import mpmath
-
-from .modsums import DEFAULT_PRECISION
+from . import DEFAULT_PRECISION, __version__
 
 __all__ = ["Report", "RunConfig", "environment_fingerprint", "fmt_value"]
 
@@ -40,15 +39,17 @@ class RunConfig:
 
 
 def environment_fingerprint() -> dict:
-    from . import __version__
-    return {
+    """Package, Python and platform; mpmath's version once mpmath is loaded."""
+    env = {
         "package": f"overrank-{__version__}",
         "python": platform.python_version(),
         # platform.platform()'s Linux form, without its `uname -p` subprocess
         "platform": "-".join([platform.system(), platform.release(), platform.machine(),
                               "with", "".join(platform.libc_ver())]).rstrip("-"),
-        "mpmath": mpmath.__version__,
     }
+    if mpmath := sys.modules.get("mpmath"):
+        env["mpmath"] = mpmath.__version__
+    return env
 
 
 def fmt_value(v) -> str:
@@ -59,7 +60,8 @@ def fmt_value(v) -> str:
         return str(v)
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, mpmath.mpf):
+    # no mpf exists until mpmath is loaded, and exact work never loads it
+    if (mpmath := sys.modules.get("mpmath")) and isinstance(v, mpmath.mpf):
         return mpmath.nstr(v, 20)
     return str(v)
 

@@ -1,33 +1,25 @@
-"""Exhaustive and analytic verification of strict log-subadditivity.
+"""Exhaustive verification of strict log-subadditivity.
 
 The target inequality is count(a,c,n1+n2) < count(a,c,n1) * count(a,c,n2).
 `verify_subadditivity` settles it for every unordered pair in a range and
 emits a deterministic, reproducible Certificate.  Every pair it reads is
 compared in exact integers, which also keep the minimal margin exactly; a
 row of the pair triangle stops at its first passing pair inside the
-log-concave tail of the column, past which its margin cannot fall.  The
-analytic gap inequality `t_inequality` covers the crossing that extends the
-finite checks; it takes its coefficients from the modulus: the sandwich row
-for a modulus in `bounds.TABULATED`, the generic 48*c bound for any other.
+log-concave tail of the column, past which its margin cannot fall.  Nothing
+here imports mpmath; the analytic gap inequality that extends the finite
+checks, `bounds.t_inequality`, lives with the constants it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
-from mpmath import mp, mpf
-
-from .bounds import TABULATED, sandwich_threshold
 from .counts import RankClassTable
-from .modsums import DEFAULT_PRECISION
 
 __all__ = [
     "Certificate",
-    "TInequalityResult",
     "parse_certificate",
-    "t_inequality",
     "verify_subadditivity",
 ]
 
@@ -145,35 +137,3 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
                        pairs_checked=width * (width + 1) // 2,
                        violations=violations, min_margin=min_margin,
                        table_checksum=table.checksum(), pairs_compared=compared)
-
-
-# ---------------------------------------------------------------------------
-# Analytic crossing inequalities
-# ---------------------------------------------------------------------------
-
-class TInequalityResult(NamedTuple):
-    holds: bool
-    margin: mpf
-
-
-def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityResult:
-    """Exponent-gap inequality at equal arguments: T(1) > log V + log S.
-
-    T(1) = 2 pi sqrt(n1) - pi sqrt(2 n1).  For c in `bounds.TABULATED` the
-    sandwich coefficients of c give V = upper*8*n1/lower^2; else V = 48*c*n1.
-    """
-    if c < 3:
-        raise ValueError("need c >= 3")
-    if n1 < 2:
-        raise ValueError("need n1 >= 2")
-    with mp.workprec(prec):
-        x = mpf(n1)
-        lhs = 2 * mp.pi * mp.sqrt(x) - mp.pi * mp.sqrt(2 * x)
-        if c in TABULATED:
-            th = sandwich_threshold(c, prec)
-            v = th.upper_coef * 8 * x / th.lower_coef ** 2
-        else:
-            v = 48 * c * x
-        s = (1 + 1 / mp.sqrt(2 * x)) / (1 - 1 / mp.sqrt(x)) ** 2
-        margin = lhs - (mp.log(v) + mp.log(s))
-        return TInequalityResult(holds=bool(margin > 0), margin=+margin)

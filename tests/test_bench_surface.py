@@ -149,3 +149,22 @@ def test_tracer_sees_every_kernel_call():
     assert totals["modsums.kloosterman_B.calls"] == spans["modsums.kloosterman_B"]
     assert totals["modsums.kloosterman_D.calls"] == spans["modsums.kloosterman_D"] > 0
     assert totals["modsums.summands"] == sum(len(coprime_residues(k)) for _, k in expected)
+
+
+def test_tracer_spans_commands_that_import_the_analytic_layer_when_run(capsys):
+    # cmd_asymptotic and cmd_bounds import their library functions when they
+    # run, so they call the tracer's wrappers, not names bound at import
+    tracer = load_tracer().Tracer()
+    with tracer.patched():
+        assert cli.main(["asymptotic", "--a", "1", "--c", "3", "--n", "400"]) == 0
+        assert cli.main(["bounds", "--c", "3", "--n", "400"]) == 0
+    capsys.readouterr()
+    spans = Counter(name for _, name, *_ in tracer.spans)
+    assert {name: spans[name] for name in (
+        "cli.main", "report.emit", "asymptotic.a_asymptotic", "asymptotic.engel_pbar",
+        "counts.rank_class_table", "bounds.error_pieces", "bounds.aux_inequalities_selftest",
+    )} == {"cli.main": 2, "report.emit": 2, "asymptotic.a_asymptotic": 1,
+           "asymptotic.engel_pbar": 1, "counts.rank_class_table": 1,
+           "bounds.error_pieces": 1, "bounds.aux_inequalities_selftest": 1}
+    assert spans["modsums.kloosterman_B"] > 0
+    assert tracer.take()["bounds.r_ratio.calls"] == 2

@@ -148,6 +148,32 @@ def test_error_term_bound_aggregates_pieces():
     assert error_term_bound(3, 2089) > 0
 
 
+def test_error_term_bound_coefficients_cover_their_pieces(monkeypatch):
+    # error_term_bound is coef * n^e * c^p * majorant summed over the groups of
+    # _PIECE_COEFS rows that share (e, p, majorant).  With the majorants set to
+    # free values, six evaluations fix its six hand-written coefficients; each
+    # must cover its group's sum, which it rounds up in its last written digit.
+    groups = {}
+    for coef, expo, cpow, majorant in bounds._PIECE_COEFS.values():
+        key = (expo, cpow, majorant)
+        groups[key] = groups.get(key, 0) + Fraction(coef)
+    assert len(groups) == 6
+    majorants = {}
+    monkeypatch.setattr(bounds, "cbar4", lambda c, prec: majorants[cbar4])
+    monkeypatch.setattr(bounds, "cbar2", lambda c, prec: majorants[cbar2])
+    rows, values = [], []
+    with mp.workprec(300):
+        for c, n, m4, m2 in ((3, 16, 0, 0), (4, 16, 0, 0), (3, 256, 0, 0), (4, 256, 0, 0),
+                             (3, 16, 1, 0), (3, 16, 0, 1)):
+            majorants.update({None: 1, cbar4: mpf(m4), cbar2: mpf(m2)})
+            rows.append([mpf(n) ** mpf(e) * c ** p * majorants[m] for e, p, m in groups])
+            values.append(error_term_bound(c, n, prec=300))
+        coefs = mp.lu_solve(mp.matrix(rows), mp.matrix(values))
+        for coef, (key, total) in zip(coefs, groups.items()):
+            slack = coef - mpf(total.numerator) / total.denominator
+            assert -mpf(10) ** -60 < slack < mpf("0.05"), (key, coef, total)
+
+
 def test_main_term_bound_values():
     # frozen plug-in at (3, 2089)
     v = main_term_bound(3, 2089)
