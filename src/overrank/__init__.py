@@ -34,8 +34,8 @@ _LAZY = {name: module for module, names in {
     "bounds": ("BoundBreakdown", "CertifiedConstant", "Threshold",
                "aux_inequalities_selftest", "bounds", "cbar2", "cbar4", "const_C",
                "error_pieces", "error_term_bound", "m_c", "m_c_prime", "main_term_bound",
-               "pbar_sandwich", "r_ratio", "sandwich_threshold", "selftest_cached",
-               "strict_verdict", "t_inequality"),
+               "pbar_sandwich", "r_ratio", "sandwich_threshold", "strict_verdict",
+               "t_inequality"),
     "modsums": ("KloostermanContext", "context", "dedekind_sum", "delta", "kloosterman_B",
                 "kloosterman_D", "m_param", "mod_inverse", "modsums", "omega"),
 }.items() for name in names}

@@ -17,6 +17,7 @@ policy MARGIN_POLICY (1e-12), and callers surface that outcome.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -45,7 +46,6 @@ __all__ = [
     "pbar_sandwich",
     "r_ratio",
     "sandwich_threshold",
-    "selftest_cached",
     "strict_verdict",
     "t_inequality",
 ]
@@ -389,24 +389,7 @@ def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityR
 # Auxiliary inequality self-test
 # ---------------------------------------------------------------------------
 
-def _verdict(margins: Iterable, strict: bool = True) -> tuple[bool, float]:
-    """(passed, worst margin); a non-strict inequality may touch equality on
-    its grid (e.g. x = 1)."""
-    worst = min(margins)
-    return bool(worst > 0 if strict else worst >= 0), float(worst)
-
-
-# prec -> the seven fixed-grid checks as (name, passed, worst_margin, grid);
-# filled once per precision per process by aux_inequalities_selftest
-_GRID_CHECKS: dict[int, tuple[tuple[str, bool, float, str], ...]] = {}
-
-
-def selftest_cached(prec: int = DEFAULT_PRECISION) -> bool:
-    """Whether this process has evaluated the self-test's grids at `prec`, so
-    that the next aux_inequalities_selftest at `prec` does no grid work."""
-    return prec in _GRID_CHECKS
-
-
+@functools.cache
 def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
     """Evaluate the seven fixed-grid checks at `prec`.
 
@@ -416,7 +399,9 @@ def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
     checks = []
 
     def record(name: str, margins: Iterable, grid: str, strict: bool = True) -> None:
-        checks.append((name, *_verdict(margins, strict), grid))
+        # a non-strict inequality may touch equality on its grid (e.g. x = 1)
+        worst = min(margins)
+        checks.append((name, bool(worst > 0 if strict else worst >= 0), float(worst), grid))
 
     with mp.workprec(prec):
         pi = mp.pi
@@ -471,10 +456,7 @@ def aux_inequalities_selftest(prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
 
     Returns name -> {passed, worst_margin, grid} entries; failures are report
     entries, never exceptions.  The grids depend only on `prec`, so they run
-    once per precision per process (`selftest_cached` says whether they
-    have).  Each call returns a fresh dict.
+    once per precision per process.  Each call returns a fresh dict.
     """
-    if prec not in _GRID_CHECKS:
-        _GRID_CHECKS[prec] = _grid_checks(prec)
     return {name: {"passed": passed, "worst_margin": worst, "grid": grid}
-            for name, passed, worst, grid in _GRID_CHECKS[prec]}
+            for name, passed, worst, grid in _grid_checks(prec)}

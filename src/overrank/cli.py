@@ -180,7 +180,7 @@ def cmd_bounds(args, report: Report) -> list[str]:
 
     from .bounds import (TABULATED, aux_inequalities_selftest, error_pieces,
                          error_term_bound, m_c, m_c_prime, main_term_bound, r_ratio,
-                         sandwich_threshold, selftest_cached, strict_verdict)
+                         sandwich_threshold, strict_verdict)
 
     prec = report.config.precision_bits
     c, n = args.c, args.n
@@ -211,11 +211,9 @@ def cmd_bounds(args, report: Report) -> list[str]:
             report.add("giant_threshold", m_c=fmt_value(m_c(c, prec)),
                        m_c_prime=fmt_value(m_c_prime(c, prec)))
 
-        cached = selftest_cached(prec)
         t_selftest = time.perf_counter()
         selftest = aux_inequalities_selftest(prec=prec)
         report.timings["selftest_s"] = round(time.perf_counter() - t_selftest, 6)
-        report.timings["selftest_cache"] = "hit" if cached else "miss"
         for name, entry in sorted(selftest.items()):
             report.add("aux_inequality", name=name, passed=entry["passed"],
                        worst_margin=entry["worst_margin"])

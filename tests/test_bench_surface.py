@@ -4,16 +4,21 @@
 `bench/workloads.py` calls library functions by module attribute and
 builds `overrank` command lines, so a renamed or removed name, parameter or
 flag would only show when the benchmark runs.  These tests read both files and fail in
-the suite instead.
+the suite instead, and one pass of each workload at the default seed must
+give the output digest that `bench/run.py` pins.
 """
 
 import ast
 import importlib.util
 import inspect
+import os
 import sys
 from collections import Counter
 from math import isqrt
 from pathlib import Path
+
+import mpmath
+import pytest
 
 from overrank import asymptotic, bounds, cli, counts, verify
 from overrank.modsums import context, coprime_residues, delta
@@ -168,3 +173,25 @@ def test_tracer_spans_commands_that_import_the_analytic_layer_when_run(capsys):
            "bounds.error_pieces": 1, "bounds.aux_inequalities_selftest": 1}
     assert spans["modsums.kloosterman_B"] > 0
     assert tracer.take()["bounds.r_ratio.calls"] == 2
+
+
+@pytest.mark.parametrize("name", ("certify_cold", "certify_warm", "analytic"))
+def test_seed0_outputs_match_the_pins(name, tmp_path, monkeypatch):
+    # one pass of the workload as bench/run.py runs it: a broken pin would
+    # otherwise show only in a full benchmark run
+    if mpmath.libmp.BACKEND != "python":
+        pytest.skip(f"the pins were taken on mpmath's python backend, not {mpmath.libmp.BACKEND}")
+    for key in [k for k in os.environ if k.startswith("OVERRANK_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import workloads
+    workload = workloads.WORKLOADS[name](run.DEFAULT_SEED, tmp_path)
+    for step in workload.setup_steps():
+        step()
+    with mpmath.mp.workprec(workloads.BASE_PREC):
+        outcomes = run.run_pass(workload, 0, run.Yardstick(*workload.yardstick))
+        run.check_pass(workload, outcomes)
+        workload.check_run([outcomes])
+    assert [f for o in outcomes for f in o.failures] == []
+    assert run.digest_of(outcomes) == run.PINNED[("python", name)]

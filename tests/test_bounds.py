@@ -9,7 +9,7 @@ from oracles import raw_error_aggregate
 from overrank import (aux_inequalities_selftest, bounds, cbar2, cbar4, const_C,
                       error_pieces, error_term_bound, m_c, m_c_prime,
                       main_term_bound, pbar_sandwich, r_ratio, sandwich_threshold,
-                      selftest_cached, strict_verdict)
+                      strict_verdict)
 
 
 def test_strict_verdict_policy():
@@ -389,14 +389,13 @@ def test_aux_selftest_cache_matches_fresh_evaluation(prec):
     # the grids are cached by precision alone; the ambient mp.prec at the
     # call that filled the cache must not show in a later call's result
     for ambient_fill, ambient_read in ((53, 1000), (1000, 53)):
-        bounds._GRID_CHECKS.clear()
-        assert not selftest_cached(prec)
+        bounds._grid_checks.cache_clear()
         with mp.workprec(ambient_fill):
             aux_inequalities_selftest(prec)
-        assert selftest_cached(prec)
+        assert bounds._grid_checks.cache_info().currsize == 1
         with mp.workprec(ambient_read):
             cached = aux_inequalities_selftest(prec)
-            bounds._GRID_CHECKS.clear()
+            bounds._grid_checks.cache_clear()
             fresh = aux_inequalities_selftest(prec)
         assert list(cached.items()) == list(fresh.items()), (prec, ambient_fill)
 
