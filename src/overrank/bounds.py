@@ -1,14 +1,15 @@
 """Explicit constants and envelope functions for the rank-class deviation.
 
-Carries the certified series constants C1..C5 (exact partial sums plus a
-closed-form tail bound), their coarse closed-form majorants, the fourteen
-error-piece bounds with their aggregation, the deviation ratio R_c and the
-sandwich rows (for c = 3, 4, 5 from `TABULATED`, the one table of the paper's
-per-modulus numbers), the giant thresholds M_c, the two-sided envelope for
-the overpartition count, the exponent-gap inequality that extends the finite
-subadditivity checks, and a self-test of the auxiliary scalar
-inequalities the envelopes rest on.  The self-test's grids depend only on
-the working precision, so they are evaluated once per precision per process.
+Carries the series constants C1..C5 (exact counts in integer Horner sums
+rounded upward, times a float scale, plus a float closed-form tail; a 2^(4-prec)
+padding covers the float parts), their coarse closed-form majorants, the
+fourteen error-piece bounds with their aggregation, the deviation ratio R_c
+and the sandwich rows (for c = 3, 4, 5 from `TABULATED`, the one table of the
+paper's per-modulus numbers), the giant thresholds M_c, the two-sided envelope
+for the overpartition count, the exponent-gap inequality that extends the
+finite subadditivity checks, and a self-test of the auxiliary scalar
+inequalities the envelopes rest on.  The self-test's grids depend only on the
+working precision, so they are evaluated once per precision per process.
 
 Strict float comparisons here never masquerade as proofs: `strict_verdict`
 returns 'inconclusive' when a margin is thinner than the fixed relative
@@ -24,6 +25,9 @@ from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp, mpf_mul,
+                          mpf_neg, mpf_perturb, mpf_pi, mpf_shift, round_ceiling, round_floor,
+                          to_int)
 
 from . import DEFAULT_PRECISION
 
@@ -102,24 +106,30 @@ class CertifiedConstant:
     truncation: int
 
 
-def _series_params(index: int, c: int | None):
-    """(decay rate alpha, scalar prefactor) of C_index = scale*sum p(r)e^{-alpha r}."""
+def _series_params(index: int, c: int | None) -> tuple[Fraction, mpf]:
+    """(alpha/pi, exact; scalar prefactor) of C_index = scale*sum p(r)e^{-alpha r}."""
+    if index in (2, 4) and (c is None or c <= 2):
+        raise ValueError(f"C{index} needs c > 2")
     pi = mp.pi
     if index == 1:
-        return pi, mp.exp(pi / 16) + mp.exp(-7 * pi / 16)
+        return Fraction(1), mp.exp(pi / 16) + mp.exp(-7 * pi / 16)
     if index == 2:
-        if c is None or c <= 2:
-            raise ValueError("C2 needs c > 2")
-        return (c * c - 8) * pi / (16 * c * c), mpf(2)
+        return Fraction(c * c - 8, 16 * c * c), mpf(2)
     if index == 3:
-        return pi, mpf(1)
+        return Fraction(1), mpf(1)
     if index == 4:
-        if c is None or c <= 2:
-            raise ValueError("C4 needs c > 2")
-        return pi / (2 * c * c), mpf(1)
+        return Fraction(1, 2 * c * c), mpf(1)
     if index == 5:
-        return pi / 4, mp.exp(-pi / 8)
+        return Fraction(1, 4), mp.exp(-pi / 8)
     raise ValueError("index must be 1..5")
+
+
+def _exp_neg_pi_upper(q: Fraction, prec: int) -> tuple:
+    """Raw mpf upper bound on e^{-q pi}, q > 0, at `prec` bits."""
+    lo = mpf_div(mpf_mul(from_int(q.numerator), mpf_pi(prec, round_floor), prec, round_floor),
+                 from_int(q.denominator), prec, round_floor)
+    # mpf_exp rounds up from an approximation with 14 guard bits; one more ulp makes a bound
+    return mpf_perturb(mpf_exp(mpf_neg(lo), prec, round_ceiling), 0, prec, round_ceiling)
 
 
 def _tail_integral(R, alpha):
@@ -138,29 +148,45 @@ def const_C(index: int, c: int | None, pbar: Sequence[int],
     Sums scale * pbar(r) * e^{-alpha r} with exact counts up to an adaptive
     truncation R, then adds scale * int_R^inf e^{pi sqrt(t) - alpha t} dt,
     valid because the counts stay below e^{pi sqrt(r)} and the integrand
-    decreases once R > (pi/(2 alpha))^2.  R grows until the tail drops below
-    rel_tol of the partial sum.
+    decreases once R > (pi/(2 alpha))^2.  R grows chunk by chunk until the
+    tail drops below rel_tol of the partial sum.
+
+    Each chunk [r+1, hi] is a Horner sum in integers scaled by 2^F, where
+    F = prec + 40 + chunk.bit_length() and step = ceil(2^F e^{-alpha}):
+    s <- pbar(i) 2^F + ceil(step s / 2^F) for i = hi down to r+1, and the
+    partial sum gains s 2^-F e^{-alpha(r+1)} at prec+20 bits.  Exponentials
+    are upper endpoints and every rounding is upward, so the partial sum is an
+    upper bound; as alpha <= pi, a Horner sum's relative excess is below
+    chunk (1 + e^alpha) 2^-F < 2^-(prec+35).
     """
-    with mp.workprec(prec + 20):
-        alpha, scale = _series_params(index, c)
+    wp = prec + 20
+    with mp.workprec(wp):
+        q, scale = _series_params(index, c)
+        alpha = q.numerator * mp.pi / q.denominator
         r_min = int(mp.ceil((mp.pi / (2 * alpha)) ** 2)) + 1
-        partial = mpf(0)
+        partial = fzero
         r = 0
         chunk = max(64, r_min // 8)
+        F = prec + 40 + chunk.bit_length()
+        step = to_int(mpf_shift(_exp_neg_pi_upper(q, F), F), round_ceiling)
         while True:
             hi = min(r + chunk, len(pbar) - 1)
-            for i in range(r + 1, hi + 1):
-                partial += pbar[i] * mp.exp(-alpha * i)
+            s = 0
+            for i in range(hi, r, -1):
+                s = (pbar[i] << F) - ((-step * s) >> F)
+            head = _exp_neg_pi_upper(q * (r + 1), wp)
+            partial = mpf_add(partial, mpf_mul(from_man_exp(s, -F), head, wp, round_ceiling),
+                              wp, round_ceiling)
             r = hi
             if r >= r_min:
                 tail = _tail_integral(r, alpha)
-                if tail <= mpf(rel_tol) * partial:
+                if tail <= mpf(rel_tol) * mp.make_mpf(partial):
                     break
             if r >= len(pbar) - 1:
                 raise ValueError(
                     f"series for C{index} needs exact counts beyond r={r}; "
                     "supply a longer pbar sequence")
-        partial *= scale
+        partial = mp.make_mpf(partial) * scale
         tail *= scale
     with mp.workprec(prec):
         # pad the reported value by a few ulp so the certificate survives the

@@ -18,7 +18,9 @@ The per-residue estimate oracles are the main-term loops as they stood
 before the arc walk: one pass over the arcs per residue, every kernel call
 with fresh tables; `overrank.asymptotic` must match them bit for bit.
 The raw error aggregate sums the un-simplified error-piece bounds, to check
-that `overrank.bounds.error_pieces` dominates them.
+that `overrank.bounds.error_pieces` dominates them.  The per-term series
+constant takes one exponential per term at nearest rounding, the loop
+`overrank.bounds.const_C` replaced with upward-rounded integer Horner sums.
 """
 
 import math
@@ -28,6 +30,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from overrank.asymptotic import AsymptoticEstimate, engel_pbar
+from overrank.bounds import CertifiedConstant, _series_params, _tail_integral
 from overrank.counts import RankClassTable
 from overrank.modsums import (DEFAULT_PRECISION, context, coprime_residues, delta,
                               kloosterman_B, kloosterman_D, m_param, mod_inverse, omega)
@@ -313,3 +316,37 @@ def raw_error_aggregate(c: int, n: int, certified: dict[int, mpf],
         )
     with mp.workprec(prec):
         return +total
+
+
+def const_C_per_term(index: int, c: int | None, pbar: list[int], rel_tol: float = 1e-15,
+                     prec: int = DEFAULT_PRECISION) -> CertifiedConstant:
+    """C_index summed term by term: pbar(i) * e^{-alpha i}, each exp of its own.
+
+    Same chunks, truncation rule, tail, scale and padding as
+    `overrank.bounds.const_C`; every operation rounds to nearest at prec+20 bits.
+    """
+    with mp.workprec(prec + 20):
+        q, scale = _series_params(index, c)
+        alpha = q.numerator * mp.pi / q.denominator
+        r_min = int(mp.ceil((mp.pi / (2 * alpha)) ** 2)) + 1
+        partial = mpf(0)
+        r = 0
+        chunk = max(64, r_min // 8)
+        while True:
+            hi = min(r + chunk, len(pbar) - 1)
+            for i in range(r + 1, hi + 1):
+                partial += pbar[i] * mp.exp(-alpha * i)
+            r = hi
+            if r >= r_min:
+                tail = _tail_integral(r, alpha)
+                if tail <= mpf(rel_tol) * partial:
+                    break
+            if r >= len(pbar) - 1:
+                raise ValueError(f"series for C{index} needs exact counts beyond r={r}")
+        partial *= scale
+        tail *= scale
+    with mp.workprec(prec):
+        upper = +(partial + tail)
+        upper += abs(upper) * mpf(2) ** (4 - prec)
+        return CertifiedConstant(index=index, c=c, upper=+upper,
+                                 partial=+partial, tail_bound=+tail, truncation=r)

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
-from oracles import raw_error_aggregate
+from mpmath import iv, mp, mpf
+from oracles import const_C_per_term, raw_error_aggregate
 
-from overrank import (aux_inequalities_selftest, bounds, cbar2, cbar4, const_C,
-                      error_pieces, error_term_bound, m_c, m_c_prime,
+from overrank import (DEFAULT_PRECISION, a_asymptotic, aux_inequalities_selftest, bounds,
+                      cbar2, cbar4, const_C, error_pieces, error_term_bound, m_c, m_c_prime,
                       main_term_bound, pbar_sandwich, r_ratio, sandwich_threshold,
                       strict_verdict)
 
@@ -100,6 +100,67 @@ def test_certified_below_closed_form_majorants(pbar3000, pbar_deep):
         assert const_C(4, c, pbar_deep, rel_tol=1e9).upper <= cbar4(c)
 
 
+# the analytic bench's eight constants on its pbar_series(2574) prefix
+# (bench/workloads.py, `Analytic`), then every other call site in this suite
+BENCH_PREFIX = 2574
+CONST_CASES = (
+    [(i, c, "bench", 1e-15) for i, c in ((1, None), (3, None), (5, None), (2, 4), (2, 5),
+                                         (4, 3), (4, 4), (4, 5))]
+    + [(i, None, "pbar3000", 1e-15) for i in (1, 3, 5)]
+    + [(4, c, "pbar3000", 1e-15) for c in (3, 5)]
+    + [(2, c, "pbar3000", 1e-15) for c in range(4, 11)]
+    + [(2, 3, "pbar_deep", 1e-15)]
+    + [(4, c, "pbar_deep", 1e-15) for c in range(4, 9)]
+    + [(4, c, "pbar_deep", 1e9) for c in (9, 10)])
+
+
+def _series_at(const, pbar, bits: int = 400):
+    """scale * (sum_{r <= R} pbar(r) e^{-alpha r} + tail) at `bits`, by a power recurrence."""
+    with mp.workprec(bits):
+        q, scale = bounds._series_params(const.index, const.c)
+        alpha = q.numerator * mp.pi / q.denominator
+        x, power, total = mp.exp(-alpha), mpf(1), mpf(0)
+        for r in range(1, const.truncation + 1):
+            power *= x
+            total += pbar[r] * power
+        return scale * (total + bounds._tail_integral(const.truncation, alpha))
+
+
+@pytest.mark.parametrize("index, c, series, rel_tol", CONST_CASES)
+def test_const_c_matches_per_term_reference(request, pbar3000, index, c, series, rel_tol):
+    pbar = pbar3000[:BENCH_PREFIX + 1] if series == "bench" else request.getfixturevalue(series)
+    got = const_C(index, c, pbar, rel_tol=rel_tol)
+    ref = const_C_per_term(index, c, pbar, rel_tol=rel_tol)
+    assert got.truncation == ref.truncation
+    with mp.workprec(400):
+        for name in ("upper", "partial", "tail_bound"):
+            value, expect = getattr(got, name), getattr(ref, name)
+            assert mp.nstr(value, 20) == mp.nstr(expect, 20), name
+            assert abs(value - expect) <= mpf(2) ** (2 - DEFAULT_PRECISION) * abs(expect), name
+        assert got.upper >= _series_at(got, pbar)
+
+
+def test_const_c_bits_independent_of_ambient_state_and_prefix(pbar3000):
+    def bits(const):
+        return (const.upper._mpf_, const.partial._mpf_, const.tail_bound._mpf_,
+                const.truncation)
+
+    cases = ((1, None), (4, 3), (2, 5))
+    runs = []
+    old = mp.prec, iv.prec
+    try:
+        for ambient in (53, 300):
+            mp.prec = iv.prec = ambient
+            runs.append([bits(const_C(i, c, pbar3000)) for i, c in cases])
+            assert (mp.prec, iv.prec) == (ambient, ambient)
+    finally:
+        mp.prec, iv.prec = old
+    assert runs[0] == runs[1]
+    # a prefix one count past the chunk where the series stops gives the same bits
+    for (i, c), expect in zip(cases, runs[0]):
+        assert bits(const_C(i, c, pbar3000[:expect[3] + 2])) == expect
+
+
 # ---------------------------------------------------------------------------
 # Error pieces and aggregation
 # ---------------------------------------------------------------------------
@@ -189,6 +250,13 @@ def test_main_term_bound_values():
         if prev is not None:
             assert cur > prev
         prev = cur
+
+
+def test_main_term_envelope_bounds_the_estimate():
+    # the largest ratio on this grid is about 0.126, at (a, c, n) = (1, 3, 50)
+    for c in (3, 5, 7, 9, 11):
+        for n in (50, 200, 1000, 5000, 20000):
+            assert abs(a_asymptotic(1, c, n).value) <= main_term_bound(c, n), (c, n)
 
 
 def test_main_term_second_exponential_rate():
