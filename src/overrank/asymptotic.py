@@ -51,8 +51,12 @@ class AsymptoticEstimate:
     part; large residuals are a red flag, not an assertion failure.
     precision_bits is the working precision requested, not an accuracy
     claim: cancellation inside the arc sums can cost more than the guard
-    bits cover (at (a, c, n) = (2, 5, 40100) the 160-bit value agrees with a
-    400-bit one to about 69 bits).
+    bits cover.  At (a, c, n) = (2, 5, 40120) the 160-bit value,
+    -255.57274272..., agrees with the 400-bit one, -255.57269081..., to only
+    22.2 bits, so 6 of its 20 printed digits are right (69 bits at
+    (2, 5, 40100)).  There every B arc vanishes identically; the computed
+    values are rounding noise, which a sinh of about 10^54 multiplies
+    (ROADMAP item 12).
     """
 
     value: mpf

@@ -19,15 +19,16 @@ policy MARGIN_POLICY (1e-12), and callers surface that outcome.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp, mpf_mul,
-                          mpf_neg, mpf_perturb, mpf_pi, mpf_shift, round_ceiling, round_floor,
-                          to_int)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_perturb, mpf_pi, mpf_shift, round_ceiling,
+                          round_floor, to_float, to_int)
 
 from . import DEFAULT_PRECISION
 
@@ -158,6 +159,14 @@ def const_C(index: int, c: int | None, pbar: Sequence[int],
     are upper endpoints and every rounding is upward, so the partial sum is an
     upper bound; as alpha <= pi, a Horner sum's relative excess is below
     chunk (1 + e^alpha) 2^-F < 2^-(prec+35).
+
+    The tail's closed form is its first term e^{pi sqrt R - alpha R}/alpha plus
+    a positive erfc term, so the tail exceeds that first term.  Where ln of the
+    first term beats ln(rel_tol * partial) by more than 1 nat in floats (whose
+    logs err by about 1e-12), the stop test must fail, and the closed form is
+    not evaluated.  It is always evaluated at the last available count and when
+    rel_tol <= 0, and the stop test itself is unchanged, so the screen moves no
+    bit of the result.
     """
     wp = prec + 20
     with mp.workprec(wp):
@@ -168,9 +177,12 @@ def const_C(index: int, c: int | None, pbar: Sequence[int],
         r = 0
         chunk = max(64, r_min // 8)
         F = prec + 40 + chunk.bit_length()
+        last = len(pbar) - 1
+        a = float(q) * math.pi
+        screen = math.log(rel_tol) + math.log(a) + 1 if rel_tol > 0 else math.inf
         step = to_int(mpf_shift(_exp_neg_pi_upper(q, F), F), round_ceiling)
         while True:
-            hi = min(r + chunk, len(pbar) - 1)
+            hi = min(r + chunk, last)
             s = 0
             for i in range(hi, r, -1):
                 s = (pbar[i] << F) - ((-step * s) >> F)
@@ -178,11 +190,13 @@ def const_C(index: int, c: int | None, pbar: Sequence[int],
             partial = mpf_add(partial, mpf_mul(from_man_exp(s, -F), head, wp, round_ceiling),
                               wp, round_ceiling)
             r = hi
-            if r >= r_min:
+            # the closed form runs only where it can stop the series: see the docstring
+            if r >= r_min and (r >= last or not math.pi * math.sqrt(r) - a * r
+                               > screen + to_float(mpf_log(partial, 53))):
                 tail = _tail_integral(r, alpha)
                 if tail <= mpf(rel_tol) * mp.make_mpf(partial):
                     break
-            if r >= len(pbar) - 1:
+            if r >= last:
                 raise ValueError(
                     f"series for C{index} needs exact counts beyond r={r}; "
                     "supply a longer pbar sequence")
@@ -255,9 +269,11 @@ def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdow
         raise ValueError("need n >= 2")
     with mp.workprec(prec + 10):
         nn = mpf(n)
-        # each majorant once per call; multiplying by the exact 1 moves no bit
+        # each majorant and each power of n once per call; multiplying by the
+        # exact 1 moves no bit
         factor = {None: 1, cbar4: cbar4(c, prec + 10), cbar2: cbar2(c, prec + 10)}
-        pieces = {name: mpf(coef) * factor[majorant] * nn ** mpf(expo) * c ** cpow
+        power = {e: nn ** mpf(e) for e in {expo for _, expo, _, _ in _PIECE_COEFS.values()}}
+        pieces = {name: mpf(coef) * factor[majorant] * power[expo] * c ** cpow
                   for name, (coef, expo, cpow, majorant) in _PIECE_COEFS.items()}
         total = sum(pieces.values())
     with mp.workprec(prec):
@@ -271,9 +287,10 @@ def main_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
     with mp.workprec(prec + 10):
         nn = mpf(n)
         s = mp.sqrt(nn)
-        out = (mpf("0.1624") * mp.exp(mp.pi * s / c) * nn ** mpf("0.25") * c
+        quarter = nn ** mpf("0.25")
+        out = (mpf("0.1624") * mp.exp(mp.pi * s / c) * quarter * c
                + (mpf("0.0266") * c + mpf("0.2123"))
-               * mp.exp(mp.pi * s * (1 - mpf(4) / c)) * nn ** mpf("0.25") * c)
+               * mp.exp(mp.pi * s * (1 - mpf(4) / c)) * quarter * c)
     with mp.workprec(prec):
         return +out
 
@@ -282,12 +299,13 @@ def error_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
     """Aggregated error envelope; equals the sum of the fourteen pieces."""
     with mp.workprec(prec + 10):
         nn = mpf(n)
+        quarter = nn ** mpf("0.25")
         out = (mpf("1544.72") * nn ** mpf("-0.25") * c * c
-               + mpf("87078.1") * nn ** mpf("0.25") * c
-               + mpf("5733.56") * nn ** mpf("0.25") * c * c
+               + mpf("87078.1") * quarter * c
+               + mpf("5733.56") * quarter * c * c
                + mpf("1.8186") * nn ** mpf("0.875") * c
-               + mpf("1363.79") * cbar4(c, prec + 10) * nn ** mpf("0.25") * c
-               + mpf("1446.53") * cbar2(c, prec + 10) * nn ** mpf("0.25") * c)
+               + mpf("1363.79") * cbar4(c, prec + 10) * quarter * c
+               + mpf("1446.53") * cbar2(c, prec + 10) * quarter * c)
     with mp.workprec(prec):
         return +out
 
@@ -314,17 +332,18 @@ def r_ratio(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
         nn = mpf(n)
         s = mp.sqrt(nn)
         epi = mp.exp(-mp.pi * s)
+        n125, n1875 = nn ** mpf("1.25"), nn ** mpf("1.875")
         if c in TABULATED:
             lead, tail, _ = TABULATED[c]
-            val = mpf(lead) * mp.exp(-(c - 1) * mp.pi * s / c) * nn ** mpf("1.25")
+            val = mpf(lead) * mp.exp(-(c - 1) * mp.pi * s / c) * n125
             if c == 3:
-                val += 24 * mp.exp(-mpf(4) / 3 * mp.pi * s) * nn ** mpf("1.25")
-            val += epi * sum(mpf(k) * nn ** mpf(e)
-                             for k, e in zip(tail, ("0.75", "1.25", "1.875")))
+                val += 24 * mp.exp(-mpf(4) / 3 * mp.pi * s) * n125
+            val += epi * sum(mpf(k) * p
+                             for k, p in zip(tail, (nn ** mpf("0.75"), n125, n1875)))
         else:
             val = (mpf(37259) * c * cbar4(c, prec + 10)
-                   * mp.exp(-4 * mp.pi * s / c) * nn ** mpf("1.25")
-                   + mpf("49.69") * c * epi * nn ** mpf("1.875"))
+                   * mp.exp(-4 * mp.pi * s / c) * n125
+                   + mpf("49.69") * c * epi * n1875)
     with mp.workprec(prec):
         return +val
 

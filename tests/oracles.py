@@ -21,6 +21,8 @@ The raw error aggregate sums the un-simplified error-piece bounds, to check
 that `overrank.bounds.error_pieces` dominates them.  The per-term series
 constant takes one exponential per term at nearest rounding, the loop
 `overrank.bounds.const_C` replaced with upward-rounded integer Horner sums.
+The per-power envelopes take n to a fresh power in every term, where
+`overrank.bounds` takes each distinct power once; the bits must agree.
 """
 
 import math
@@ -30,7 +32,8 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from overrank.asymptotic import AsymptoticEstimate, engel_pbar
-from overrank.bounds import CertifiedConstant, _series_params, _tail_integral
+from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series_params,
+                             _tail_integral, cbar2, cbar4)
 from overrank.counts import RankClassTable
 from overrank.modsums import (DEFAULT_PRECISION, context, coprime_residues, delta,
                               kloosterman_B, kloosterman_D, m_param, mod_inverse, omega)
@@ -350,3 +353,39 @@ def const_C_per_term(index: int, c: int | None, pbar: list[int], rel_tol: float 
         upper += abs(upper) * mpf(2) ** (4 - prec)
         return CertifiedConstant(index=index, c=c, upper=+upper,
                                  partial=+partial, tail_bound=+tail, truncation=r)
+
+
+def envelopes_per_power(c: int, n: int, prec: int = DEFAULT_PRECISION) -> tuple:
+    """(error pieces, their total, error_term_bound, main_term_bound, r_ratio) at
+    (c, n), each term with its own n ** mpf(e), as `overrank.bounds` stood before
+    it took each power of n once per call."""
+    with mp.workprec(prec + 10):
+        nn = mpf(n)
+        s = mp.sqrt(nn)
+        factor = {None: 1, cbar4: cbar4(c, prec + 10), cbar2: cbar2(c, prec + 10)}
+        pieces = {name: mpf(coef) * factor[majorant] * nn ** mpf(expo) * c ** cpow
+                  for name, (coef, expo, cpow, majorant) in _PIECE_COEFS.items()}
+        total = sum(pieces.values())
+        error_term = (mpf("1544.72") * nn ** mpf("-0.25") * c * c
+                      + mpf("87078.1") * nn ** mpf("0.25") * c
+                      + mpf("5733.56") * nn ** mpf("0.25") * c * c
+                      + mpf("1.8186") * nn ** mpf("0.875") * c
+                      + mpf("1363.79") * cbar4(c, prec + 10) * nn ** mpf("0.25") * c
+                      + mpf("1446.53") * cbar2(c, prec + 10) * nn ** mpf("0.25") * c)
+        main_term = (mpf("0.1624") * mp.exp(mp.pi * s / c) * nn ** mpf("0.25") * c
+                     + (mpf("0.0266") * c + mpf("0.2123"))
+                     * mp.exp(mp.pi * s * (1 - mpf(4) / c)) * nn ** mpf("0.25") * c)
+        epi = mp.exp(-mp.pi * s)
+        if c in TABULATED:
+            lead, tail, _ = TABULATED[c]
+            ratio = mpf(lead) * mp.exp(-(c - 1) * mp.pi * s / c) * nn ** mpf("1.25")
+            if c == 3:
+                ratio += 24 * mp.exp(-mpf(4) / 3 * mp.pi * s) * nn ** mpf("1.25")
+            ratio += epi * sum(mpf(k) * nn ** mpf(e)
+                               for k, e in zip(tail, ("0.75", "1.25", "1.875")))
+        else:
+            ratio = (mpf(37259) * c * cbar4(c, prec + 10)
+                     * mp.exp(-4 * mp.pi * s / c) * nn ** mpf("1.25")
+                     + mpf("49.69") * c * epi * nn ** mpf("1.875"))
+    with mp.workprec(prec):
+        return ({k: +v for k, v in pieces.items()}, +total, +error_term, +main_term, +ratio)

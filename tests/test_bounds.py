@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import iv, mp, mpf
-from oracles import const_C_per_term, raw_error_aggregate
+from oracles import const_C_per_term, envelopes_per_power, raw_error_aggregate
 
 from overrank import (DEFAULT_PRECISION, a_asymptotic, aux_inequalities_selftest, bounds,
                       cbar2, cbar4, const_C, error_pieces, error_term_bound, m_c, m_c_prime,
@@ -161,9 +161,61 @@ def test_const_c_bits_independent_of_ambient_state_and_prefix(pbar3000):
         assert bits(const_C(i, c, pbar3000[:expect[3] + 2])) == expect
 
 
+def test_const_c_evaluates_few_tail_integrals(monkeypatch, pbar3000, pbar_deep):
+    # the float screen leaves the closed-form tail to the chunks that can stop the series
+    calls = []
+    tail_integral = bounds._tail_integral
+
+    def counted(R, alpha):
+        calls.append(R)
+        return tail_integral(R, alpha)
+
+    monkeypatch.setattr(bounds, "_tail_integral", counted)
+    cases = [(i, c, pbar3000[:BENCH_PREFIX + 1]) for i, c, series, _ in CONST_CASES
+             if series == "bench"] + [(4, 8, pbar_deep)]
+    for i, c, pbar in cases:
+        calls.clear()
+        const = const_C(i, c, pbar)
+        assert 1 <= len(calls) <= 2 and calls[-1] == const.truncation, (i, c, calls)
+
+
+def test_const_c_failures_keep_their_message(pbar3000):
+    def message(index, pbar):
+        return (f"series for C{index} needs exact counts beyond r={len(pbar) - 1}; "
+                "supply a longer pbar sequence")
+
+    # no tolerance is ever met: the closed form still runs at the last count
+    for rel_tol in (0, -1.0):
+        with pytest.raises(ValueError) as err:
+            const_C(1, None, pbar3000, rel_tol=rel_tol)
+        assert str(err.value) == message(1, pbar3000)
+    # C4(3) sums in chunks of 64: a prefix one chunk short of its truncation
+    # ends where the stop test failed
+    short = pbar3000[:const_C(4, 3, pbar3000).truncation - 64 + 1]
+    with pytest.raises(ValueError):
+        const_C_per_term(4, 3, short)
+    with pytest.raises(ValueError) as err:
+        const_C(4, 3, short)
+    assert str(err.value) == message(4, short)
+
+
 # ---------------------------------------------------------------------------
 # Error pieces and aggregation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("prec", (64, 160, 300))
+def test_envelopes_bits_equal_one_power_per_term(prec):
+    for c in (3, 4, 5, 7, 9):
+        for n in (2, 50, 2089, 20091, 80137, 10 ** 6):
+            pieces, total, error_term, main_term, ratio = envelopes_per_power(c, n, prec)
+            bb = error_pieces(c, n, prec)
+            assert {k: v._mpf_ for k, v in bb.pieces.items()} == {
+                k: v._mpf_ for k, v in pieces.items()}, (c, n)
+            assert bb.total._mpf_ == total._mpf_, (c, n)
+            assert error_term_bound(c, n, prec)._mpf_ == error_term._mpf_, (c, n)
+            assert main_term_bound(c, n, prec)._mpf_ == main_term._mpf_, (c, n)
+            assert r_ratio(c, n, prec)._mpf_ == ratio._mpf_, (c, n)
+
 
 def test_error_pieces_s7_example():
     with mp.workprec(240):
