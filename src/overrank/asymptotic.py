@@ -64,12 +64,6 @@ class AsymptoticEstimate:
     k_terms: list[tuple[int, mpc]] = field(default_factory=list)
     precision_bits: int = DEFAULT_PRECISION
 
-    @property
-    def dominant_term(self) -> mpf:
-        if not self.k_terms:
-            return mpf(0)
-        return max(abs(t) for _, t in self.k_terms)
-
 
 def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
     """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision.
@@ -124,11 +118,10 @@ def _arc_walk(residues, c: int, n: int, prec: int):
     residues, in one walk over the arcs, and each a's k-terms.
 
     At each arc every residue's kernel calls share one KernelTables; each
-    residue's own terms are summed in arc order, as in a walk of its own.
+    residue's total sums its own k-terms in arc order, as in a walk of its own.
     """
     kmax = isqrt(n)
     terms: dict[int, list[tuple[int, mpc]]] = {a: [] for a in residues}
-    totals = dict.fromkeys(residues, mpc(0))
     tables = KernelTables(c, prec + 20)
     with mp.workprec(prec + 20):
         root = mp.sqrt(mpf(2) / n)
@@ -142,7 +135,6 @@ def _arc_walk(residues, c: int, n: int, prec: int):
                 B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
                 t = mpc(0, 1) * root * B / sqrt_k * growth
                 terms[a].append((k, t))
-                totals[a] += t
         # secondary sum: c not dividing k, k odd, c1 != 4, r >= 0 with delta > 0
         for k in range(1, kmax + 1):
             if k % 2 == 0 or k % c == 0:
@@ -163,7 +155,7 @@ def _arc_walk(residues, c: int, n: int, prec: int):
                     r += 1
                 if tk != 0:
                     terms[a].append((k, tk))
-                    totals[a] += tk
+        totals = {a: sum((t for _, t in terms[a]), mpc(0)) for a in residues}
     return totals, terms
 
 

@@ -261,12 +261,17 @@ _PIECE_COEFS = {
 }
 
 
-def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdown:
-    """All fourteen error-piece bounds with the closed-form majorants plugged in."""
-    if c <= 2:
+def _check_domain(c: int, n: int) -> None:
+    """The domain of the four envelopes below: c >= 3 and n >= 2."""
+    if c < 3:
         raise ValueError("need c >= 3")
     if n < 2:
         raise ValueError("need n >= 2")
+
+
+def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdown:
+    """All fourteen error-piece bounds with the closed-form majorants plugged in."""
+    _check_domain(c, n)
     with mp.workprec(prec + 10):
         nn = mpf(n)
         # each majorant and each power of n once per call; multiplying by the
@@ -284,6 +289,7 @@ def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdow
 
 def main_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
     """Envelope for the two main sums of the deviation coefficient."""
+    _check_domain(c, n)
     with mp.workprec(prec + 10):
         nn = mpf(n)
         s = mp.sqrt(nn)
@@ -296,7 +302,8 @@ def main_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
 
 
 def error_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
-    """Aggregated error envelope; equals the sum of the fourteen pieces."""
+    """Aggregated error envelope; at least the sum of the fourteen pieces."""
+    _check_domain(c, n)
     with mp.workprec(prec + 10):
         nn = mpf(n)
         quarter = nn ** mpf("0.25")
@@ -324,10 +331,7 @@ TABULATED = {
 
 def r_ratio(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
     """Deviation envelope |N(a,c,n)/pbar(n) - 1/c| <= R_c(n), tabulated or generic."""
-    if c < 3:
-        raise ValueError("need c >= 3")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_domain(c, n)
     with mp.workprec(prec + 10):
         nn = mpf(n)
         s = mp.sqrt(nn)

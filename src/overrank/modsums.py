@@ -49,10 +49,6 @@ __all__ = [
     "omega",
 ]
 
-QUARTER = Fraction(1, 4)
-THREE_QUARTERS = Fraction(3, 4)
-
-
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) = sum_{u mod k} ((u/k)) ((hu/k)), by Euclidean recursion.
 
@@ -115,13 +111,11 @@ class KloostermanContext:
 
     @property
     def region(self) -> str:
-        """Branch key on l/c1: 'low' (0,1/4], 'mid' (1/4,3/4], 'high' (3/4,1)."""
-        x = Fraction(self.l, self.c1)
-        if x <= QUARTER:
-            return "low"
-        if x <= THREE_QUARTERS:
-            return "mid"
-        return "high"
+        """Branch key on l/c1: 'low' (0,1/4], 'mid' (1/4,3/4], 'high' (3/4,1).
+
+        Decided in integers: l/c1 <= 1/4 exactly when 4*l <= c1, <= 3/4 when 4*l <= 3*c1.
+        """
+        return "low" if 4 * self.l <= self.c1 else "mid" if 4 * self.l <= 3 * self.c1 else "high"
 
 
 def context(a: int, c: int, k: int) -> KloostermanContext:
@@ -147,11 +141,11 @@ def delta(ctx: KloostermanContext, r: int) -> Fraction:
         raise ValueError("delta requires c not dividing k")
     if r < 0:
         raise ValueError("r must be >= 0")
-    l, c1 = ctx.l, ctx.c1
+    l, c1, region = ctx.l, ctx.c1, ctx.region
     x = Fraction(l, c1)
-    if x <= QUARTER:
+    if region == "low":
         return Fraction(1, 16) - Fraction(l, 2 * c1) + Fraction(l * l, c1 * c1) - r * x
-    if x <= THREE_QUARTERS:
+    if region == "mid":
         return Fraction(0)
     return (Fraction(1, 16) - Fraction(3 * l, 2 * c1) + Fraction(l * l, c1 * c1)
             + Fraction(1, 2) - r * (1 - x))
@@ -167,12 +161,11 @@ def m_param(ctx: KloostermanContext, r: int) -> Fraction:
         raise ValueError("m_param requires c not dividing k")
     if r < 0:
         raise ValueError("r must be >= 0")
-    l, c1 = ctx.l, ctx.c1
+    l, c1, region = ctx.l, ctx.c1, ctx.region
     d = ctx.a * ctx.k1 - l
-    x = Fraction(l, c1)
-    if x <= QUARTER:
+    if region == "low":
         return Fraction(-(2 * d * d + c1 * d + 2 * r * c1 * d), 2 * c1 * c1)
-    if x <= THREE_QUARTERS:
+    if region == "mid":
         return Fraction(0)
     return Fraction(-(2 * d * d + 3 * c1 * d - 2 * r * c1 * d - c1 * c1 * (2 * r - 1)),
                     2 * c1 * c1)

@@ -144,7 +144,7 @@ def test_criterion_09_asymptotic_sanity(table3):
         est = a_asymptotic(1, 3, n)
         exact = a_exact(1, 3, n, table3, prec=300)
         devs[n] = abs(est.value - exact.real) / abs(exact.real)
-        if est.imag_residual > mpf(10) ** -10 * est.dominant_term:
+        if est.imag_residual > mpf(10) ** -10 * max(abs(t) for _, t in est.k_terms):
             residual_ok = False
     gate(9, "relative deviation shrinks (n=2000 vs 500) and residual stays tiny",
          devs[2000] < devs[500] and residual_ok,

@@ -261,6 +261,18 @@ def test_error_term_bound_aggregates_pieces():
     assert error_term_bound(3, 2089) > 0
 
 
+@pytest.mark.parametrize("envelope", (error_pieces, main_term_bound, error_term_bound, r_ratio))
+def test_envelopes_share_one_domain(envelope):
+    # outside c >= 3, n >= 2 each envelope raises; unchecked, main_term_bound
+    # gives a complex value at n = -4, a value for c = 2 and a
+    # ZeroDivisionError at c = 0, and error_term_bound +inf at n = 0
+    for c, n, message in ((3, -4, "need n >= 2"), (2, 5, "need c >= 3"),
+                          (0, 5, "need c >= 3"), (3, 0, "need n >= 2"),
+                          (3, 1, "need n >= 2")):
+        with pytest.raises(ValueError, match=message):
+            envelope(c, n)
+
+
 def test_error_term_bound_coefficients_cover_their_pieces(monkeypatch):
     # error_term_bound is coef * n^e * c^p * majorant summed over the groups of
     # _PIECE_COEFS rows that share (e, p, majorant).  With the majorants set to

@@ -120,6 +120,14 @@ def test_asymptotic_side_by_side(capsys):
     assert "envelope_verdict=pass" in out
 
 
+def test_asymptotic_rejects_n_outside_the_envelope_domain(capsys):
+    # the envelope verdict needs n >= 2, as the bounds command does
+    for command in (("asymptotic", "--a", "1", "--c", "3"), ("bounds", "--c", "3")):
+        code = main([*command, "--n", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: need n >= 2"
+
+
 def test_asymptotic_exact_unavailable(capsys):
     code, out = run_cli(capsys, "asymptotic", "--a", "1", "--c", "3",
                         "--n", "500", "--n-max", "100")

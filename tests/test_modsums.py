@@ -16,9 +16,9 @@ import oracles
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
                      kloosterman_B_direct, kloosterman_D_direct, multiplier_classes)
 from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
-                      m_param, mod_inverse, omega)
+                      m_param, mod_inverse, omega, pbar_series)
 from overrank import modsums
-from overrank.modsums import _multipliers, _unit_phase, coprime_residues
+from overrank.modsums import _conjugate, _multipliers, _unit_phase, coprime_residues
 
 
 def libmp(z):
@@ -108,6 +108,23 @@ def test_context_rejects_bad_input():
         context(2, 4, 1)  # gcd != 1
     with pytest.raises(ValueError):
         context(1, 2, 1)  # c too small
+
+
+def test_context_region_matches_the_fraction_rule():
+    # the integer rule 4l <= c1, 4l <= 3*c1 against l/c1 compared with 1/4 and 3/4
+    for c in range(3, 41):
+        for a in range(1, c):
+            if gcd(a, c) != 1:
+                continue
+            for k in range(1, 91):
+                ctx = context(a, c, k)
+                x = Fraction(ctx.l, ctx.c1)
+                expected = ("low" if x <= Fraction(1, 4)
+                            else "mid" if x <= Fraction(3, 4) else "high")
+                assert ctx.region == expected, (a, c, k)
+    # both boundaries belong to the branch below them
+    assert context(1, 4, 1).region == "low"  # l/c1 = 1/4
+    assert context(3, 4, 1).region == "mid"  # l/c1 = 3/4
 
 
 def test_delta_values():
@@ -305,6 +322,28 @@ def test_multipliers_evaluate_omega_once_per_class(monkeypatch, shared_omega):
         classes = multiplier_classes(k)
         assert len(called) == len(classes), k
         assert all(sum(h in cls for h in called) == 1 for cls in classes), k
+
+
+def test_multipliers_give_the_exact_overpartition_counts(monkeypatch):
+    # Zuckerman's series on the kernels' ratios rounds to the exact count.  One
+    # large n guards the small arcs at once: at 19321 = 139^2, prime to every
+    # smaller arc, conjugating one ratio or a whole arc k <= 29 moves the
+    # rounded value.  An arc k dividing n (5 and 25 at 10000) cannot see a
+    # conjugated arc, whose sum is then the same at n and -n.
+    pbar = pbar_series(19321)
+    for n in (10000, 19321):
+        assert oracles.pbar_zuckerman(n) == pbar[n], n
+
+    def planted(k):
+        rows = _multipliers(k)
+        if k == 15:
+            h, hp, r = rows[1]
+            rows[1] = (h, hp, _conjugate(r))
+        return rows
+
+    # one conjugated ratio at arc 15 moves the rounded value (by -6493)
+    monkeypatch.setattr(oracles, "_multipliers", planted)
+    assert oracles.pbar_zuckerman(10000) != pbar[10000]
 
 
 def test_exact_rationals_insensitive_to_precision():
