@@ -8,8 +8,8 @@ and the sandwich rows (for c = 3, 4, 5 from `TABULATED`, the one table of the
 paper's per-modulus numbers), the giant thresholds M_c, the two-sided envelope
 for the overpartition count, the exponent-gap inequality that extends the
 finite subadditivity checks, and a self-test of the auxiliary scalar
-inequalities the envelopes rest on.  The self-test's grids depend only on the
-working precision, so they are evaluated once per precision per process.
+inequalities the envelopes rest on, each evaluated where its proof puts the
+minimum, once per working precision per process.
 
 Strict float comparisons here never masquerade as proofs: `strict_verdict`
 returns 'inconclusive' when a margin is thinner than the fixed relative
@@ -440,10 +440,11 @@ def t_inequality(n1: int, c: int, prec: int = DEFAULT_PRECISION) -> TInequalityR
 
 @functools.cache
 def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
-    """Evaluate the seven fixed-grid checks at `prec`.
+    """Evaluate the seven checks at `prec`, each only where the proof beside it
+    puts the minimum of its margin over the grid its record names.
 
-    Every grid point is evaluated inside workprec(prec), so the verdicts depend
-    on `prec` alone and one evaluation per precision serves the whole process.
+    Every point is evaluated inside workprec(prec), so the verdicts depend on
+    `prec` alone and one evaluation per precision serves the whole process.
     """
     checks = []
 
@@ -455,36 +456,32 @@ def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
     with mp.workprec(prec):
         pi = mp.pi
 
-        # log x <= a (x^{1/a} - 1) for a, x > 0
-        xs = [mpf(i) / 20 for i in range(1, 1001)]  # x in (0, 50]
-        logs = [mp.log(x) for x in xs]
-        powers = [(a, mpf(1) / a) for a in (1, 2, 4, 8, 16)]
-        record("log_power_bound",
-               (a * (x ** inv - 1) - lx for a, inv in powers for x, lx in zip(xs, logs)),
+        # log x <= a (x^{1/a} - 1) for a, x > 0: ln y <= y - 1 at y = x^{1/a}, equal at x = 1
+        x = mpf(1)
+        lx = mp.log(x)
+        record("log_power_bound", (a * (x ** (mpf(1) / a) - 1) - lx for a in (1, 2, 4, 8, 16)),
                "a in {1,2,4,8,16}, x in (0,50]", strict=False)
 
-        # cot(pi/2c) <= 2c/pi
-        margins = [2 * mpf(c) / pi - mp.cospi(mpf(1) / (2 * c)) / mp.sinpi(mpf(1) / (2 * c))
-                   for c in range(3, 33)]
-        record("cot_linear_bound", margins, "c in 3..32", strict=False)
+        # cot(pi/2c) <= 2c/pi: the margin 1/t - cot t increases in t = pi/2c, so c = 32
+        record("cot_linear_bound",
+               [2 * mpf(c) / pi - mp.cospi(mpf(1) / (2 * c)) / mp.sinpi(mpf(1) / (2 * c))
+                for c in (32,)], "c in 3..32", strict=False)
 
-        # (1 + log((c-1)/2)) / (pi (1 - pi^2/24)) < 0.2704 c
-        margins = [mpf("0.2704") * c - (1 + mp.log(mpf(c - 1) / 2)) / (pi * (1 - pi ** 2 / 24))
-                   for c in range(3, 33)]
-        record("log_factor_linear", margins, "c in 3..32")
+        # (1 + log((c-1)/2)) / (pi (1 - pi^2/24)) < 0.2704 c: from c to c + 1 the margin
+        # grows by 0.2704 - ln(c/(c-1)) / (pi (1 - pi^2/24)) > 0 for c >= 3, so c = 3
+        record("log_factor_linear",
+               [mpf("0.2704") * c - (1 + mp.log(mpf(c - 1) / 2)) / (pi * (1 - pi ** 2 / 24))
+                for c in (3,)], "c in 3..32")
 
-        # e^{-x} / (1 - e^{-x})^2 < (1 + x)/x^2
-        record("exp_square_ratio",
-               ((1 + x) / (x * x) - ex / (1 - ex) ** 2
-                for x, ex in zip(xs, (mp.exp(-x) for x in xs))),
-               "x in (0,50]")
+        # e^{-x} / (1 - e^{-x})^2 < (1 + x)/x^2: the margin's derivative has the sign of
+        # u^3 cosh u - (u + 1) sinh^3 u, negative as (sinh u / u)^3 > cosh u, u = x/2; so x = 50
+        x = mpf(50)
+        ex = mp.exp(-x)
+        record("exp_square_ratio", [(1 + x) / (x * x) - ex / (1 - ex) ** 2], "x in (0,50]")
 
-        # e^x > (1 + x/y)^y
-        xs = [mpf(i) / 10 for i in range(1, 501)]  # x in (0, 50]
-        exps = [mp.exp(x) for x in xs]
-        record("exp_vs_power",
-               (ex - (1 + x / y) ** y
-                for y in (mpf("0.5"), 1, 2, 3, 4, 8) for x, ex in zip(xs, exps)),
+        # e^x > (1 + x/y)^y: the margin increases in x and decreases in y, so (0.1, 8)
+        x = mpf(1) / 10
+        record("exp_vs_power", [mp.exp(x) - (1 + x / y) ** y for y in (8,)],
                "y in {0.5,1,2,3,4,8}, x in (0,50]")
 
         # sum_{k <= sqrt n} k^{-1/2} <= 2 n^{1/4}
@@ -493,19 +490,20 @@ def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
                 for n in (2, 4, 9, 16, 50, 100, 500, 1000, 5000, 10000)),
                "n in {2,...,10000}", strict=False)
 
-        # sin(pi/c) >= 2/c
-        margins = [mp.sinpi(mpf(1) / c) - mpf(2) / c for c in range(3, 33)]
+        # sin(pi/c) >= 2/c: sin(pi t) - 2t is concave in t = 1/c, so c = 3 or c = 32
+        margins = [mp.sinpi(mpf(1) / c) - mpf(2) / c for c in (3, 32)]
         record("sin_lower_bound", margins, "c in 3..32", strict=False)
 
     return tuple(checks)
 
 
 def aux_inequalities_selftest(prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
-    """Grid-verify the scalar inequalities the envelopes rest on.
+    """Check the scalar inequalities the envelopes rest on, each where its proof
+    puts the minimum over its grid.
 
     Returns name -> {passed, worst_margin, grid} entries; failures are report
-    entries, never exceptions.  The grids depend only on `prec`, so they run
-    once per precision per process.  Each call returns a fresh dict.
+    entries, never exceptions.  The margins depend only on `prec`, so they are
+    evaluated once per precision per process.  Each call returns a fresh dict.
     """
     return {name: {"passed": passed, "worst_margin": worst, "grid": grid}
             for name, passed, worst, grid in _grid_checks(prec)}

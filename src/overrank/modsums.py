@@ -325,24 +325,6 @@ def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
             for h in hs]
 
 
-def _unit_phase(num: int, den: int, memo: dict[tuple[int, int], tuple]) -> tuple:
-    """exp(2*pi*i*num/den) as an integer pair at the working precision, from
-    num/den in lowest terms mod 1.
-
-    memo maps each reduced (num, den) to its value, so a phase that recurs
-    is evaluated once; it must only be used at one precision.  Doubling
-    commutes with rounding, so the value has the bits of
-    mp.expjpi(2*mpf(num)/den).
-    """
-    g = gcd(num, den)
-    den //= g
-    key = (num // g % den, den)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _from_mpc(_cos_sin_pi(2 * key[0], den, *mp._prec_rounding))
-    return value
-
-
 class KernelTables:
     """Values that calls of `kloosterman_B` and `kloosterman_D` share.
 
@@ -375,12 +357,39 @@ class KernelTables:
             self.k = k
         return self.multipliers
 
+    def phase(self, num: int, den: int) -> tuple:
+        """exp(2*pi*i*num/den) at the working precision, evaluated once per num/den
+        in lowest terms mod 1.  Doubling commutes with rounding, so the value
+        has the bits of mp.expjpi(2*mpf(num)/den)."""
+        g = gcd(num, den)
+        den //= g
+        key = (num // g % den, den)
+        value = self.phases.get(key)
+        if value is None:
+            value = self.phases[key] = _from_mpc(_cos_sin_pi(2 * key[0], den,
+                                                             *mp._prec_rounding))
+        return value
+
     def sine(self, x: int) -> tuple[int, int]:
         """sin(pi*x/c) at the working precision, as (mantissa, exponent)."""
         value = self.sines.get(x)
         if value is None:
             value = self.sines[x] = _from_mpf(mp.sinpi(mpf(x) / self.c)._mpf_)
         return value
+
+
+def _checked_tables(a: int, c: int, tables: KernelTables | None, prec: int) -> KernelTables:
+    """Check (a, c) and return `tables`, or fresh ones for modulus c at prec."""
+    if gcd(a, c) != 1 or not 0 < a < c:
+        raise ValueError("need 0 < a < c coprime")
+    return KernelTables(c, prec) if tables is None else tables
+
+
+def _scale(total: tuple, sign: int, a: int, c: int, prec: int) -> mpc:
+    """total * sign/sqrt(2) * tan(pi*a/c) at the working precision, rounded to prec bits."""
+    total = _to_mpc(total) * (sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
+    with mp.workprec(prec):
+        return +total
 
 
 def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION, *,
@@ -396,10 +405,7 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
     """
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
-    if gcd(a, c) != 1 or not 0 < a < c:
-        raise ValueError("need 0 < a < c coprime")
-    if tables is None:
-        tables = KernelTables(c, prec)
+    tables = _checked_tables(a, c, tables, prec)
     quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
         wp, rnd = mp._prec_rounding
@@ -407,16 +413,14 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
         # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
         quad = {r: _from_mpc(_cos_sin_pi(-r, c, wp, rnd))
                 for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
-        phases = tables.phases
+        phase = tables.phase
         total = (0, 0, 0, 0)
         for h, hp, w in mults:
             term = _cdiv_real(w, *tables.sine(a * hp), wp)
             term = _cmul(term, quad[quad_coeff * hp % (2 * c)], wp)
-            term = _cmul(term, _unit_phase(n * h, k, phases), wp)
+            term = _cmul(term, phase(n * h, k), wp)
             total = _cadd(total, term, wp)
-        total = _to_mpc(total) * (1 / mp.sqrt(2) * mp.tan(mp.pi * a / c))
-    with mp.workprec(prec):
-        return +total
+        return _scale(total, 1, a, c, prec)
 
 
 def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
@@ -434,19 +438,14 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
     if region_sign not in (1, -1):
         raise ValueError("region_sign must be +1 or -1")
-    if gcd(a, c) != 1 or not 0 < a < c:
-        raise ValueError("need 0 < a < c coprime")
-    if tables is None:
-        tables = KernelTables(c, prec)
+    tables = _checked_tables(a, c, tables, prec)
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
         wp = mp.prec
         mults = tables.enter(c, k, prec)
-        phases = tables.phases
+        phase = tables.phase
         total = (0, 0, 0, 0)
         for h, hp, w in mults:
-            term = _cmul(w, _unit_phase(n * h * md + mn * hp, k * md, phases), wp)
+            term = _cmul(w, phase(n * h * md + mn * hp, k * md), wp)
             total = _cadd(total, term, wp)
-        total = _to_mpc(total) * (region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
-    with mp.workprec(prec):
-        return +total
+        return _scale(total, region_sign, a, c, prec)

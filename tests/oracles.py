@@ -16,7 +16,8 @@ summand of B and D on its own: two omegas, a fresh quadratic phase and a
 values and must match them bit for bit.
 The per-residue estimate oracles are the main-term loops as they stood
 before the arc walk: one pass over the arcs per residue, every kernel call
-with fresh tables; `overrank.asymptotic` must match them bit for bit.
+with fresh tables, and each arc's branch, delta and m from Fraction formulas
+of their own; `overrank.asymptotic` must match them bit for bit.
 The raw error aggregate sums the un-simplified error-piece bounds, to check
 that `overrank.bounds.error_pieces` dominates them.  The per-term series
 constant takes one exponential per term at nearest rounding, the loop
@@ -25,7 +26,9 @@ The per-power envelopes take n to a fresh power in every term, where
 `overrank.bounds` takes each distinct power once; the bits must agree.
 Zuckerman's series for the overpartition count runs on the kernels' own
 multiplier ratios, so rounding it to the exact count checks them against
-integers.
+integers.  The auxiliary-inequality grids evaluate every margin on every grid
+point, where `overrank.bounds` evaluates each only where its proof puts the
+minimum; the records must agree.
 """
 
 import math
@@ -38,9 +41,8 @@ from overrank.asymptotic import AsymptoticEstimate, engel_pbar
 from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series_params,
                              _tail_integral, cbar2, cbar4)
 from overrank.counts import RankClassTable
-from overrank.modsums import (DEFAULT_PRECISION, _multipliers, _to_mpc, context,
-                              coprime_residues, delta, kloosterman_B, kloosterman_D, m_param,
-                              mod_inverse, omega)
+from overrank.modsums import (DEFAULT_PRECISION, _multipliers, _to_mpc, coprime_residues,
+                              kloosterman_B, kloosterman_D, mod_inverse, omega)
 
 
 def pbar_series_product(n_max: int) -> list[int]:
@@ -227,6 +229,28 @@ def kloosterman_D_direct(a: int, c: int, k: int, n: int, m: Fraction, region_sig
         return +total
 
 
+def secondary_branch(a: int, c: int, k: int):
+    """(sign, delta(r), m(r)) of arc k in the secondary sum for a/c, from the
+    Fraction x = l/c1 and the integer y = (a k1 - l)/c1; None where the arc adds
+    no term (c1 = 4, or 1/4 < x <= 3/4).
+
+    On the low branch, x <= 1/4: delta = (x - 1/4)^2 - r x, m = -y (y + 1/2 + r).
+    The high branch, x > 3/4, mirrors it in z = 1 - x: delta = (z - 1/4)^2 - r z,
+    m = -(y + 1) (y + 1/2 - r), with sign -1.
+    """
+    g = math.gcd(c, k)
+    c1, k1 = c // g, k // g
+    x = Fraction(a * k1 % c1, c1)
+    y = Fraction(a * k1, c1) - x
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    if c1 == 4 or quarter < x <= 3 * quarter:
+        return None
+    if x <= quarter:
+        return 1, lambda r: (x - quarter) ** 2 - r * x, lambda r: -y * (y + half + r)
+    z = 1 - x
+    return -1, lambda r: (z - quarter) ** 2 - r * z, lambda r: -(y + 1) * (y + half - r)
+
+
 def a_asymptotic_per_residue(a: int, c: int, n: int,
                              prec: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
     """`overrank.asymptotic.a_asymptotic`, walking the arcs for this residue alone."""
@@ -247,17 +271,17 @@ def a_asymptotic_per_residue(a: int, c: int, n: int,
         for k in range(1, kmax + 1):
             if k % 2 == 0 or k % c == 0:
                 continue
-            ctx = context(a, c, k)
-            if ctx.c1 == 4 or ctx.region == "mid":
+            branch = secondary_branch(a, c, k)
+            if branch is None:
                 continue
-            sign = 1 if ctx.region == "low" else -1
+            sign, delta, m_param = branch
             tk = mpc(0)
             r = 0
             while True:
-                d = delta(ctx, r)
+                d = delta(r)
                 if d <= 0:
                     break
-                m = m_param(ctx, r)
+                m = m_param(r)
                 D = kloosterman_D(a, c, k, -n, m, sign, prec + 20)
                 tk += (2 * root * D / mp.sqrt(k)
                        * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
@@ -415,3 +439,61 @@ def pbar_zuckerman(n: int) -> int:
             total += (mp.sqrt(k) * A.real
                       * (mp.pi / (2 * k * n) * mp.cosh(x) - mp.sinh(x) / (2 * n * s)))
         return int(mp.nint(total / (2 * mp.pi)))
+
+
+def aux_grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
+    """`overrank.bounds._grid_checks`, every margin on every point of its grid:
+    about 10,900 transcendental evaluations at `prec` bits."""
+    checks = []
+
+    def record(name, margins, grid, strict=True):
+        worst = min(margins)
+        checks.append((name, bool(worst > 0 if strict else worst >= 0), float(worst), grid))
+
+    with mp.workprec(prec):
+        pi = mp.pi
+
+        # log x <= a (x^{1/a} - 1) for a, x > 0
+        xs = [mpf(i) / 20 for i in range(1, 1001)]  # x in (0, 50]
+        logs = [mp.log(x) for x in xs]
+        powers = [(a, mpf(1) / a) for a in (1, 2, 4, 8, 16)]
+        record("log_power_bound",
+               (a * (x ** inv - 1) - lx for a, inv in powers for x, lx in zip(xs, logs)),
+               "a in {1,2,4,8,16}, x in (0,50]", strict=False)
+
+        # cot(pi/2c) <= 2c/pi
+        margins = [2 * mpf(c) / pi - mp.cospi(mpf(1) / (2 * c)) / mp.sinpi(mpf(1) / (2 * c))
+                   for c in range(3, 33)]
+        record("cot_linear_bound", margins, "c in 3..32", strict=False)
+
+        # (1 + log((c-1)/2)) / (pi (1 - pi^2/24)) < 0.2704 c
+        margins = [mpf("0.2704") * c - (1 + mp.log(mpf(c - 1) / 2)) / (pi * (1 - pi ** 2 / 24))
+                   for c in range(3, 33)]
+        record("log_factor_linear", margins, "c in 3..32")
+
+        # e^{-x} / (1 - e^{-x})^2 < (1 + x)/x^2
+        record("exp_square_ratio",
+               ((1 + x) / (x * x) - ex / (1 - ex) ** 2
+                for x, ex in zip(xs, (mp.exp(-x) for x in xs))),
+               "x in (0,50]")
+
+        # e^x > (1 + x/y)^y
+        xs = [mpf(i) / 10 for i in range(1, 501)]  # x in (0, 50]
+        exps = [mp.exp(x) for x in xs]
+        record("exp_vs_power",
+               (ex - (1 + x / y) ** y
+                for y in (mpf("0.5"), 1, 2, 3, 4, 8) for x, ex in zip(xs, exps)),
+               "y in {0.5,1,2,3,4,8}, x in (0,50]")
+
+        # sum_{k <= sqrt n} k^{-1/2} <= 2 n^{1/4}
+        record("sqrt_partial_sum",
+               (2 * mpf(n) ** mpf("0.25")
+                - sum(1 / mp.sqrt(k) for k in range(1, math.isqrt(n) + 1))
+                for n in (2, 4, 9, 16, 50, 100, 500, 1000, 5000, 10000)),
+               "n in {2,...,10000}", strict=False)
+
+        # sin(pi/c) >= 2/c
+        margins = [mp.sinpi(mpf(1) / c) - mpf(2) / c for c in range(3, 33)]
+        record("sin_lower_bound", margins, "c in 3..32", strict=False)
+
+    return tuple(checks)

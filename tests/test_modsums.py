@@ -18,7 +18,7 @@ from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
 from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
                       m_param, mod_inverse, omega, pbar_series)
 from overrank import modsums
-from overrank.modsums import _conjugate, _multipliers, _unit_phase, coprime_residues
+from overrank.modsums import _conjugate, _multipliers, coprime_residues
 
 
 def libmp(z):
@@ -268,20 +268,23 @@ def test_d_half_integer_parameter_is_exact():
 def test_unit_phase_reduction():
     # num/den is reduced in integers first, so every representation of the
     # same rational mod 1 gives the same bits, huge or negative numerators too
-    # (a fresh memo per call, so each value is evaluated from its own reduction)
+    # (fresh tables per call, so each value is evaluated from its own reduction)
+    def phase(num, den):
+        return modsums.KernelTables(3, 160).phase(num, den)
+
     with mp.workprec(170):
-        third = _unit_phase(1, 3, {})
+        third = phase(1, 3)
         assert libmp(third) == mp.expjpi(2 * mpf(1) / 3)._mpc_
-        assert _unit_phase(10 ** 30, 3, {}) == third  # 10^30 = 1 (mod 3)
-        assert _unit_phase(-2, 3, {}) == third
-        assert _unit_phase(8 - 10 ** 40, 12, {}) == third  # 10^40 = 4 (mod 12)
-        assert _unit_phase(0, 7, {}) == _unit_phase(-21, 7, {})
-        assert libmp(_unit_phase(0, 7, {})) == mpc(1)._mpc_
-        # one shared memo keys every representation by the reduced fraction
-        memo = {}
+        assert phase(10 ** 30, 3) == third  # 10^30 = 1 (mod 3)
+        assert phase(-2, 3) == third
+        assert phase(8 - 10 ** 40, 12) == third  # 10^40 = 4 (mod 12)
+        assert phase(0, 7) == phase(-21, 7)
+        assert libmp(phase(0, 7)) == mpc(1)._mpc_
+        # one table keys every representation by the reduced fraction
+        tables = modsums.KernelTables(3, 160)
         for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
-            assert _unit_phase(num, den, memo) == third
-        assert list(memo) == [(1, 3)]
+            assert tables.phase(num, den) == third
+        assert list(tables.phases) == [(1, 3)]
     assert close(mp.make_mpc(libmp(third)), oracles.rational_phase(Fraction(1, 3), 170), 150)
 
 
