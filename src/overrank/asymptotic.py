@@ -3,9 +3,9 @@
 The coefficients are A(a/c;n) = sum_r counts[n][r] zeta_c^{a r}.  `a_exact`
 evaluates one from a row of exact counts; `a_asymptotic` evaluates the two
 main sums of its circle-method expansion: a sine-weighted sum over arc
-denominators k with c | k, k odd, and a secondary sum over c not dividing k
-(k odd, c1 != 4) ranging over the finitely many r with a positive growth
-parameter delta.  The unevaluated remainder is bounded
+denominators k with c | k, k odd, and a secondary sum over odd k with c not
+dividing k, one term per (delta_r, m_r) that `modsums.secondary_terms` lists
+for the arc.  The unevaluated remainder is bounded
 elsewhere (see bounds); here it is simply left out.
 
 Both sums run in one walk over the arcs that serves every residue of one
@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf
 
 from . import DEFAULT_PRECISION
 from .counts import RankClassTable
-from .modsums import KernelTables, context, delta, kloosterman_B, kloosterman_D, m_param
+from .modsums import KernelTables, kloosterman_B, kloosterman_D, secondary_terms
 
 __all__ = [
     "AsymptoticEstimate",
@@ -95,9 +95,9 @@ def a_asymptotic(a: int, c: int, n: int,
     """Main terms of the deviation coefficient for rank residue a mod c at n.
 
     Arc denominators run over odd 1 <= k <= sqrt(n): the sine-weighted sum
-    B over c | k, and the secondary sum D over c not dividing k (c1 != 4,
-    outer branches of l/c1), one term per r >= 0 with delta > 0.  Each k's
-    complex contribution is kept in k_terms.
+    B over c | k, and the secondary sum D over c not dividing k, one term per
+    (delta_r, m_r) of `secondary_terms(a, c, k)`.  Each k's complex
+    contribution is kept in k_terms.
     """
     if not (0 < a < c and gcd(a, c) == 1):
         raise ValueError("need 0 < a < c with gcd(a,c) = 1")
@@ -135,24 +135,18 @@ def _arc_walk(residues, c: int, n: int, prec: int):
                 B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
                 t = mpc(0, 1) * root * B / sqrt_k * growth
                 terms[a].append((k, t))
-        # secondary sum: c not dividing k, k odd, c1 != 4, r >= 0 with delta > 0
-        for k in range(1, kmax + 1):
-            if k % 2 == 0 or k % c == 0:
+        # secondary sum: c not dividing k, k odd, one term per (delta_r, m_r)
+        for k in range(1, kmax + 1, 2):
+            if k % c == 0:
                 continue
             sqrt_k = mp.sqrt(k)
             for a in residues:
-                ctx = context(a, c, k)
-                if ctx.c1 == 4 or ctx.region == "mid":
-                    continue
-                sign = 1 if ctx.region == "low" else -1
+                sign, rterms = secondary_terms(a, c, k)
                 tk = mpc(0)
-                r = 0
-                while (d := delta(ctx, r)) > 0:
-                    D = kloosterman_D(a, c, k, -n, m_param(ctx, r), sign, prec + 20,
-                                      tables=tables)
+                for d, m in rterms:
+                    D = kloosterman_D(a, c, k, -n, m, sign, prec + 20, tables=tables)
                     tk += (2 * root * D / sqrt_k
                            * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
-                    r += 1
                 if tk != 0:
                     terms[a].append((k, tk))
         totals = {a: sum((t for _, t in terms[a]), mpc(0)) for a in residues}

@@ -484,11 +484,12 @@ def _grid_checks(prec: int) -> tuple[tuple[str, bool, float, str], ...]:
         record("exp_vs_power", [mp.exp(x) - (1 + x / y) ** y for y in (8,)],
                "y in {0.5,1,2,3,4,8}, x in (0,50]")
 
-        # sum_{k <= sqrt n} k^{-1/2} <= 2 n^{1/4}
+        # sum_{k <= sqrt n} k^{-1/2} <= 2 n^{1/4}: the sum is constant on m^2 <= n < (m+1)^2,
+        # so the margin is least at n = m^2, and from m^2 to (m+1)^2 it grows by
+        # 2(sqrt(m+1) - sqrt m) - (m+1)^{-1/2} > 0; n = 2 lies above, 2^{5/4} > 3/sqrt 2; so n = 4
         record("sqrt_partial_sum",
-               (2 * mpf(n) ** mpf("0.25") - sum(1 / mp.sqrt(k) for k in range(1, isqrt(n) + 1))
-                for n in (2, 4, 9, 16, 50, 100, 500, 1000, 5000, 10000)),
-               "n in {2,...,10000}", strict=False)
+               [2 * mpf(n) ** mpf("0.25") - sum(1 / mp.sqrt(k) for k in range(1, isqrt(n) + 1))
+                for n in (4,)], "n in {2,...,10000}", strict=False)
 
         # sin(pi/c) >= 2/c: sin(pi t) - 2t is concave in t = 1/c, so c = 3 or c = 32
         margins = [mp.sinpi(mpf(1) / c) - mpf(2) / c for c in (3, 32)]
@@ -504,6 +505,10 @@ def aux_inequalities_selftest(prec: int = DEFAULT_PRECISION) -> dict[str, dict]:
     Returns name -> {passed, worst_margin, grid} entries; failures are report
     entries, never exceptions.  The margins depend only on `prec`, so they are
     evaluated once per precision per process.  Each call returns a fresh dict.
+    Below 64 bits, the floor `RunConfig` enforces, the verdicts would be
+    rounding noise, so such a `prec` raises ValueError.
     """
+    if prec < 64:
+        raise ValueError("aux_inequalities_selftest needs prec >= 64")
     return {name: {"passed": passed, "worst_margin": worst, "grid": grid}
             for name, passed, worst, grid in _grid_checks(prec)}

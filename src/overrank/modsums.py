@@ -1,8 +1,9 @@
 """Dedekind sums, multiplier ratios, and Kloosterman-type sums.
 
-Rational quantities (Dedekind sums, the branch parameters delta and m) are
-exact `fractions.Fraction`s; recomputing them at any floating precision
-changes nothing.  Complex values are mpmath `mpc` at a configurable working
+Rational quantities (Dedekind sums, and each secondary arc's growth
+parameters delta_r and linear parameters m_r from `secondary_terms`) are exact
+`fractions.Fraction`s; recomputing them at any floating precision changes
+nothing.  Complex values are mpmath `mpc` at a configurable working
 precision (default 160 bits).
 
 The finite exponential sums B and D follow one convention: the phase
@@ -25,7 +26,6 @@ the other, and the three sums inside mpc_div, which libmp rounds toward zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -37,16 +37,13 @@ from . import DEFAULT_PRECISION
 __all__ = [
     "DEFAULT_PRECISION",
     "KernelTables",
-    "KloostermanContext",
-    "context",
     "coprime_residues",
     "dedekind_sum",
-    "delta",
     "kloosterman_B",
     "kloosterman_D",
-    "m_param",
     "mod_inverse",
     "omega",
+    "secondary_terms",
 ]
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -98,27 +95,17 @@ def coprime_residues(k: int) -> list[int]:
     return [h for h in range(k) if gcd(h, k) == 1]
 
 
-@dataclass(frozen=True)
-class KloostermanContext:
-    """Derived parameters for the pair (a,c) against an arc denominator k."""
+def secondary_terms(a: int, c: int, k: int) -> tuple[int, list[tuple[Fraction, Fraction]]]:
+    """(sign, [(delta_r, m_r) for r = 0, 1, ... while delta_r > 0]) of arc k in the
+    secondary sum for a/c; c must not divide k.
 
-    a: int
-    c: int
-    k: int
-    c1: int
-    k1: int
-    l: int
-
-    @property
-    def region(self) -> str:
-        """Branch key on l/c1: 'low' (0,1/4], 'mid' (1/4,3/4], 'high' (3/4,1).
-
-        Decided in integers: l/c1 <= 1/4 exactly when 4*l <= c1, <= 3/4 when 4*l <= 3*c1.
-        """
-        return "low" if 4 * self.l <= self.c1 else "mid" if 4 * self.l <= 3 * self.c1 else "high"
-
-
-def context(a: int, c: int, k: int) -> KloostermanContext:
+    With g = gcd(c, k), c1 = c/g and a*k/g = y*c1 + l, the arc adds no term,
+    (0, []), when c1 = 4 or l/c1 lies in (1/4, 3/4); l is a unit mod c1, so
+    l/c1 is 1/4 or 3/4 only at c1 = 4.  Otherwise sign is +1 below 1/4 and -1
+    above 3/4, where the high branch is the low branch of -a.  On the low
+    branch delta_r = (1/4 - l/c1)^2 - r*l/c1 and m_r = -y*(y + 1/2 + r), a
+    half-integer that `kloosterman_D` doubles; delta_r decreases strictly in r.
+    """
     if not (0 < a < c and gcd(a, c) == 1):
         raise ValueError("need 0 < a < c with gcd(a,c) = 1")
     if c <= 2:
@@ -127,48 +114,19 @@ def context(a: int, c: int, k: int) -> KloostermanContext:
         raise ValueError("k must be >= 1")
     g = gcd(c, k)
     c1, k1 = c // g, k // g
-    l = (a * k1) % c1
-    return KloostermanContext(a=a, c=c, k=k, c1=c1, k1=k1, l=l)
-
-
-def delta(ctx: KloostermanContext, r: int) -> Fraction:
-    """Exponent-growth parameter delta_{c,k,r}; defined only when c does not divide k.
-
-    Strictly decreasing in r in the outer regions, so {r >= 0 : delta > 0}
-    is a finite prefix.
-    """
-    if ctx.c1 == 1:
-        raise ValueError("delta requires c not dividing k")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    l, c1, region = ctx.l, ctx.c1, ctx.region
-    x = Fraction(l, c1)
-    if region == "low":
-        return Fraction(1, 16) - Fraction(l, 2 * c1) + Fraction(l * l, c1 * c1) - r * x
-    if region == "mid":
-        return Fraction(0)
-    return (Fraction(1, 16) - Fraction(3 * l, 2 * c1) + Fraction(l * l, c1 * c1)
-            + Fraction(1, 2) - r * (1 - x))
-
-
-def m_param(ctx: KloostermanContext, r: int) -> Fraction:
-    """Linear phase parameter m_{a,c,k,r} (half-weight normalization).
-
-    May be a half-integer; the secondary-sum evaluator doubles it, which is
-    always integral.
-    """
-    if ctx.c1 == 1:
-        raise ValueError("m_param requires c not dividing k")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    l, c1, region = ctx.l, ctx.c1, ctx.region
-    d = ctx.a * ctx.k1 - l
-    if region == "low":
-        return Fraction(-(2 * d * d + c1 * d + 2 * r * c1 * d), 2 * c1 * c1)
-    if region == "mid":
-        return Fraction(0)
-    return Fraction(-(2 * d * d + 3 * c1 * d - 2 * r * c1 * d - c1 * c1 * (2 * r - 1)),
-                    2 * c1 * c1)
+    if c1 == 1:
+        raise ValueError("secondary terms require c not dividing k")
+    l = a * k1 % c1
+    if c1 == 4 or c1 < 4 * l < 3 * c1:
+        return 0, []
+    sign = 1 if 4 * l < c1 else -1
+    y, l = divmod(sign * a * k1, c1)
+    terms = []
+    r = 0
+    while (num := (c1 - 4 * l) ** 2 - 16 * r * l * c1) > 0:
+        terms.append((Fraction(num, 16 * c1 * c1), Fraction(-y * (2 * y + 1 + 2 * r), 2)))
+        r += 1
+    return sign, terms
 
 
 def _add(xm: int, xe: int, ym: int, ye: int, prec: int,
@@ -428,11 +386,10 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
                   tables: KernelTables | None = None) -> mpc:
     """Secondary Kloosterman-type sum over c not dividing k, k odd.
 
-    region_sign is +1 on the low branch of l/c1 and -1 on the high branch;
-    invoking it for the mid branch (where delta vanishes identically) is an
-    error in the caller.  The phase carries the doubled parameter 2*m and is
-    reduced in integers; the multipliers and phases come from `tables`
-    (fresh ones by default).
+    region_sign is the sign `secondary_terms(a, c, k)` gives the arc: +1 on
+    the low branch, -1 on the high one; m is one of its m_r.  The phase
+    carries the doubled parameter 2*m and is reduced in integers; the
+    multipliers and phases come from `tables` (fresh ones by default).
     """
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")

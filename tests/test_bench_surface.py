@@ -20,8 +20,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import oracles
 from overrank import asymptotic, bounds, cli, counts, verify
-from overrank.modsums import context, coprime_residues, delta
+from overrank.modsums import coprime_residues
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = {"asymptotic": asymptotic, "bounds": bounds, "cli": cli, "counts": counts,
@@ -120,18 +121,19 @@ def test_workload_argv_parse(tmp_path):
 
 
 def kernel_calls(residues, c, n):
-    """(kernel, k) of every B and D call the main terms of residues mod c make at n."""
+    """(kernel, k) of every B and D call the main terms of residues mod c make at n,
+    the D calls from the oracle's branch rule, not production's."""
     calls = []
     for a in residues:
         for k in range(1, isqrt(n) + 1, 2):
             if k % c == 0:
                 calls.append(("modsums.kloosterman_B", k))
                 continue
-            ctx = context(a, c, k)
-            if ctx.c1 == 4 or ctx.region == "mid":
+            branch = oracles.secondary_branch(a, c, k)
+            if branch is None:
                 continue
             r = 0
-            while delta(ctx, r) > 0:
+            while branch[1](r) > 0:
                 calls.append(("modsums.kloosterman_D", k))
                 r += 1
     return calls

@@ -488,6 +488,13 @@ def test_aux_selftest_grids_match_margin_lists(prec):
     assert bounds._grid_checks(prec) == aux_grid_checks(prec), prec
 
 
+def test_aux_selftest_rejects_precision_below_64_bits():
+    # RunConfig's floor; below it the verdicts are rounding noise
+    with pytest.raises(ValueError, match="prec >= 64"):
+        aux_inequalities_selftest(63)
+    assert aux_inequalities_selftest(64)["sqrt_partial_sum"]["passed"]
+
+
 @pytest.mark.parametrize("prec", (64, 160, 240))
 def test_aux_selftest_cache_matches_fresh_evaluation(prec):
     # the grids are cached by precision alone; the ambient mp.prec at the

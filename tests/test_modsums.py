@@ -15,8 +15,8 @@ from mpmath.libmp.libmpf import python_mpf_mul
 import oracles
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
                      kloosterman_B_direct, kloosterman_D_direct, multiplier_classes)
-from overrank import (context, dedekind_sum, delta, kloosterman_B, kloosterman_D,
-                      m_param, mod_inverse, omega, pbar_series)
+from overrank import (dedekind_sum, kloosterman_B, kloosterman_D, mod_inverse, omega,
+                      pbar_series, secondary_terms)
 from overrank import modsums
 from overrank.modsums import _conjugate, _multipliers, coprime_residues
 
@@ -94,60 +94,71 @@ def test_mod_inverse():
         mod_inverse(2, 4)
 
 
-def test_context_examples():
-    ctx = context(1, 5, 1)
-    assert (ctx.c1, ctx.k1, ctx.l) == (5, 1, 1)
-    ctx = context(1, 3, 3)
-    assert (ctx.c1, ctx.k1, ctx.l) == (1, 1, 0)
-    ctx = context(3, 5, 2)
-    assert (ctx.c1, ctx.k1, ctx.l) == (5, 2, 1)
+def test_secondary_terms_examples():
+    # the sign of l/c1's branch, and no terms off the outer branches
+    assert secondary_terms(1, 5, 1)[0] == 1  # l/c1 = 1/5
+    assert secondary_terms(4, 5, 1)[0] == -1  # l/c1 = 4/5, the low branch of -4
+    assert secondary_terms(2, 5, 1) == (0, [])  # l/c1 = 2/5, mid branch
+    # c1 = 4 at either boundary
+    assert secondary_terms(1, 4, 1) == (0, [])  # l/c1 = 1/4
+    assert secondary_terms(3, 4, 1) == (0, [])  # l/c1 = 3/4
 
 
-def test_context_rejects_bad_input():
+def test_delta_values():
+    # (1, 5, 1): delta_0 = (1/4 - 1/5)^2, and delta_1 = 1/400 - 1/5 < 0 ends the list
+    assert [d for d, _ in secondary_terms(1, 5, 1)[1]] == [Fraction(1, 400)]
+    assert [d for d, _ in secondary_terms(4, 5, 1)[1]] == [Fraction(1, 400)]
+    # (24, 25, 1): z = 1/25 on the mirrored branch, delta_1 = 441/10000 - 1/25
+    assert [d for d, _ in secondary_terms(24, 25, 1)[1]] == [Fraction(441, 10000),
+                                                             Fraction(41, 10000)]
+
+
+def test_m_param_values():
+    assert [m for _, m in secondary_terms(1, 5, 1)[1]] == [0]
+    # (3, 5, 2): a*k = 6 = 1*5 + 1, so y = 1 and m_0 = -3/2
+    assert [m for _, m in secondary_terms(3, 5, 2)[1]] == [Fraction(-3, 2)]
+    # (24, 25, 1): -24 = -1*25 + 1, so y = -1 and m_r = r - 1/2
+    assert [m for _, m in secondary_terms(24, 25, 1)[1]] == [Fraction(-1, 2), Fraction(1, 2)]
+
+
+def test_secondary_terms_rejects_bad_input():
     with pytest.raises(ValueError):
-        context(2, 4, 1)  # gcd != 1
+        secondary_terms(2, 4, 1)  # gcd != 1
     with pytest.raises(ValueError):
-        context(1, 2, 1)  # c too small
+        secondary_terms(1, 2, 1)  # c too small
+    with pytest.raises(ValueError):
+        secondary_terms(1, 5, 0)  # k < 1
+    with pytest.raises(ValueError):
+        secondary_terms(1, 3, 3)  # c | k
 
 
-def test_context_region_matches_the_fraction_rule():
-    # the integer rule 4l <= c1, 4l <= 3*c1 against l/c1 compared with 1/4 and 3/4
+def test_secondary_terms_match_the_fraction_oracle():
+    # the integer rule and the mirror in -a against the branches taken on the
+    # Fraction x = l/c1; r >= 1 terms first appear at c = 24
+    checked = 0
     for c in range(3, 41):
         for a in range(1, c):
             if gcd(a, c) != 1:
                 continue
             for k in range(1, 91):
-                ctx = context(a, c, k)
-                x = Fraction(ctx.l, ctx.c1)
-                expected = ("low" if x <= Fraction(1, 4)
-                            else "mid" if x <= Fraction(3, 4) else "high")
-                assert ctx.region == expected, (a, c, k)
-    # both boundaries belong to the branch below them
-    assert context(1, 4, 1).region == "low"  # l/c1 = 1/4
-    assert context(3, 4, 1).region == "mid"  # l/c1 = 3/4
-
-
-def test_delta_values():
-    ctx = context(1, 5, 1)
-    assert delta(ctx, 0) == Fraction(1, 400)
-    assert delta(ctx, 1) == Fraction(1, 400) - Fraction(1, 5)
-    # mid region: l/c1 in (1/4, 3/4]
-    ctx_mid = context(2, 5, 1)
-    assert ctx_mid.region == "mid"
-    assert delta(ctx_mid, 0) == 0
-    assert delta(ctx_mid, 5) == 0
-    with pytest.raises(ValueError):
-        delta(context(1, 3, 3), 0)  # c | k
-
-
-def test_m_param_values():
-    assert m_param(context(1, 5, 1), 0) == 0
-    assert m_param(context(2, 5, 1), 0) == 0  # mid region
-    assert m_param(context(3, 5, 2), 0) == Fraction(-3, 2)
+                if k % c == 0:
+                    continue
+                sign, rterms = secondary_terms(a, c, k)
+                branch = oracles.secondary_branch(a, c, k)
+                if branch is None:
+                    assert (sign, rterms) == (0, []), (a, c, k)
+                    continue
+                want_sign, want_delta, want_m = branch
+                assert sign == want_sign, (a, c, k)
+                for r, (d, m) in enumerate(rterms):
+                    assert (d, m) == (want_delta(r), want_m(r)), (a, c, k, r)
+                    checked += r > 0
+                assert want_delta(len(rterms)) <= 0, (a, c, k)
+    assert checked > 0
 
 
 def test_delta_decreasing_and_enumeration_bound():
-    # outer regions: delta strictly decreases in r, and the positive prefix
+    # outer branches: delta strictly decreases in r, and the positive prefix
     # stays within ceil((c+8)/16) + 1 entries
     for c in (3, 5, 7, 9, 11, 13, 25, 33):
         for k in range(1, 40):
@@ -156,22 +167,10 @@ def test_delta_decreasing_and_enumeration_bound():
             for a in range(1, c):
                 if gcd(a, c) != 1:
                     continue
-                ctx = context(a, c, k)
-                if ctx.c1 == 1 or ctx.region == "mid":
-                    continue
-                count = 0
-                prev = None
-                r = 0
-                while True:
-                    d = delta(ctx, r)
-                    if prev is not None:
-                        assert d < prev
-                    prev = d
-                    if d <= 0:
-                        break
-                    count += 1
-                    r += 1
-                assert count <= (c + 8 + 15) // 16 + 1, (a, c, k, count)
+                deltas = [d for d, _ in secondary_terms(a, c, k)[1]]
+                assert all(d > 0 for d in deltas), (a, c, k)
+                assert all(x > y for x, y in zip(deltas, deltas[1:])), (a, c, k)
+                assert len(deltas) <= (c + 8 + 15) // 16 + 1, (a, c, k, len(deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +350,12 @@ def test_multipliers_give_the_exact_overpartition_counts(monkeypatch):
 
 def test_exact_rationals_insensitive_to_precision():
     # Fractions never route through floats; identical at any working precision
-    ctx = context(3, 5, 2)
     with mp.workprec(53):
-        d1, m1 = delta(ctx, 1), m_param(ctx, 1)
+        t1 = secondary_terms(24, 25, 1)
         s1 = dedekind_sum(97, 250)
+    assert len(t1[1]) == 2
     with mp.workprec(500):
-        assert delta(ctx, 1) == d1
-        assert m_param(ctx, 1) == m1
+        assert secondary_terms(24, 25, 1) == t1
         assert dedekind_sum(97, 250) == s1
 
 
@@ -486,7 +484,7 @@ def kernel_cases(c_divides_k: bool):
 
     Case i takes the i-th valid a of its c and the i-th combination of the
     grids, cyclically, so every a and every combination recurs; D adds the
-    m_param values of its context to the m grid.
+    m_r values `secondary_terms` gives its arc to the m grid.
     """
     i = 0
     for c in (3, 5, 7):
@@ -498,8 +496,7 @@ def kernel_cases(c_divides_k: bool):
             if c_divides_k:
                 combos = list(product(KERNEL_NS, KERNEL_PRECS))
             else:
-                ctx = context(a, c, k)
-                ms = KERNEL_MS + (m_param(ctx, 0), m_param(ctx, 1))
+                ms = KERNEL_MS + tuple(m for _, m in secondary_terms(a, c, k)[1])
                 combos = list(product(KERNEL_NS, ms, KERNEL_PRECS))
             yield (c, a, k) + combos[i % len(combos)]
             i += 1
@@ -515,7 +512,7 @@ def test_kloosterman_D_bits_equal_direct(shared_omega):
     cases = list(kernel_cases(c_divides_k=False))
     assert any(k == 1 for _, _, k, *_ in cases)
     for c, a, k, n, m, prec in cases:
-        sign = -1 if context(a, c, k).region == "high" else 1
+        sign = secondary_terms(a, c, k)[0] or 1  # a mid arc has no sign; take +1
         got = kloosterman_D(a, c, k, n, m, sign, prec)
         assert got._mpc_ == kloosterman_D_direct(a, c, k, n, m, sign, prec)._mpc_, \
             (a, c, k, n, m, sign, prec)

@@ -24,15 +24,14 @@ ANALYTIC = ("mpmath", "overrank.asymptotic", "overrank.bounds", "overrank.modsum
 # overrank.__all__ written out, so that the lazy exports cannot drop a name unseen
 EXPORTS = [
     "AsymptoticEstimate", "BoundBreakdown", "Certificate", "CertifiedConstant",
-    "DEFAULT_PRECISION", "EngelEstimate", "KloostermanContext", "RankClassTable",
-    "RankDistribution", "Report", "RunConfig", "Threshold", "a_asymptotic", "a_exact",
-    "asymptotic", "aux_inequalities_selftest", "bounds", "brute_force_rank_counts",
-    "cbar2", "cbar4", "const_C", "context", "counts", "dedekind_sum", "delta",
-    "engel_pbar", "error_pieces", "error_term_bound", "kloosterman_B", "kloosterman_D",
-    "load_table", "m_c", "m_c_prime", "m_param", "main_term_bound", "mod_inverse",
-    "modsums", "nbar_asymptotic", "omega", "pbar_sandwich", "pbar_series", "r_ratio",
-    "rank_class_table", "report", "sandwich_threshold", "save_table", "strict_verdict",
-    "t_inequality", "verify", "verify_subadditivity",
+    "DEFAULT_PRECISION", "EngelEstimate", "RankClassTable", "RankDistribution", "Report",
+    "RunConfig", "Threshold", "a_asymptotic", "a_exact", "asymptotic",
+    "aux_inequalities_selftest", "bounds", "brute_force_rank_counts", "cbar2", "cbar4",
+    "const_C", "counts", "dedekind_sum", "engel_pbar", "error_pieces", "error_term_bound",
+    "kloosterman_B", "kloosterman_D", "load_table", "m_c", "m_c_prime", "main_term_bound",
+    "mod_inverse", "modsums", "nbar_asymptotic", "omega", "pbar_sandwich", "pbar_series",
+    "r_ratio", "rank_class_table", "report", "sandwich_threshold", "save_table",
+    "secondary_terms", "strict_verdict", "t_inequality", "verify", "verify_subadditivity",
 ]
 
 
