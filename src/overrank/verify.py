@@ -122,6 +122,13 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     it violates or holds a smaller margin.  Every pair
     before that (counted in `pairs_compared`) is compared in exact integers,
     so certificates equal those of a sweep that compares every pair.
+
+    Memo.  The table keeps one sweep per distinct column for the last
+    (n_lo, n_hi) it was asked (see `RankClassTable`); another range drops
+    them.  A residue whose column equals, value for value, one already swept
+    gets that sweep's result, `pairs_compared` included, in a certificate of
+    its own: N(a,c,n) = N(c-a,c,n) by the symmetry z <-> 1/z, so `--a-list
+    all` sweeps each mirrored pair of columns once.
     """
     c = table.c
     if not 0 <= a < c:
@@ -130,10 +137,19 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
         raise ValueError("need 1 <= n_lo <= n_hi")
     if table.n_max < 2 * n_hi:
         raise ValueError(f"table reaches n={table.n_max}, need {2 * n_hi}")
-    vals = [table.counts[n][a] for n in range(2 * n_hi + 1)]
-    violations, min_margin, compared = _sweep_rows(vals, n_lo, n_hi)
+    column = [table.counts[n][a] for n in range(2 * n_hi + 1)]
+    if table._sweeps is None or table._sweeps[0] != (n_lo, n_hi):
+        table._sweeps = ((n_lo, n_hi), [])
+    swept = table._sweeps[1]
+    # a scan, not a dict: a miss then costs nothing, where hashing every
+    # count of the column would, and differing columns part within a few rows
+    found = next((result for vals, result in swept if vals == column), None)
+    if found is None:
+        found = _sweep_rows(column, n_lo, n_hi)
+        swept.append((column, found))
+    violations, min_margin, compared = found
     width = n_hi - n_lo + 1
     return Certificate(c=c, a=a, n_lo=n_lo, n_hi=n_hi,
                        pairs_checked=width * (width + 1) // 2,
-                       violations=violations, min_margin=min_margin,
+                       violations=list(violations), min_margin=min_margin,
                        table_checksum=table.checksum(), pairs_compared=compared)

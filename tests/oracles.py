@@ -4,7 +4,9 @@ The counting oracles are direct and independent of the generating functions
 the library uses: the truncated product for the overpartition series, and
 the O(c N^2) dynamic program over the largest part for the rank-class table.
 With the brute-force enumeration `overrank.counts.brute_force_rank_counts`,
-they are what the production counts are checked against.  The sweep oracle
+they are what the production counts are checked against.  The per-row cache
+writer writes and hashes one row at a time, as `overrank.counts.save_table`
+did before it wrote blocks of rows; the bytes must agree.  The sweep oracle
 compares every pair of the subadditivity triangle exactly, with no row
 pruning; `overrank.verify.verify_subadditivity` is checked against it.  The
 Dedekind oracles sum s(h,k) from its definition, in O(k) per value, to check
@@ -31,6 +33,7 @@ point, where `overrank.bounds` evaluates each only where its proof puts the
 minimum; the records must agree.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -40,7 +43,7 @@ from mpmath import mp, mpc, mpf
 from overrank.asymptotic import AsymptoticEstimate, engel_pbar
 from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series_params,
                              _tail_integral, cbar2, cbar4)
-from overrank.counts import RankClassTable
+from overrank.counts import _CHECKSUM_DOMAIN, TABLE_FORMAT_VERSION, RankClassTable
 from overrank.modsums import (DEFAULT_PRECISION, _multipliers, _to_mpc, coprime_residues,
                               kloosterman_B, kloosterman_D, mod_inverse, omega)
 
@@ -102,6 +105,19 @@ def rank_class_table_dp(n_max: int, c: int) -> RankClassTable:
                     dst[s] += g + g
     counts = [[cls[r][n] for r in range(c)] for n in range(N)]
     return RankClassTable(c=c, n_max=n_max, counts=counts)
+
+
+def save_table_per_row(table: RankClassTable, path) -> None:
+    """The cache file of `table`, one write and one hash update per row."""
+    h = hashlib.sha256(f"{_CHECKSUM_DOMAIN}:{table.c}:{table.n_max}".encode())
+    with open(path, "wb") as fh:
+        fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
+                 f"c={table.c} n_max={table.n_max}\n".encode())
+        for row in table.counts:
+            line = "".join(f"{v}," for v in row).encode()
+            fh.write(line + b"\n")
+            h.update(line)
+        fh.write(f"checksum sha256:{h.hexdigest()}\n".encode())
 
 
 def sweep_oracle(vals: list[int], n_lo: int, n_hi: int):

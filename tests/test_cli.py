@@ -342,6 +342,21 @@ def test_asymptotic_times_its_estimate_in_timings_only(capsys, argv):
     assert hashlib.sha256(records.encode()).hexdigest() == ASYMPTOTIC_RECORDS_SHA256[argv]
 
 
+def test_verify_sweeps_through_one_call_per_residue(capsys, monkeypatch):
+    # a tracer that wraps verify_subadditivity sums the pairs of every
+    # certificate it returns, so each residue must go through its own call,
+    # mirrored columns included
+    calls = []
+    monkeypatch.setattr(cli, "verify_subadditivity",
+                        lambda table, a, n_lo, n_hi: calls.append(a)
+                        or verify_subadditivity(table, a, n_lo, n_hi))
+    code, out = run_cli(capsys, "verify", "--c", "5", "--a-list", "all", "--n-lo", "9",
+                        "--n-hi", "40", "--n-max", "80")
+    assert code == 0 and calls == [0, 1, 2, 3, 4]
+    certs = [line for line in out.splitlines() if line.startswith("certificate ")]
+    assert len(certs) == 5 and all(f" pairs={32 * 33 // 2} " in line for line in certs)
+
+
 def test_verify_a_list(capsys):
     code, out = run_cli(capsys, "verify", "--c", "4", "--n-lo", "9",
                         "--n-hi", "20", "--a-list", "1,3", "--n-max", "40")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from oracles import pbar_series_product, rank_class_table_dp
+from oracles import pbar_series_product, rank_class_table_dp, save_table_per_row
 
 from overrank import (a_exact, brute_force_rank_counts, load_table, pbar_series,
                       rank_class_table, save_table)
@@ -352,6 +352,37 @@ def test_count_past_the_int_str_limit_names_its_row(tmp_path):
     with pytest.raises(ValueError, match=message):
         save_table(table, tmp_path / "big.tbl")
     assert os.listdir(tmp_path) == []
+
+
+def test_count_past_the_int_str_limit_names_its_row_in_a_later_block(tmp_path):
+    rows = [list(row) for row in rank_class_table(300, 3).counts]
+    rows[200][2] = 10 ** 5000
+    table = RankClassTable(c=3, n_max=300, counts=rows)
+    message = r"^row n=200 has a count above 4300 decimal digits"
+    with pytest.raises(ValueError, match=message):
+        table.checksum()
+    with pytest.raises(ValueError, match=message):
+        save_table(table, tmp_path / "big.tbl")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("c", [3, 5])
+@pytest.mark.parametrize("n_max", [0, counts._BLOCK_ROWS - 1, counts._BLOCK_ROWS,
+                                   counts._BLOCK_ROWS + 1, 1600])
+def test_block_writes_equal_the_per_row_writer(tmp_path, n_max, c):
+    # n_max + 1 rows: below, at and just past one block's end, and the
+    # paper's depth
+    table = rank_class_table(n_max, c)
+    save_table(table, tmp_path / "blocks.tbl")
+    save_table_per_row(table, tmp_path / "rows.tbl")
+    data = (tmp_path / "blocks.tbl").read_bytes()
+    assert data == (tmp_path / "rows.tbl").read_bytes()
+    # checksum() hashes the same blocks as the save
+    fresh = RankClassTable(c=c, n_max=n_max, counts=table.counts)
+    assert data.endswith(f"checksum sha256:{fresh.checksum()}\n".encode())
+    assert fresh.checksum() == table.checksum()
+    if n_max == 1600:
+        assert table.checksum() == DP_CHECKSUMS[1600, c]
 
 
 FUZZ_TABLE = rank_class_table(12, 3)

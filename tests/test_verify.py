@@ -12,7 +12,8 @@ from mpmath import mp, mpf
 from oracles import sweep_oracle
 
 from overrank import r_ratio, rank_class_table, t_inequality, verify_subadditivity
-from overrank.counts import RankClassTable
+from overrank import verify as verify_module
+from overrank.counts import RankClassTable, load_table, save_table
 from overrank.verify import _sweep_rows, parse_certificate
 
 
@@ -268,6 +269,117 @@ def test_bound_clears_nearly_every_row_of_the_paper_range(table3, table4, table5
     for table, a, n_lo, n_hi in sweeps:
         cert = verify_subadditivity(table, a, n_lo, n_hi)
         assert cert.violations == [] and cert.pairs_compared <= 1100, (table.c, a, n_lo)
+
+
+# ---------------------------------------------------------------------------
+# The sweep memo: one sweep per distinct column for the table's last range
+# ---------------------------------------------------------------------------
+
+MEMO_C, MEMO_LO, MEMO_HI = 5, 9, 150
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The columns `_sweep_rows` is handed, in call order."""
+    seen = []
+    sweep = verify_module._sweep_rows
+
+    def recorded(vals, n_lo, n_hi):
+        seen.append(list(vals))
+        return sweep(vals, n_lo, n_hi)
+
+    monkeypatch.setattr(verify_module, "_sweep_rows", recorded)
+    return seen
+
+
+def memo_column(table: RankClassTable, a: int, n_hi: int = MEMO_HI) -> list[int]:
+    return [table.counts[n][a] for n in range(2 * n_hi + 1)]
+
+
+def assert_is_own_sweep(cert, vals, n_lo=MEMO_LO, n_hi=MEMO_HI):
+    """The certificate carries exactly what a memo-free sweep of `vals` finds."""
+    violations, min_margin, compared = _sweep_rows(vals, n_lo, n_hi)
+    assert (cert.violations, cert.min_margin, cert.pairs_compared) == (
+        violations, min_margin, compared)
+
+
+def test_mirrored_residues_share_one_sweep(sweeps):
+    # N(a,c,n) = N(c-a,c,n): the certificates of a and c-a differ in a= only
+    table = rank_class_table(2 * MEMO_HI, MEMO_C)
+    certs = [verify_subadditivity(table, a, MEMO_LO, MEMO_HI) for a in range(MEMO_C)]
+    assert len(sweeps) == 3  # columns 0, {1, 4} and {2, 3}
+    for a in range(1, MEMO_C):
+        text = certs[MEMO_C - a].serialize().replace(f" a={MEMO_C - a} ", f" a={a} ", 1)
+        assert certs[a].serialize() == text
+        assert_is_own_sweep(certs[a], memo_column(table, a))
+    assert table._sweeps[0] == (MEMO_LO, MEMO_HI) and len(table._sweeps[1]) == 3
+
+
+def test_edited_mirror_column_gets_its_own_sweep(sweeps, tmp_path):
+    table = rank_class_table(2 * MEMO_HI, MEMO_C)
+    clean = verify_subadditivity(table, 1, MEMO_LO, MEMO_HI)
+    assert clean.violations == []
+    # a spike in the last row of column 4 makes (MEMO_HI, MEMO_HI) a violation
+    rows = [list(row) for row in table.counts]
+    rows[2 * MEMO_HI][4] = rows[MEMO_HI][4] ** 2
+    edited = RankClassTable(c=MEMO_C, n_max=2 * MEMO_HI, counts=rows)
+    # in memory: the table the memo lives on, changed after residue 1's sweep
+    table.counts[2 * MEMO_HI][4] = rows[2 * MEMO_HI][4]
+    cert = verify_subadditivity(table, 4, MEMO_LO, MEMO_HI)
+    assert len(sweeps) == 2 and len(cert.violations) == 1
+    assert_is_own_sweep(cert, memo_column(edited, 4))
+    # in a cache whose checksum line was rewritten for the edited rows
+    path = tmp_path / "t5.tbl"
+    save_table(rank_class_table(2 * MEMO_HI, MEMO_C), path)
+    lines = path.read_bytes().split(b"\n")
+    row = lines[1 + 2 * MEMO_HI].split(b",")
+    row[4] = str(rows[2 * MEMO_HI][4]).encode()
+    lines[1 + 2 * MEMO_HI] = b",".join(row)
+    lines[-2] = f"checksum sha256:{edited.checksum()}".encode()
+    path.write_bytes(b"\n".join(lines))
+    loaded = load_table(path)
+    assert loaded == edited
+    first, mirror = (verify_subadditivity(loaded, a, MEMO_LO, MEMO_HI) for a in (1, 4))
+    assert len(sweeps) == 4
+    assert first.serialize() == clean.serialize().replace(
+        clean.table_checksum, edited.checksum())
+    assert_is_own_sweep(mirror, memo_column(edited, 4))
+    assert mirror.table_checksum == edited.checksum()
+
+
+def test_equal_tables_share_no_memo(sweeps):
+    table = rank_class_table(2 * MEMO_HI, MEMO_C)
+    twin = rank_class_table(2 * MEMO_HI, MEMO_C)
+    assert table == twin and table is not twin
+    cert = verify_subadditivity(table, 1, MEMO_LO, MEMO_HI)
+    assert twin._sweeps is None
+    assert verify_subadditivity(twin, 1, MEMO_LO, MEMO_HI) == cert
+    assert len(sweeps) == 2 and table._sweeps[1] is not twin._sweeps[1]
+
+
+def test_mutating_a_certificate_leaves_later_results_alone(sweeps):
+    table = rank_class_table(40, 3)
+    first = verify_subadditivity(table, 1, 1, 20)
+    text = first.serialize()
+    assert first.violations  # genuine ones, below the certified range
+    first.violations.clear()
+    mirror = verify_subadditivity(table, 2, 1, 20)
+    assert mirror.serialize() == text.replace(" a=1 ", " a=2 ", 1)
+    mirror.violations.append((0, 0, 0, 0))
+    assert verify_subadditivity(table, 1, 1, 20).serialize() == text
+    assert len(sweeps) == 1
+
+
+def test_new_range_drops_the_old_entries(sweeps):
+    table = rank_class_table(2 * MEMO_HI, MEMO_C)
+    for a in (1, 2):
+        verify_subadditivity(table, a, MEMO_LO, MEMO_HI)
+    narrow = verify_subadditivity(table, 1, MEMO_LO, 100)
+    assert table._sweeps[0] == (MEMO_LO, 100) and len(table._sweeps[1]) == 1
+    assert_is_own_sweep(narrow, memo_column(table, 1, 100), n_hi=100)
+    # back to the first range: swept afresh, as it was dropped
+    verify_subadditivity(table, 1, MEMO_LO, MEMO_HI)
+    assert len(sweeps) == 4 and len(table._sweeps[1]) == 1
 
 
 # ---------------------------------------------------------------------------
