@@ -143,20 +143,27 @@ def brute_force_rank_counts(n: int) -> RankDistribution:
 class RankClassTable:
     """Exact table of rank-class counts: counts[n][r] for 0 <= n <= n_max, r mod c.
 
-    Built once by `rank_class_table` or `load_table` and treated as immutable
-    afterwards, so its checksum is computed once.  `_sweeps` is the memo of
+    The rows are its one field; c and n_max are read from them.  Built once by
+    `rank_class_table` or `load_table` and treated as immutable afterwards, so
+    its checksum is computed once.  `_sweeps` is the memo of
     `verify.verify_subadditivity`: the last range (n_lo, n_hi) swept and, per
-    distinct column of counts swept over it, the column and that sweep's
-    result.  It holds one range and at most c columns, is hit only when a
-    column equals a stored one value for value, and belongs to this table
-    alone: equal tables share none of it, and it takes no part in equality.
+    distinct column swept over it, the column and that sweep's result.  It
+    holds one range and at most c columns, is hit only when a column equals a
+    stored one value for value, and belongs to this table alone: equal tables
+    share none of it, and it takes no part in equality.
     """
 
-    c: int
-    n_max: int
     counts: list[list[int]]
     _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
     _sweeps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def c(self) -> int:
+        return len(self.counts[0])
+
+    @property
+    def n_max(self) -> int:
+        return len(self.counts) - 1
 
     def row_sum(self, n: int) -> int:
         return sum(self.counts[n])
@@ -269,8 +276,7 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
         cols[r] = [int.from_bytes(buf[i:i + width], "little") for i in range(0, size, width)]
     # column c - r is column r: the bracket is symmetric in z and 1/z
     cols += cols[1:(c + 1) // 2][::-1]
-    counts = [list(row) for row in zip(*cols)]
-    return RankClassTable(c=c, n_max=n_max, counts=counts)
+    return RankClassTable([list(row) for row in zip(*cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +405,6 @@ def load_table(path) -> RankClassTable:
                              "cache file truncated: the checksum line is missing")
         if fh.read(1):
             raise ValueError("cache has data after its checksum line")
-    table = RankClassTable(c=c, n_max=n_max, counts=counts)
+    table = RankClassTable(counts)
     table._checksum = digest
     return table

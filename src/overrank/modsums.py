@@ -8,8 +8,9 @@ precision (default 160 bits).
 
 The finite exponential sums B and D follow one convention: the phase
 exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
-integral) linear parameter 2*m in the secondary sum, validated against exact
-rank-class counts in tests/test_asymptotic.py.  The values calls share live
+integral) linear parameter 2*m in the secondary sum.  Only B is checked against
+exact counts, at c = 3, which has no secondary arcs; D's phase is wrong (ROADMAP
+item 15, a strict xfail in tests/test_asymptotic.py).  The values calls share live
 in a `KernelTables`: per arc k, omega_{h,k} once per class {h, h', k-h, k-h'}
 and the multiplier ratio once per pair {h, k-h}; each distinct linear phase,
 reduced in integers, once per arc; sin(pi*a*h'/c) once per value of a*h';
@@ -176,21 +177,15 @@ def _add(xm: int, xe: int, ym: int, ye: int, prec: int,
 
 def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
     """x / y rounded to nearest at prec bits, as libmp's mpf_div rounds it."""
-    if not xm:
-        return 0, 0
     neg = (xm < 0) != (ym < 0)
     xm, ym = abs(xm), abs(ym)
-    if ym == 1:
-        quot, exp = xm, xe - ye
-    else:
-        extra = max(prec - xm.bit_length() + ym.bit_length() + 5, 5)
-        quot, rem = divmod(xm << extra, ym)
-        if rem:
-            # a sticky bit below the quotient's last bit stands for the remainder
-            quot = quot << 1 | 1
-            extra += 1
-        exp = xe - ye - extra
-    return _add(-quot if neg else quot, exp, 0, 0, prec)
+    extra = max(prec - xm.bit_length() + ym.bit_length() + 5, 5)
+    quot, rem = divmod(xm << extra, ym)
+    if rem:
+        # a sticky bit below the quotient's last bit stands for the remainder
+        quot = quot << 1 | 1
+        extra += 1
+    return _add(-quot if neg else quot, xe - ye - extra, 0, 0, prec)
 
 
 def _cmul(z: tuple, w: tuple, prec: int) -> tuple:
@@ -213,15 +208,6 @@ def _cadd(z: tuple, w: tuple, prec: int) -> tuple:
 def _cdiv_real(z: tuple, xm: int, xe: int, prec: int) -> tuple:
     """z / x for real x, as libmp's mpc_div_mpf."""
     return _div(z[0], z[1], xm, xe, prec) + _div(z[2], z[3], xm, xe, prec)
-
-
-def _csquare(z: tuple, prec: int) -> tuple:
-    """z**2 as libmp's mpc_pow_int(z, 2), that is mpc_square: a^2 - b^2 from exact
-    squares rounded once, 2ab as ab rounded and doubled.  mpc_pow_int's own
-    cases for a zero real or imaginary part give the same bits."""
-    am, ae, bm, be = z
-    abm, abe = _add(am * bm, ae + be, 0, 0, prec)
-    return _add(am * am, 2 * ae, -bm * bm, 2 * be, prec) + (abm, abe + 1 if abm else 0)
 
 
 def _cdiv(z: tuple, w: tuple, prec: int) -> tuple:
@@ -264,8 +250,8 @@ def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
     So omega is evaluated once per class {h, h', k-h, k-h'}: h' gets the very
     bits of h, and k-h, k-h' their exact conjugate.  The ratio is evaluated
     for h < k/2 and conjugated for k-h; 2h mod k runs over the same h.  The
-    square and the quotient round as mpc_pow_int and mpc_div do (see
-    `_csquare` and `_cdiv`).
+    square `_cmul(w, w)` has mpc_pow_int's bits (doubling commutes with rounding,
+    so its 2*round(ab) is round(2ab)), and the quotient mpc_div's (see `_cdiv`).
     """
     prec = mp.prec
     hs = coprime_residues(k)
@@ -278,7 +264,7 @@ def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
             # so s(h,k) = 0), w is real and they have its bits
             om[-h % k] = om[-inverse[h] % k] = _conjugate(w)
             om[h] = om[inverse[h]] = w
-    ratio = {h: _cdiv(_csquare(om[h], prec), om[2 * h % k], prec) for h in hs if 2 * h < k}
+    ratio = {h: _cdiv(_cmul(om[h], om[h], prec), om[2 * h % k], prec) for h in hs if 2 * h < k}
     return [(h, inverse[h], ratio[h] if 2 * h < k else _conjugate(ratio[k - h]))
             for h in hs]
 
@@ -306,10 +292,8 @@ class KernelTables:
         self.sines: dict[int, tuple] = {}
         self.quads: dict[int, tuple] = {}
 
-    def enter(self, c: int, k: int, prec: int) -> list[tuple[int, int, tuple]]:
+    def enter(self, k: int) -> list[tuple[int, int, tuple]]:
         """The multipliers of arc k, built on the first call at k."""
-        if (c, prec) != (self.c, self.prec):
-            raise ValueError("tables made for another modulus or precision")
         if k != self.k:
             # drop the last arc's tables before building this one's
             self.k, self.multipliers, self.phases = None, [], {}
@@ -347,10 +331,13 @@ class KernelTables:
 
 
 def _checked_tables(a: int, c: int, tables: KernelTables | None, prec: int) -> KernelTables:
-    """Check (a, c) and return `tables`, or fresh ones for modulus c at prec."""
+    """Check (a, c) and return `tables`, made for modulus c at prec, or fresh ones."""
     if gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
-    return KernelTables(c, prec) if tables is None else tables
+    tables = KernelTables(c, prec) if tables is None else tables
+    if (tables.c, tables.prec) != (c, prec):
+        raise ValueError("tables made for another modulus or precision")
+    return tables
 
 
 def _scale(total: tuple, sign: int, a: int, c: int, prec: int) -> mpc:
@@ -378,7 +365,7 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
     quad_coeff = a * a * (k // c) * (c - 2)
     with mp.workprec(prec + 10):
         wp = mp.prec
-        mults = tables.enter(c, k, prec)
+        mults = tables.enter(k)
         phase = tables.phase
         total = (0, 0, 0, 0)
         for h, hp, w in mults:
@@ -407,7 +394,7 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
     mn, md = (2 * Fraction(m)).as_integer_ratio()
     with mp.workprec(prec + 10):
         wp = mp.prec
-        mults = tables.enter(c, k, prec)
+        mults = tables.enter(k)
         phase = tables.phase
         total = (0, 0, 0, 0)
         for h, hp, w in mults:

@@ -74,7 +74,6 @@ class Report:
     outputs: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     environment: dict = field(default_factory=environment_fingerprint)
-    schema_version: int = REPORT_SCHEMA
 
     def add(self, record: str, **fields) -> None:
         rec = {"record": record}
@@ -83,7 +82,7 @@ class Report:
 
     # -- lossless interchange form -------------------------------------
     def to_json_lines(self) -> str:
-        lines = [json.dumps({"record": "header", "schema_version": self.schema_version,
+        lines = [json.dumps({"record": "header", "schema_version": REPORT_SCHEMA,
                              "command": self.command, "inputs": self.inputs},
                             sort_keys=True)]
         lines.append(json.dumps({"record": "config", **asdict(self.config)},
@@ -124,9 +123,11 @@ class Report:
             raise ValueError("missing header or config record")
         if missing := {"command", "inputs", "schema_version"} - set(header):
             raise ValueError(f"header record lacks {min(missing)!r}")
+        if type(schema := header["schema_version"]) is not int or schema != REPORT_SCHEMA:
+            raise ValueError(f"report schema_version={schema!r} is unsupported "
+                             f"(this version reads {REPORT_SCHEMA})")
         return cls(command=header["command"], config=config, inputs=header["inputs"],
-                   outputs=outputs, timings=timings, environment=environment,
-                   schema_version=header["schema_version"])
+                   outputs=outputs, timings=timings, environment=environment)
 
     # -- human-readable form -------------------------------------------
     def to_text(self) -> str:
@@ -138,7 +139,7 @@ class Report:
                 parts.append(f"{k}={shlex.quote(flat)}")
             return " ".join(parts)
 
-        lines = [f"report schema={self.schema_version} command={self.command}"]
+        lines = [f"report schema={REPORT_SCHEMA} command={self.command}"]
         if self.inputs:
             lines.append("inputs " + kv(self.inputs))
         lines.append("config " + kv(asdict(self.config)))

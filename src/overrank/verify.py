@@ -28,22 +28,30 @@ CERTIFICATE_SCHEMA = 1
 
 @dataclass
 class Certificate:
-    """Reproducible record of one exhaustive subadditivity sweep."""
+    """Reproducible record of one exhaustive subadditivity sweep.
+
+    `pairs_checked` follows from (n_lo, n_hi); `pairs_compared` counts the
+    pairs its own sweep multiplied out, 0 on a memo hit (see below).
+    """
 
     c: int
     a: int
     n_lo: int
     n_hi: int
-    pairs_checked: int
     violations: list[tuple[int, int, int, int]]  # (n1, n2, lhs, rhs), sorted
     min_margin: Fraction | None  # smallest rhs/lhs over pairs with lhs > 0
     table_checksum: str
-    schema_version: int = CERTIFICATE_SCHEMA
-    pairs_compared: int = field(default=0, compare=False)  # pairs the sweep multiplied out
+    pairs_compared: int = field(default=0, compare=False)
+
+    @property
+    def pairs_checked(self) -> int:
+        """The unordered pairs n_lo <= n1 <= n2 <= n_hi."""
+        width = self.n_hi - self.n_lo + 1
+        return width * (width + 1) // 2
 
     def serialize(self) -> str:
         lines = [
-            f"certificate schema={self.schema_version} c={self.c} a={self.a} "
+            f"certificate schema={CERTIFICATE_SCHEMA} c={self.c} a={self.a} "
             f"n_lo={self.n_lo} n_hi={self.n_hi} pairs={self.pairs_checked} "
             f"violations={len(self.violations)} table_sha256={self.table_checksum}"
         ]
@@ -66,13 +74,10 @@ def parse_certificate(text: str) -> Certificate:
         mm = lines[1].split()[1]
         violations = [tuple(map(int, line.split()[1:])) for line in lines[2:-1]]
         cert = Certificate(c=int(head["c"]), a=int(head["a"]), n_lo=int(head["n_lo"]),
-                           n_hi=int(head["n_hi"]), pairs_checked=int(head["pairs"]),
-                           violations=violations,
+                           n_hi=int(head["n_hi"]), violations=violations,
                            min_margin=None if mm == "none" else Fraction(mm),
-                           table_checksum=head["table_sha256"],
-                           schema_version=int(head["schema"]))
-        canonical = (cert.schema_version == CERTIFICATE_SCHEMA
-                     and cert.serialize() == text)
+                           table_checksum=head["table_sha256"])
+        canonical = cert.serialize() == text
     except (IndexError, KeyError, ValueError, ZeroDivisionError):
         canonical = False
     if not canonical:
@@ -126,9 +131,10 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     Memo.  The table keeps one sweep per distinct column for the last
     (n_lo, n_hi) it was asked (see `RankClassTable`); another range drops
     them.  A residue whose column equals, value for value, one already swept
-    gets that sweep's result, `pairs_compared` included, in a certificate of
-    its own: N(a,c,n) = N(c-a,c,n) by the symmetry z <-> 1/z, so `--a-list
-    all` sweeps each mirrored pair of columns once.
+    gets that sweep's result in a certificate of its own, with
+    `pairs_compared` = 0 as it multiplies nothing out: N(a,c,n) = N(c-a,c,n)
+    by the symmetry z <-> 1/z, so `--a-list all` sweeps each mirrored pair of
+    columns once.
     """
     c = table.c
     if not 0 <= a < c:
@@ -146,10 +152,8 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     found = next((result for vals, result in swept if vals == column), None)
     if found is None:
         found = _sweep_rows(column, n_lo, n_hi)
-        swept.append((column, found))
+        swept.append((column, (*found[:2], 0)))
     violations, min_margin, compared = found
-    width = n_hi - n_lo + 1
     return Certificate(c=c, a=a, n_lo=n_lo, n_hi=n_hi,
-                       pairs_checked=width * (width + 1) // 2,
                        violations=list(violations), min_margin=min_margin,
                        table_checksum=table.checksum(), pairs_compared=compared)

@@ -104,7 +104,7 @@ def rank_class_table_dp(n_max: int, c: int) -> RankClassTable:
                 if g:
                     dst[s] += g + g
     counts = [[cls[r][n] for r in range(c)] for n in range(N)]
-    return RankClassTable(c=c, n_max=n_max, counts=counts)
+    return RankClassTable(counts)
 
 
 def save_table_per_row(table: RankClassTable, path) -> None:

@@ -272,13 +272,23 @@ def test_verify_reports_stage_timings(capsys):
     assert set(report.timings) == {"table_cache", "table_n_max", "table_sha256", "table_s",
                                    "sweep_s", "pairs_compared", "total_s"}
     assert report.timings["table_cache"] == "none"
-    # each of the 4 x 22 rows compares at least its first pair, and the
-    # log-concave tails spare most of the 4 x 253 pairs (538 are compared)
-    assert 4 * 22 <= report.timings["pairs_compared"] < 4 * 253
+    # c = 4 has 3 distinct columns, 0, {1, 3} and 2, and only they are swept:
+    # each of their 3 x 22 rows compares at least its first pair, and the
+    # log-concave tails spare most of the 3 x 253 pairs (411 are compared)
+    assert 3 * 22 <= report.timings["pairs_compared"] < 3 * 253
     assert not any("pairs_compared" in rec or "pairs_compared" in rec["text"]
                    for rec in report.outputs)
     assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
     assert 0 <= report.timings["sweep_s"] <= report.timings["total_s"]
+
+
+def test_verify_counts_only_the_pairs_its_sweeps_compare(capsys):
+    # c = 5 has 3 distinct columns, 0, {1, 4} and {2, 3}; their sweeps compare
+    # 247 + 237 + 207 pairs, and residues 3 and 4 reuse the sweeps of 2 and 1
+    code, out = run_cli(capsys, "verify", "--c", "5", "--n-lo", "9", "--n-hi", "200",
+                        "--n-max", "400", "--format", "json-lines")
+    assert code == 0
+    assert Report.from_json_lines(out).timings["pairs_compared"] == 691
 
 
 def test_count_reports_table_cache(capsys, tmp_path):
@@ -419,7 +429,12 @@ NOT_A_RECORD = "report line is not an object with a 'record' key: "
      "header record lacks 'inputs'"),
     (1, lambda rec: {**rec, "precision_bits": "abc"},
      "precision_bits must be an integer, got 'abc'"),
-], ids=["no-record-key", "array", "scalar", "header-no-inputs", "precision-abc"])
+    (0, lambda rec: {**rec, "schema_version": 99},
+     "report schema_version=99 is unsupported (this version reads 1)"),
+    (0, lambda rec: {**rec, "schema_version": True},
+     "report schema_version=True is unsupported (this version reads 1)"),
+], ids=["no-record-key", "array", "scalar", "header-no-inputs", "precision-abc",
+        "schema-99", "schema-true"])
 def test_report_rejects_malformed_line_with_one_value_error(capsys, line, edit, message):
     _, out = run_cli(capsys, "count", "--n", "2", "--format", "json-lines")
     lines = out.splitlines()

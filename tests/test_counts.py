@@ -263,7 +263,7 @@ def test_checksum_is_computed_once(tmp_path, monkeypatch):
     loaded = load_table(tmp_path / "t3.tbl")
     assert loaded.checksum() == first and len(hashes) == 3
     # the memo takes no part in equality
-    assert RankClassTable(c=3, n_max=40, counts=table.counts) == table
+    assert RankClassTable(table.counts) == table
     # saving a table of unknown checksum memoizes the digest of the lines it writes
     fresh = rank_class_table(40, 3)
     save_table(fresh, tmp_path / "fresh.tbl")
@@ -336,16 +336,42 @@ def test_failed_save_keeps_previous_cache(tmp_path):
     rows = [list(row) for row in table.counts]
     rows[15][1] = Unwritable(rows[15][1])
     with pytest.raises(OSError, match="disk full"):
-        save_table(RankClassTable(c=3, n_max=30, counts=rows), path)
+        save_table(RankClassTable(rows), path)
     assert path.read_bytes() == before
     assert load_table(path).checksum() == table.checksum()
     assert os.listdir(tmp_path) == ["t3.tbl"]  # no temporary file left behind
 
 
+def test_table_is_built_from_its_rows_alone():
+    # c and n_max are read from the rows, never given beside them
+    table = rank_class_table(40, 3)
+    assert (table.c, table.n_max) == (3, 40)
+    assert RankClassTable(table.counts[:31]).n_max == 30
+    with pytest.raises(TypeError):
+        RankClassTable(c=3, n_max=40, counts=table.counts)
+    with pytest.raises(TypeError):
+        RankClassTable(3, 40, table.counts)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rows=st.integers(2, 6).flatmap(lambda c: st.lists(
+    st.lists(st.integers(0, 10 ** 40), min_size=c, max_size=c),
+    min_size=1, max_size=2 * counts._BLOCK_ROWS + 3)))
+def test_any_table_built_from_rows_round_trips(rows):
+    table = RankClassTable(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tbl")
+        save_table(table, path)
+        loaded = load_table(path)
+    assert loaded == table
+    assert (loaded.c, loaded.n_max) == (len(rows[0]), len(rows) - 1)
+    assert loaded.checksum() == RankClassTable(rows).checksum()
+
+
 def test_count_past_the_int_str_limit_names_its_row(tmp_path):
     # str() refuses a count of more than 4,300 digits; checksum and save say
     # which row holds it, and the save leaves no file behind
-    table = RankClassTable(c=2, n_max=0, counts=[[2 ** 65536, 0]])
+    table = RankClassTable([[2 ** 65536, 0]])
     message = r"^row n=0 has a count above 4300 decimal digits"
     with pytest.raises(ValueError, match=message):
         table.checksum()
@@ -357,7 +383,7 @@ def test_count_past_the_int_str_limit_names_its_row(tmp_path):
 def test_count_past_the_int_str_limit_names_its_row_in_a_later_block(tmp_path):
     rows = [list(row) for row in rank_class_table(300, 3).counts]
     rows[200][2] = 10 ** 5000
-    table = RankClassTable(c=3, n_max=300, counts=rows)
+    table = RankClassTable(rows)
     message = r"^row n=200 has a count above 4300 decimal digits"
     with pytest.raises(ValueError, match=message):
         table.checksum()
@@ -378,7 +404,7 @@ def test_block_writes_equal_the_per_row_writer(tmp_path, n_max, c):
     data = (tmp_path / "blocks.tbl").read_bytes()
     assert data == (tmp_path / "rows.tbl").read_bytes()
     # checksum() hashes the same blocks as the save
-    fresh = RankClassTable(c=c, n_max=n_max, counts=table.counts)
+    fresh = RankClassTable(table.counts)
     assert data.endswith(f"checksum sha256:{fresh.checksum()}\n".encode())
     assert fresh.checksum() == table.checksum()
     if n_max == 1600:
@@ -484,7 +510,7 @@ def test_loaded_checksum_is_the_tables_own(table, edits):
             loaded = load_table(path)
         except ValueError:
             return
-    assert loaded.checksum() == RankClassTable(table.c, table.n_max, loaded.counts).checksum()
+    assert loaded.checksum() == RankClassTable(loaded.counts).checksum()
 
 
 def _cut_row(lines, n):

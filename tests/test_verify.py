@@ -77,6 +77,7 @@ def test_parse_rejects_non_canonical_certificates(table3_small):
     lines = text.splitlines(keepends=True)
     assert len(lines) > 4  # a header, the margin, violations and end
     head = lines[0]
+    assert " pairs=78 " in head
     bad = {
         "truncated": "".join(lines[:3]),
         "no trailing newline": text[:-1],
@@ -85,6 +86,8 @@ def test_parse_rejects_non_canonical_certificates(table3_small):
         "zero denominator": "".join([head, "min_margin 1/0\n"] + lines[2:]),
         "unreduced margin": "".join([head, "min_margin 2/2\n"] + lines[2:]),
         "unknown schema": text.replace("schema=1 ", "schema=2 ", 1),
+        # 1..12 holds 12 * 13 / 2 = 78 unordered pairs
+        "wrong pair count": text.replace(" pairs=78 ", " pairs=5 ", 1),
         "garbled": "certificate\n",
         "empty": "",
     }
@@ -99,7 +102,7 @@ def test_parse_rejects_non_canonical_certificates(table3_small):
 
 def column_table(vals: list[int]) -> RankClassTable:
     """One-column table (c = 1, a = 0) holding `vals` as its counts."""
-    return RankClassTable(c=1, n_max=len(vals) - 1, counts=[[v] for v in vals])
+    return RankClassTable([[v] for v in vals])
 
 
 def assert_matches_oracle(vals, n_lo, n_hi):
@@ -311,7 +314,13 @@ def test_mirrored_residues_share_one_sweep(sweeps):
     for a in range(1, MEMO_C):
         text = certs[MEMO_C - a].serialize().replace(f" a={MEMO_C - a} ", f" a={a} ", 1)
         assert certs[a].serialize() == text
+    for a in (1, 2):
         assert_is_own_sweep(certs[a], memo_column(table, a))
+    # residues 3 and 4 take the sweeps of 2 and 1, and multiply nothing out
+    for a in (3, 4):
+        assert certs[a].pairs_compared == 0
+        assert (certs[a].violations, certs[a].min_margin) == _sweep_rows(
+            memo_column(table, a), MEMO_LO, MEMO_HI)[:2]
     assert table._sweeps[0] == (MEMO_LO, MEMO_HI) and len(table._sweeps[1]) == 3
 
 
@@ -322,7 +331,7 @@ def test_edited_mirror_column_gets_its_own_sweep(sweeps, tmp_path):
     # a spike in the last row of column 4 makes (MEMO_HI, MEMO_HI) a violation
     rows = [list(row) for row in table.counts]
     rows[2 * MEMO_HI][4] = rows[MEMO_HI][4] ** 2
-    edited = RankClassTable(c=MEMO_C, n_max=2 * MEMO_HI, counts=rows)
+    edited = RankClassTable(rows)
     # in memory: the table the memo lives on, changed after residue 1's sweep
     table.counts[2 * MEMO_HI][4] = rows[2 * MEMO_HI][4]
     cert = verify_subadditivity(table, 4, MEMO_LO, MEMO_HI)
