@@ -143,7 +143,8 @@ def brute_force_rank_counts(n: int) -> RankDistribution:
 class RankClassTable:
     """Exact table of rank-class counts: counts[n][r] for 0 <= n <= n_max, r mod c.
 
-    The rows are its one field; c and n_max are read from them.  Built once by
+    The rows are its one field; c and n_max are read from them, so construction
+    rejects an empty table and rows of unequal or zero length.  Built once by
     `rank_class_table` or `load_table` and treated as immutable afterwards, so
     its checksum is computed once.  `_sweeps` is the memo of
     `verify.verify_subadditivity`: the last range (n_lo, n_hi) swept and, per
@@ -156,6 +157,19 @@ class RankClassTable:
     counts: list[list[int]]
     _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
     _sweeps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # every build and load passes through here: one C-level pass over the
+        # row lengths, and a search for the bad row only when there is one
+        if len(set(map(len, self.counts))) == 1 and self.counts[0]:
+            return
+        if not self.counts:
+            raise ValueError("a rank-class table needs at least one row")
+        if not self.c:
+            raise ValueError("rank-class table row n=0 holds no counts")
+        n = next(n for n, row in enumerate(self.counts) if len(row) != self.c)
+        raise ValueError(f"rank-class table row n={n} holds {len(self.counts[n])} counts, "
+                         f"not c={self.c} as row 0 does")
 
     @property
     def c(self) -> int:
@@ -330,12 +344,58 @@ def save_table(table: RankClassTable, path) -> None:
 
 _HEADER_KEYS = ("c", "format_version", "n_max")
 # a canonical count or header value: ASCII digits without sign, separator or
-# leading zero; a canonical row line holds counts, each followed by a comma,
-# then a newline, and a canonical block is one or more such lines
+# leading zero, and a canonical row line: counts, each followed by a comma,
+# then a newline.  `_ROW` names a bad row once a block has failed
+# `_block_counts`, whose checks of a whole block amount to it.
 _COUNT = "0|[1-9][0-9]*"
 _DECIMAL = re.compile(_COUNT)
 _ROW = re.compile(f"(?:(?:{_COUNT}),)+\n".encode())
-_ROWS = re.compile(b"(?:%s)+" % _ROW.pattern)
+_ROW_BYTES = b"0123456789,\n"
+# a leading zero in the newline-free stream of rows, where a comma precedes
+# every count but the first
+_LEADING_ZERO = re.compile(rb",0[0-9]")
+
+
+def _block_counts(block: bytes, stream: bytes, size: int, c: int) -> list[int] | None:
+    """The counts of `block` if it is `size` canonical rows of c counts, else None.
+
+    `stream` is `block` without its newlines.  The block splits at its commas
+    into c * size counts and a last value; it holds only digits, commas and
+    newlines; and it holds `size` newlines that each follow a comma (there are
+    at most `size`, one per line read), so each leads a value, which holds no
+    other.  Those values are the ones at c, 2c, ..., c * size, so the last is
+    the final newline alone and every row holds c counts.  In the stream a
+    comma precedes every count but the first, so a leading zero shows as
+    ",0" and a digit there or at its start; and int() refuses an empty count.
+    Each check is a C-level pass over the block.
+    """
+    values = block.split(b",")
+    if (len(values) != c * size + 1 or block.translate(None, _ROW_BYTES)
+            or block.count(b",\n") != size or b"".join(values[c::c]).count(b"\n") != size
+            or _LEADING_ZERO.search(stream) or _LEADING_ZERO.match(b"," + stream[:2])):
+        return None
+    del values[-1]
+    try:
+        return list(map(int, values))  # int() skips a count's leading newline
+    except ValueError:
+        return None
+
+
+def _block_fault(lines: list[bytes], start: int, size: int, c: int) -> str:
+    """The first bad row of a block that `_block_counts` refused, named.
+
+    The block was to hold rows start, ..., start + size - 1; `lines` may stop
+    short at the end of the file.  A row of canonical form can still hold a
+    count longer than int() converts (sys.get_int_max_str_digits()).
+    """
+    for n, line in enumerate(lines + [b""] * (size - len(lines)), start):
+        if line.count(b",") != c or not _ROW.fullmatch(line):
+            return _row_fault(n, line, c)
+        try:
+            list(map(int, line.split(b",")[:-1]))
+        except ValueError:
+            return (f"cache row n={n} has a count above {sys.get_int_max_str_digits()} "
+                    "decimal digits, Python's limit for str-to-int conversion")
 
 
 def _row_fault(n: int, line: bytes, c: int) -> str:
@@ -348,63 +408,67 @@ def _row_fault(n: int, line: bytes, c: int) -> str:
     return f"cache row n={n} is not canonical: counts must be plain decimal, each followed by a comma"
 
 
+def _read_header(fh) -> tuple[int, int]:
+    """The (c, n_max) of the cache file open in `fh`, from its first line."""
+    header = fh.readline().decode("ascii", "backslashreplace").split()
+    if not header or header[0] != "rank-class-table":
+        raise ValueError("not a rank-class table cache file")
+    fields = dict(part.partition("=")[::2] for part in header[1:])
+    if len(header) != 4 or sorted(fields) != list(_HEADER_KEYS):
+        raise ValueError(f"cache header must set exactly {', '.join(_HEADER_KEYS)}; "
+                         f"got {' '.join(header[1:]) or 'nothing'}")
+    for key in _HEADER_KEYS:
+        if not _DECIMAL.fullmatch(fields[key]):
+            raise ValueError(f"bad cache header: {key}={fields[key]} "
+                             "is not a plain decimal integer")
+    if fields["format_version"] != str(TABLE_FORMAT_VERSION):
+        raise ValueError(f"cache format_version={fields['format_version']} is unsupported "
+                         f"(this version reads {TABLE_FORMAT_VERSION}); "
+                         "delete the file to rebuild it")
+    c = int(fields["c"])
+    n_max = int(fields["n_max"])
+    if c < 2:
+        raise ValueError(f"bad cache header: c={c} is below 2")
+    return c, n_max
+
+
+def _read_checksum_line(fh, digest: str, n_max: int) -> None:
+    """Check that the rest of the file in `fh` is the checksum line of `digest`."""
+    last = fh.readline()
+    if last != f"checksum sha256:{digest}\n".encode():
+        if _ROW.fullmatch(last):
+            raise ValueError(f"cache row n={n_max + 1} lies beyond n_max={n_max}")
+        raise ValueError("cache checksum mismatch" if last else
+                         "cache file truncated: the checksum line is missing")
+    if fh.read(1):
+        raise ValueError("cache has data after its checksum line")
+
+
 def load_table(path) -> RankClassTable:
     """Reload a cached table; raises ValueError on any malformed or corrupt file.
 
-    Rows are read in blocks of `_BLOCK_ROWS`.  Each block is checked to be
-    canonical rows of c counts, hashed and parsed at once, and the verified
-    digest becomes the table's checksum.  A block that fails its check is
-    scanned again line by line, so the error names its first bad row.
+    Rows are read in blocks of `_BLOCK_ROWS`.  `_block_counts` checks each
+    block to be canonical rows of c counts and parses it, in a few C-level
+    passes; its newline-free stream is hashed, and the verified digest becomes
+    the table's checksum.  A block that fails the check is scanned again line
+    by line, so the error names its first bad row.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", "backslashreplace").split()
-        if not header or header[0] != "rank-class-table":
-            raise ValueError("not a rank-class table cache file")
-        fields = dict(part.partition("=")[::2] for part in header[1:])
-        if len(header) != 4 or sorted(fields) != list(_HEADER_KEYS):
-            raise ValueError(f"cache header must set exactly {', '.join(_HEADER_KEYS)}; "
-                             f"got {' '.join(header[1:]) or 'nothing'}")
-        for key in _HEADER_KEYS:
-            if not _DECIMAL.fullmatch(fields[key]):
-                raise ValueError(f"bad cache header: {key}={fields[key]} "
-                                 "is not a plain decimal integer")
-        if fields["format_version"] != str(TABLE_FORMAT_VERSION):
-            raise ValueError(f"cache format_version={fields['format_version']} is unsupported "
-                             f"(this version reads {TABLE_FORMAT_VERSION}); "
-                             "delete the file to rebuild it")
-        c = int(fields["c"])
-        n_max = int(fields["n_max"])
-        if c < 2:
-            raise ValueError(f"bad cache header: c={c} is below 2")
+        c, n_max = _read_header(fh)
         h = _checksum_hash(c, n_max)
         counts = []
         for start in range(0, n_max + 1, _BLOCK_ROWS):
             size = min(_BLOCK_ROWS, n_max + 1 - start)
             lines = list(islice(fh, size))
             block = b"".join(lines)
-            # a canonical row's newline follows its last comma, so it leads
-            # the next row's first value, and the block's last value is its
-            # final newline alone
-            values = block.split(b",")
-            # `size` canonical rows of c counts: newlines lead values c, 2c,
-            # ..., c * size, and no value holds two
-            if (len(values) != c * size + 1 or not _ROWS.fullmatch(block)
-                    or b"".join(values[c::c]).count(b"\n") != size):
-                for n, line in enumerate(lines + [b""] * (size - len(lines)), start):
-                    if line.count(b",") != c or not _ROW.fullmatch(line):
-                        raise ValueError(_row_fault(n, line, c))
-            h.update(block.replace(b"\n", b""))
-            values = list(map(int, values[:-1]))  # int() skips a leading newline
-            counts += [values[i:i + c] for i in range(0, c * size, c)]
+            stream = block.replace(b"\n", b"")
+            values = _block_counts(block, stream, size, c)
+            if values is None:
+                raise ValueError(_block_fault(lines, start, size, c))
+            h.update(stream)
+            counts += map(list, zip(*[iter(values)] * c))
         digest = h.hexdigest()
-        last = fh.readline()
-        if last != f"checksum sha256:{digest}\n".encode():
-            if _ROW.fullmatch(last):
-                raise ValueError(f"cache row n={n_max + 1} lies beyond n_max={n_max}")
-            raise ValueError("cache checksum mismatch" if last else
-                             "cache file truncated: the checksum line is missing")
-        if fh.read(1):
-            raise ValueError("cache has data after its checksum line")
+        _read_checksum_line(fh, digest, n_max)
     table = RankClassTable(counts)
     table._checksum = digest
     return table

@@ -6,7 +6,11 @@ the O(c N^2) dynamic program over the largest part for the rank-class table.
 With the brute-force enumeration `overrank.counts.brute_force_rank_counts`,
 they are what the production counts are checked against.  The per-row cache
 writer writes and hashes one row at a time, as `overrank.counts.save_table`
-did before it wrote blocks of rows; the bytes must agree.  The sweep oracle
+did before it wrote blocks of rows; the bytes must agree.  The regex
+cache loader checks each block of rows with one whole-block pattern match, as
+`overrank.counts.load_table` did before it checked blocks in C-level passes;
+both must load the same tables and refuse the same files with the same
+message.  The sweep oracle
 compares every pair of the subadditivity triangle exactly, with no row
 pruning; `overrank.verify.verify_subadditivity` is checked against it.  The
 Dedekind oracles sum s(h,k) from its definition, in O(k) per value, to check
@@ -35,7 +39,9 @@ minimum; the records must agree.
 
 import hashlib
 import math
+import re
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -43,7 +49,9 @@ from mpmath import mp, mpc, mpf
 from overrank.asymptotic import AsymptoticEstimate, engel_pbar
 from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series_params,
                              _tail_integral, cbar2, cbar4)
-from overrank.counts import _CHECKSUM_DOMAIN, TABLE_FORMAT_VERSION, RankClassTable
+from overrank.counts import (_BLOCK_ROWS, _CHECKSUM_DOMAIN, _ROW, TABLE_FORMAT_VERSION,
+                             RankClassTable, _block_fault, _checksum_hash, _read_checksum_line,
+                             _read_header)
 from overrank.modsums import (DEFAULT_PRECISION, _multipliers, _to_mpc, coprime_residues,
                               kloosterman_B, kloosterman_D, mod_inverse, omega)
 
@@ -118,6 +126,36 @@ def save_table_per_row(table: RankClassTable, path) -> None:
             fh.write(line + b"\n")
             h.update(line)
         fh.write(f"checksum sha256:{h.hexdigest()}\n".encode())
+
+
+# one or more canonical row lines
+_ROWS = re.compile(b"(?:%s)+" % _ROW.pattern)
+
+
+def load_table_regex(path) -> RankClassTable:
+    """The cache file at `path` loaded with one pattern match per block of rows."""
+    with open(path, "rb") as fh:
+        c, n_max = _read_header(fh)
+        h = _checksum_hash(c, n_max)
+        counts = []
+        for start in range(0, n_max + 1, _BLOCK_ROWS):
+            size = min(_BLOCK_ROWS, n_max + 1 - start)
+            lines = list(islice(fh, size))
+            block = b"".join(lines)
+            values = block.split(b",")
+            # `size` canonical rows of c counts: newlines lead values c, 2c,
+            # ..., c * size, and no value holds two
+            if (len(values) != c * size + 1 or not _ROWS.fullmatch(block)
+                    or b"".join(values[c::c]).count(b"\n") != size):
+                raise ValueError(_block_fault(lines, start, size, c))
+            h.update(block.replace(b"\n", b""))
+            values = list(map(int, values[:-1]))
+            counts += [values[i:i + c] for i in range(0, c * size, c)]
+        digest = h.hexdigest()
+        _read_checksum_line(fh, digest, n_max)
+    table = RankClassTable(counts)
+    table._checksum = digest
+    return table
 
 
 def sweep_oracle(vals: list[int], n_lo: int, n_hi: int):

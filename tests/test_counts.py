@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from oracles import pbar_series_product, rank_class_table_dp, save_table_per_row
+from oracles import (load_table_regex, pbar_series_product, rank_class_table_dp,
+                     save_table_per_row)
 
 from overrank import (a_exact, brute_force_rank_counts, load_table, pbar_series,
                       rank_class_table, save_table)
@@ -347,10 +348,29 @@ def test_table_is_built_from_its_rows_alone():
     table = rank_class_table(40, 3)
     assert (table.c, table.n_max) == (3, 40)
     assert RankClassTable(table.counts[:31]).n_max == 30
+    assert RankClassTable([[5], [7], [9]]).c == 1  # one column is a table too
     with pytest.raises(TypeError):
         RankClassTable(c=3, n_max=40, counts=table.counts)
     with pytest.raises(TypeError):
         RankClassTable(3, 40, table.counts)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([], "a rank-class table needs at least one row"),
+    ([[]], "rank-class table row n=0 holds no counts"),
+    ([[1, 2, 3], [4, 5]], "rank-class table row n=1 holds 2 counts, not c=3 as row 0 does"),
+    ([[1, 2, 3]] + [[5, 6]] * 10,
+     "rank-class table row n=1 holds 2 counts, not c=3 as row 0 does"),
+    ([[1, 2]] * 200 + [[1, 2, 3]] + [[1, 2]],
+     "rank-class table row n=200 holds 3 counts, not c=2 as row 0 does"),
+], ids=["empty", "no-counts", "short-row", "short-rows", "long-row"])
+def test_table_rejects_rows_of_unequal_length(rows, message):
+    # a table's c is its first row's length, so every row must share it: a
+    # ragged table used to report c = 3, save a file load_table refused, and
+    # send verify_subadditivity into an IndexError
+    with pytest.raises(ValueError) as excinfo:
+        RankClassTable(rows)
+    assert str(excinfo.value) == message
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -455,10 +475,18 @@ def test_load_table_fuzzed_cache(table, edits):
             fh.write(data)
         try:
             loaded = load_table(path)
-        except ValueError:
+        except ValueError as exc:
+            _assert_one_line(exc)
             return
     assert loaded == table
     assert loaded.checksum() == table.checksum()
+
+
+def _assert_one_line(exc: ValueError) -> None:
+    # a refused cache is named in one non-empty line, never in int()'s words
+    message = str(exc)
+    assert message and "\n" not in message, repr(message)
+    assert "invalid literal" not in message, message
 
 
 def _rechecksummed(header: bytes, rows: bytes, c: int, n_max: int) -> bytes:
@@ -508,9 +536,46 @@ def test_loaded_checksum_is_the_tables_own(table, edits):
             fh.write(_rechecksummed(header, bytes(rows), table.c, table.n_max))
         try:
             loaded = load_table(path)
-        except ValueError:
+        except ValueError as exc:
+            _assert_one_line(exc)
             return
     assert loaded.checksum() == RankClassTable(loaded.counts).checksum()
+
+
+def _load_outcome(load, path):
+    try:
+        table = load(path)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "loaded", table, table.checksum()
+
+
+@FUZZ_TABLES
+@pytest.mark.parametrize("rechecksum", [False, True], ids=["plain", "rechecksummed"])
+@settings(max_examples=200, deadline=None, database=None)
+@given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=3))
+def test_load_table_equals_the_regex_loader(table, rechecksum, edits):
+    # the C-level block checks accept exactly the blocks the whole-block
+    # pattern accepts: the same table and checksum, or the same message.
+    # Re-checksummed edits reach the block checks with the file's own digest.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t3.tbl")
+        save_table(table, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if rechecksum:
+            header, body = data.split(b"\n", 1)
+            rows = bytearray(body[:body.rindex(b"checksum")])
+            for edit in edits:
+                _edit(rows, edit)
+            data = _rechecksummed(header, bytes(rows), table.c, table.n_max)
+        else:
+            data = bytearray(data)
+            for edit in edits:
+                _edit(data, edit)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _load_outcome(load_table, path) == _load_outcome(load_table_regex, path)
 
 
 def _cut_row(lines, n):
@@ -567,3 +632,128 @@ def test_deep_cache_line_ending_faults(tmp_path, edit, message):
     with pytest.raises(ValueError) as excinfo:
         load_table(path)
     assert str(excinfo.value) == message
+
+
+def _row(n, change):
+    # row n's line replaced by `change` of it
+    def edit(lines):
+        lines[n] = change(lines[n])
+    return edit
+
+
+def _newline_before_comma(lines):
+    # row 130's last comma moved past its newline, to the head of row 131
+    lines[130:132] = [lines[130][:-2] + b"\n", b"," + lines[131]]
+
+
+def _newline_early(lines):
+    # row 130 ends a count early and row 131 starts with that count
+    head, _, last = lines[130][:-2].rpartition(b",")
+    lines[130:132] = [head + b",\n", last + b"," + lines[131]]
+
+
+def _newline_inside_count(lines):
+    # a newline inside row 130's first count, and rows 135 and 136 on one line
+    lines[130] = lines[130][:2] + b"\n" + lines[130][2:]
+    lines[135] = lines[135][:-1]
+
+
+def _blank_line(lines):
+    # a blank line after row 130, and rows 135 and 136 on one line
+    lines[130] += b"\n"
+    lines[135] = lines[135][:-1]
+
+
+def _two_rows_on_a_line(lines):
+    # rows 130 and 131 on one line, and row 200 twice, so that the block
+    # holds as many lines as it should
+    lines[130:132] = [lines[130][:-1] + lines[131]]
+    lines.insert(200, lines[200])
+
+
+def _without_first_count(line):
+    return line[line.index(b","):]
+
+
+def _without_middle_count(line):
+    head, _, tail = line.partition(b",")
+    return head + b",," + tail.partition(b",")[2]
+
+
+# edits of the depth-300 cache's rows, each aimed at one of the block checks
+# that replaced the whole-block pattern; the first four leave the
+# newline-free stream as it was, so only where its newlines lie tells them
+# from the saved table
+REGEX_LOADER_CASES = {
+    "newline-before-comma": _newline_before_comma,
+    "newline-one-count-early": _newline_early,
+    "newline-inside-count": _newline_inside_count,
+    "blank-line": _blank_line,
+    "two-rows-on-a-line": _two_rows_on_a_line,
+    "empty-count": _row(130, _without_middle_count),
+    "empty-first-count": _row(131, _without_first_count),
+    "leading-zero-at-block-start": _row(128, lambda line: b"0" + line),
+    "leading-zero-in-block": _row(130, lambda line: b"0" + line),
+    "zero-count-at-block-start": _row(128, lambda line: b"0" + _without_first_count(line)),
+    "underscore": _row(130, lambda line: line.replace(b",", b"_1,", 1)),
+    "plus-sign": _row(130, lambda line: line.replace(b",", b",+", 1)),
+    "space": _row(130, lambda line: line.replace(b",", b", ", 1)),
+    "carriage-return": _row(130, lambda line: line.replace(b",\n", b",\r\n")),
+    "count-changed": _row(130, lambda line: line.replace(b",", b"1,", 1)),
+}
+
+
+@pytest.mark.parametrize("edit", REGEX_LOADER_CASES.values(), ids=REGEX_LOADER_CASES.keys())
+def test_load_table_equals_the_regex_loader_on_aimed_edits(tmp_path, edit):
+    path = tmp_path / "t3.tbl"
+    save_table(DEEP_TABLE, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    lines = body[:body.rindex(b"checksum")].splitlines(keepends=True)
+    edit(lines)
+    path.write_bytes(_rechecksummed(header, b"".join(lines), 3, 300))
+    assert _load_outcome(load_table, path) == _load_outcome(load_table_regex, path)
+
+
+_ROW = counts._ROW
+
+
+class _CountingRow:
+    """`counts._ROW` with a tally of the rows matched against it one by one."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def fullmatch(self, line):
+        self.rows += 1
+        return _ROW.fullmatch(line)
+
+
+def test_valid_cache_loads_without_a_line_by_line_scan(tmp_path, monkeypatch):
+    # every block of a good depth-1600 cache passes the block checks, so no
+    # row is matched on its own; a bad row sends only its block to the scan
+    path = tmp_path / "c5.tbl"
+    table = rank_class_table(1600, 5)
+    save_table(table, path)
+    tally = _CountingRow()
+    monkeypatch.setattr(counts, "_ROW", tally)
+    assert load_table(path) == table and tally.rows == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    _leading_zero(lines, 300)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=f"^cache row n=300 {NOT_CANONICAL}$"):
+        load_table(path)
+    # rows 256..300 of the third block, and no row of the first two
+    assert tally.rows == 300 - 2 * counts._BLOCK_ROWS + 1
+
+
+def test_count_past_the_int_str_limit_in_a_cache_names_its_row(tmp_path):
+    # a canonical count that int() refuses to convert, in a file whose
+    # checksum is over its own rows
+    rows = b"".join(b"%d,%d,\n" % (n, n + 1) for n in range(200))
+    rows = rows.replace(b"150,151,", b"1" + b"0" * 5000 + b",151,")
+    path = tmp_path / "big.tbl"
+    path.write_bytes(_rechecksummed(b"rank-class-table format_version=2 c=2 n_max=199",
+                                    rows, 2, 199))
+    with pytest.raises(ValueError, match=r"^cache row n=150 has a count above 4300 decimal "
+                                         r"digits, Python's limit for str-to-int conversion$"):
+        load_table(path)
