@@ -10,10 +10,16 @@ overpartitions.  All counts in this module are exact Python integers.
 Both production counts come from generating functions.  `pbar_series` runs
 the recurrence from Gauss's theta identity.  `rank_class_table` multiplies
 pbar by the bracket in Lovejoy's overpartition rank generating function
-(Lovejoy, Ann. Comb. 9 (2005) 321-334) taken modulo z^c - 1, in the
-bracket's rational form: every term is a shift, a small multiple or a
-division by 1 - q^m of pbar packed into one big integer, so the table costs
-about sqrt(N) (2c + 4 log2 N) linear passes over it and no full product.
+(Lovejoy, Ann. Comb. 9 (2005) 321-334) taken modulo z^c - 1, in its per-rank
+form: the z^m coefficient of term n is -x^(|m|-1) (1 - x)/(1 + x) for m != 0
+and 2/(1 + x) for m = 0, x = q^n, and summed over m = r (mod c) it becomes a
+polynomial in x over D_c(x) = 1 - x^(2c) for odd c and (1 - x^c)^2 for even c.
+Every term is a shift, a small multiple or a division by 1 - q^m of pbar
+packed into one big integer.  Counting a shifted add as one linear pass
+over it, each of the about sqrt(N) terms takes at most log2 N doubling steps
+per division, each a shifted add and a mask, and 2c - 2 shifted adds for odd
+c, 2c - 1 for even c: about sqrt(N) (2c + 2 log2 N) linear passes for odd c,
+sqrt(N) (2c + 4 log2 N) for even c, and no full product.
 The brute-force enumeration here and the O(c N^2) dynamic program and
 product-form series in tests/oracles.py are the independent checks on
 them.  Each table row sums to pbar(n); that is the exact link between the
@@ -30,7 +36,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -229,19 +235,28 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
 
     The generating function is pbar(q) times Lovejoy's bracket
     1 + 2 sum_{n>=1} (-1)^n q^{n^2+n} (2 - z - 1/z) / ((1 - zq^n)(1 - q^n/z)).
-    Modulo z^c - 1, 1/(1 - zx) = sum_{i<c} (zx)^i / (1 - x^c), likewise for 1/z,
-    so term n is (-1)^n q^{n^2+n} U(q^n) / (1 - q^{nc})^2.  The numerator
-    U(x) = (2 - z - 1/z) sum_{0<=i,j<c} z^{i-j} x^{i+j} = sum_{t<=2c-2} U_t(z) x^t
-    has small integer coefficients U_t[r], the same for every n, and is a
-    palindrome (U_t = U_{2c-2-t}, so t and 2c-2-t share a sum below).  So
+    As 1/((1 - zx)(1 - x/z)) = sum_m z^m x^|m| / (1 - x^2), the z^m coefficient
+    of (2 - z - 1/z) / ((1 - zx)(1 - x/z)) is 2/(1 + x) for m = 0 and
+    -x^(|m|-1) (1 - x)/(1 + x) for m != 0: the bracket's per-rank form.  Summing
+    the geometric series over m = r (mod c), with x = q^n,
 
-        column r = [r = 0] P + 2 sum_t U_t[r] sum_n (-1)^n q^{n^2+n+nt} P / (1 - q^{nc})^2
+        column r = [r = 0] P + sum_n (-1)^(n+1) q^(n^2) W_r(x) P / D_c(x)
 
-    with P = pbar(q).  Each series is packed into one integer, coefficient k
-    in `width`-byte slot k, i.e. evaluated at X = 256^width, and kept modulo
-    X^(n_max+1).  Then q^k is a shift, U_t[r] a small multiple and 1/(1 - q^m)
-    the doubling product (1 + q^m)(1 + q^2m)(1 + q^4m)...: each step is linear
-    in the packed size, and no full product is taken.
+    with P = pbar(q), D_c = 1 - x^(2c) for odd c and (1 - x^c)^2 for even c,
+    W_r = 2 N_r A, N_r = (1 - x)(x^r + x^(c-r)) for 0 < r < c, N_0 = 2(x^c - x),
+    and A = sum_{i<c} (-1)^i x^i, which is D_c / ((1 + x)(1 - x^c)) for both
+    parities.  W_r = sum_{1<=t<=2c-1} W_t[r] x^t has small integer coefficients,
+    the same for every n, and x^(2c) W_r(1/x) = (-1)^c W_r(x): exponents t and
+    2c - t share one sum below, with sign (-1)^c, and for odd c W_c = 0.
+    Column c - r is column r, as N_{c-r} = N_r.
+
+    Each series is packed into one integer, coefficient k in `width`-byte
+    slot k, i.e. evaluated at X = 256^width, and kept modulo X^(n_max+1).
+    Then q^k is a shift, W_t[r] a small multiple and 1/(1 - q^m) the doubling
+    product (1 + q^m)(1 + q^2m)(1 + q^4m)...: each step is linear in the
+    packed size, and no full product is taken.  Only D_c's factors depend on
+    the parity of c, so an odd c takes one doubling product per n where an
+    even c takes two.
 
     Exact: evaluation at X is a ring map Z[q]/(q^(n_max+1)) -> Z/(X^(n_max+1)).
     Slots may go negative or carry into their neighbours on the way, but the
@@ -257,37 +272,44 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
     slot, size, half = 8 * width, width * (n_max + 1), c // 2
     packed = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in pbar), "little")
     del pbar
-    u = [[0] * c for _ in range(2 * c - 1)]  # u[t][r] = 2 U_t[r]
-    for i in range(c):
-        for j in range(c):
-            for e, w in ((0, 4), (1, -2), (-1, -2)):
-                u[i + j][(i - j + e) % c] += w
-    acc = [0] * c  # acc[min(t, 2c-2-t)] gathers the sums over n for t
+    u = [[0] * (half + 1) for _ in range(2 * c - 1)]  # u[t][r] = W_{t+1}[r]
+    for r in range(half + 1):
+        terms = ((r, 1), (r + 1, -1), (c - r, 1), (c - r + 1, -1)) if r else ((1, -2), (c, 2))
+        for e, k in terms:  # N_r = sum k x^e, times 2A
+            for i in range(c):
+                u[e + i - 1][r] += -2 * k if i & 1 else 2 * k
+    denominator = (2 * c,) if c & 1 else (c, c)  # D_c(x) = prod (1 - x^e)
+    acc = [0] * (c - (c & 1))  # acc[min(t, 2c-2-t)] gathers the sums over n for t
     n = 1
     while (d := n * n + n) <= n_max:
-        span = n_max + 1 - d  # the slots that survive the shift by q^d
+        span = n_max + 1 - d  # the slots that survive the shift by q^d, W's lowest term
         keep = (1 << (slot * span)) - 1
         term = packed & keep
-        for _ in range(2):
-            m = n * c
+        for e in denominator:
+            m = n * e
             while m < span:
                 term = (term + (term << (slot * m))) & keep
                 m *= 2
-        if n & 1:
+        if not n & 1:  # (-1)^(n+1)
             term = -term
         for t in range(min(2 * c - 1, (n_max - d) // n + 1)):
+            if t == c - 1 and c & 1:  # W_c = 0, and the mirrors past it take sign -1
+                term = -term
+                continue
             acc[min(t, 2 * c - 2 - t)] += term << (slot * (d + n * t))
         n += 1
     cols = [packed] + [0] * half
     del packed
     while acc:  # free each accumulator once it is spent
         a = acc.pop()
-        for r, k in enumerate(u[len(acc)][:half + 1]):
+        for r, k in enumerate(u[len(acc)]):
             cols[r] += k * a
     del a
+    mask = (1 << 8 * size) - 1
     for r, col in enumerate(cols):
-        buf = (col & (1 << 8 * size) - 1).to_bytes(size, "little")
-        cols[r] = [int.from_bytes(buf[i:i + width], "little") for i in range(0, size, width)]
+        buf = (col & mask).to_bytes(size, "little")
+        slots = map(slice, range(0, size, width), range(width, size + width, width))
+        cols[r] = list(map(int.from_bytes, map(buf.__getitem__, slots), repeat("little")))
     # column c - r is column r: the bracket is symmetric in z and 1/z
     cols += cols[1:(c + 1) // 2][::-1]
     return RankClassTable([list(row) for row in zip(*cols)])

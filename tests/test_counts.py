@@ -102,6 +102,21 @@ def test_table_matches_dp_oracle_drawn(n_max, c):
     assert rank_class_table(n_max, c).counts == rank_class_table_dp(n_max, c).counts
 
 
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 7, 9])
+def test_table_matches_dp_oracle_at_division_edges(c):
+    # Term n of the build divides by 1 - q^(2cn) for odd c and twice by
+    # 1 - q^(cn) for even c, over span = n_max + 1 - n^2 - n slots, and takes
+    # the doubling step m only while m < span: for the first two steps m of
+    # each division, n = 1, 2, 3, take the depths where span is m (the step is
+    # left out) and m + 1 (the step is taken)
+    first = 2 * c if c & 1 else c
+    depths = sorted({m * n + n * n + n - 1 + taken
+                     for n in (1, 2, 3) for m in (first, 2 * first) for taken in (0, 1)})
+    oracle = rank_class_table_dp(depths[-1], c).counts
+    for n_max in depths:
+        assert rank_class_table(n_max, c).counts == oracle[:n_max + 1], n_max
+
+
 # tracemalloc peaks of rank_class_table(3000, c) when it took one full product
 # per column (CPython 3.11); the linear-pass build must stay within 10% of them
 FULL_PRODUCT_PEAK = {5: 1_952_123, 7: 2_151_827}
