@@ -78,7 +78,7 @@ def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_P
         raise ValueError("j out of range")
     if not 0 <= n <= table.n_max:
         raise ValueError("n out of table range")
-    row = table.counts[n]
+    row = table.row(n)
     data_bits = max(v.bit_length() for v in row)
     work = max(prec, data_bits + prec // 2 + 16)
     with mp.workprec(work):

@@ -127,9 +127,9 @@ def cmd_count(args, report: Report) -> list[str]:
     else:
         table = _get_table(report, args.c, n)
         residues = range(args.c) if args.a is None else [args.a % args.c]
+        row = table.row(n)
         for r in residues:
-            report.add("count", kind="rank_class", n=n, c=args.c, a=r,
-                       value=str(table.counts[n][r]))
+            report.add("count", kind="rank_class", n=n, c=args.c, a=r, value=str(row[r]))
     return []
 
 

@@ -25,7 +25,12 @@ product-form series in tests/oracles.py are the independent checks on
 them.  Each table row sums to pbar(n); that is the exact link between the
 two counts, and the orthogonality identity that recovers a class count
 from the root-of-unity evaluations (`asymptotic.a_exact`) reduces to it.
-Nothing here imports mpmath.
+
+A table is stored as its columns, one per residue, which the build computes
+and a sweep reads; rows are derived.  The cache file holds rows, and a load
+checks the whole file but converts no count: each column turns from decimal
+into integers when a command first reads it, so a single-residue sweep
+converts one column and a `count` one row.  Nothing here imports mpmath.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ BRUTE_FORCE_LIMIT = 30
 TABLE_FORMAT_VERSION = 2
 # leads every table checksum; certificates and pinned digests carry it
 _CHECKSUM_DOMAIN = 1
-# rows that the cache code writes, or reads and parses, as one block; a
+# rows that the cache code writes, or reads and checks, as one block; a
 # constant, so the transient memory of a save or load stays bounded whatever
 # the table depth
 _BLOCK_ROWS = 128
@@ -145,48 +150,82 @@ def brute_force_rank_counts(n: int) -> RankDistribution:
     return dist
 
 
-@dataclass
 class RankClassTable:
-    """Exact table of rank-class counts: counts[n][r] for 0 <= n <= n_max, r mod c.
+    """Exact table of rank-class counts N(r, c, n) for 0 <= n <= n_max, r mod c.
 
-    The rows are its one field; c and n_max are read from them, so construction
-    rejects an empty table and rows of unequal or zero length.  Built once by
-    `rank_class_table` or `load_table` and treated as immutable afterwards, so
-    its checksum is computed once.  `_sweeps` is the memo of
-    `verify.verify_subadditivity`: the last range (n_lo, n_hi) swept and, per
-    distinct column swept over it, the column and that sweep's result.  It
-    holds one range and at most c columns, is hit only when a column equals a
-    stored one value for value, and belongs to this table alone: equal tables
-    share none of it, and it takes no part in equality.
+    Stored as its c columns, column r holding the counts of residue r for
+    n = 0..n_max: the layout the build computes and a sweep reads.  c and
+    n_max are read from the columns, so construction rejects an empty table
+    and columns of unequal or zero length.  Rows are derived: `row(n)` reads
+    one count from each column, and `counts`, every row as counts[n][r], is
+    built on first access and kept.
+
+    A table that `load_table` read holds each column as the decimal counts
+    that the load validated, as bytes, until `column` first reads it and
+    converts it once; `row` converts only the counts it returns.  So a
+    command converts only the columns, or the row, it reads.
+
+    Built once by `rank_class_table` or `load_table` and treated as immutable
+    afterwards, so its checksum and rows are computed once.  `_sweeps` is the
+    memo of `verify.verify_subadditivity`: the last range (n_lo, n_hi) swept
+    and, per distinct column swept over it, the column and that sweep's
+    result.  It holds one range and at most c columns, is hit only when a
+    column equals a stored one value for value, and belongs to this table
+    alone: equal tables share none of it, and it takes no part in equality.
     """
 
-    counts: list[list[int]]
-    _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
-    _sweeps: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, columns: list[list[int]]):
+        self._columns = list(columns)
+        self._checksum: str | None = None
+        self._sweeps: tuple | None = None
+        self._rows: list[list[int]] | None = None
         # every build and load passes through here: one C-level pass over the
-        # row lengths, and a search for the bad row only when there is one
-        if len(set(map(len, self.counts))) == 1 and self.counts[0]:
+        # column lengths, and a search for the bad column only when there is one
+        if len(set(map(len, self._columns))) == 1 and self._columns[0]:
             return
-        if not self.counts:
-            raise ValueError("a rank-class table needs at least one row")
-        if not self.c:
-            raise ValueError("rank-class table row n=0 holds no counts")
-        n = next(n for n, row in enumerate(self.counts) if len(row) != self.c)
-        raise ValueError(f"rank-class table row n={n} holds {len(self.counts[n])} counts, "
-                         f"not c={self.c} as row 0 does")
+        if not self._columns:
+            raise ValueError("a rank-class table needs at least one column")
+        depth = len(self._columns[0])
+        if not depth:
+            raise ValueError("rank-class table column r=0 holds no counts")
+        r = next(r for r, col in enumerate(self._columns) if len(col) != depth)
+        raise ValueError(f"rank-class table column r={r} holds {len(self._columns[r])} counts, "
+                         f"not n_max + 1 = {depth} as column 0 does")
+
+    def __eq__(self, other):
+        if not isinstance(other, RankClassTable):
+            return NotImplemented
+        return self.c == other.c and all(
+            self.column(r) == other.column(r) for r in range(self.c))
 
     @property
     def c(self) -> int:
-        return len(self.counts[0])
+        return len(self._columns)
 
     @property
     def n_max(self) -> int:
-        return len(self.counts) - 1
+        return len(self._columns[0]) - 1
+
+    def column(self, r: int) -> list[int]:
+        """The counts of residue r for n = 0..n_max; a loaded column converts on first read."""
+        col = self._columns[r]
+        if type(col[0]) is bytes:
+            col = self._columns[r] = list(map(int, col))
+        return col
+
+    def row(self, n: int) -> list[int]:
+        """The c counts of n, converting only those of a loaded column not yet read."""
+        return [int(col[n]) for col in self._columns]  # int() of an int is that int
+
+    @property
+    def counts(self) -> list[list[int]]:
+        """Every row, counts[n][r]: built from the columns on first access and kept."""
+        if self._rows is None:
+            self._rows = list(map(list, zip(*map(self.column, range(self.c)))))
+        return self._rows
 
     def row_sum(self, n: int) -> int:
-        return sum(self.counts[n])
+        return sum(self.row(n))
 
     def checksum(self) -> str:
         """SHA-256 over the decimal count stream; also stored in cache files.
@@ -197,7 +236,7 @@ class RankClassTable:
         """
         if self._checksum is None:
             h = _checksum_hash(self.c, self.n_max)
-            for block in _row_blocks(self.counts):
+            for block in _row_blocks(self):
                 h.update(block.replace(b"\n", b""))
             self._checksum = h.hexdigest()
         return self._checksum
@@ -207,27 +246,34 @@ def _checksum_hash(c: int, n_max: int):
     return hashlib.sha256(f"{_CHECKSUM_DOMAIN}:{c}:{n_max}".encode())
 
 
-def _row_lines(counts: list[list[int]]):
-    """Each row's cache line: its counts in decimal, each followed by a comma.
+def _row_blocks(table: RankClassTable):
+    """The cache lines of `table`, `_BLOCK_ROWS` rows to a block.
 
-    str() refuses integers above sys.get_int_max_str_digits() digits (4,300
-    by default); that refusal is raised again naming the row.
+    Each block is one `%` over its counts, taken row by row from the column
+    slices.  %d refuses integers above sys.get_int_max_str_digits() digits
+    (4,300 by default); the block's rows are then formatted one by one, so
+    the refusal is raised again naming the row.
     """
-    for n, row in enumerate(counts):
+    columns = list(map(table.column, range(table.c)))
+    line = b"%d," * table.c + b"\n"
+    for start in range(0, table.n_max + 1, _BLOCK_ROWS):
+        block = [col[start:start + _BLOCK_ROWS] for col in columns]
+        size = len(block[0])
+        flat = [0] * (table.c * size)
+        for r, col in enumerate(block):
+            flat[r::table.c] = col
         try:
-            line = ",".join(map(str, row))
+            text = line * size % tuple(flat)
         except ValueError:
-            raise ValueError(
-                f"row n={n} has a count above {sys.get_int_max_str_digits()} decimal "
-                "digits, Python's limit for int-to-str conversion") from None
-        yield (line + ",\n").encode()
-
-
-def _row_blocks(counts: list[list[int]]):
-    """The cache lines of `counts`, joined `_BLOCK_ROWS` rows to a block."""
-    lines = _row_lines(counts)
-    for _ in range(0, len(counts), _BLOCK_ROWS):
-        yield b"".join(islice(lines, _BLOCK_ROWS))
+            for n, row in enumerate(zip(*block), start):
+                try:
+                    line % row
+                except ValueError:
+                    raise ValueError(
+                        f"row n={n} has a count above {sys.get_int_max_str_digits()} "
+                        "decimal digits, Python's limit for int-to-str conversion") from None
+            raise
+        yield text
 
 
 def rank_class_table(n_max: int, c: int) -> RankClassTable:
@@ -311,8 +357,8 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
         slots = map(slice, range(0, size, width), range(width, size + width, width))
         cols[r] = list(map(int.from_bytes, map(buf.__getitem__, slots), repeat("little")))
     # column c - r is column r: the bracket is symmetric in z and 1/z
-    cols += cols[1:(c + 1) // 2][::-1]
-    return RankClassTable([list(row) for row in zip(*cols)])
+    cols += [col.copy() for col in reversed(cols[1:(c + 1) // 2])]
+    return RankClassTable(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +394,7 @@ def save_table(table: RankClassTable, path) -> None:
             fh.write(f"rank-class-table format_version={TABLE_FORMAT_VERSION} "
                      f"c={table.c} n_max={table.n_max}\n".encode())
             h = _checksum_hash(table.c, table.n_max)
-            for block in _row_blocks(table.counts):
+            for block in _row_blocks(table):
                 fh.write(block)
                 h.update(block.replace(b"\n", b""))
             digest = h.hexdigest()
@@ -368,43 +414,50 @@ _HEADER_KEYS = ("c", "format_version", "n_max")
 # a canonical count or header value: ASCII digits without sign, separator or
 # leading zero, and a canonical row line: counts, each followed by a comma,
 # then a newline.  `_ROW` names a bad row once a block has failed
-# `_block_counts`, whose checks of a whole block amount to it.
+# `_block_values`, whose checks of a whole block amount to it.
 _COUNT = "0|[1-9][0-9]*"
 _DECIMAL = re.compile(_COUNT)
 _ROW = re.compile(f"(?:(?:{_COUNT}),)+\n".encode())
 _ROW_BYTES = b"0123456789,\n"
-# a leading zero in the newline-free stream of rows, where a comma precedes
-# every count but the first
-_LEADING_ZERO = re.compile(rb",0[0-9]")
+# a count with a leading zero, or an empty count, in the newline-free stream
+# of rows, where a comma precedes every count but the first
+_BAD_COUNT = re.compile(rb",(?:0[0-9]|,)")
 
 
-def _block_counts(block: bytes, stream: bytes, size: int, c: int) -> list[int] | None:
-    """The counts of `block` if it is `size` canonical rows of c counts, else None.
+def _block_values(lines: list[bytes], block: bytes, stream: bytes, size: int,
+                  c: int) -> list[bytes] | None:
+    """The decimal counts of `block` if it is `size` canonical rows of c counts, else None.
 
-    `stream` is `block` without its newlines.  The block splits at its commas
-    into c * size counts and a last value; it holds only digits, commas and
-    newlines; and it holds `size` newlines that each follow a comma (there are
-    at most `size`, one per line read), so each leads a value, which holds no
-    other.  Those values are the ones at c, 2c, ..., c * size, so the last is
-    the final newline alone and every row holds c counts.  In the stream a
-    comma precedes every count but the first, so a leading zero shows as
-    ",0" and a digit there or at its start; and int() refuses an empty count.
-    Each check is a C-level pass over the block.
+    `block` is `lines` joined, and `stream` is `block` without its newlines.
+    The block splits at its commas into c * size counts and a last value; it
+    holds only digits, commas and newlines; and it holds `size` newlines that
+    each follow a comma (there are at most `size`, one per line read), so
+    each leads a value, which holds no other.  Those values are the ones at
+    c, 2c, ..., c * size, so the last is the final newline alone and every
+    row holds c counts.  In the stream a comma precedes every count but the
+    first, so a leading zero shows as ",0" and a digit, and an empty count as
+    ",,", there or at its start.  No count may have more digits than int()
+    converts (sys.get_int_max_str_digits()), which only a line that long can
+    hold; a newline leading a count is not one of them.  These are every
+    check that int() made, so the counts, a newline leading the first of each
+    row after the block's first, stay unconverted.  Each check is a C-level
+    pass over the block or its lines.
     """
     values = block.split(b",")
     if (len(values) != c * size + 1 or block.translate(None, _ROW_BYTES)
             or block.count(b",\n") != size or b"".join(values[c::c]).count(b"\n") != size
-            or _LEADING_ZERO.search(stream) or _LEADING_ZERO.match(b"," + stream[:2])):
+            or _BAD_COUNT.search(stream) or _BAD_COUNT.match(b"," + stream[:2])):
         return None
     del values[-1]
-    try:
-        return list(map(int, values))  # int() skips a count's leading newline
-    except ValueError:
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, lines)) > limit and any(
+            len(v.lstrip(b"\n")) > limit for v in values):
         return None
+    return values
 
 
 def _block_fault(lines: list[bytes], start: int, size: int, c: int) -> str:
-    """The first bad row of a block that `_block_counts` refused, named.
+    """The first bad row of a block that `_block_values` refused, named.
 
     The block was to hold rows start, ..., start + size - 1; `lines` may stop
     short at the end of the file.  A row of canonical form can still hold a
@@ -469,28 +522,32 @@ def _read_checksum_line(fh, digest: str, n_max: int) -> None:
 def load_table(path) -> RankClassTable:
     """Reload a cached table; raises ValueError on any malformed or corrupt file.
 
-    Rows are read in blocks of `_BLOCK_ROWS`.  `_block_counts` checks each
-    block to be canonical rows of c counts and parses it, in a few C-level
-    passes; its newline-free stream is hashed, and the verified digest becomes
-    the table's checksum.  A block that fails the check is scanned again line
-    by line, so the error names its first bad row.
+    Every check runs over the whole file here, and none is left for a later
+    read.  Rows are read in blocks of `_BLOCK_ROWS`.  `_block_values` checks
+    each block to be canonical rows of c counts, each one int() converts, in
+    a few C-level passes; its newline-free stream is hashed, and the verified
+    digest becomes the table's checksum.  A block that fails the check is
+    scanned again line by line, so the error names its first bad row.  The
+    counts stay decimal: each column converts when a command first reads it
+    (see `RankClassTable`), and the columns are split out only once every
+    block has passed.
     """
     with open(path, "rb") as fh:
         c, n_max = _read_header(fh)
         h = _checksum_hash(c, n_max)
-        counts = []
+        values = []
         for start in range(0, n_max + 1, _BLOCK_ROWS):
             size = min(_BLOCK_ROWS, n_max + 1 - start)
             lines = list(islice(fh, size))
             block = b"".join(lines)
             stream = block.replace(b"\n", b"")
-            values = _block_counts(block, stream, size, c)
-            if values is None:
+            checked = _block_values(lines, block, stream, size, c)
+            if checked is None:
                 raise ValueError(_block_fault(lines, start, size, c))
             h.update(stream)
-            counts += map(list, zip(*[iter(values)] * c))
+            values += checked
         digest = h.hexdigest()
         _read_checksum_line(fh, digest, n_max)
-    table = RankClassTable(counts)
+    table = RankClassTable([values[r::c] for r in range(c)])
     table._checksum = digest
     return table

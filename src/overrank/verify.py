@@ -143,7 +143,7 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
         raise ValueError("need 1 <= n_lo <= n_hi")
     if table.n_max < 2 * n_hi:
         raise ValueError(f"table reaches n={table.n_max}, need {2 * n_hi}")
-    column = [table.counts[n][a] for n in range(2 * n_hi + 1)]
+    column = table.column(a)[:2 * n_hi + 1]
     if table._sweeps is None or table._sweeps[0] != (n_lo, n_hi):
         table._sweeps = ((n_lo, n_hi), [])
     swept = table._sweeps[1]

@@ -111,8 +111,7 @@ def rank_class_table_dp(n_max: int, c: int) -> RankClassTable:
                 g = src[s]
                 if g:
                     dst[s] += g + g
-    counts = [[cls[r][n] for r in range(c)] for n in range(N)]
-    return RankClassTable(counts)
+    return RankClassTable(cls)
 
 
 def save_table_per_row(table: RankClassTable, path) -> None:
@@ -149,11 +148,13 @@ def load_table_regex(path) -> RankClassTable:
                     or b"".join(values[c::c]).count(b"\n") != size):
                 raise ValueError(_block_fault(lines, start, size, c))
             h.update(block.replace(b"\n", b""))
-            values = list(map(int, values[:-1]))
-            counts += [values[i:i + c] for i in range(0, c * size, c)]
+            try:
+                counts += map(int, values[:-1])
+            except ValueError:  # a count longer than int() converts
+                raise ValueError(_block_fault(lines, start, size, c)) from None
         digest = h.hexdigest()
         _read_checksum_line(fh, digest, n_max)
-    table = RankClassTable(counts)
+    table = RankClassTable([counts[r::c] for r in range(c)])
     table._checksum = digest
     return table
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from overrank import bounds, cli
+from overrank import bounds, cli, counts
 from overrank.cli import main
 from overrank.counts import rank_class_table, save_table
 from overrank.report import Report, RunConfig
@@ -461,6 +461,35 @@ def test_cache_round_trip_and_reuse(capsys, tmp_path):
     code = main(["verify", "--c", "5", "--n-lo", "9", "--n-hi", "30",
                  "--n-max", "60", "--cache", str(cache)])
     assert code == 2
+
+
+def test_warm_commands_convert_only_the_counts_they_read(capsys, tmp_path, monkeypatch):
+    # a load checks every count but converts none: a one-residue sweep
+    # converts its column, and a count converts its row
+    cache = tmp_path / "c5.tbl"
+    table = rank_class_table(1600, 5)
+    save_table(table, cache)
+    converted = []
+
+    def counting_int(value, *args):
+        if isinstance(value, bytes):
+            converted.append(value)
+        return int(value, *args)
+
+    monkeypatch.setattr(counts, "int", counting_int, raising=False)
+    common = ["--n-max", "1600", "--cache", str(cache), "--format", "json-lines"]
+    code, out = run_cli(capsys, "verify", "--c", "5", "--a-list", "2", "--n-lo", "9",
+                        "--n-hi", "800", *common)
+    assert code == 0 and 0 < len(converted) <= table.n_max + 1
+    report = Report.from_json_lines(out)
+    assert report.timings["table_cache"] == "hit"
+    assert [rec["text"] for rec in report.outputs] == [
+        verify_subadditivity(table, 2, 9, 800).serialize()]
+    converted.clear()
+    code, out = run_cli(capsys, "count", "--n", "777", "--c", "5", *common)
+    assert code == 0 and 0 < len(converted) <= table.c
+    assert [int(rec["value"]) for rec in Report.from_json_lines(out).outputs] == \
+        table.counts[777]
 
 
 # a cache as the per-cell format 1 wrote it: one line per (n, r, count)

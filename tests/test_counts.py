@@ -1,6 +1,7 @@
 """Exact counting: series, tables, the oracles, cache round-trips."""
 
 import hashlib
+import io
 import os
 import random
 import tempfile
@@ -16,6 +17,7 @@ from oracles import (load_table_regex, pbar_series_product, rank_class_table_dp,
 from overrank import (a_exact, brute_force_rank_counts, load_table, pbar_series,
                       rank_class_table, save_table)
 from overrank import counts
+from overrank.cli import main
 from overrank.counts import RankClassTable
 
 # RankClassTable.checksum() of the O(c N^2) DP oracle's tables
@@ -27,6 +29,11 @@ DP_CHECKSUMS = {
     (3000, 4): "da9471bb3947fa9019599ba5c2146e04b5a8052c9c3461b7f0210fca7fc73711",
     (3000, 5): "c9ac1f328d7d89772d1992b699cfaa7643c8e455029ed18972f9de1d7145215a",
 }
+
+
+def columns(table: RankClassTable) -> list[list[int]]:
+    """Copies of the table's columns, counts n = 0..n_max of each residue."""
+    return [list(table.column(r)) for r in range(table.c)]
 
 
 def test_pbar_series_small_values():
@@ -279,7 +286,7 @@ def test_checksum_is_computed_once(tmp_path, monkeypatch):
     loaded = load_table(tmp_path / "t3.tbl")
     assert loaded.checksum() == first and len(hashes) == 3
     # the memo takes no part in equality
-    assert RankClassTable(table.counts) == table
+    assert RankClassTable(columns(table)) == table
     # saving a table of unknown checksum memoizes the digest of the lines it writes
     fresh = rank_class_table(40, 3)
     save_table(fresh, tmp_path / "fresh.tbl")
@@ -296,8 +303,9 @@ def test_save_converts_each_count_once(tmp_path, monkeypatch):
     # one decimal pass per save: it writes the rows and hashes them; the
     # checksum afterwards is the memo, and the file bytes are the format's
     passes = []
-    row_lines = counts._row_lines
-    monkeypatch.setattr(counts, "_row_lines", lambda rows: passes.append(1) or row_lines(rows))
+    row_blocks = counts._row_blocks
+    monkeypatch.setattr(counts, "_row_blocks",
+                        lambda table: passes.append(1) or row_blocks(table))
     table = rank_class_table(1600, 5)
     save_table(table, tmp_path / "c5.tbl")
     assert len(passes) == 1
@@ -329,62 +337,67 @@ def test_load_peak_allocation(tmp_path):
 def test_save_rejects_a_checksum_memo_that_disagrees_with_the_rows(tmp_path):
     table = rank_class_table(30, 3)
     table.checksum()
-    table.counts[20][1] += 1  # the rows change under a memoized checksum
+    table.column(1)[20] += 1  # the counts change under a memoized checksum
     with pytest.raises(ValueError, match=r"^table checksum [0-9a-f]{64} does not match "
                                          r"its rows \(sha256:[0-9a-f]{64}\); not saved$"):
         save_table(table, tmp_path / "t3.tbl")
     assert os.listdir(tmp_path) == []
 
 
-def test_failed_save_keeps_previous_cache(tmp_path):
-    table = rank_class_table(30, 3)
+def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
+    table = rank_class_table(300, 3)
     path = tmp_path / "t3.tbl"
     save_table(table, path)
     before = path.read_bytes()
+    writes = []
 
-    class Unwritable(int):
-        def __str__(self):
-            raise OSError("disk full")
+    class FullDisk(io.FileIO):
+        # the failure strikes after the header and the first block of rows
+        # are written, at the second block's write
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 3:
+                raise OSError("disk full")
+            return super().write(data)
 
-        __repr__ = __str__
-
-    # the failure strikes after the header and half the rows are written
-    rows = [list(row) for row in table.counts]
-    rows[15][1] = Unwritable(rows[15][1])
+    monkeypatch.setattr(counts, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="disk full"):
-        save_table(RankClassTable(rows), path)
+        save_table(rank_class_table(300, 3), path)
+    monkeypatch.undo()
+    assert len(writes) == 3  # the header, the first block, the second block's attempt
     assert path.read_bytes() == before
     assert load_table(path).checksum() == table.checksum()
     assert os.listdir(tmp_path) == ["t3.tbl"]  # no temporary file left behind
 
 
 def test_table_is_built_from_its_rows_alone():
-    # c and n_max are read from the rows, never given beside them
+    # c and n_max are read from the columns, never given beside them
     table = rank_class_table(40, 3)
     assert (table.c, table.n_max) == (3, 40)
-    assert RankClassTable(table.counts[:31]).n_max == 30
-    assert RankClassTable([[5], [7], [9]]).c == 1  # one column is a table too
+    assert RankClassTable([col[:31] for col in columns(table)]).n_max == 30
+    assert RankClassTable([[5, 7, 9]]).c == 1  # one column is a table too
     with pytest.raises(TypeError):
-        RankClassTable(c=3, n_max=40, counts=table.counts)
+        RankClassTable(c=3, n_max=40, columns=columns(table))
     with pytest.raises(TypeError):
-        RankClassTable(3, 40, table.counts)
+        RankClassTable(3, 40, columns(table))
 
 
-@pytest.mark.parametrize("rows,message", [
-    ([], "a rank-class table needs at least one row"),
-    ([[]], "rank-class table row n=0 holds no counts"),
-    ([[1, 2, 3], [4, 5]], "rank-class table row n=1 holds 2 counts, not c=3 as row 0 does"),
-    ([[1, 2, 3]] + [[5, 6]] * 10,
-     "rank-class table row n=1 holds 2 counts, not c=3 as row 0 does"),
+@pytest.mark.parametrize("cols,message", [
+    ([], "a rank-class table needs at least one column"),
+    ([[]], "rank-class table column r=0 holds no counts"),
+    ([[1, 4], [2, 5], [3]], "rank-class table column r=2 holds 1 counts, "
+                            "not n_max + 1 = 2 as column 0 does"),
+    ([[1] * 11] + [[2]] * 10,
+     "rank-class table column r=1 holds 1 counts, not n_max + 1 = 11 as column 0 does"),
     ([[1, 2]] * 200 + [[1, 2, 3]] + [[1, 2]],
-     "rank-class table row n=200 holds 3 counts, not c=2 as row 0 does"),
+     "rank-class table column r=200 holds 3 counts, not n_max + 1 = 2 as column 0 does"),
 ], ids=["empty", "no-counts", "short-row", "short-rows", "long-row"])
-def test_table_rejects_rows_of_unequal_length(rows, message):
-    # a table's c is its first row's length, so every row must share it: a
-    # ragged table used to report c = 3, save a file load_table refused, and
-    # send verify_subadditivity into an IndexError
+def test_table_rejects_rows_of_unequal_length(cols, message):
+    # a table's n_max is its first column's length less one, so every column
+    # must share it: a ragged table of rows used to report c = 3, save a file
+    # load_table refused, and send verify_subadditivity into an IndexError
     with pytest.raises(ValueError) as excinfo:
-        RankClassTable(rows)
+        RankClassTable(cols)
     assert str(excinfo.value) == message
 
 
@@ -393,20 +406,21 @@ def test_table_rejects_rows_of_unequal_length(rows, message):
     st.lists(st.integers(0, 10 ** 40), min_size=c, max_size=c),
     min_size=1, max_size=2 * counts._BLOCK_ROWS + 3)))
 def test_any_table_built_from_rows_round_trips(rows):
-    table = RankClassTable(rows)
+    cols = [list(col) for col in zip(*rows)]
+    table = RankClassTable(cols)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.tbl")
         save_table(table, path)
         loaded = load_table(path)
-    assert loaded == table
+    assert loaded == table and loaded.counts == rows
     assert (loaded.c, loaded.n_max) == (len(rows[0]), len(rows) - 1)
-    assert loaded.checksum() == RankClassTable(rows).checksum()
+    assert loaded.checksum() == RankClassTable(cols).checksum()
 
 
 def test_count_past_the_int_str_limit_names_its_row(tmp_path):
     # str() refuses a count of more than 4,300 digits; checksum and save say
     # which row holds it, and the save leaves no file behind
-    table = RankClassTable([[2 ** 65536, 0]])
+    table = RankClassTable([[2 ** 65536], [0]])
     message = r"^row n=0 has a count above 4300 decimal digits"
     with pytest.raises(ValueError, match=message):
         table.checksum()
@@ -416,9 +430,9 @@ def test_count_past_the_int_str_limit_names_its_row(tmp_path):
 
 
 def test_count_past_the_int_str_limit_names_its_row_in_a_later_block(tmp_path):
-    rows = [list(row) for row in rank_class_table(300, 3).counts]
-    rows[200][2] = 10 ** 5000
-    table = RankClassTable(rows)
+    cols = columns(rank_class_table(300, 3))
+    cols[2][200] = 10 ** 5000
+    table = RankClassTable(cols)
     message = r"^row n=200 has a count above 4300 decimal digits"
     with pytest.raises(ValueError, match=message):
         table.checksum()
@@ -439,7 +453,7 @@ def test_block_writes_equal_the_per_row_writer(tmp_path, n_max, c):
     data = (tmp_path / "blocks.tbl").read_bytes()
     assert data == (tmp_path / "rows.tbl").read_bytes()
     # checksum() hashes the same blocks as the save
-    fresh = RankClassTable(table.counts)
+    fresh = RankClassTable(columns(table))
     assert data.endswith(f"checksum sha256:{fresh.checksum()}\n".encode())
     assert fresh.checksum() == table.checksum()
     if n_max == 1600:
@@ -554,7 +568,7 @@ def test_loaded_checksum_is_the_tables_own(table, edits):
         except ValueError as exc:
             _assert_one_line(exc)
             return
-    assert loaded.checksum() == RankClassTable(loaded.counts).checksum()
+    assert loaded.checksum() == RankClassTable(columns(loaded)).checksum()
 
 
 def _load_outcome(load, path):
@@ -727,6 +741,35 @@ def test_load_table_equals_the_regex_loader_on_aimed_edits(tmp_path, edit):
     edit(lines)
     path.write_bytes(_rechecksummed(header, b"".join(lines), 3, 300))
     assert _load_outcome(load_table, path) == _load_outcome(load_table_regex, path)
+
+
+# edits of one count, each of a kind int() refused when the loader still
+# converted every count
+UNREAD_COUNT_EDITS = {
+    "empty-count": lambda count: b"",
+    "leading-zero": lambda count: b"0" + count,
+    "sign": lambda count: b"-" + count,
+    "past-the-int-str-limit": lambda count: b"1" + b"0" * 5000,
+}
+
+
+@pytest.mark.parametrize("change", UNREAD_COUNT_EDITS.values(), ids=UNREAD_COUNT_EDITS.keys())
+def test_load_checks_the_counts_no_command_reads(tmp_path, capsys, change):
+    # every count is checked at load, never when its column is first read:
+    # an edit of residue 2 alone is refused by a sweep that reads residue 0
+    path = tmp_path / "t3.tbl"
+    save_table(DEEP_TABLE, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    lines = body[:body.rindex(b"checksum")].splitlines(keepends=True)
+    row = lines[200].split(b",")
+    row[2] = change(row[2])
+    lines[200] = b",".join(row)
+    path.write_bytes(_rechecksummed(header, b"".join(lines), 3, 300))
+    outcome = _load_outcome(load_table, path)
+    assert outcome[0] == "refused" and outcome == _load_outcome(load_table_regex, path)
+    code = main(["verify", "--c", "3", "--a-list", "0", "--n-lo", "9", "--n-hi", "150",
+                 "--n-max", "300", "--cache", str(path)])
+    assert code == 2 and capsys.readouterr().err == f"error: {outcome[1]}\n"
 
 
 _ROW = counts._ROW

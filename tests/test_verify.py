@@ -102,7 +102,7 @@ def test_parse_rejects_non_canonical_certificates(table3_small):
 
 def column_table(vals: list[int]) -> RankClassTable:
     """One-column table (c = 1, a = 0) holding `vals` as its counts."""
-    return RankClassTable([[v] for v in vals])
+    return RankClassTable([list(vals)])
 
 
 def assert_matches_oracle(vals, n_lo, n_hi):
@@ -118,7 +118,7 @@ def test_sweep_matches_oracle_every_residue(c):
     # n_lo = 1 takes in zero counts and genuine violations
     table = rank_class_table(200, c)
     for a in range(c):
-        vals = [table.counts[n][a] for n in range(201)]
+        vals = table.column(a)[:201]
         for n_lo in (1, 9):
             cert = verify_subadditivity(table, a, n_lo, 100)
             assert (cert.violations, cert.min_margin) == sweep_oracle(vals, n_lo, 100)
@@ -154,7 +154,7 @@ PERTURBATION = st.tuples(
 def test_sweep_matches_oracle_on_perturbed_columns(c, a, n_lo, width, perturbations):
     n_hi = n_lo + width
     table = small_table(c)
-    vals = [table.counts[n][a % c] for n in range(2 * n_hi + 1)]
+    vals = table.column(a % c)[:2 * n_hi + 1]
     for n, kind, num, den in perturbations:
         n %= len(vals)
         if kind == "scale":  # up or down by num/den
@@ -296,7 +296,7 @@ def sweeps(monkeypatch):
 
 
 def memo_column(table: RankClassTable, a: int, n_hi: int = MEMO_HI) -> list[int]:
-    return [table.counts[n][a] for n in range(2 * n_hi + 1)]
+    return table.column(a)[:2 * n_hi + 1]
 
 
 def assert_is_own_sweep(cert, vals, n_lo=MEMO_LO, n_hi=MEMO_HI):
@@ -329,11 +329,11 @@ def test_edited_mirror_column_gets_its_own_sweep(sweeps, tmp_path):
     clean = verify_subadditivity(table, 1, MEMO_LO, MEMO_HI)
     assert clean.violations == []
     # a spike in the last row of column 4 makes (MEMO_HI, MEMO_HI) a violation
-    rows = [list(row) for row in table.counts]
-    rows[2 * MEMO_HI][4] = rows[MEMO_HI][4] ** 2
-    edited = RankClassTable(rows)
+    cols = [list(table.column(r)) for r in range(MEMO_C)]
+    cols[4][2 * MEMO_HI] = cols[4][MEMO_HI] ** 2
+    edited = RankClassTable(cols)
     # in memory: the table the memo lives on, changed after residue 1's sweep
-    table.counts[2 * MEMO_HI][4] = rows[2 * MEMO_HI][4]
+    table.column(4)[2 * MEMO_HI] = cols[4][2 * MEMO_HI]
     cert = verify_subadditivity(table, 4, MEMO_LO, MEMO_HI)
     assert len(sweeps) == 2 and len(cert.violations) == 1
     assert_is_own_sweep(cert, memo_column(edited, 4))
@@ -342,7 +342,7 @@ def test_edited_mirror_column_gets_its_own_sweep(sweeps, tmp_path):
     save_table(rank_class_table(2 * MEMO_HI, MEMO_C), path)
     lines = path.read_bytes().split(b"\n")
     row = lines[1 + 2 * MEMO_HI].split(b",")
-    row[4] = str(rows[2 * MEMO_HI][4]).encode()
+    row[4] = str(cols[4][2 * MEMO_HI]).encode()
     lines[1 + 2 * MEMO_HI] = b",".join(row)
     lines[-2] = f"checksum sha256:{edited.checksum()}".encode()
     path.write_bytes(b"\n".join(lines))
