@@ -210,12 +210,20 @@ class RankClassTable:
         """The counts of residue r for n = 0..n_max; a loaded column converts on first read."""
         col = self._columns[r]
         if type(col[0]) is bytes:
-            col = self._columns[r] = list(map(int, col))
+            try:
+                col = self._columns[r] = list(map(int, col))
+            except ValueError:  # int()'s digit limit fell since the load
+                limit = sys.get_int_max_str_digits()
+                n = next(n for n, v in enumerate(col) if len(v.lstrip(b"\n")) > limit)
+                raise ValueError(_long_count(n)) from None
         return col
 
     def row(self, n: int) -> list[int]:
         """The c counts of n, converting only those of a loaded column not yet read."""
-        return [int(col[n]) for col in self._columns]  # int() of an int is that int
+        try:
+            return [int(col[n]) for col in self._columns]  # int() of an int is that int
+        except ValueError:
+            raise ValueError(_long_count(n)) from None
 
     @property
     def counts(self) -> list[list[int]]:
@@ -469,8 +477,12 @@ def _block_fault(lines: list[bytes], start: int, size: int, c: int) -> str:
         try:
             list(map(int, line.split(b",")[:-1]))
         except ValueError:
-            return (f"cache row n={n} has a count above {sys.get_int_max_str_digits()} "
-                    "decimal digits, Python's limit for str-to-int conversion")
+            return _long_count(n)
+
+
+def _long_count(n: int) -> str:
+    return (f"cache row n={n} has a count above {sys.get_int_max_str_digits()} "
+            "decimal digits, Python's limit for str-to-int conversion")
 
 
 def _row_fault(n: int, line: bytes, c: int) -> str:

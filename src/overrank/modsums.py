@@ -12,17 +12,18 @@ integral) linear parameter 2*m in the secondary sum.  Only B is checked against
 exact counts, at c = 3, which has no secondary arcs; D's phase is wrong (ROADMAP
 item 15, a strict xfail in tests/test_asymptotic.py).  The values calls share live
 in a `KernelTables`: per arc k, omega_{h,k} once per class {h, h', k-h, k-h'}
-and the multiplier ratio once per pair {h, k-h}; each distinct linear phase,
-reduced in integers, once per arc; sin(pi*a*h'/c) once per value of a*h';
-and each quadratic phase once per residue mod 2c.  A call without tables gets
-fresh ones, so the tables change which values are recomputed, never a result
-bit.  The multiplier ratios, the summand loops and the table entries run on
-plain integers: a value is a pair (signed odd mantissa, exponent), zero is
-(0, 0), and a complex value is two such pairs.  Private helpers round these
-exactly as libmp rounds in the operations the mpc operators call, in the same
-order, so every result has the operators' bits.  Two of libmp's behaviours
-are copied with the rest: mpf_add's sticky +-1 when one addend lies far below
-the other, and the three sums inside mpc_div, which libmp rounds toward zero.
+and the multiplier ratio once per pair {h, k-h}; each linear phase once per
+numerator mod its denominator, per arc; sin(pi*a*h'/c) once per value of a*h';
+and each quadratic phase once per residue mod 2c, all at the table's own
+precision.  A call without tables gets fresh ones, so the tables change which
+values are recomputed, never a result bit.  The multiplier ratios, the summand
+loops and the table entries run on plain integers: a value is a pair (signed
+odd mantissa, exponent), zero is (0, 0), and a complex value is two such
+pairs.  Private helpers round these exactly as libmp rounds in the operations
+the mpc operators call, in the same order, so every result has the operators'
+bits.  Two of libmp's behaviours are copied with the rest: mpf_add's sticky
++-1 when one addend lies far below the other, and the three sums inside
+mpc_div, which libmp rounds toward zero.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_pos
+from mpmath import mp, mpc
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, round_nearest
 
 from . import DEFAULT_PRECISION
 
@@ -70,16 +71,15 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _cos_sin_pi(num: int, den: int, prec: int, rnd: str) -> tuple:
-    """exp(pi*i*num/den) as a libmp pair: the bits of mp.expjpi(mpf(num)/den) at prec."""
-    x = mpf_div(mpf_pos(from_int(num), prec, rnd), from_int(den), prec, rnd)
-    return mpf_cos_sin_pi(x, prec, rnd)
+def _cos_sin_pi(num: int, den: int, prec: int) -> tuple:
+    """(cos, sin) of pi*num/den in libmp, rounded to nearest: mp.expjpi(mpf(num)/den)'s bits."""
+    x = mpf_div(from_int(num, prec, round_nearest), from_int(den), prec, round_nearest)
+    return mpf_cos_sin_pi(x, prec, round_nearest)
 
 
 def omega(h: int, k: int, prec: int = DEFAULT_PRECISION) -> mpc:
     """Multiplier omega_{h,k} = exp(pi*i*s(h,k)); unit modulus."""
-    s = dedekind_sum(h, k)
-    return mp.make_mpc(_cos_sin_pi(s.numerator, s.denominator, prec, mp._prec_rounding[1]))
+    return mp.make_mpc(_cos_sin_pi(*dedekind_sum(h, k).as_integer_ratio(), prec))
 
 
 def mod_inverse(h: int, k: int) -> int:
@@ -240,10 +240,9 @@ def _to_mpc(z: tuple) -> mpc:
     return mp.make_mpc((from_man_exp(z[0], z[1]), from_man_exp(z[2], z[3])))
 
 
-def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
+def _multipliers(k: int, prec: int) -> list[tuple[int, int, tuple]]:
     """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, the
-    ratio an integer pair (see `_from_mpc`) with the bits mpc's operators give
-    at the working precision.
+    ratio an integer pair (see `_from_mpc`) with mpc's operators' bits at prec.
 
     s(h',k) = s(h,k) and s(k-h,k) = -s(h,k), and every rounding on the way (the
     quotient, cos/sin, the square, the division) is symmetric under negation.
@@ -253,7 +252,6 @@ def _multipliers(k: int) -> list[tuple[int, int, tuple]]:
     square `_cmul(w, w)` has mpc_pow_int's bits (doubling commutes with rounding,
     so its 2*round(ab) is round(2ab)), and the quotient mpc_div's (see `_cdiv`).
     """
-    prec = mp.prec
     hs = coprime_residues(k)
     inverse = {h: mod_inverse(h, k) for h in hs}
     om: dict[int, tuple] = {}
@@ -274,18 +272,18 @@ class KernelTables:
 
     One table serves the calls for modulus c at kernel precision prec; its
     entries are integer pairs (see `_from_mpc`) with the bits of the libmp
-    values at the kernels' working precision prec + 10.  It keeps the
-    multipliers and the linear phases of one arc k, dropped as soon as a call
-    moves to another arc; it keeps sin(pi*x/c) by x = a*h' and the quadratic
-    phase exp(-pi*i*r/c) by r mod 2c for as long as it lives.  The
-    multipliers take one omega per class {h, h', k-h, k-h'} (see
-    `_multipliers`).  A linear phase is keyed by its reduced fraction, so one
-    memo serves every residue and r-term of an arc.  Every entry has the bits
-    a call would compute for itself.
+    values at the kernels' working precision wp = prec + 10, taken by
+    `_cos_sin_pi` at wp, not at mp.prec.  It keeps the multipliers and the
+    linear phases of one arc k, dropped as soon as a call moves to another
+    arc; it keeps sin(pi*x/c) by x = a*h' and the quadratic phase
+    exp(-pi*i*r/c) by r mod 2c for as long as it lives.  The multipliers take
+    one omega per class {h, h', k-h, k-h'} (see `_multipliers`).  A linear
+    phase is keyed by (num mod den, den), so one memo serves every residue and
+    r-term of an arc.  Every entry has the bits a call would compute for itself.
     """
 
     def __init__(self, c: int, prec: int):
-        self.c, self.prec = c, prec
+        self.c, self.prec, self.wp = c, prec, prec + 10
         self.k: int | None = None
         self.multipliers: list[tuple[int, int, tuple]] = []
         self.phases: dict[tuple[int, int], tuple] = {}
@@ -297,28 +295,24 @@ class KernelTables:
         if k != self.k:
             # drop the last arc's tables before building this one's
             self.k, self.multipliers, self.phases = None, [], {}
-            self.multipliers = _multipliers(k)
-            self.k = k
+            self.multipliers, self.k = _multipliers(k, self.wp), k
         return self.multipliers
 
     def phase(self, num: int, den: int) -> tuple:
-        """exp(2*pi*i*num/den) at the working precision, evaluated once per num/den
-        in lowest terms mod 1.  Doubling commutes with rounding, so the value
-        has the bits of mp.expjpi(2*mpf(num)/den)."""
-        g = gcd(num, den)
-        den //= g
-        key = (num // g % den, den)
+        """exp(2*pi*i*num/den) at the working precision, evaluated once per
+        (num mod den, den).  Doubling commutes with rounding, so the value has
+        the bits of mp.expjpi(2*mpf(num)/den)."""
+        key = (num % den, den)
         value = self.phases.get(key)
         if value is None:
-            value = self.phases[key] = _from_mpc(_cos_sin_pi(2 * key[0], den,
-                                                             *mp._prec_rounding))
+            value = self.phases[key] = _from_mpc(_cos_sin_pi(2 * key[0], den, self.wp))
         return value
 
     def sine(self, x: int) -> tuple[int, int]:
         """sin(pi*x/c) at the working precision, as (mantissa, exponent)."""
         value = self.sines.get(x)
         if value is None:
-            value = self.sines[x] = _from_mpf(mp.sinpi(mpf(x) / self.c)._mpf_)
+            value = self.sines[x] = _from_mpf(_cos_sin_pi(x, self.c, self.wp)[1])
         return value
 
     def quad(self, r: int) -> tuple:
@@ -326,7 +320,7 @@ class KernelTables:
         value = self.quads.get(r)
         if value is None:
             # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
-            value = self.quads[r] = _from_mpc(_cos_sin_pi(-r, self.c, *mp._prec_rounding))
+            value = self.quads[r] = _from_mpc(_cos_sin_pi(-r, self.c, self.wp))
         return value
 
 
@@ -342,7 +336,8 @@ def _checked_tables(a: int, c: int, tables: KernelTables | None, prec: int) -> K
 
 def _scale(total: tuple, sign: int, a: int, c: int, prec: int) -> mpc:
     """total * sign/sqrt(2) * tan(pi*a/c) at the working precision, rounded to prec bits."""
-    total = _to_mpc(total) * (sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
+    with mp.workprec(prec + 10):
+        total = _to_mpc(total) * (sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
     with mp.workprec(prec):
         return +total
 
@@ -363,17 +358,14 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
         raise ValueError("kloosterman_B requires c | k with k odd")
     tables = _checked_tables(a, c, tables, prec)
     quad_coeff = a * a * (k // c) * (c - 2)
-    with mp.workprec(prec + 10):
-        wp = mp.prec
-        mults = tables.enter(k)
-        phase = tables.phase
-        total = (0, 0, 0, 0)
-        for h, hp, w in mults:
-            term = _cdiv_real(w, *tables.sine(a * hp), wp)
-            term = _cmul(term, tables.quad(quad_coeff * hp % (2 * c)), wp)
-            term = _cmul(term, phase(n * h, k), wp)
-            total = _cadd(total, term, wp)
-        return _scale(total, 1, a, c, prec)
+    wp, phase = tables.wp, tables.phase
+    total = (0, 0, 0, 0)
+    for h, hp, w in tables.enter(k):
+        term = _cdiv_real(w, *tables.sine(a * hp), wp)
+        term = _cmul(term, tables.quad(quad_coeff * hp % (2 * c)), wp)
+        term = _cmul(term, phase(n * h, k), wp)
+        total = _cadd(total, term, wp)
+    return _scale(total, 1, a, c, prec)
 
 
 def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
@@ -383,8 +375,8 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
 
     region_sign is the sign `secondary_terms(a, c, k)` gives the arc: +1 on
     the low branch, -1 on the high one; m is one of its m_r.  The phase
-    carries the doubled parameter 2*m and is reduced in integers; the
-    multipliers and phases come from `tables` (fresh ones by default).
+    carries the doubled parameter 2*m, in integers; the multipliers and
+    phases come from `tables` (fresh ones by default).
     """
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
@@ -392,12 +384,8 @@ def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
         raise ValueError("region_sign must be +1 or -1")
     tables = _checked_tables(a, c, tables, prec)
     mn, md = (2 * Fraction(m)).as_integer_ratio()
-    with mp.workprec(prec + 10):
-        wp = mp.prec
-        mults = tables.enter(k)
-        phase = tables.phase
-        total = (0, 0, 0, 0)
-        for h, hp, w in mults:
-            term = _cmul(w, phase(n * h * md + mn * hp, k * md), wp)
-            total = _cadd(total, term, wp)
-        return _scale(total, region_sign, a, c, prec)
+    wp, phase = tables.wp, tables.phase
+    total = (0, 0, 0, 0)
+    for h, hp, w in tables.enter(k):
+        total = _cadd(total, _cmul(w, phase(n * h * md + mn * hp, k * md), wp), wp)
+    return _scale(total, region_sign, a, c, prec)

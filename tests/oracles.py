@@ -489,7 +489,7 @@ def pbar_zuckerman(n: int) -> int:
         total = mpf(0)
         for k in range(1, math.isqrt(n) + 1, 2):
             A = sum(_to_mpc(r) * mp.expjpi(mpf(-2 * (n * h % k)) / k)
-                    for h, _, r in _multipliers(k))
+                    for h, _, r in _multipliers(k, mp.prec))
             x = mp.pi * s / k
             total += (mp.sqrt(k) * A.real
                       * (mp.pi / (2 * k * n) * mp.cosh(x) - mp.sinh(x) / (2 * n * s)))

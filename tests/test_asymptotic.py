@@ -149,12 +149,41 @@ def test_nbar_builds_each_arc_multipliers_once(monkeypatch):
 @pytest.mark.parametrize("a, c, n", [(1, 3, 20000), (2, 5, 20000), (3, 7, 20000)])
 def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     # the sine weight depends on a*h' alone, so a walk evaluates it once
-    # per distinct value instead of once per summand
+    # per distinct value instead of once per summand; an evaluation is a
+    # cos/sin call made by KernelTables.sine
     arcs = range(c, isqrt(n) + 1, 2 * c)
     summands = [a * mod_inverse(h, k) for k in arcs for h in coprime_residues(k)]
-    calls = counting(monkeypatch, mp, "sinpi")
+    calls = counting(monkeypatch, modsums, "_cos_sin_pi")
+    evaluations = []
+    sine = modsums.KernelTables.sine
+
+    def counted_sine(tables, x):
+        before = len(calls)
+        value = sine(tables, x)
+        evaluations.append(len(calls) - before)
+        return value
+    monkeypatch.setattr(modsums.KernelTables, "sine", counted_sine)
     a_asymptotic(a, c, n)
-    assert len(calls) <= len(set(summands)) < len(summands)
+    assert len(evaluations) == len(summands)
+    assert sum(evaluations) == len(set(summands)) < len(summands)
+
+
+def test_every_linear_phase_has_the_arc_denominator(monkeypatch):
+    # the estimates ask KernelTables.phase only for fractions over the arc's
+    # own k, so a memo keyed by (num mod den, den) shares as much as one keyed
+    # by the reduced fraction would; a caller that mixes denominators fails here
+    dens = []
+    phase = modsums.KernelTables.phase
+    monkeypatch.setattr(modsums.KernelTables, "phase", lambda tables, num, den: (
+        dens.append((den, tables.k)) or phase(tables, num, den)))
+    for a, c, n in ((1, 3, 20000), (2, 5, 40000), (3, 7, 60000), (4, 9, 5000), (5, 12, 3000)):
+        dens.clear()
+        a_asymptotic(a, c, n)
+        assert dens and all(den == k for den, k in dens), (a, c, n)
+    for a, c, n in ((1, 3, 20000), (2, 5, 20000)):
+        dens.clear()
+        nbar_asymptotic(a, c, n)
+        assert dens and all(den == k for den, k in dens), (a, c, n)
 
 
 def test_outputs_independent_of_ambient_precision(pbar3000):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import random
+import sys
 import tempfile
 import tracemalloc
 
@@ -802,6 +803,28 @@ def test_valid_cache_loads_without_a_line_by_line_scan(tmp_path, monkeypatch):
         load_table(path)
     # rows 256..300 of the third block, and no row of the first two
     assert tally.rows == 300 - 2 * counts._BLOCK_ROWS + 1
+
+
+def test_count_past_a_lowered_int_str_limit_names_its_row_at_first_read(tmp_path):
+    # the load checks every count against the limit of its own time; a count
+    # left decimal that a later, lower limit refuses names its row when read
+    cols = columns(rank_class_table(300, 3))
+    cols[0][1] = cols[1][270] = 10 ** 1000
+    save_table(RankClassTable(cols), tmp_path / "big.tbl")
+    table = load_table(tmp_path / "big.tbl")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for read, n in ((lambda: table.column(0), 1), (lambda: table.row(1), 1),
+                        (lambda: table.column(1), 270)):
+            with pytest.raises(ValueError, match=rf"^cache row n={n} has a count above 640 "
+                                                 r"decimal digits, Python's limit for "
+                                                 r"str-to-int conversion$"):
+                read()
+        assert table.column(2) == cols[2] and table.row(2) == [c[2] for c in cols]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert table.column(0) == cols[0] and table.column(1) == cols[1]
 
 
 def test_count_past_the_int_str_limit_in_a_cache_names_its_row(tmp_path):

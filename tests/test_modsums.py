@@ -197,14 +197,10 @@ def test_b_precondition_checks():
 
 
 def phase_keys(k, n, m=Fraction(0)):
-    """The reduced linear phases (num, den) that one kernel call at arc k uses."""
+    """The linear phase keys (num mod den, den) that one kernel call at arc k uses."""
     mn, md = (2 * m).as_integer_ratio()
-    keys = set()
-    for h in coprime_residues(k):
-        num, den = n * h * md + mn * mod_inverse(h, k), k * md
-        g = gcd(num, den)
-        keys.add((num // g % (den // g), den // g))
-    return keys
+    return {((n * h * md + mn * mod_inverse(h, k)) % (k * md), k * md)
+            for h in coprime_residues(k)}
 
 
 def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
@@ -265,26 +261,45 @@ def test_d_half_integer_parameter_is_exact():
 
 
 def test_unit_phase_reduction():
-    # num/den is reduced in integers first, so every representation of the
-    # same rational mod 1 gives the same bits, huge or negative numerators too
-    # (fresh tables per call, so each value is evaluated from its own reduction)
+    # num is reduced mod den in integers first, and a correctly rounded
+    # division gives equal fractions equal bits, so every representation of
+    # the same rational mod 1 gives the same bits, huge or negative numerators
+    # too (fresh tables per call, so each value is evaluated from its own key)
     def phase(num, den):
         return modsums.KernelTables(3, 160).phase(num, den)
 
-    with mp.workprec(170):
+    # the tables take their entries at their own 170 bits, not at mp.prec
+    with mp.workprec(53):
         third = phase(1, 3)
+    with mp.workprec(170):
         assert libmp(third) == mp.expjpi(2 * mpf(1) / 3)._mpc_
-        assert phase(10 ** 30, 3) == third  # 10^30 = 1 (mod 3)
-        assert phase(-2, 3) == third
-        assert phase(8 - 10 ** 40, 12) == third  # 10^40 = 4 (mod 12)
-        assert phase(0, 7) == phase(-21, 7)
-        assert libmp(phase(0, 7)) == mpc(1)._mpc_
-        # one table keys every representation by the reduced fraction
-        tables = modsums.KernelTables(3, 160)
-        for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
-            assert tables.phase(num, den) == third
-        assert list(tables.phases) == [(1, 3)]
+    assert phase(10 ** 30, 3) == third  # 10^30 = 1 (mod 3)
+    assert phase(-2, 3) == third
+    assert phase(8 - 10 ** 40, 12) == third  # 10^40 = 4 (mod 12)
+    assert phase(0, 7) == phase(-21, 7)
+    assert libmp(phase(0, 7)) == mpc(1)._mpc_
+    # one table keys each representation by (num mod den, den)
+    tables = modsums.KernelTables(3, 160)
+    for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
+        assert tables.phase(num, den) == third
+    assert list(tables.phases) == [(1, 3), (4, 12)]
     assert close(mp.make_mpc(libmp(third)), oracles.rational_phase(Fraction(1, 3), 170), 150)
+
+
+def test_kernel_tables_take_entries_at_their_own_precision():
+    # every entry of KernelTables(3, 160) has the 170-bit value, at any mp.prec
+    tables = modsums.KernelTables(3, 160)
+    with mp.workprec(53):
+        entries = ([w for _, _, w in tables.enter(9)], tables.phase(2, 9), tables.quad(5),
+                   [tables.sine(x) for x in (1, 2, 4)])
+    with mp.workprec(170):
+        om = {h: omega(h, 9, 170) for h in coprime_residues(9)}
+        expect = ([(om[h] ** 2 / om[2 * h % 9])._mpc_ for h in om],
+                  mp.expjpi(2 * mpf(2) / 9)._mpc_, mp.expjpi(-mpf(5) / 3)._mpc_,
+                  [mp.sinpi(mpf(x) / 3)._mpf_ for x in (1, 2, 4)])
+    ratios, phase, quad, sines = entries
+    assert ([libmp(w) for w in ratios], libmp(phase), libmp(quad),
+            [from_man_exp(*x) for x in sines]) == expect
 
 
 @pytest.mark.parametrize("prec", (64, 190, 210))
@@ -300,7 +315,7 @@ def test_multipliers_half_table_equals_per_h_form(prec, shared_omega):
                 assert w._mpc_ == om[-h % k].conjugate()._mpc_, (h, k)
             plain = [(h, mod_inverse(h, k), (w ** 2 / om[2 * h % k])._mpc_)
                      for h, w in om.items()]
-            assert [(h, hp, libmp(w)) for h, hp, w in _multipliers(k)] == plain, k
+            assert [(h, hp, libmp(w)) for h, hp, w in _multipliers(k, prec)] == plain, k
 
 
 def test_dedekind_sum_class_symmetry():
@@ -319,8 +334,7 @@ def test_multipliers_evaluate_omega_once_per_class(monkeypatch, shared_omega):
                         lambda h, k, prec: called.append(h) or omega(h, k, prec))
     for k in range(1, 402, 2):
         called.clear()
-        with mp.workprec(64):
-            _multipliers(k)
+        _multipliers(k, 64)
         classes = multiplier_classes(k)
         assert len(called) == len(classes), k
         assert all(sum(h in cls for h in called) == 1 for cls in classes), k
@@ -336,8 +350,8 @@ def test_multipliers_give_the_exact_overpartition_counts(monkeypatch):
     for n in (10000, 19321):
         assert oracles.pbar_zuckerman(n) == pbar[n], n
 
-    def planted(k):
-        rows = _multipliers(k)
+    def planted(k, prec):
+        rows = _multipliers(k, prec)
         if k == 15:
             h, hp, r = rows[1]
             rows[1] = (h, hp, _conjugate(r))
