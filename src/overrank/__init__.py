@@ -36,8 +36,8 @@ _LAZY = {name: module for module, names in {
                "error_pieces", "error_term_bound", "m_c", "m_c_prime", "main_term_bound",
                "pbar_sandwich", "r_ratio", "sandwich_threshold", "strict_verdict",
                "t_inequality"),
-    "modsums": ("dedekind_sum", "kloosterman_B", "kloosterman_D", "mod_inverse", "modsums",
-                "omega", "secondary_terms"),
+    "modsums": ("arc_plan", "dedekind_sum", "kloosterman_B", "kloosterman_D", "mod_inverse",
+                "modsums", "omega", "secondary_terms"),
 }.items() for name in names}
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))

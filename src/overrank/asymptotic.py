@@ -4,16 +4,17 @@ The coefficients are A(a/c;n) = sum_r counts[n][r] zeta_c^{a r}.  `a_exact`
 evaluates one from a row of exact counts; `a_asymptotic` evaluates the two
 main sums of its circle-method expansion: a sine-weighted sum over arc
 denominators k with c | k, k odd, and a secondary sum over odd k with c not
-dividing k, one term per (delta_r, m_r) that `modsums.secondary_terms` lists
-for the arc.  The unevaluated remainder is bounded
-elsewhere (see bounds); here it is simply left out.
+dividing k, one term per (delta_r, e_r) that `modsums.arc_plan` lists for the
+arc.  The unevaluated remainder is bounded elsewhere (see bounds); here it is
+simply left out.
 
 Both sums run in one walk over the arcs that serves every residue of one
-modulus at once: the B arcs ascending, then the D arcs ascending, with one
-`KernelTables` shared by all kernel calls (one arc's multipliers and linear
-phases at a time, the sines for the whole walk).  `nbar_asymptotic` walks
-once per reduced denominator.  Each residue's terms are still added in the
-order of a walk of its own, so sharing changes no output bit.
+modulus at once: it follows the residues' `arc_plan`s side by side (the B arcs
+ascending, then the D arcs ascending), with one `KernelTables` shared by all
+kernel calls (one arc's multipliers and linear phases at a time, the sines for
+the whole walk).  `nbar_asymptotic` walks once per reduced denominator.  Each
+residue's terms are still added in the order of a walk of its own, so sharing
+changes no output bit.
 
 Everything is computed fully complex; the imaginary part of the result is
 reported as a residual, never silently dropped.
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd
 
 from mpmath import mp, mpc, mpf
 
 from . import DEFAULT_PRECISION
 from .counts import RankClassTable
-from .modsums import KernelTables, kloosterman_B, kloosterman_D, secondary_terms
+from .modsums import KernelTables, arc_plan, kloosterman_B, kloosterman_D
 
 __all__ = [
     "AsymptoticEstimate",
@@ -94,17 +95,11 @@ def a_asymptotic(a: int, c: int, n: int,
                  prec: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
     """Main terms of the deviation coefficient for rank residue a mod c at n.
 
-    Arc denominators run over odd 1 <= k <= sqrt(n): the sine-weighted sum
-    B over c | k, and the secondary sum D over c not dividing k, one term per
-    (delta_r, m_r) of `secondary_terms(a, c, k)`.  Each k's complex
-    contribution is kept in k_terms.
+    The arcs are those of `arc_plan(a, c, n)`: the sine-weighted sum B over
+    odd k <= sqrt(n) with c | k, and the secondary sum D over the other odd k,
+    one term per (delta_r, e_r).  Each k's nonzero complex contribution is kept
+    in k_terms.
     """
-    if not (0 < a < c and gcd(a, c) == 1):
-        raise ValueError("need 0 < a < c with gcd(a,c) = 1")
-    if c <= 2:
-        raise ValueError("need c > 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     totals, terms = _arc_walk((a,), c, n, prec)
     with mp.workprec(prec):
         return AsymptoticEstimate(value=+totals[a].real,
@@ -117,34 +112,29 @@ def _arc_walk(residues, c: int, n: int, prec: int):
     """Unrounded main-term totals of `a_asymptotic(a, c, n, prec)` for every a in
     residues, in one walk over the arcs, and each a's k-terms.
 
-    At each arc every residue's kernel calls share one KernelTables; each
-    residue's total sums its own k-terms in arc order, as in a walk of its own.
+    The walk takes the residues' `arc_plan`s, which list the same k, side by
+    side.  At each arc every residue's kernel calls share one KernelTables;
+    each residue's total sums its own k-terms in arc order, as in a walk of its
+    own.
     """
-    kmax = isqrt(n)
+    plans = [arc_plan(a, c, n) for a in residues]
     terms: dict[int, list[tuple[int, mpc]]] = {a: [] for a in residues}
     tables = KernelTables(c, prec + 20)
     with mp.workprec(prec + 20):
         root = mp.sqrt(mpf(2) / n)
-        # sine-weighted sum: c | k, k odd
-        for k in range(c, kmax + 1, c):
-            if k % 2 == 0:
-                continue
+        for arcs in zip(*plans, strict=True):
+            k = arcs[0][0]
             sqrt_k = mp.sqrt(k)
-            growth = mp.sinh(mp.pi * mp.sqrt(n) / k)
-            for a in residues:
-                B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
-                t = mpc(0, 1) * root * B / sqrt_k * growth
-                terms[a].append((k, t))
-        # secondary sum: c not dividing k, k odd, one term per (delta_r, m_r)
-        for k in range(1, kmax + 1, 2):
-            if k % c == 0:
-                continue
-            sqrt_k = mp.sqrt(k)
-            for a in residues:
-                sign, rterms = secondary_terms(a, c, k)
+            if arcs[0][2] is None:  # a B arc, for every residue
+                growth = mp.sinh(mp.pi * mp.sqrt(n) / k)
+            for a, (_, sign, rterms) in zip(residues, arcs):
+                if rterms is None:
+                    B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
+                    terms[a].append((k, mpc(0, 1) * root * B / sqrt_k * growth))
+                    continue
                 tk = mpc(0)
-                for d, m in rterms:
-                    D = kloosterman_D(a, c, k, -n, m, sign, prec + 20, tables=tables)
+                for d, e in rterms:
+                    D = kloosterman_D(a, c, k, -n, e, sign, prec + 20, tables=tables)
                     tk += (2 * root * D / sqrt_k
                            * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                 if tk != 0:

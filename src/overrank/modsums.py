@@ -7,13 +7,14 @@ nothing.  Complex values are mpmath `mpc` at a configurable working
 precision (default 160 bits).
 
 The finite exponential sums B and D follow one convention: the phase
-exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and a doubled (always
-integral) linear parameter 2*m in the secondary sum.  Only B is checked against
-exact counts, at c = 3, which has no secondary arcs; D's phase is wrong (ROADMAP
-item 15, a strict xfail in tests/test_asymptotic.py).  The values calls share live
+exp(-pi*i*a^2*k1*(c-2)*h'/c) on the sine-weighted sum, and e((n*h + e*h')/k) in
+the secondary sum, with the integer e that `arc_plan` sets for each r-term of
+the main terms.  Only B is checked against exact counts, at c = 3, which has no
+secondary arcs; D's phase is wrong in `arc_plan`'s line for e (ROADMAP item
+15, a strict xfail in tests/test_asymptotic.py).  The values calls share live
 in a `KernelTables`: per arc k, omega_{h,k} once per class {h, h', k-h, k-h'}
 and the multiplier ratio once per pair {h, k-h}; each linear phase once per
-numerator mod its denominator, per arc; sin(pi*a*h'/c) once per value of a*h';
+numerator mod k, per arc; sin(pi*a*h'/c) once per value of a*h';
 and each quadratic phase once per residue mod 2c, all at the table's own
 precision.  A call without tables gets fresh ones, so the tables change which
 values are recomputed, never a result bit.  The multiplier ratios, the summand
@@ -29,7 +30,7 @@ mpc_div, which libmp rounds toward zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from mpmath import mp, mpc
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, round_nearest
@@ -39,6 +40,7 @@ from . import DEFAULT_PRECISION
 __all__ = [
     "DEFAULT_PRECISION",
     "KernelTables",
+    "arc_plan",
     "coprime_residues",
     "dedekind_sum",
     "kloosterman_B",
@@ -105,7 +107,7 @@ def secondary_terms(a: int, c: int, k: int) -> tuple[int, list[tuple[Fraction, F
     l/c1 is 1/4 or 3/4 only at c1 = 4.  Otherwise sign is +1 below 1/4 and -1
     above 3/4, where the high branch is the low branch of -a.  On the low
     branch delta_r = (1/4 - l/c1)^2 - r*l/c1 and m_r = -y*(y + 1/2 + r), a
-    half-integer that `kloosterman_D` doubles; delta_r decreases strictly in r.
+    half-integer that `arc_plan` doubles; delta_r decreases strictly in r.
     """
     if not (0 < a < c and gcd(a, c) == 1):
         raise ValueError("need 0 < a < c with gcd(a,c) = 1")
@@ -128,6 +130,27 @@ def secondary_terms(a: int, c: int, k: int) -> tuple[int, list[tuple[Fraction, F
         terms.append((Fraction(num, 16 * c1 * c1), Fraction(-y * (2 * y + 1 + 2 * r), 2)))
         r += 1
     return sign, terms
+
+
+def arc_plan(a: int, c: int, n: int) -> list[tuple[int, int, list | None]]:
+    """The arcs of the main terms of `a_asymptotic(a, c, n)` in walk order: odd
+    k <= sqrt(n) with c | k as (k, 1, None), then the other odd k as (k, sign,
+    [(delta_r, e_r), ...]) from `secondary_terms`, e_r = 2*m_r mod k being the
+    coefficient of h' in D's phase; a mid-branch arc is (k, 0, []).  Each part
+    ascends in k, and the k sequence depends on c and n alone."""
+    if not (0 < a < c and gcd(a, c) == 1):
+        raise ValueError("need 0 < a < c with gcd(a,c) = 1")
+    if c <= 2:
+        raise ValueError("need c > 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    kmax = isqrt(n)
+    plan = [(k, 1, None) for k in range(c, kmax + 1, c) if k % 2]
+    for k in range(1, kmax + 1, 2):
+        if k % c:
+            sign, rterms = secondary_terms(a, c, k)
+            plan.append((k, sign, [(d, int(2 * m) % k) for d, m in rterms]))
+    return plan
 
 
 def _add(xm: int, xe: int, ym: int, ye: int, prec: int,
@@ -278,15 +301,15 @@ class KernelTables:
     arc; it keeps sin(pi*x/c) by x = a*h' and the quadratic phase
     exp(-pi*i*r/c) by r mod 2c for as long as it lives.  The multipliers take
     one omega per class {h, h', k-h, k-h'} (see `_multipliers`).  A linear
-    phase is keyed by (num mod den, den), so one memo serves every residue and
-    r-term of an arc.  Every entry has the bits a call would compute for itself.
+    phase is keyed by num mod k, so one memo serves every residue and r-term of
+    an arc.  Every entry has the bits a call would compute for itself.
     """
 
     def __init__(self, c: int, prec: int):
         self.c, self.prec, self.wp = c, prec, prec + 10
         self.k: int | None = None
         self.multipliers: list[tuple[int, int, tuple]] = []
-        self.phases: dict[tuple[int, int], tuple] = {}
+        self.phases: dict[int, tuple] = {}
         self.sines: dict[int, tuple] = {}
         self.quads: dict[int, tuple] = {}
 
@@ -298,14 +321,14 @@ class KernelTables:
             self.multipliers, self.k = _multipliers(k, self.wp), k
         return self.multipliers
 
-    def phase(self, num: int, den: int) -> tuple:
-        """exp(2*pi*i*num/den) at the working precision, evaluated once per
-        (num mod den, den).  Doubling commutes with rounding, so the value has
-        the bits of mp.expjpi(2*mpf(num)/den)."""
-        key = (num % den, den)
+    def phase(self, num: int) -> tuple:
+        """exp(2*pi*i*num/k) for the arc k entered last, at the working precision,
+        evaluated once per num mod k.  Doubling commutes with rounding, so the
+        value has the bits of mp.expjpi(2*mpf(num % k)/k)."""
+        key = num % self.k
         value = self.phases.get(key)
         if value is None:
-            value = self.phases[key] = _from_mpc(_cos_sin_pi(2 * key[0], den, self.wp))
+            value = self.phases[key] = _from_mpc(_cos_sin_pi(2 * key, self.k, self.wp))
         return value
 
     def sine(self, x: int) -> tuple[int, int]:
@@ -363,29 +386,30 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
     for h, hp, w in tables.enter(k):
         term = _cdiv_real(w, *tables.sine(a * hp), wp)
         term = _cmul(term, tables.quad(quad_coeff * hp % (2 * c)), wp)
-        term = _cmul(term, phase(n * h, k), wp)
+        term = _cmul(term, phase(n * h), wp)
         total = _cadd(total, term, wp)
     return _scale(total, 1, a, c, prec)
 
 
-def kloosterman_D(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
+def kloosterman_D(a: int, c: int, k: int, n: int, e: int, region_sign: int,
                   prec: int = DEFAULT_PRECISION, *,
                   tables: KernelTables | None = None) -> mpc:
     """Secondary Kloosterman-type sum over c not dividing k, k odd.
 
-    region_sign is the sign `secondary_terms(a, c, k)` gives the arc: +1 on
-    the low branch, -1 on the high one; m is one of its m_r.  The phase
-    carries the doubled parameter 2*m, in integers; the multipliers and
-    phases come from `tables` (fresh ones by default).
+    Each term carries omega_{h,k}^2 / omega_{2h,k} and exp(2*pi*i*(n*h + e*h')/k);
+    e is the integer coefficient of h' that `arc_plan` gives an r-term of the
+    arc, and region_sign the arc's sign: +1 on the low branch, -1 on the high
+    one.  The multipliers and phases come from `tables` (fresh ones by default).
     """
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
     if region_sign not in (1, -1):
         raise ValueError("region_sign must be +1 or -1")
+    if not isinstance(e, int):
+        raise ValueError(f"e must be an int, the coefficient of h' mod k, not {e!r}")
     tables = _checked_tables(a, c, tables, prec)
-    mn, md = (2 * Fraction(m)).as_integer_ratio()
     wp, phase = tables.wp, tables.phase
     total = (0, 0, 0, 0)
     for h, hp, w in tables.enter(k):
-        total = _cadd(total, _cmul(w, phase(n * h * md + mn * hp, k * md), wp), wp)
+        total = _cadd(total, _cmul(w, phase(n * h + e * hp), wp), wp)
     return _scale(total, region_sign, a, c, prec)

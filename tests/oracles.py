@@ -20,6 +20,8 @@ the omegas the kernels evaluate.  The Kloosterman oracles evaluate every
 summand of B and D on its own: two omegas, a fresh quadratic phase and a
 `Fraction` linear phase per summand.  The production kernels share these
 values and must match them bit for bit.
+The arc list builds the arcs of the main terms from those Fraction branch
+formulas, to check `overrank.modsums.arc_plan`.
 The per-residue estimate oracles are the main-term loops as they stood
 before the arc walk: one pass over the arcs per residue, every kernel call
 with fresh tables, and each arc's branch, delta and m from Fraction formulas
@@ -261,7 +263,7 @@ def kloosterman_B_direct(a: int, c: int, k: int, n: int,
         return +total
 
 
-def kloosterman_D_direct(a: int, c: int, k: int, n: int, m: Fraction, region_sign: int,
+def kloosterman_D_direct(a: int, c: int, k: int, n: int, e: int, region_sign: int,
                          prec: int = DEFAULT_PRECISION) -> mpc:
     """`overrank.modsums.kloosterman_D`, one independent evaluation per summand."""
     if k % c == 0 or k % 2 == 0:
@@ -270,15 +272,12 @@ def kloosterman_D_direct(a: int, c: int, k: int, n: int, m: Fraction, region_sig
         raise ValueError("region_sign must be +1 or -1")
     if math.gcd(a, c) != 1 or not 0 < a < c:
         raise ValueError("need 0 < a < c coprime")
-    m = Fraction(m)
-    m_eff = 2 * m
     with mp.workprec(prec + 10):
         total = mpc(0)
         for h in coprime_residues(k):
             hp = mod_inverse(h, k)
             w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
-            total += w * rational_phase(Fraction(n * h, k) + m_eff * Fraction(hp, k),
-                                        prec + 10)
+            total += w * rational_phase(Fraction(n * h, k) + e * Fraction(hp, k), prec + 10)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)
     with mp.workprec(prec):
         return +total
@@ -304,6 +303,29 @@ def secondary_branch(a: int, c: int, k: int):
         return 1, lambda r: (x - quarter) ** 2 - r * x, lambda r: -y * (y + half + r)
     z = 1 - x
     return -1, lambda r: (z - quarter) ** 2 - r * z, lambda r: -(y + 1) * (y + half - r)
+
+
+def arc_list(a: int, c: int, n: int) -> list:
+    """The arcs of the main terms for a/c at n from `secondary_branch`: (k, 1, None)
+    for odd k <= sqrt(n) with c | k, then (k, sign, [(delta(r), 2 m(r) mod k) while
+    delta(r) > 0]) for every other odd k, with sign 0 and no terms where the arc
+    adds none."""
+    odd = range(1, math.isqrt(n) + 1, 2)
+    arcs = [(k, 1, None) for k in odd if k % c == 0]
+    for k in odd:
+        if k % c == 0:
+            continue
+        branch = secondary_branch(a, c, k)
+        if branch is None:
+            arcs.append((k, 0, []))
+            continue
+        sign, delta, m = branch
+        r, rterms = 0, []
+        while delta(r) > 0:
+            rterms.append((delta(r), int(2 * m(r)) % k))
+            r += 1
+        arcs.append((k, sign, rterms))
+    return arcs
 
 
 def a_asymptotic_per_residue(a: int, c: int, n: int,
@@ -336,8 +358,8 @@ def a_asymptotic_per_residue(a: int, c: int, n: int,
                 d = delta(r)
                 if d <= 0:
                     break
-                m = m_param(r)
-                D = kloosterman_D(a, c, k, -n, m, sign, prec + 20)
+                # D's phase takes m's double as an integer mod k
+                D = kloosterman_D(a, c, k, -n, int(2 * m_param(r)) % k, sign, prec + 20)
                 tk += (2 * root * D / mp.sqrt(k)
                        * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                 r += 1

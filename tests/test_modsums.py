@@ -15,8 +15,8 @@ from mpmath.libmp.libmpf import python_mpf_mul
 import oracles
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
                      kloosterman_B_direct, kloosterman_D_direct, multiplier_classes)
-from overrank import (dedekind_sum, kloosterman_B, kloosterman_D, mod_inverse, omega,
-                      pbar_series, secondary_terms)
+from overrank import (a_asymptotic, arc_plan, dedekind_sum, kloosterman_B, kloosterman_D,
+                      mod_inverse, omega, pbar_series, secondary_terms)
 from overrank import modsums
 from overrank.modsums import _conjugate, _multipliers, coprime_residues
 
@@ -157,6 +157,35 @@ def test_secondary_terms_match_the_fraction_oracle():
     assert checked > 0
 
 
+def test_arc_plan_matches_the_branch_oracle():
+    # the plan lists the B arcs, then every other odd k with its branch's sign
+    # and each r-term's delta and integer h' coefficient 2*m mod k, against
+    # the arcs built from the Fraction branch formulas
+    for c in range(3, 14):
+        residues = [a for a in range(1, c) if gcd(a, c) == 1]
+        for n in (1, 2, 50, 5000, 40120):
+            plans = [arc_plan(a, c, n) for a in residues]
+            for a, plan in zip(residues, plans):
+                assert plan == oracles.arc_list(a, c, n), (a, c, n)
+                assert all(type(e) is int and 0 <= e < k
+                           for k, _, rterms in plan for _, e in rterms or ()), (a, c, n)
+            # the arc walk takes every residue's plan side by side
+            assert len({tuple(k for k, _, _ in plan) for plan in plans}) == 1, (c, n)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 4, 100), "need 0 < a < c with gcd(a,c) = 1"),
+    ((0, 3, 100), "need 0 < a < c with gcd(a,c) = 1"),
+    ((1, 2, 100), "need c > 2"),
+    ((1, 3, 0), "n must be >= 1"),
+])
+def test_arc_plan_checks_the_estimate_arguments(args, message):
+    for f in (arc_plan, a_asymptotic):
+        with pytest.raises(ValueError) as raised:
+            f(*args)
+        assert str(raised.value) == message, f.__name__
+
+
 def test_delta_decreasing_and_enumeration_bound():
     # outer branches: delta strictly decreases in r, and the positive prefix
     # stays within ceil((c+8)/16) + 1 entries
@@ -196,11 +225,9 @@ def test_b_precondition_checks():
         kloosterman_B(1, 3, 6, 0)  # k even
 
 
-def phase_keys(k, n, m=Fraction(0)):
-    """The linear phase keys (num mod den, den) that one kernel call at arc k uses."""
-    mn, md = (2 * m).as_integer_ratio()
-    return {((n * h * md + mn * mod_inverse(h, k)) % (k * md), k * md)
-            for h in coprime_residues(k)}
+def phase_keys(k, n, e=0):
+    """The linear phase keys, num mod k, that one kernel call at arc k uses."""
+    return {(n * h + e * mod_inverse(h, k)) % k for h in coprime_residues(k)}
 
 
 def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
@@ -223,50 +250,58 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
     with pytest.raises(ValueError):
         kloosterman_B(1, 5, 15, -100, 160, tables=tables)
     with pytest.raises(ValueError):
-        kloosterman_D(1, 3, 5, -100, Fraction(0), 1, 200, tables=tables)
+        kloosterman_D(1, 3, 5, -100, 0, 1, 200, tables=tables)
     # on a D arc one phase memo serves every residue and r-term
     tables = modsums.KernelTables(5, 160)
     keys = set()
-    for a, m in ((1, Fraction(-3, 2)), (2, Fraction(7, 50)), (4, Fraction(0)),
-                 (3, Fraction(-3, 2))):
-        assert kloosterman_D(a, 5, 7, -100, m, 1, 160, tables=tables)._mpc_ == \
-            kloosterman_D(a, 5, 7, -100, m, 1, 160)._mpc_
-        keys |= phase_keys(7, -100, m)
+    for a, e in ((1, -3), (2, 12), (4, 0), (3, -3)):
+        assert kloosterman_D(a, 5, 7, -100, e, 1, 160, tables=tables)._mpc_ == \
+            kloosterman_D(a, 5, 7, -100, e, 1, 160)._mpc_
+        keys |= phase_keys(7, -100, e)
         assert set(tables.phases) == keys
 
 
 def test_d_single_term_value():
     # k = 1 collapses to the h = 0 term with unit multiplier
-    v = kloosterman_D(1, 5, 1, 0, Fraction(0), 1)
+    v = kloosterman_D(1, 5, 1, 0, 0, 1)
     with mp.workprec(400):
         expect = mp.tan(mp.pi / 5) / mp.sqrt(2)
     assert close(v, expect)
-    flipped = kloosterman_D(1, 5, 1, 0, Fraction(0), -1)
+    flipped = kloosterman_D(1, 5, 1, 0, 0, -1)
     with mp.workprec(240):
         assert close(flipped, -v)
 
 
 def test_d_precondition_checks():
     with pytest.raises(ValueError):
-        kloosterman_D(1, 5, 5, 0, Fraction(0), 1)  # c | k
+        kloosterman_D(1, 5, 5, 0, 0, 1)  # c | k
     with pytest.raises(ValueError):
-        kloosterman_D(1, 5, 3, 0, Fraction(0), 2)  # bad region sign
+        kloosterman_D(1, 5, 3, 0, 0, 2)  # bad region sign
+
+
+@pytest.mark.parametrize("e", [Fraction(-3, 2), Fraction(-3), 2.0])
+def test_d_refuses_a_coefficient_that_is_not_an_int(e):
+    # the h' coefficient is an int; a Fraction m (the old call form) or a float
+    # would silently give another phase
+    with pytest.raises(ValueError, match="e must be an int"):
+        kloosterman_D(2, 5, 3, -7, e, 1)
 
 
 def test_d_half_integer_parameter_is_exact():
-    # the doubled linear parameter keeps the phase rational for half-integer m
-    v = kloosterman_D(2, 5, 3, -7, Fraction(-3, 2), 1)
-    w = kloosterman_D(2, 5, 3, -7, Fraction(-3, 2), 1, prec=320)
+    # a half-integer m enters D's phase as its double, the integer e = 2m = -3
+    v = kloosterman_D(2, 5, 3, -7, -3, 1)
+    w = kloosterman_D(2, 5, 3, -7, -3, 1, prec=320)
     assert close(v, w, 150)
 
 
 def test_unit_phase_reduction():
-    # num is reduced mod den in integers first, and a correctly rounded
-    # division gives equal fractions equal bits, so every representation of
-    # the same rational mod 1 gives the same bits, huge or negative numerators
-    # too (fresh tables per call, so each value is evaluated from its own key)
-    def phase(num, den):
-        return modsums.KernelTables(3, 160).phase(num, den)
+    # num is reduced mod the arc's k in integers first, so every numerator of
+    # the same phase gives the same bits, huge or negative ones too (fresh
+    # tables per call, so each value is evaluated from its own key)
+    def phase(num, k):
+        tables = modsums.KernelTables(3, 160)
+        tables.enter(k)
+        return tables.phase(num)
 
     # the tables take their entries at their own 170 bits, not at mp.prec
     with mp.workprec(53):
@@ -275,14 +310,14 @@ def test_unit_phase_reduction():
         assert libmp(third) == mp.expjpi(2 * mpf(1) / 3)._mpc_
     assert phase(10 ** 30, 3) == third  # 10^30 = 1 (mod 3)
     assert phase(-2, 3) == third
-    assert phase(8 - 10 ** 40, 12) == third  # 10^40 = 4 (mod 12)
     assert phase(0, 7) == phase(-21, 7)
     assert libmp(phase(0, 7)) == mpc(1)._mpc_
-    # one table keys each representation by (num mod den, den)
+    # one table keys each numerator by num mod k
     tables = modsums.KernelTables(3, 160)
-    for num, den in ((1, 3), (10 ** 30, 3), (-2, 3), (8 - 10 ** 40, 12)):
-        assert tables.phase(num, den) == third
-    assert list(tables.phases) == [(1, 3), (4, 12)]
+    tables.enter(3)
+    for num in (1, 10 ** 30, -2):
+        assert tables.phase(num) == third
+    assert list(tables.phases) == [1]
     assert close(mp.make_mpc(libmp(third)), oracles.rational_phase(Fraction(1, 3), 170), 150)
 
 
@@ -290,7 +325,7 @@ def test_kernel_tables_take_entries_at_their_own_precision():
     # every entry of KernelTables(3, 160) has the 170-bit value, at any mp.prec
     tables = modsums.KernelTables(3, 160)
     with mp.workprec(53):
-        entries = ([w for _, _, w in tables.enter(9)], tables.phase(2, 9), tables.quad(5),
+        entries = ([w for _, _, w in tables.enter(9)], tables.phase(2), tables.quad(5),
                    [tables.sine(x) for x in (1, 2, 4)])
     with mp.workprec(170):
         om = {h: omega(h, 9, 170) for h in coprime_residues(9)}
@@ -488,17 +523,18 @@ def test_cdiv_sums_round_toward_zero():
 # ---------------------------------------------------------------------------
 
 KERNEL_NS = (0, -7, -20100, -10 ** 6 - 3)
-KERNEL_MS = (Fraction(0), Fraction(-3, 2), Fraction(7, 50))
+KERNEL_ES = (0, -3, 1001)  # h' coefficients: zero, negative, and above every k
 KERNEL_PRECS = (64, 160, 240)
 
 
 def kernel_cases(c_divides_k: bool):
-    """(c, a, k, n, prec) for B and (c, a, k, n, m, prec) for D, over c in
+    """(c, a, k, n, prec) for B and (c, a, k, n, e, prec) for D, over c in
     {3, 5, 7} and odd k <= 150.
 
     Case i takes the i-th valid a of its c and the i-th combination of the
     grids, cyclically, so every a and every combination recurs; D adds the
-    m_r values `secondary_terms` gives its arc to the m grid.
+    coefficients 2*m_r mod k of the m_r `secondary_terms` gives its arc to
+    the e grid.
     """
     i = 0
     for c in (3, 5, 7):
@@ -510,8 +546,8 @@ def kernel_cases(c_divides_k: bool):
             if c_divides_k:
                 combos = list(product(KERNEL_NS, KERNEL_PRECS))
             else:
-                ms = KERNEL_MS + tuple(m for _, m in secondary_terms(a, c, k)[1])
-                combos = list(product(KERNEL_NS, ms, KERNEL_PRECS))
+                es = KERNEL_ES + tuple(int(2 * m) % k for _, m in secondary_terms(a, c, k)[1])
+                combos = list(product(KERNEL_NS, es, KERNEL_PRECS))
             yield (c, a, k) + combos[i % len(combos)]
             i += 1
 
@@ -525,8 +561,8 @@ def test_kloosterman_B_bits_equal_direct(shared_omega):
 def test_kloosterman_D_bits_equal_direct(shared_omega):
     cases = list(kernel_cases(c_divides_k=False))
     assert any(k == 1 for _, _, k, *_ in cases)
-    for c, a, k, n, m, prec in cases:
+    for c, a, k, n, e, prec in cases:
         sign = secondary_terms(a, c, k)[0] or 1  # a mid arc has no sign; take +1
-        got = kloosterman_D(a, c, k, n, m, sign, prec)
-        assert got._mpc_ == kloosterman_D_direct(a, c, k, n, m, sign, prec)._mpc_, \
-            (a, c, k, n, m, sign, prec)
+        got = kloosterman_D(a, c, k, n, e, sign, prec)
+        assert got._mpc_ == kloosterman_D_direct(a, c, k, n, e, sign, prec)._mpc_, \
+            (a, c, k, n, e, sign, prec)

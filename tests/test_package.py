@@ -25,7 +25,7 @@ ANALYTIC = ("mpmath", "overrank.asymptotic", "overrank.bounds", "overrank.modsum
 EXPORTS = [
     "AsymptoticEstimate", "BoundBreakdown", "Certificate", "CertifiedConstant",
     "DEFAULT_PRECISION", "EngelEstimate", "RankClassTable", "RankDistribution", "Report",
-    "RunConfig", "Threshold", "a_asymptotic", "a_exact", "asymptotic",
+    "RunConfig", "Threshold", "a_asymptotic", "a_exact", "arc_plan", "asymptotic",
     "aux_inequalities_selftest", "bounds", "brute_force_rank_counts", "cbar2", "cbar4",
     "const_C", "counts", "dedekind_sum", "engel_pbar", "error_pieces", "error_term_bound",
     "kloosterman_B", "kloosterman_D", "load_table", "m_c", "m_c_prime", "main_term_bound",
