@@ -23,7 +23,7 @@ reported as a residual, never silently dropped.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from mpmath import mp, mpc, mpf
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticEstimate:
     """Real main-term value plus bookkeeping.
 
@@ -50,20 +50,18 @@ class AsymptoticEstimate:
     contribution) for `nbar_asymptotic`; their sum is value + i * residual
     components.  imag_residual is the magnitude of the discarded imaginary
     part; large residuals are a red flag, not an assertion failure.
-    precision_bits is the working precision requested, not an accuracy
-    claim: cancellation inside the arc sums can cost more than the guard
-    bits cover.  At (a, c, n) = (2, 5, 40120) the 160-bit value,
-    -255.57274272..., agrees with the 400-bit one, -255.57269081..., to only
-    22.2 bits, so 6 of its 20 printed digits are right (69 bits at
-    (2, 5, 40100)).  There every B arc vanishes identically; the computed
-    values are rounding noise, which a sinh of about 10^54 multiplies
-    (ROADMAP item 12).
     """
 
     value: mpf
     imag_residual: mpf
-    k_terms: list[tuple[int, mpc]] = field(default_factory=list)
-    precision_bits: int = DEFAULT_PRECISION
+    k_terms: list[tuple[int, mpc]]
+
+
+def _estimate(total: mpc, terms: list[tuple[int, mpc]], prec: int) -> AsymptoticEstimate:
+    """The estimate of `total` and its `terms`, each rounded to `prec` bits."""
+    with mp.workprec(prec):
+        return AsymptoticEstimate(value=+total.real, imag_residual=+abs(total.imag),
+                                  k_terms=[(k, +t) for k, t in terms])
 
 
 def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
@@ -101,11 +99,7 @@ def a_asymptotic(a: int, c: int, n: int,
     in k_terms.
     """
     totals, terms = _arc_walk((a,), c, n, prec)
-    with mp.workprec(prec):
-        return AsymptoticEstimate(value=+totals[a].real,
-                                  imag_residual=+abs(totals[a].imag),
-                                  k_terms=[(k, +t) for k, t in terms[a]],
-                                  precision_bits=prec)
+    return _estimate(totals[a], terms[a], prec)
 
 
 def _arc_walk(residues, c: int, n: int, prec: int):
@@ -143,14 +137,12 @@ def _arc_walk(residues, c: int, n: int, prec: int):
     return totals, terms
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngelEstimate:
     """Two-arc estimate of the overpartition count with a certified remainder."""
 
-    n: int
     estimate: mpf
     certified_bound: mpf
-    precision_bits: int = DEFAULT_PRECISION
 
 
 def engel_pbar(n: int, prec: int = DEFAULT_PRECISION) -> EngelEstimate:
@@ -173,8 +165,7 @@ def engel_pbar(n: int, prec: int = DEFAULT_PRECISION) -> EngelEstimate:
                        - mp.sqrt(3) * mp.sinh(mp.pi * s / 3) / (4 * mp.pi * n * s))
         bound = mpf(3) ** mpf("2.5") / (mp.pi * mpf(n) ** mpf("1.5")) * mp.sinh(mp.pi * s / 3)
     with mp.workprec(prec):
-        return EngelEstimate(n=n, estimate=+est, certified_bound=+bound,
-                             precision_bits=prec)
+        return EngelEstimate(estimate=+est, certified_bound=+bound)
 
 
 def nbar_asymptotic(a: int, c: int, n: int,
@@ -208,8 +199,4 @@ def nbar_asymptotic(a: int, c: int, n: int,
             contrib = (mp.expjpi(mpf(-2 * ((a * j) % c)) / c) * values[j]) / c
             terms.append((j, contrib))
             total += contrib
-    with mp.workprec(prec):
-        return AsymptoticEstimate(value=+total.real,
-                                  imag_residual=+abs(total.imag),
-                                  k_terms=[(j, +t) for j, t in terms],
-                                  precision_bits=prec)
+    return _estimate(total, terms, prec)

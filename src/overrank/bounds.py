@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
@@ -95,12 +95,10 @@ def strict_verdict(lhs, rhs) -> str:
 # Certified series constants
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CertifiedConstant:
     """Partial sum with exact counts plus a certified tail: upper = partial + tail."""
 
-    index: int
-    c: int | None
     upper: mpf
     partial: mpf
     tail_bound: mpf
@@ -207,8 +205,7 @@ def const_C(index: int, c: int | None, pbar: Sequence[int],
         # final rounding; the loosening is ~2^-156 relative
         upper = +(partial + tail)
         upper += abs(upper) * mpf(2) ** (4 - prec)
-        return CertifiedConstant(index=index, c=c, upper=+upper,
-                                 partial=+partial, tail_bound=+tail, truncation=r)
+        return CertifiedConstant(upper=+upper, partial=+partial, tail_bound=+tail, truncation=r)
 
 
 def cbar2(c: int, prec: int = DEFAULT_PRECISION) -> mpf:
@@ -234,12 +231,10 @@ def cbar4(c: int, prec: int = DEFAULT_PRECISION) -> mpf:
 # Error pieces and their aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BoundBreakdown:
-    c: int
-    n: int
-    pieces: dict[str, mpf] = field(default_factory=dict)
-    total: mpf = mpf(0)
+    pieces: dict[str, mpf]
+    total: mpf
 
 
 # name -> (coefficient, n exponent, c power, majorant); the total sums in this order
@@ -282,9 +277,7 @@ def error_pieces(c: int, n: int, prec: int = DEFAULT_PRECISION) -> BoundBreakdow
                   for name, (coef, expo, cpow, majorant) in _PIECE_COEFS.items()}
         total = sum(pieces.values())
     with mp.workprec(prec):
-        return BoundBreakdown(c=c, n=n,
-                              pieces={k: +v for k, v in pieces.items()},
-                              total=+total)
+        return BoundBreakdown(pieces={k: +v for k, v in pieces.items()}, total=+total)
 
 
 def main_term_bound(c: int, n: int, prec: int = DEFAULT_PRECISION) -> mpf:
@@ -387,7 +380,6 @@ def pbar_sandwich(n: int, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
 
 @dataclass(frozen=True)
 class Threshold:
-    c: int
     lower_coef: mpf
     upper_coef: mpf
     n_min: int
@@ -400,10 +392,9 @@ def sandwich_threshold(c: int, prec: int = DEFAULT_PRECISION) -> Threshold:
     with mp.workprec(prec):
         if c in TABULATED:
             lo, hi, nmin = TABULATED[c][2]
-            return Threshold(c=c, lower_coef=mpf(lo), upper_coef=mpf(hi), n_min=nmin)
+            return Threshold(lower_coef=mpf(lo), upper_coef=mpf(hi), n_min=nmin)
         nmin = int(mp.ceil(m_c(c, prec)))
-        return Threshold(c=c, lower_coef=1 / mpf(2 * c), upper_coef=3 / mpf(2 * c),
-                         n_min=nmin)
+        return Threshold(lower_coef=1 / mpf(2 * c), upper_coef=3 / mpf(2 * c), n_min=nmin)
 
 
 class TInequalityResult(NamedTuple):

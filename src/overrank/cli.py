@@ -148,7 +148,7 @@ def cmd_asymptotic(args, report: Report) -> list[str]:
         report.timings["estimate_s"] = round(time.perf_counter() - t0, 6)
         row = {"estimate": fmt_value(est.value),
                "imag_residual": fmt_value(est.imag_residual),
-               "precision_bits": est.precision_bits,
+               "precision_bits": prec,
                "k_terms": len(est.k_terms)}
         verdicts = []
         if n <= report.config.n_max:

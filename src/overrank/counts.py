@@ -514,8 +514,8 @@ def _read_header(fh) -> tuple[int, int]:
                          "delete the file to rebuild it")
     c = int(fields["c"])
     n_max = int(fields["n_max"])
-    if c < 2:
-        raise ValueError(f"bad cache header: c={c} is below 2")
+    if c < 1:
+        raise ValueError(f"bad cache header: c={c} is below 1")
     return c, n_max
 
 

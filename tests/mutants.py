@@ -56,6 +56,10 @@ _KERNEL_BITS = ("tests/test_modsums.py::test_kloosterman_B_bits_equal_direct",
                 "tests/test_asymptotic.py::test_estimates_bits_equal_direct_kernels")
 _LOWERED_LIMIT = ("tests/test_counts.py::"
                   "test_count_past_a_lowered_int_str_limit_names_its_row_at_first_read")
+_AIMED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader_on_aimed_edits"
+_UNREAD_COUNTS = "tests/test_counts.py::test_load_checks_the_counts_no_command_reads"
+_TABLE_BUILD = ("tests/test_counts.py::test_table_matches_dp_oracle_at_division_edges",
+                "tests/test_counts.py::test_c4_columns_meet_the_square_rule")
 
 MUTANTS = (
     # the kernel tables
@@ -107,6 +111,103 @@ MUTANTS = (
            "        except ValueError:\n            raise ValueError(_long_count(n)) from None\n",
            "        except KeyError:\n            raise ValueError(_long_count(n)) from None\n",
            (_LOWERED_LIMIT,)),
+    # the sweep memo of verify_subadditivity
+    Mutant("sweep-memo-hit-on-any-column", "verify.py",
+           "for vals, result in swept if vals == column)", "for vals, result in swept if True)",
+           ("tests/test_verify.py::test_mirrored_residues_share_one_sweep",
+            "tests/test_verify.py::test_edited_mirror_column_gets_its_own_sweep")),
+    Mutant("sweep-memo-hit-reports-its-pairs", "verify.py",
+           "swept.append((column, (*found[:2], 0)))", "swept.append((column, found))",
+           ("tests/test_verify.py::test_mirrored_residues_share_one_sweep",)),
+    Mutant("sweep-memo-kept-across-ranges", "verify.py",
+           "    if table._sweeps is None or table._sweeps[0] != (n_lo, n_hi):\n",
+           "    if table._sweeps is None:\n",
+           ("tests/test_verify.py::test_new_range_drops_the_old_entries",)),
+    Mutant("sweep-memo-shared-by-equal-tables", "verify.py",
+           "        table._sweeps = ((n_lo, n_hi), [])\n",
+           "        table._sweeps = ((n_lo, n_hi),"
+           " verify_subadditivity.__dict__.setdefault('memo', []))\n",
+           ("tests/test_verify.py::test_equal_tables_share_no_memo",)),
+    Mutant("sweep-memo-shares-violation-lists", "verify.py",
+           "violations=list(violations)", "violations=violations",
+           ("tests/test_verify.py::test_mutating_a_certificate_leaves_later_results_alone",)),
+    # each check of a cache block, dropped in turn
+    Mutant("block-value-count-unchecked", "counts.py",
+           "    if (len(values) != c * size + 1 or ", "    if (", (_AIMED_EDITS,)),
+    Mutant("block-bytes-unchecked", "counts.py",
+           " or block.translate(None, _ROW_BYTES)\n", "\n", (_AIMED_EDITS,)),
+    Mutant("block-line-ends-unchecked", "counts.py",
+           "            or block.count(b\",\\n\") != size or ", "            or ",
+           (_AIMED_EDITS,)),
+    Mutant("block-row-lengths-unchecked", "counts.py",
+           " or b\"\".join(values[c::c]).count(b\"\\n\") != size\n", "\n", (_AIMED_EDITS,)),
+    Mutant("block-inner-counts-unchecked", "counts.py",
+           "            or _BAD_COUNT.search(stream) or ", "            or ", (_AIMED_EDITS,)),
+    Mutant("block-first-count-unchecked", "counts.py",
+           " or _BAD_COUNT.match(b\",\" + stream[:2])):", "):", (_AIMED_EDITS,)),
+    # the table build from Lovejoy's per-rank form
+    # the mirrored exponents take sign -1 for even c and +1 for odd c
+    Mutant("mirror-sign-flipped", "counts.py",
+           "            if t == c - 1 and c & 1:  # W_c = 0, and the mirrors past it take sign -1\n"
+           "                term = -term\n                continue\n",
+           "            if t == c - 1 and not c & 1:\n                term = -term\n"
+           "            if t == c - 1 and c & 1:\n                continue\n",
+           (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_dp_oracle")),
+    Mutant("odd-denominator-for-even-c", "counts.py",
+           "denominator = (2 * c,) if c & 1 else (c, c)", "denominator = (2 * c,)",
+           (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_dp_oracle")),
+    Mutant("last-doubling-step-dropped", "counts.py",
+           "            while m < span:\n", "            while 2 * m < span:\n",
+           (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_dp_oracle")),
+    Mutant("n0-x-to-the-c-dropped", "counts.py",
+           "((1, -2), (c, 2))", "((1, -2),)",
+           (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_oracle")),
+    # the cache's save and load, and the loaded columns
+    Mutant("second-decimal-pass-in-save", "counts.py",
+           "            digest = h.hexdigest()\n",
+           "            digest = h.hexdigest()\n            table.checksum()\n",
+           ("tests/test_counts.py::test_save_converts_each_count_once",)),
+    Mutant("save-straight-to-the-target", "counts.py",
+           'tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"', "tmp = path",
+           ("tests/test_counts.py::test_failed_save_keeps_previous_cache",)),
+    Mutant("failed-save-leaves-its-file", "counts.py",
+           "            os.unlink(tmp)\n", "            pass\n",
+           ("tests/test_counts.py::test_failed_save_keeps_previous_cache",)),
+    Mutant("save-memo-check-dropped", "counts.py",
+           "            if table._checksum not in (None, digest):\n", "            if False:\n",
+           ("tests/test_counts.py::"
+            "test_save_rejects_a_checksum_memo_that_disagrees_with_the_rows",)),
+    Mutant("load-converts-every-count", "counts.py",
+           "RankClassTable([values[r::c] for r in range(c)])",
+           "RankClassTable([list(map(int, values[r::c])) for r in range(c)])",
+           ("tests/test_cli.py::test_warm_commands_convert_only_the_counts_they_read",)),
+    Mutant("count-reads-every-row", "cli.py",
+           "        row = table.row(n)\n", "        row = table.counts[n]\n",
+           ("tests/test_cli.py::test_warm_commands_convert_only_the_counts_they_read",)),
+    Mutant("empty-count-allowed", "counts.py",
+           '_BAD_COUNT = re.compile(rb",(?:0[0-9]|,)")', '_BAD_COUNT = re.compile(rb",0[0-9]")',
+           (f"{_UNREAD_COUNTS}[empty-count]",)),
+    Mutant("count-digit-limit-unchecked", "counts.py",
+           "    if limit and max(map(len, lines)) > limit and any(\n",
+           "    if False and any(\n",
+           (f"{_UNREAD_COUNTS}[past-the-int-str-limit]",)),
+    Mutant("save-row-scan-skipped", "counts.py",
+           "            for n, row in enumerate(zip(*block), start):\n",
+           "            for n, row in ():\n",
+           ("tests/test_counts.py::test_count_past_the_int_str_limit_names_its_row",)),
+    Mutant("row-returns-bytes", "counts.py",
+           "            return [int(col[n]) for col in self._columns]",
+           "            return [col[n] for col in self._columns]",
+           ("tests/test_cli.py::test_warm_commands_convert_only_the_counts_they_read",)),
+    Mutant("one-column-header-refused", "counts.py",
+           "    if c < 1:\n", "    if c < 2:\n",
+           ("tests/test_counts.py::test_one_column_table_round_trips",
+            "tests/test_cli.py::test_malformed_cache_exits_2_with_one_line[header-c-one]")),
+    # an envelope whose working precision follows the ambient mp.prec
+    Mutant("sandwich-at-ambient-precision", "bounds.py",
+           "    with mp.workprec(prec + 10):\n        s = mp.sqrt(mpf(n))\n        base",
+           "    with mp.workprec(mp.prec + 10):\n        s = mp.sqrt(mpf(n))\n        base",
+           ("tests/test_asymptotic.py::test_outputs_independent_of_ambient_precision",)),
 )
 
 

@@ -369,8 +369,7 @@ def a_asymptotic_per_residue(a: int, c: int, n: int,
     with mp.workprec(prec):
         return AsymptoticEstimate(value=+total.real,
                                   imag_residual=+abs(total.imag),
-                                  k_terms=[(k, +t) for k, t in terms],
-                                  precision_bits=prec)
+                                  k_terms=[(k, +t) for k, t in terms])
 
 
 def nbar_asymptotic_per_residue(a: int, c: int, n: int,
@@ -388,8 +387,7 @@ def nbar_asymptotic_per_residue(a: int, c: int, n: int,
     with mp.workprec(prec):
         return AsymptoticEstimate(value=+total.real,
                                   imag_residual=+abs(total.imag),
-                                  k_terms=[(j, +t) for j, t in terms],
-                                  precision_bits=prec)
+                                  k_terms=[(j, +t) for j, t in terms])
 
 
 def raw_error_aggregate(c: int, n: int, certified: dict[int, mpf],
@@ -456,8 +454,8 @@ def const_C_per_term(index: int, c: int | None, pbar: list[int], rel_tol: float 
     with mp.workprec(prec):
         upper = +(partial + tail)
         upper += abs(upper) * mpf(2) ** (4 - prec)
-        return CertifiedConstant(index=index, c=c, upper=+upper,
-                                 partial=+partial, tail_bound=+tail, truncation=r)
+        return CertifiedConstant(upper=+upper, partial=+partial, tail_bound=+tail,
+                                 truncation=r)
 
 
 def envelopes_per_power(c: int, n: int, prec: int = DEFAULT_PRECISION) -> tuple:

@@ -7,9 +7,11 @@ from mpmath import mp, mpf
 
 from oracles import (a_asymptotic_per_residue, kloosterman_B_direct, kloosterman_D_direct,
                      multiplier_classes, nbar_asymptotic_per_residue)
-from overrank import (a_asymptotic, a_exact, asymptotic, const_C, engel_pbar,
-                      error_term_bound, kloosterman_B, kloosterman_D, modsums,
-                      nbar_asymptotic, pbar_series, r_ratio, rank_class_table)
+from overrank import (a_asymptotic, a_exact, asymptotic, aux_inequalities_selftest, bounds,
+                      cbar2, cbar4, const_C, engel_pbar, error_pieces, error_term_bound,
+                      kloosterman_B, kloosterman_D, m_c, m_c_prime, main_term_bound, modsums,
+                      nbar_asymptotic, pbar_sandwich, pbar_series, r_ratio, rank_class_table,
+                      sandwich_threshold, t_inequality)
 from overrank.modsums import coprime_residues, mod_inverse
 
 
@@ -83,7 +85,7 @@ def test_precision_doubling_stability():
 
 def estimate_bits(est):
     return (est.value._mpf_, est.imag_residual._mpf_,
-            [(k, t._mpc_) for k, t in est.k_terms], est.precision_bits)
+            [(k, t._mpc_) for k, t in est.k_terms])
 
 
 def test_estimates_bits_equal_direct_kernels(shared_omega, monkeypatch):
@@ -167,10 +169,11 @@ def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     assert sum(evaluations) == len(set(summands)) < len(summands)
 
 
-def test_outputs_independent_of_ambient_precision(pbar3000):
+def test_outputs_independent_of_ambient_precision(pbar3000, table3):
     # every evaluator sets its own working precision, so the ambient mp.prec
-    # reaches no output bit; this covers the multiplier conjugates, which
-    # round at whatever precision is current when they run
+    # reaches no output bit, down to the 3,520-digit n_min of c = 7; this
+    # covers the multiplier conjugates, which round at whatever precision is
+    # current when they run
     def bits():
         out = [kloosterman_B(a, c, k, n, prec)._mpc_ for a, c, k, n, prec in
                ((1, 3, 3, 0, 160), (1, 3, 45, -2000, 160), (2, 5, 75, -40000, 190),
@@ -187,6 +190,23 @@ def test_outputs_independent_of_ambient_precision(pbar3000):
             out.append((const.upper._mpf_, const.partial._mpf_, const.tail_bound._mpf_,
                         const.truncation))
         out += [r_ratio(c, n)._mpf_ for c, n in ((3, 2089), (4, 272), (5, 449), (7, 10 ** 4))]
+        for c, n in ((3, 2089), (5, 449), (7, 10 ** 4)):
+            pieces = error_pieces(c, n)
+            out.append(({k: v._mpf_ for k, v in pieces.pieces.items()}, pieces.total._mpf_))
+            out += [main_term_bound(c, n)._mpf_, error_term_bound(c, n)._mpf_]
+        out += [v._mpf_ for n in (1, 434, 3000) for v in pbar_sandwich(n)]
+        for c in (3, 7):
+            th = sandwich_threshold(c)
+            out.append((th.lower_coef._mpf_, th.upper_coef._mpf_, th.n_min))
+        out += [f(c)._mpf_ for f in (m_c, m_c_prime) for c in (6, 7)]
+        out += [f(c)._mpf_ for f in (cbar2, cbar4) for c in (3, 7)]
+        out += [(e.estimate._mpf_, e.certified_bound._mpf_)
+                for e in map(engel_pbar, (1, 434, 3000))]
+        out += [(t.holds, t.margin._mpf_) for t in (t_inequality(109, 3), t_inequality(5000, 7))]
+        out.append(a_exact(1, 3, 1600, table3)._mpc_)
+        for prec in (64, 160):
+            bounds._grid_checks.cache_clear()  # else the first ambient's checks are reused
+            out.append(aux_inequalities_selftest(prec))
         return out
 
     runs = []

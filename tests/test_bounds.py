@@ -115,16 +115,16 @@ CONST_CASES = (
     + [(4, c, "pbar_deep", 1e9) for c in (9, 10)])
 
 
-def _series_at(const, pbar, bits: int = 400):
+def _series_at(index, c, truncation, pbar, bits: int = 400):
     """scale * (sum_{r <= R} pbar(r) e^{-alpha r} + tail) at `bits`, by a power recurrence."""
     with mp.workprec(bits):
-        q, scale = bounds._series_params(const.index, const.c)
+        q, scale = bounds._series_params(index, c)
         alpha = q.numerator * mp.pi / q.denominator
         x, power, total = mp.exp(-alpha), mpf(1), mpf(0)
-        for r in range(1, const.truncation + 1):
+        for r in range(1, truncation + 1):
             power *= x
             total += pbar[r] * power
-        return scale * (total + bounds._tail_integral(const.truncation, alpha))
+        return scale * (total + bounds._tail_integral(truncation, alpha))
 
 
 @pytest.mark.parametrize("index, c, series, rel_tol", CONST_CASES)
@@ -138,7 +138,7 @@ def test_const_c_matches_per_term_reference(request, pbar3000, index, c, series,
             value, expect = getattr(got, name), getattr(ref, name)
             assert mp.nstr(value, 20) == mp.nstr(expect, 20), name
             assert abs(value - expect) <= mpf(2) ** (2 - DEFAULT_PRECISION) * abs(expect), name
-        assert got.upper >= _series_at(got, pbar)
+        assert got.upper >= _series_at(index, c, got.truncation, pbar)
 
 
 def test_const_c_bits_independent_of_ambient_state_and_prefix(pbar3000):

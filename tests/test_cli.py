@@ -742,7 +742,9 @@ def _verify_modulus_zero(tmp_path):
     (_header_field(b"c", b"x"), "bad cache header: c=x is not a plain decimal integer"),
     (_header_field(b"n_max", b""), "bad cache header: n_max= is not a plain decimal integer"),
     (_header_field(b"c", b"3.0"), "bad cache header: c=3.0 is not a plain decimal integer"),
-    (_header_field(b"c", b"1"), "bad cache header: c=1 is below 2"),
+    # a one-column table is a table, so c = 1 passes the header and the rows refute it
+    (_header_field(b"c", b"1"), "cache row n=0 holds 3 counts, not c=1"),
+    (_header_field(b"c", b"0"), "bad cache header: c=0 is below 1"),
     # no repetition count of a regular expression can hold these
     (_header_field(b"c", b"1000000000000"), "cache row n=0 holds 3 counts, not c=1000000000000"),
     (_header_field(b"c", b"4294967295"), "cache row n=0 holds 3 counts, not c=4294967295"),
@@ -756,7 +758,7 @@ def _verify_modulus_zero(tmp_path):
 ], ids=["header-key-renamed", "header-key-missing", "header-key-extra",
         "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
         "duplicate-line", "header-non-ascii", "header-c-word", "header-n-max-empty",
-        "header-c-float", "header-c-one", "header-c-huge", "header-c-max-repeat",
+        "header-c-float", "header-c-one", "header-c-zero", "header-c-huge", "header-c-max-repeat",
         "count-n-negative", "count-a-without-c", "verify-c-zero",
         "verify-a-list-empty-entry", "verify-a-list-word"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):

@@ -7,6 +7,7 @@ import random
 import sys
 import tempfile
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,22 @@ def test_row_sums_against_series():
     table = rank_class_table(200, 3)
     assert table.row_sum(200) == series[200]
     assert all(table.row_sum(n) == series[n] for n in range(201))
+
+
+def test_c4_columns_meet_the_square_rule(table4):
+    # N(0,4,n) - N(2,4,n) is 1 at n = 0, 2 at a nonzero square and 0 otherwise,
+    # and so is its fold from c = 8, (N(0,8,n) + N(4,8,n)) - (N(2,8,n) + N(6,8,n)).
+    # The rule is measured here at every n <= 3000, not proved (ROADMAP item 18);
+    # today only the row sum pbar checks these rows exactly
+    def rule(n):
+        return 1 if n == 0 else 2 if isqrt(n) ** 2 == n else 0
+
+    table8 = rank_class_table(table4.n_max, 8)
+    col4, col8 = columns(table4), columns(table8)
+    assert table4.n_max == 3000
+    assert [n for n in range(3001) if col4[0][n] - col4[2][n] != rule(n)] == []
+    assert [n for n in range(3001)
+            if col8[0][n] + col8[4][n] - col8[2][n] - col8[6][n] != rule(n)] == []
 
 
 def test_a_exact_values(small_tables):
@@ -416,6 +433,19 @@ def test_any_table_built_from_rows_round_trips(rows):
     assert loaded == table and loaded.counts == rows
     assert (loaded.c, loaded.n_max) == (len(rows[0]), len(rows) - 1)
     assert loaded.checksum() == RankClassTable(cols).checksum()
+
+
+@pytest.mark.parametrize("n_max", [0, 127, 128, 300])
+def test_one_column_table_round_trips(tmp_path, n_max):
+    # a one-column table saves a c=1 header, which load_table must accept; the
+    # depths give one row, one whole block of rows, one row past it, and a part block
+    table = RankClassTable([pbar_series(n_max)])
+    path = tmp_path / "t1.tbl"
+    save_table(table, path)
+    loaded = load_table(path)
+    assert (loaded.c, loaded.n_max) == (1, n_max)
+    assert loaded == table
+    assert loaded.checksum() == RankClassTable([pbar_series(n_max)]).checksum()
 
 
 def test_count_past_the_int_str_limit_names_its_row(tmp_path):

@@ -6,6 +6,7 @@ package exports lazily.  Import state is per process, so the import-graph and
 environment checks run in fresh interpreters.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -98,3 +99,23 @@ def test_environment_lists_mpmath_where_it_ran(argv, lists_mpmath):
                                  + ["mpmath"] * lists_mpmath)
     if lists_mpmath:
         assert env["mpmath"] == mpmath.__version__
+
+
+def test_analytic_records_hold_only_what_they_computed():
+    # no record echoes the arguments of the call that made it, and none can be
+    # changed after it is made
+    records = {
+        "AsymptoticEstimate": (overrank.a_asymptotic(1, 3, 100),
+                               ["value", "imag_residual", "k_terms"]),
+        "EngelEstimate": (overrank.engel_pbar(100), ["estimate", "certified_bound"]),
+        "CertifiedConstant": (overrank.const_C(1, None, overrank.pbar_series(200)),
+                              ["upper", "partial", "tail_bound", "truncation"]),
+        "BoundBreakdown": (overrank.error_pieces(3, 100), ["pieces", "total"]),
+        "Threshold": (overrank.sandwich_threshold(3), ["lower_coef", "upper_coef", "n_min"]),
+    }
+    for name, (record, names) in records.items():
+        assert type(record) is getattr(overrank, name)
+        assert [f.name for f in dataclasses.fields(record)] == names, name
+        for field in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, None)
