@@ -1,20 +1,20 @@
 """Main-term asymptotics for the rank-class deviation coefficients.
 
 The coefficients are A(a/c;n) = sum_r counts[n][r] zeta_c^{a r}.  `a_exact`
-evaluates one from a row of exact counts; `a_asymptotic` evaluates the two
-main sums of its circle-method expansion: a sine-weighted sum over arc
-denominators k with c | k, k odd, and a secondary sum over odd k with c not
-dividing k, one term per (delta_r, e_r) that `modsums.arc_plan` lists for the
-arc.  The unevaluated remainder is bounded elsewhere (see bounds); here it is
-simply left out.
+evaluates one from a row of exact counts, with c the table's modulus;
+`a_asymptotic` evaluates the two main sums of its circle-method expansion: a
+sine-weighted sum over arc denominators k with c | k, k odd, and a secondary
+sum over odd k with c not dividing k, one term per (delta_r, e_r) that
+`modsums.arc_plan` lists for the arc.  The unevaluated remainder is bounded
+elsewhere (see bounds); here it is simply left out.
 
 Both sums run in one walk over the arcs that serves every residue of one
 modulus at once: it follows the residues' `arc_plan`s side by side (the B arcs
-ascending, then the D arcs ascending), with one `KernelTables` shared by all
-kernel calls (one arc's multipliers and linear phases at a time, the sines for
-the whole walk).  `nbar_asymptotic` walks once per reduced denominator.  Each
-residue's terms are still added in the order of a walk of its own, so sharing
-changes no output bit.
+ascending, then the D arcs ascending), with one `KernelTables` as the modulus,
+precision and shared values of every kernel call (one arc's multipliers and
+linear phases at a time, the sines for the whole walk).  `nbar_asymptotic`
+walks once per reduced denominator.  Each residue's terms are still added in
+the order of a walk of its own, so sharing changes no output bit.
 
 Everything is computed fully complex; the imaginary part of the result is
 reported as a residual, never silently dropped.
@@ -64,15 +64,14 @@ def _estimate(total: mpc, terms: list[tuple[int, mpc]], prec: int) -> Asymptotic
                                   k_terms=[(k, +t) for k, t in terms])
 
 
-def a_exact(j: int, c: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
-    """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision.
+def a_exact(j: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
+    """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision, c = table.c.
 
     The integers in the table may need more mantissa bits than `prec`; the
     evaluation runs at enough bits to represent them exactly and rounds only
     at the end, so precision is never silently lost to the data.
     """
-    if table.c != c:
-        raise ValueError("table modulus mismatch")
+    c = table.c
     if not 0 <= j < c:
         raise ValueError("j out of range")
     if not 0 <= n <= table.n_max:
@@ -123,12 +122,12 @@ def _arc_walk(residues, c: int, n: int, prec: int):
                 growth = mp.sinh(mp.pi * mp.sqrt(n) / k)
             for a, (_, sign, rterms) in zip(residues, arcs):
                 if rterms is None:
-                    B = kloosterman_B(a, c, k, -n, prec + 20, tables=tables)
+                    B = kloosterman_B(a, tables, k, -n)
                     terms[a].append((k, mpc(0, 1) * root * B / sqrt_k * growth))
                     continue
                 tk = mpc(0)
                 for d, e in rterms:
-                    D = kloosterman_D(a, c, k, -n, e, sign, prec + 20, tables=tables)
+                    D = kloosterman_D(a, tables, k, -n, e, sign)
                     tk += (2 * root * D / sqrt_k
                            * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                 if tk != 0:

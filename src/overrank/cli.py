@@ -153,7 +153,7 @@ def cmd_asymptotic(args, report: Report) -> list[str]:
         verdicts = []
         if n <= report.config.n_max:
             table = _get_table(report, c, n)
-            exact = a_exact(a, c, n, table, prec=prec)
+            exact = a_exact(a, n, table, prec=prec)
             diff = abs(exact.real - est.value)
             row["exact"] = fmt_value(exact.real)
             row["abs_deviation"] = fmt_value(diff)

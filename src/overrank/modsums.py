@@ -16,15 +16,15 @@ in a `KernelTables`: per arc k, omega_{h,k} once per class {h, h', k-h, k-h'}
 and the multiplier ratio once per pair {h, k-h}; each linear phase once per
 numerator mod k, per arc; sin(pi*a*h'/c) once per value of a*h';
 and each quadratic phase once per residue mod 2c, all at the table's own
-precision.  A call without tables gets fresh ones, so the tables change which
-values are recomputed, never a result bit.  The multiplier ratios, the summand
-loops and the table entries run on plain integers: a value is a pair (signed
-odd mantissa, exponent), zero is (0, 0), and a complex value is two such
-pairs.  Private helpers round these exactly as libmp rounds in the operations
-the mpc operators call, in the same order, so every result has the operators'
-bits.  Two of libmp's behaviours are copied with the rest: mpf_add's sticky
-+-1 when one addend lies far below the other, and the three sums inside
-mpc_div, which libmp rounds toward zero.
+precision.  The tables are each call's one source of modulus and precision;
+sharing them changes which values are recomputed, never a result bit.  The
+multiplier ratios, the summand loops and the table entries run on plain
+integers: a value is a pair (signed odd mantissa, exponent), zero is (0, 0),
+and a complex value is two such pairs.  Private helpers round these exactly
+as libmp rounds in the operations the mpc operators call, in the same order,
+so every result has the operators' bits.  Two of libmp's behaviours are copied
+with the rest: mpf_add's sticky +-1 when one addend lies far below the other,
+and the three sums inside mpc_div, which libmp rounds toward zero.
 """
 
 from __future__ import annotations
@@ -291,7 +291,8 @@ def _multipliers(k: int, prec: int) -> list[tuple[int, int, tuple]]:
 
 
 class KernelTables:
-    """Values that calls of `kloosterman_B` and `kloosterman_D` share.
+    """The context of `kloosterman_B` and `kloosterman_D` calls: their modulus c,
+    their precision prec, and the values they share.
 
     One table serves the calls for modulus c at kernel precision prec; its
     entries are integer pairs (see `_from_mpc`) with the bits of the libmp
@@ -305,7 +306,7 @@ class KernelTables:
     an arc.  Every entry has the bits a call would compute for itself.
     """
 
-    def __init__(self, c: int, prec: int):
+    def __init__(self, c: int, prec: int = DEFAULT_PRECISION):
         self.c, self.prec, self.wp = c, prec, prec + 10
         self.k: int | None = None
         self.multipliers: list[tuple[int, int, tuple]] = []
@@ -347,39 +348,31 @@ class KernelTables:
         return value
 
 
-def _checked_tables(a: int, c: int, tables: KernelTables | None, prec: int) -> KernelTables:
-    """Check (a, c) and return `tables`, made for modulus c at prec, or fresh ones."""
-    if gcd(a, c) != 1 or not 0 < a < c:
-        raise ValueError("need 0 < a < c coprime")
-    tables = KernelTables(c, prec) if tables is None else tables
-    if (tables.c, tables.prec) != (c, prec):
-        raise ValueError("tables made for another modulus or precision")
-    return tables
-
-
-def _scale(total: tuple, sign: int, a: int, c: int, prec: int) -> mpc:
-    """total * sign/sqrt(2) * tan(pi*a/c) at the working precision, rounded to prec bits."""
-    with mp.workprec(prec + 10):
-        total = _to_mpc(total) * (sign / mp.sqrt(2) * mp.tan(mp.pi * a / c))
-    with mp.workprec(prec):
+def _scale(total: tuple, sign: int, a: int, tables: KernelTables) -> mpc:
+    """total * sign/sqrt(2) * tan(pi*a/c) at the working precision, rounded to the
+    tables' precision."""
+    with mp.workprec(tables.wp):
+        total = _to_mpc(total) * (sign / mp.sqrt(2) * mp.tan(mp.pi * a / tables.c))
+    with mp.workprec(tables.prec):
         return +total
 
 
-def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION, *,
-                  tables: KernelTables | None = None) -> mpc:
-    """Sine-weighted Kloosterman-type sum over c | k with k odd.
+def kloosterman_B(a: int, tables: KernelTables, k: int, n: int) -> mpc:
+    """Sine-weighted Kloosterman-type sum over c | k with k odd, c = tables.c.
 
     Each term carries omega_{h,k}^2 / omega_{2h,k}, 1/sin(pi*a*h'/c), the
     quadratic Gauss-type phase in a^2*k1*(c-2)*h'/c, and exp(2*pi*i*n*h/k).
     k odd guarantees gcd(2h,k) = 1; c | k guarantees gcd(h',c) = 1 so the
     sine never vanishes.  The multipliers, linear phases, sines and
-    quadratic phases come from `tables` (fresh ones by default); a quadratic
-    phase depends only on its exponent's residue mod 2c, so a table holds at
-    most 2c of them.
+    quadratic phases come from `tables`; a quadratic phase depends only on
+    its exponent's residue mod 2c, so a table holds at most 2c of them.  The
+    result is rounded to tables.prec bits.
     """
+    c = tables.c
     if k % c != 0 or k % 2 == 0:
         raise ValueError("kloosterman_B requires c | k with k odd")
-    tables = _checked_tables(a, c, tables, prec)
+    if gcd(a, c) != 1 or not 0 < a < c:
+        raise ValueError("need 0 < a < c coprime")
     quad_coeff = a * a * (k // c) * (c - 2)
     wp, phase = tables.wp, tables.phase
     total = (0, 0, 0, 0)
@@ -388,28 +381,30 @@ def kloosterman_B(a: int, c: int, k: int, n: int, prec: int = DEFAULT_PRECISION,
         term = _cmul(term, tables.quad(quad_coeff * hp % (2 * c)), wp)
         term = _cmul(term, phase(n * h), wp)
         total = _cadd(total, term, wp)
-    return _scale(total, 1, a, c, prec)
+    return _scale(total, 1, a, tables)
 
 
-def kloosterman_D(a: int, c: int, k: int, n: int, e: int, region_sign: int,
-                  prec: int = DEFAULT_PRECISION, *,
-                  tables: KernelTables | None = None) -> mpc:
-    """Secondary Kloosterman-type sum over c not dividing k, k odd.
+def kloosterman_D(a: int, tables: KernelTables, k: int, n: int, e: int,
+                  region_sign: int) -> mpc:
+    """Secondary Kloosterman-type sum over c = tables.c not dividing k, k odd.
 
     Each term carries omega_{h,k}^2 / omega_{2h,k} and exp(2*pi*i*(n*h + e*h')/k);
     e is the integer coefficient of h' that `arc_plan` gives an r-term of the
     arc, and region_sign the arc's sign: +1 on the low branch, -1 on the high
-    one.  The multipliers and phases come from `tables` (fresh ones by default).
+    one.  The multipliers and phases come from `tables`, and the result is
+    rounded to tables.prec bits.
     """
+    c = tables.c
     if k % c == 0 or k % 2 == 0:
         raise ValueError("kloosterman_D requires c not dividing k, k odd")
     if region_sign not in (1, -1):
         raise ValueError("region_sign must be +1 or -1")
     if not isinstance(e, int):
         raise ValueError(f"e must be an int, the coefficient of h' mod k, not {e!r}")
-    tables = _checked_tables(a, c, tables, prec)
+    if gcd(a, c) != 1 or not 0 < a < c:
+        raise ValueError("need 0 < a < c coprime")
     wp, phase = tables.wp, tables.phase
     total = (0, 0, 0, 0)
     for h, hp, w in tables.enter(k):
         total = _cadd(total, _cmul(w, phase(n * h + e * hp), wp), wp)
-    return _scale(total, region_sign, a, c, prec)
+    return _scale(total, region_sign, a, tables)

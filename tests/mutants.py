@@ -49,6 +49,7 @@ class Mutant(NamedTuple):
 
 
 _ARC_PLAN = "tests/test_modsums.py::test_arc_plan_matches_the_branch_oracle"
+_FRACTION_ORACLE = "tests/test_modsums.py::test_secondary_terms_match_the_fraction_oracle"
 _ARC_WALK = ("tests/test_asymptotic.py::test_arc_walk_bits_equal_per_residue_loops[160]",
              "tests/test_asymptotic.py::test_arc_walk_bits_equal_per_residue_loops[64]")
 _KERNEL_BITS = ("tests/test_modsums.py::test_kloosterman_B_bits_equal_direct",
@@ -59,7 +60,8 @@ _LOWERED_LIMIT = ("tests/test_counts.py::"
 _AIMED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader_on_aimed_edits"
 _UNREAD_COUNTS = "tests/test_counts.py::test_load_checks_the_counts_no_command_reads"
 _TABLE_BUILD = ("tests/test_counts.py::test_table_matches_dp_oracle_at_division_edges",
-                "tests/test_counts.py::test_c4_columns_meet_the_square_rule")
+                "tests/test_counts.py::test_c4_columns_meet_the_square_rule",
+                "tests/test_counts.py::test_c2_and_c4_columns_meet_lovejoys_a_half")
 
 MUTANTS = (
     # the kernel tables
@@ -82,6 +84,21 @@ MUTANTS = (
             "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision",
             *_KERNEL_BITS,
             "tests/test_asymptotic.py::test_outputs_independent_of_ambient_precision")),
+    # secondary_terms, each arc's branch and its exact (delta_r, m_r)
+    Mutant("high-branch-without-the-mirror", "modsums.py",
+           "divmod(sign * a * k1, c1)", "divmod(a * k1, c1)",
+           ("tests/test_modsums.py::test_delta_values",
+            "tests/test_modsums.py::test_m_param_values", _FRACTION_ORACLE, _ARC_PLAN,
+            "tests/test_modsums.py::test_exact_rationals_insensitive_to_precision", *_ARC_WALK,
+            "tests/test_asymptotic.py::test_nbar_residue_sum_collapses_to_engel",
+            "tests/test_bench_surface.py::test_seed0_outputs_match_the_pins[analytic]")),
+    Mutant("c1-4-guard-dropped", "modsums.py",
+           "    if c1 == 4 or c1 < 4 * l < 3 * c1:\n", "    if c1 < 4 * l < 3 * c1:\n",
+           ("tests/test_modsums.py::test_secondary_terms_examples", _FRACTION_ORACLE, _ARC_PLAN,
+            *_ARC_WALK)),
+    Mutant("m-r-step-negated", "modsums.py",
+           "(2 * y + 1 + 2 * r)", "(2 * y + 1 - 2 * r)",
+           ("tests/test_modsums.py::test_m_param_values", _FRACTION_ORACLE)),
     # the arc plan and D's h' coefficient
     Mutant("d-coefficient-sign-flipped", "modsums.py",
            "int(2 * m) % k", "-int(2 * m) % k", (_ARC_PLAN, *_ARC_WALK)),
@@ -162,6 +179,12 @@ MUTANTS = (
     Mutant("n0-x-to-the-c-dropped", "counts.py",
            "((1, -2), (c, 2))", "((1, -2),)",
            (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_oracle")),
+    # an IndexError for c = 3 and 5 and a wrong table for c = 4: the tables the
+    # cache tests share are built inside them, so the module still collects
+    Mutant("mirror-exponent-off-by-one", "counts.py",
+           "acc[min(t, 2 * c - 2 - t)]", "acc[min(t, 2 * c - 1 - t)]",
+           (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_dp_oracle",
+            "tests/test_counts.py::test_load_table_fuzzed_cache")),
     # the cache's save and load, and the loaded columns
     Mutant("second-decimal-pass-in-save", "counts.py",
            "            digest = h.hexdigest()\n",

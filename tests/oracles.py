@@ -42,6 +42,7 @@ minimum; the records must agree.
 import hashlib
 import math
 import re
+from collections import defaultdict
 from fractions import Fraction
 from itertools import islice
 
@@ -54,8 +55,9 @@ from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series
 from overrank.counts import (_BLOCK_ROWS, _CHECKSUM_DOMAIN, _ROW, TABLE_FORMAT_VERSION,
                              RankClassTable, _block_fault, _checksum_hash, _read_checksum_line,
                              _read_header)
-from overrank.modsums import (DEFAULT_PRECISION, _multipliers, _to_mpc, coprime_residues,
-                              kloosterman_B, kloosterman_D, mod_inverse, omega)
+from overrank.modsums import (DEFAULT_PRECISION, KernelTables, _multipliers, _to_mpc,
+                              coprime_residues, kloosterman_B, kloosterman_D, mod_inverse,
+                              omega)
 
 
 def pbar_series_product(n_max: int) -> list[int]:
@@ -340,7 +342,7 @@ def a_asymptotic_per_residue(a: int, c: int, n: int,
         for k in range(c, kmax + 1, c):
             if k % 2 == 0:
                 continue
-            B = kloosterman_B(a, c, k, -n, prec + 20)
+            B = kloosterman_B(a, KernelTables(c, prec + 20), k, -n)
             t = mpc(0, 1) * root * B / mp.sqrt(k) * mp.sinh(mp.pi * mp.sqrt(n) / k)
             terms.append((k, t))
             total += t
@@ -359,7 +361,8 @@ def a_asymptotic_per_residue(a: int, c: int, n: int,
                 if d <= 0:
                     break
                 # D's phase takes m's double as an integer mod k
-                D = kloosterman_D(a, c, k, -n, int(2 * m_param(r)) % k, sign, prec + 20)
+                D = kloosterman_D(a, KernelTables(c, prec + 20), k, -n,
+                                  int(2 * m_param(r)) % k, sign)
                 tk += (2 * root * D / mp.sqrt(k)
                        * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                 r += 1
@@ -492,6 +495,29 @@ def envelopes_per_power(c: int, n: int, prec: int = DEFAULT_PRECISION) -> tuple:
                      + mpf("49.69") * c * epi * nn ** mpf("1.875"))
     with mp.workprec(prec):
         return ({k: +v for k, v in pieces.items()}, +total, +error_term, +main_term, +ratio)
+
+
+def a_half(ns, pbar: list[int]) -> dict[int, int]:
+    """A(1/2; n) = N(0,2,n) - N(1,2,n) for each n in ns, from Lovejoy's form of the
+    rank generating function (Ann. Comb. 9, 2005) at z = -1:
+
+        sum_n A(1/2; n) q^n = pbar(q) * (1 + 8 sum_{m>=1} (-1)^m q^(m^2+m) / (1 + q^m)^2).
+
+    With 1/(1 + x)^2 = sum_j (-1)^j (j+1) x^j the bracket is a sparse series,
+    built once up to max(ns); each coefficient is then a convolution of its
+    nonzero terms with `pbar` (at least max(ns) + 1 counts).  The identity with
+    the rank-class tables is measured in tests/test_counts.py on the range it
+    checks, not proved here.
+    """
+    n_max = max(ns)
+    bracket = defaultdict(int, {0: 1})
+    m = 1
+    while m * (m + 1) <= n_max:
+        for j in range(n_max // m - m):  # exponents m*(m + 1 + j) <= n_max
+            bracket[m * (m + 1 + j)] += 8 * (-1) ** (m + j) * (j + 1)
+        m += 1
+    terms = sorted((e, v) for e, v in bracket.items() if v)
+    return {n: sum(v * pbar[n - e] for e, v in terms if e <= n) for n in ns}
 
 
 def pbar_zuckerman(n: int) -> int:

@@ -12,7 +12,7 @@ from overrank import (a_asymptotic, a_exact, asymptotic, aux_inequalities_selfte
                       kloosterman_B, kloosterman_D, m_c, m_c_prime, main_term_bound, modsums,
                       nbar_asymptotic, pbar_sandwich, pbar_series, r_ratio, rank_class_table,
                       sandwich_threshold, t_inequality)
-from overrank.modsums import coprime_residues, mod_inverse
+from overrank.modsums import KernelTables, coprime_residues, mod_inverse
 
 
 def test_first_sum_empty_below_c_squared():
@@ -36,7 +36,7 @@ def test_deviation_at_1600(table3):
     # unevaluated remainder is O(1)-small here; envelope check plus a frozen
     # empirical ceiling several orders above observed (~1e-17)
     est = a_asymptotic(1, 3, 1600)
-    exact = a_exact(1, 3, 1600, table3, prec=300)
+    exact = a_exact(1, 1600, table3, prec=300)
     dev = abs(est.value - exact.real) / abs(exact.real)
     assert dev < mpf("1e-12")
     envelope = error_term_bound(3, 1600)
@@ -56,7 +56,7 @@ def test_estimates_meet_exact_coefficients():
             for a in range(1, c // 2 + 1):
                 if gcd(a, c) == 1:
                     est = a_asymptotic(a, c, n, prec=64)
-                    exact = a_exact(a, c, n, table, prec=64).real
+                    exact = a_exact(a, n, table, prec=64).real
                     misses[a, c, n] = abs(est.value - exact)
     assert max(misses.values()) < 20, max(misses.items(), key=lambda item: item[1])
 
@@ -95,11 +95,12 @@ def test_estimates_bits_equal_direct_kernels(shared_omega, monkeypatch):
              ((1, 3, 2000), (2, 5, 40000), (3, 7, 60000), (1, 4, 5000), (1, 5, 500))]
     cases.append((nbar_asymptotic, (1, 3, 20000)))
     fast = [estimate_bits(f(*args)) for f, args in cases]
-    # the direct kernels evaluate every summand afresh, so they take no tables
+    # the direct kernels evaluate every summand afresh, reading only the
+    # tables' modulus and precision
     monkeypatch.setattr(asymptotic, "kloosterman_B",
-                        lambda *args, tables: kloosterman_B_direct(*args))
+                        lambda a, t, *rest: kloosterman_B_direct(a, t.c, *rest, t.prec))
     monkeypatch.setattr(asymptotic, "kloosterman_D",
-                        lambda *args, tables: kloosterman_D_direct(*args))
+                        lambda a, t, *rest: kloosterman_D_direct(a, t.c, *rest, t.prec))
     for (f, args), bits in zip(cases, fast):
         assert estimate_bits(f(*args)) == bits, (f.__name__, args)
 
@@ -175,10 +176,10 @@ def test_outputs_independent_of_ambient_precision(pbar3000, table3):
     # covers the multiplier conjugates, which round at whatever precision is
     # current when they run
     def bits():
-        out = [kloosterman_B(a, c, k, n, prec)._mpc_ for a, c, k, n, prec in
+        out = [kloosterman_B(a, KernelTables(c, prec), k, n)._mpc_ for a, c, k, n, prec in
                ((1, 3, 3, 0, 160), (1, 3, 45, -2000, 160), (2, 5, 75, -40000, 190),
                 (3, 7, 63, -777, 64))]
-        out += [kloosterman_D(a, c, k, n, m, sign, prec)._mpc_
+        out += [kloosterman_D(a, KernelTables(c, prec), k, n, m, sign)._mpc_
                 for a, c, k, n, m, sign, prec in
                 ((1, 5, 1, 0, 0, 1, 160), (2, 5, 3, -7, -3, 1, 160),
                  (1, 3, 41, -20000, 45, -1, 210), (3, 7, 31, -5, 0, 1, 64))]
@@ -203,7 +204,7 @@ def test_outputs_independent_of_ambient_precision(pbar3000, table3):
         out += [(e.estimate._mpf_, e.certified_bound._mpf_)
                 for e in map(engel_pbar, (1, 434, 3000))]
         out += [(t.holds, t.margin._mpf_) for t in (t_inequality(109, 3), t_inequality(5000, 7))]
-        out.append(a_exact(1, 3, 1600, table3)._mpc_)
+        out.append(a_exact(1, 1600, table3)._mpc_)
         for prec in (64, 160):
             bounds._grid_checks.cache_clear()  # else the first ambient's checks are reused
             out.append(aux_inequalities_selftest(prec))
@@ -250,6 +251,19 @@ def test_nbar_conjugate_residues_agree():
 def test_nbar_rejects_even_modulus():
     with pytest.raises(ValueError):
         nbar_asymptotic(1, 4, 100)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: engel_pbar(0), "n must be >= 1"),
+    (lambda: nbar_asymptotic(1, 2, 100), "need c > 2"),
+    (lambda: nbar_asymptotic(0, 1, 100), "need c > 2"),
+    (lambda: nbar_asymptotic(5, 5, 100), "need 0 <= a < c"),
+    (lambda: nbar_asymptotic(-1, 5, 100), "need 0 <= a < c"),
+], ids=["engel-n-zero", "nbar-c-two", "nbar-c-one", "nbar-a-is-c", "nbar-a-negative"])
+def test_estimates_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------

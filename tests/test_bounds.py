@@ -24,6 +24,23 @@ def test_strict_verdict_policy():
     assert strict_verdict(mpf(-1), mpf("0.5")) == "pass"
     assert strict_verdict(mpf("-0.5"), mpf(-2)) == "fail"
     assert strict_verdict(r_ratio(3, 2089), 1 / mpf(3) - mpf("0.8")) == "fail"
+    # a float side with no exact rational value is not finite: no verdict
+    for x in (float("inf"), float("-inf"), float("nan")):
+        assert strict_verdict(x, 1) == strict_verdict(1, x) == "inconclusive", x
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cbar2(2), "need c >= 3"),
+    (lambda: cbar4(2), "need c >= 3"),
+    (lambda: m_c_prime(5), "need c >= 6"),
+    (lambda: pbar_sandwich(0), "need n >= 1"),
+    (lambda: sandwich_threshold(2), "need c >= 3"),
+], ids=["cbar2-c-two", "cbar4-c-two", "m-c-prime-c-five", "sandwich-n-zero",
+        "threshold-c-two"])
+def test_bounds_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_strict_verdict_independent_of_ambient_precision():

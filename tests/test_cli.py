@@ -417,6 +417,15 @@ def test_report_rejects_unknown_config_key(capsys):
             Report.from_json_lines("\n".join(lines))
 
 
+def test_report_without_a_config_record_is_refused(capsys):
+    _, out = run_cli(capsys, "count", "--n", "2", "--format", "json-lines")
+    lines = out.splitlines()
+    assert json.loads(lines.pop(1))["record"] == "config"
+    with pytest.raises(ValueError) as exc:
+        Report.from_json_lines("\n".join(lines))
+    assert str(exc.value) == "missing header or config record"
+
+
 NOT_A_RECORD = "report line is not an object with a 'record' key: "
 
 
@@ -723,6 +732,13 @@ def _verify_residue_list(a_list):
     return make_argv
 
 
+def _shallow_cache(tmp_path):
+    # a depth-20 cache cannot answer for n = 30, whatever --n-max says
+    cache = tmp_path / "t3.tbl"
+    assert main(["count", "--n", "5", "--c", "3", "--n-max", "20", "--cache", str(cache)]) == 0
+    return ["count", "--n", "30", "--c", "3", "--n-max", "40", "--cache", str(cache)]
+
+
 def _verify_modulus_zero(tmp_path):
     # the residue list is reduced mod c, so c must be checked before it
     return ["verify", "--c", "0", "--n-lo", "1", "--n-hi", "2", "--a-list", "1"]
@@ -749,6 +765,7 @@ def _verify_modulus_zero(tmp_path):
     (_header_field(b"c", b"1000000000000"), "cache row n=0 holds 3 counts, not c=1000000000000"),
     (_header_field(b"c", b"4294967295"), "cache row n=0 holds 3 counts, not c=4294967295"),
     (_count_negative_n, "--n must be >= 0"),
+    (_shallow_cache, "cache reaches n=20, need 30"),
     (_count_class_without_modulus, "--a needs --c"),
     (_verify_modulus_zero, "--c must be >= 2"),
     (_verify_residue_list("1,,2"), "--a-list must be 'all' or comma-separated integers, "
@@ -759,7 +776,7 @@ def _verify_modulus_zero(tmp_path):
         "n-above-n-max", "n-missing", "r-above-c", "r-missing", "trailing-bytes",
         "duplicate-line", "header-non-ascii", "header-c-word", "header-n-max-empty",
         "header-c-float", "header-c-one", "header-c-zero", "header-c-huge", "header-c-max-repeat",
-        "count-n-negative", "count-a-without-c", "verify-c-zero",
+        "count-n-negative", "cache-too-shallow", "count-a-without-c", "verify-c-zero",
         "verify-a-list-empty-entry", "verify-a-list-word"])
 def test_malformed_cache_exits_2_with_one_line(capsys, tmp_path, make_argv, message):
     # bad input, such as a corrupt cache or a modulus below 2, is one line and exit 2

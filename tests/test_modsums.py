@@ -45,6 +45,13 @@ def test_dedekind_rejects_non_coprime():
         dedekind_sum(2, 4)
 
 
+@pytest.mark.parametrize("f", [dedekind_sum, mod_inverse])
+def test_modulus_below_one_is_refused(f):
+    with pytest.raises(ValueError) as raised:
+        f(1, 0)
+    assert str(raised.value) == "k must be >= 1"
+
+
 def test_dedekind_fast_equals_direct():
     for k in range(1, 121):
         for h, s in dedekind_sums_direct_row(k).items():
@@ -213,16 +220,16 @@ def test_b_summand_count():
 
 def test_b_consistent_pinned_value():
     # frozen from the calibration against exact rank-class counts
-    v = kloosterman_B(1, 3, 3, 0)
+    v = kloosterman_B(1, modsums.KernelTables(3), 3, 0)
     with mp.workprec(400):
         assert abs(v - mpc(0, -1) * mp.sqrt(2)) < mpf(2) ** -140
 
 
 def test_b_precondition_checks():
     with pytest.raises(ValueError):
-        kloosterman_B(1, 3, 5, 0)  # c does not divide k
+        kloosterman_B(1, modsums.KernelTables(3), 5, 0)  # c does not divide k
     with pytest.raises(ValueError):
-        kloosterman_B(1, 3, 6, 0)  # k even
+        kloosterman_B(1, modsums.KernelTables(3), 6, 0)  # k even
 
 
 def phase_keys(k, n, e=0):
@@ -231,7 +238,8 @@ def phase_keys(k, n, e=0):
 
 
 def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
-    fresh = {(a, k): kloosterman_B(a, 3, k, -100, 160)._mpc_ for k in (9, 15) for a in (1, 2)}
+    fresh = {(a, k): kloosterman_B(a, modsums.KernelTables(3, 160), k, -100)._mpc_
+             for k in (9, 15) for a in (1, 2)}
     built = []
     omega = modsums.omega
     monkeypatch.setattr(modsums, "omega", lambda h, k, prec: built.append(k) or omega(h, k, prec))
@@ -239,7 +247,7 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
     for k in (9, 15, 9):
         built.clear()
         for a in (1, 2):
-            assert kloosterman_B(a, 3, k, -100, 160, tables=tables)._mpc_ == fresh[a, k]
+            assert kloosterman_B(a, tables, k, -100)._mpc_ == fresh[a, k]
         # on a new arc the multipliers, built once for both residues with one
         # omega per class, and the phase memo hold that arc only; a return to
         # arc 9 builds it again
@@ -247,36 +255,37 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
         assert tables.k == k
         assert [h for h, _, _ in tables.multipliers] == coprime_residues(k)
         assert set(tables.phases) == phase_keys(k, -100)
-    with pytest.raises(ValueError):
-        kloosterman_B(1, 5, 15, -100, 160, tables=tables)
-    with pytest.raises(ValueError):
-        kloosterman_D(1, 3, 5, -100, 0, 1, 200, tables=tables)
+    # each call checks its residue against the tables' modulus
+    with pytest.raises(ValueError, match="need 0 < a < c coprime"):
+        kloosterman_B(4, tables, 15, -100)  # outside (0, 3)
+    with pytest.raises(ValueError, match="need 0 < a < c coprime"):
+        kloosterman_D(3, modsums.KernelTables(9, 160), 5, -100, 0, 1)  # not prime to 9
     # on a D arc one phase memo serves every residue and r-term
     tables = modsums.KernelTables(5, 160)
     keys = set()
     for a, e in ((1, -3), (2, 12), (4, 0), (3, -3)):
-        assert kloosterman_D(a, 5, 7, -100, e, 1, 160, tables=tables)._mpc_ == \
-            kloosterman_D(a, 5, 7, -100, e, 1, 160)._mpc_
+        assert kloosterman_D(a, tables, 7, -100, e, 1)._mpc_ == \
+            kloosterman_D(a, modsums.KernelTables(5, 160), 7, -100, e, 1)._mpc_
         keys |= phase_keys(7, -100, e)
         assert set(tables.phases) == keys
 
 
 def test_d_single_term_value():
     # k = 1 collapses to the h = 0 term with unit multiplier
-    v = kloosterman_D(1, 5, 1, 0, 0, 1)
+    v = kloosterman_D(1, modsums.KernelTables(5), 1, 0, 0, 1)
     with mp.workprec(400):
         expect = mp.tan(mp.pi / 5) / mp.sqrt(2)
     assert close(v, expect)
-    flipped = kloosterman_D(1, 5, 1, 0, 0, -1)
+    flipped = kloosterman_D(1, modsums.KernelTables(5), 1, 0, 0, -1)
     with mp.workprec(240):
         assert close(flipped, -v)
 
 
 def test_d_precondition_checks():
     with pytest.raises(ValueError):
-        kloosterman_D(1, 5, 5, 0, 0, 1)  # c | k
+        kloosterman_D(1, modsums.KernelTables(5), 5, 0, 0, 1)  # c | k
     with pytest.raises(ValueError):
-        kloosterman_D(1, 5, 3, 0, 0, 2)  # bad region sign
+        kloosterman_D(1, modsums.KernelTables(5), 3, 0, 0, 2)  # bad region sign
 
 
 @pytest.mark.parametrize("e", [Fraction(-3, 2), Fraction(-3), 2.0])
@@ -284,13 +293,13 @@ def test_d_refuses_a_coefficient_that_is_not_an_int(e):
     # the h' coefficient is an int; a Fraction m (the old call form) or a float
     # would silently give another phase
     with pytest.raises(ValueError, match="e must be an int"):
-        kloosterman_D(2, 5, 3, -7, e, 1)
+        kloosterman_D(2, modsums.KernelTables(5), 3, -7, e, 1)
 
 
 def test_d_half_integer_parameter_is_exact():
     # a half-integer m enters D's phase as its double, the integer e = 2m = -3
-    v = kloosterman_D(2, 5, 3, -7, -3, 1)
-    w = kloosterman_D(2, 5, 3, -7, -3, 1, prec=320)
+    v = kloosterman_D(2, modsums.KernelTables(5), 3, -7, -3, 1)
+    w = kloosterman_D(2, modsums.KernelTables(5, 320), 3, -7, -3, 1)
     assert close(v, w, 150)
 
 
@@ -554,7 +563,7 @@ def kernel_cases(c_divides_k: bool):
 
 def test_kloosterman_B_bits_equal_direct(shared_omega):
     for c, a, k, n, prec in kernel_cases(c_divides_k=True):
-        got = kloosterman_B(a, c, k, n, prec)
+        got = kloosterman_B(a, modsums.KernelTables(c, prec), k, n)
         assert got._mpc_ == kloosterman_B_direct(a, c, k, n, prec)._mpc_, (a, c, k, n, prec)
 
 
@@ -563,6 +572,6 @@ def test_kloosterman_D_bits_equal_direct(shared_omega):
     assert any(k == 1 for _, _, k, *_ in cases)
     for c, a, k, n, e, prec in cases:
         sign = secondary_terms(a, c, k)[0] or 1  # a mid arc has no sign; take +1
-        got = kloosterman_D(a, c, k, n, e, sign, prec)
+        got = kloosterman_D(a, modsums.KernelTables(c, prec), k, n, e, sign)
         assert got._mpc_ == kloosterman_D_direct(a, c, k, n, e, sign, prec)._mpc_, \
             (a, c, k, n, e, sign, prec)

@@ -64,6 +64,26 @@ def test_table_depth_guard(table3_small):
         verify_subadditivity(table3_small, 0, 9, 200)
 
 
+@pytest.mark.parametrize("a, n_lo, n_hi, message", [
+    (3, 1, 5, "residue a out of range"),
+    (-1, 1, 5, "residue a out of range"),
+    (0, 6, 5, "need 1 <= n_lo <= n_hi"),
+], ids=["a-is-c", "a-negative", "n-lo-above-n-hi"])
+def test_sweep_names_a_bad_argument(table3_small, a, n_lo, n_hi, message):
+    with pytest.raises(ValueError) as raised:
+        verify_subadditivity(table3_small, a, n_lo, n_hi)
+    assert str(raised.value) == message
+
+
+def test_certificate_without_a_positive_lhs_round_trips():
+    # the only pair, (1, 1), has lhs = count(2) = 0, so no margin is defined
+    cert = verify_subadditivity(RankClassTable([[1, 1, 0]]), 0, 1, 1)
+    assert cert.min_margin is None and cert.violations == []
+    text = cert.serialize()
+    assert "\nmin_margin none\n" in text
+    assert parse_certificate(text) == cert
+
+
 def test_certificate_round_trip(table3_small):
     cert = verify_subadditivity(table3_small, 1, 1, 12)
     text = cert.serialize()
