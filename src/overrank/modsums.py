@@ -17,14 +17,19 @@ and the multiplier ratio once per pair {h, k-h}; each linear phase once per
 numerator mod k, per arc; sin(pi*a*h'/c) once per value of a*h';
 and each quadratic phase once per residue mod 2c, all at the table's own
 precision.  The tables are each call's one source of modulus and precision;
-sharing them changes which values are recomputed, never a result bit.  The
-multiplier ratios, the summand loops and the table entries run on plain
-integers: a value is a pair (signed odd mantissa, exponent), zero is (0, 0),
-and a complex value is two such pairs.  Private helpers round these exactly
-as libmp rounds in the operations the mpc operators call, in the same order,
-so every result has the operators' bits.  Two of libmp's behaviours are copied
-with the rest: mpf_add's sticky +-1 when one addend lies far below the other,
-and the three sums inside mpc_div, which libmp rounds toward zero.
+sharing them changes which values are recomputed, never a result bit.  An
+arc's multipliers and linear phases are roots of unity of order dividing 12k:
+they come from one fixed-point table of e(j/12k) per arc (`_ArcRoots`),
+rounded to the bits mpmath's cos/sin gives them, or from mpmath itself where
+a value lies too near a rounding tie to tell; the sines and quadratic phases
+come from mpmath.  The multiplier ratios, the summand loops and the table
+entries run on plain integers: a value is a pair (signed odd mantissa,
+exponent), zero is (0, 0), and a complex value is two such pairs.  Private
+helpers round these exactly as libmp rounds in the operations the mpc
+operators call, in the same order, so every result has the operators' bits.
+Two of libmp's behaviours are copied with the rest: mpf_add's sticky +-1 when
+one addend lies far below the other, and the three sums inside mpc_div, which
+libmp rounds toward zero.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from mpmath import mp, mpc
-from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, round_nearest
+from mpmath.libmp import (bitcount, from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, pi_fixed,
+                          round_nearest, to_fixed)
+from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC, EXP_SERIES_U_CUTOFF
 
 from . import DEFAULT_PRECISION
 
@@ -263,24 +270,152 @@ def _to_mpc(z: tuple) -> mpc:
     return mp.make_mpc((from_man_exp(z[0], z[1]), from_man_exp(z[2], z[3])))
 
 
-def _multipliers(k: int, prec: int) -> list[tuple[int, int, tuple]]:
-    """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of odd k, the
-    ratio an integer pair (see `_from_mpc`) with mpc's operators' bits at prec.
+class _ArcRoots:
+    """exp(pi*i*num/den) for den | 6k at the working precision wp of one arc k, with
+    the bits of `_cos_sin_pi(num, den, wp)`.
+
+    6k*s(h,k) is an integer, so every multiplier omega_{h,k} and every linear
+    phase e(j/k) (num/den = 2j/k) is e(N/12k) for N = 6k*num/den mod 12k =
+    12q + r, that is e(q/k)*e(r/12k).  The table holds e(q/k) for 0 <= q < k
+    as fixed-point integers at W = wp + 64 bits, powers of e(1/k) up to k/2
+    and the rest their exact conjugates, and e(r/12k) for r < 12.  Both come
+    from one mpmath value of e(1/12k) at W + 26 bits, powered at W + 16 bits.
+
+    mpmath takes cos and sin at x = RN_wp(num/den), not at num/den, so a call
+    multiplies the table's product by exp(pi*i*delta), delta = x - num/den
+    taken exactly, to second order.  It rounds each part to wp bits unless the
+    part lies closer to a rounding tie than mpmath's error and the table's
+    together; then mpmath's rounding could differ, and `_cos_sin_pi` gives the
+    value.  Away from ties the two roundings agree, so every value has
+    `_cos_sin_pi`'s bits.
+
+    mpmath 1.3.0's mpf_cos_sin(x, wp, pi=True) reduces x by its nearest
+    half-integer to r, takes cos and sin of pi*r in fixed point at
+    p = wp + 10 - bitcount(r's mantissa) - (x's exponent) bits, and rounds each
+    once.  Its pure-Python bitcount reads a negative mantissa as 0, so p is
+    near 2*wp for about half the arguments.  The fixed-point error E, in units of
+    2**-p:
+    - the argument: pi_fixed(p) lies within 2 units of pi*2**p and |r| <= 1/4,
+      so t = floor(r*pi_fixed(p)) errs by less than 1.5 units.
+    - p <= COS_SIN_CACHE_PREC, cos_sin_basecase: E < 31.  The cache entry,
+      cos and sin of n/256 as floors of a 410-bit series, errs by 1.01 per
+      part, weighted by cos y + sin y <= 1.004 (y < 2**-8).  The k-th Taylor
+      term on y errs by at most 1 + 1.006/k (two floors), and the terms end two
+      steps after y**k/(k-1)! falls below half a unit, by k = 36 at p = 400.
+      So the cos series errs by at most 19.8 and the sin series by 18.5,
+      weighted by |cos n/256| and |sin n/256|: sqrt(19.8**2 + 18.5**2) < 27.1.
+      The final products' floor adds 1.
+    - COS_SIN_CACHE_PREC < p < EXP_SERIES_U_CUTOFF, exponential_series on
+      phi = pi*r/2**m < 2**-10 with m <= sqrt(p)/2 < 20: E < 2**18.  Its Taylor
+      sums err by at most 86 units of their precision 2**-(p + extra); the m
+      angle doublings multiply that by 4**m; sin, the root of 1 - cos**2,
+      divides it by sin(pi*r) >= 0.45*2**xmag; and extra >= 10 + m - xmag
+      guard bits leave at most 386*2**(m - 10) + 1.01 units.
+    The table errs by at most 0.71k + 6 units of 2**-W per part: 1.42 per power
+    of e(1/k), 0.71 each for e(r/12k) and the product's rounding, 3.02 for
+    delta's first two orders, and below 1 for the third while wp >= 64 and
+    k < 2**20.  So the guard is E*2**(W - p) + k + 9 units of 2**-W.  Below
+    COS_SIN_CACHE_PREC, 2**-p is at most 2**-11 ulp of either part, so the
+    guard is at most 0.0152 ulp besides the table's tiny share; where p is near
+    2*wp, only the table's share is left.
+    Every other value goes to `_cos_sin_pi`: num = 0 and x a multiple of 1/2
+    (both exact in mpmath), |x| < 2**-(wp + 10), p >= EXP_SERIES_U_CUTOFF,
+    and every value of an arc with wp < 64 or k >= 2**20, which builds no
+    table.
+    """
+
+    def __init__(self, k: int, wp: int):
+        self.k, self.wp, self.W = k, wp, wp + 64
+        self.table: list[tuple[int, int]] = []
+        if wp < 64 or k >= 1 << 20:
+            return
+        W, G = self.W, self.W + 16
+        self.pi, self.slack = pi_fixed(W), k + 9
+        zeta = tuple(to_fixed(v, G) for v in _cos_sin_pi(1, 6 * k, G + 10))
+        powers = [(1 << G, 0)]
+        for _ in range(12):
+            powers.append(_fixed_mul(powers[-1], zeta, G))
+        powers = [((c + (1 << 15)) >> 16, (s + (1 << 15)) >> 16) for c, s in powers]
+        self.twelfths, step = powers[:12], powers[12]
+        table = [(1 << W, 0)]
+        for _ in range(k // 2):
+            table.append(_fixed_mul(table[-1], step, W))
+        # e((k - q)/k) is the conjugate of e(q/k)
+        self.table = table + [(c, -s) for c, s in reversed(table[1:(k + 1) // 2])]
+
+    def __call__(self, num: int, den: int) -> tuple:
+        """exp(pi*i*num/den) as a complex pair (see `_from_mpc`)."""
+        value = self._rounded(num, den) if self.table else None
+        return value or _from_mpc(_cos_sin_pi(num, den, self.wp))
+
+    def _rounded(self, num: int, den: int) -> tuple | None:
+        """The table's exp(pi*i*x) rounded to wp bits, x = RN_wp(num/den); None
+        outside the branch analysed above or near a tie."""
+        wp, W = self.wp, self.W
+        sign, man, exp, bc = mpf_div(from_int(num, wp, round_nearest), from_int(den), wp,
+                                     round_nearest)
+        if not man or exp >= -1 or bc + exp < -wp - 10:
+            return None
+        n = ((man >> (-exp - 2)) + 1) >> 1
+        p = wp + 10 - bitcount(man - (n << (-exp - 1))) - exp
+        if p >= EXP_SERIES_U_CUTOFF:
+            return None
+        k = self.k
+        N = num * (6 * k // den) % (12 * k)
+        c, s = self.table[N // 12]
+        if N % 12:
+            c, s = _fixed_mul((c, s), self.twelfths[N % 12], W)
+        # pi*delta and (pi*delta)**2/2 at W bits
+        d = self.pi * ((-man if sign else man) * den - (num << -exp)) // (den << -exp)
+        d2 = d * d >> (W + 1)
+        c, s = c - ((s * d + c * d2) >> W), s + ((c * d - s * d2) >> W)
+        guard = ((31 if p <= COS_SIN_CACHE_PREC else 1 << 18) << W >> p) + self.slack
+        re, im = _round_fixed(c, W, wp, guard), _round_fixed(s, W, wp, guard)
+        return re + im if re and im else None
+
+
+def _fixed_mul(z: tuple, w: tuple, bits: int) -> tuple[int, int]:
+    """z * w for complex fixed-point pairs (re, im) at bits, each part rounded."""
+    half = 1 << (bits - 1)
+    return ((z[0] * w[0] - z[1] * w[1] + half) >> bits,
+            (z[0] * w[1] + z[1] * w[0] + half) >> bits)
+
+
+def _round_fixed(v: int, W: int, wp: int, guard: int) -> tuple[int, int] | None:
+    """The fixed-point v at W bits rounded to nearest at wp bits as `_add` rounds
+    it; None when v lies within guard units of a rounding tie."""
+    a = abs(v)
+    drop = a.bit_length() - wp
+    if drop < 1:
+        return None
+    half = 1 << (drop - 1)
+    rem = a & ((half << 1) - 1)
+    if -guard <= rem - half <= guard:
+        return None
+    return _add(v, -W, 0, 0, wp)
+
+
+def _multipliers(roots: _ArcRoots) -> list[tuple[int, int, tuple]]:
+    """(h, h', omega_{h,k}^2 / omega_{2h,k}) per coprime residue h of the odd arc
+    k = roots.k, the ratio an integer pair (see `_from_mpc`) with mpc's operators'
+    bits at the working precision roots.wp.
 
     s(h',k) = s(h,k) and s(k-h,k) = -s(h,k), and every rounding on the way (the
     quotient, cos/sin, the square, the division) is symmetric under negation.
-    So omega is evaluated once per class {h, h', k-h, k-h'}: h' gets the very
-    bits of h, and k-h, k-h' their exact conjugate.  The ratio is evaluated
-    for h < k/2 and conjugated for k-h; 2h mod k runs over the same h.  The
-    square `_cmul(w, w)` has mpc_pow_int's bits (doubling commutes with rounding,
-    so its 2*round(ab) is round(2ab)), and the quotient mpc_div's (see `_cdiv`).
+    So omega, exp(pi*i*s(h,k)) from `roots`, is evaluated once per class
+    {h, h', k-h, k-h'}: h' gets the very bits of h, and k-h, k-h' their exact
+    conjugate.  The ratio is evaluated for h < k/2 and conjugated for k-h; 2h
+    mod k runs over the same h.  The square `_cmul(w, w)` has mpc_pow_int's bits
+    (doubling commutes with rounding, so its 2*round(ab) is round(2ab)), and the
+    quotient mpc_div's (see `_cdiv`).
     """
+    k, prec = roots.k, roots.wp
     hs = coprime_residues(k)
     inverse = {h: mod_inverse(h, k) for h in hs}
     om: dict[int, tuple] = {}
     for h in hs:
         if h not in om:
-            w = _from_mpc(omega(h, k, prec)._mpc_)
+            w = roots(*dedekind_sum(h, k).as_integer_ratio())
             # conjugates first; where they meet h's own entry (k = 1, or h' = k-h,
             # so s(h,k) = 0), w is real and they have its bits
             om[-h % k] = om[-inverse[h] % k] = _conjugate(w)
@@ -296,19 +431,23 @@ class KernelTables:
 
     One table serves the calls for modulus c at kernel precision prec; its
     entries are integer pairs (see `_from_mpc`) with the bits of the libmp
-    values at the kernels' working precision wp = prec + 10, taken by
-    `_cos_sin_pi` at wp, not at mp.prec.  It keeps the multipliers and the
-    linear phases of one arc k, dropped as soon as a call moves to another
-    arc; it keeps sin(pi*x/c) by x = a*h' and the quadratic phase
-    exp(-pi*i*r/c) by r mod 2c for as long as it lives.  The multipliers take
-    one omega per class {h, h', k-h, k-h'} (see `_multipliers`).  A linear
-    phase is keyed by num mod k, so one memo serves every residue and r-term of
-    an arc.  Every entry has the bits a call would compute for itself.
+    values at the kernels' working precision wp = prec + 10, as `_cos_sin_pi`
+    takes them at wp, not at mp.prec.  It keeps one arc k's root table
+    (`_ArcRoots`: e(q/k) and e(r/12k) at wp + 64 bits), multipliers and linear
+    phases, dropped as soon as a call moves to another arc; it keeps
+    sin(pi*x/c) by x = a*h' and the quadratic phase exp(-pi*i*r/c) by r mod 2c
+    for as long as it lives.  The multipliers take one omega, that is one
+    Dedekind sum and one root, per class {h, h', k-h, k-h'} (see
+    `_multipliers`).  A linear phase is keyed by num mod k, so one memo serves
+    every residue and r-term of an arc.  A root within its error bound of a
+    rounding tie is taken from `_cos_sin_pi` (see `_ArcRoots`), so every entry
+    has the bits a call would compute for itself.
     """
 
     def __init__(self, c: int, prec: int = DEFAULT_PRECISION):
         self.c, self.prec, self.wp = c, prec, prec + 10
         self.k: int | None = None
+        self.roots: _ArcRoots | None = None
         self.multipliers: list[tuple[int, int, tuple]] = []
         self.phases: dict[int, tuple] = {}
         self.sines: dict[int, tuple] = {}
@@ -318,18 +457,19 @@ class KernelTables:
         """The multipliers of arc k, built on the first call at k."""
         if k != self.k:
             # drop the last arc's tables before building this one's
-            self.k, self.multipliers, self.phases = None, [], {}
-            self.multipliers, self.k = _multipliers(k, self.wp), k
+            self.k, self.roots, self.multipliers, self.phases = None, None, [], {}
+            self.roots = _ArcRoots(k, self.wp)
+            self.multipliers, self.k = _multipliers(self.roots), k
         return self.multipliers
 
     def phase(self, num: int) -> tuple:
         """exp(2*pi*i*num/k) for the arc k entered last, at the working precision,
-        evaluated once per num mod k.  Doubling commutes with rounding, so the
-        value has the bits of mp.expjpi(2*mpf(num % k)/k)."""
+        taken from the arc's roots once per num mod k.  Doubling commutes with
+        rounding, so the value has the bits of mp.expjpi(2*mpf(num % k)/k)."""
         key = num % self.k
         value = self.phases.get(key)
         if value is None:
-            value = self.phases[key] = _from_mpc(_cos_sin_pi(2 * key, self.k, self.wp))
+            value = self.phases[key] = self.roots(2 * key, self.k)
         return value
 
     def sine(self, x: int) -> tuple[int, int]:

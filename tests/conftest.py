@@ -49,13 +49,13 @@ def small_tables():
 
 @pytest.fixture
 def shared_omega(monkeypatch):
-    """One memoized omega for the Kloosterman kernels and their oracles.
+    """One memoized omega for the Kloosterman oracles and the tests that read it.
 
     omega is a pure function of (h, k, prec), checked against the direct
-    Dedekind sums in test_modsums.  The kernels call it once per class
-    {h, h', k-h, k-h'} and take the other members' values from that one, the
-    oracles twice per summand; sharing the values keeps the bit-for-bit
-    comparisons fast and leaves what each side does with them to compare.
+    Dedekind sums in test_modsums.  The kernels take their multipliers from
+    their arc's root table instead (test_modsums checks those against omega
+    bit for bit); the oracles call omega twice per summand, and memoizing it
+    keeps the bit-for-bit comparisons fast.
     """
     cached = functools.cache(modsums.omega)
     monkeypatch.setattr(modsums, "omega", cached)

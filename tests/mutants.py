@@ -55,6 +55,9 @@ _ARC_WALK = ("tests/test_asymptotic.py::test_arc_walk_bits_equal_per_residue_loo
 _KERNEL_BITS = ("tests/test_modsums.py::test_kloosterman_B_bits_equal_direct",
                 "tests/test_modsums.py::test_kloosterman_D_bits_equal_direct",
                 "tests/test_asymptotic.py::test_estimates_bits_equal_direct_kernels")
+_ROOT_BITS = "tests/test_modsums.py::test_arc_roots_have_the_bits_of_mpmath"
+_HALF_TABLE = "tests/test_modsums.py::test_multipliers_half_table_equals_per_h_form"
+_ZUCKERMAN = "tests/test_modsums.py::test_multipliers_give_the_exact_overpartition_counts"
 _LOWERED_LIMIT = ("tests/test_counts.py::"
                   "test_count_past_a_lowered_int_str_limit_names_its_row_at_first_read")
 _AIMED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader_on_aimed_edits"
@@ -78,12 +81,31 @@ MUTANTS = (
            "        key = num % self.k\n", "        key = num\n",
            ("tests/test_modsums.py::test_kernel_tables_hold_one_arc_of_one_modulus_and_precision",
             "tests/test_modsums.py::test_unit_phase_reduction", *_KERNEL_BITS)),
+    # a root near a rounding tie, the arc's phases and multipliers among them,
+    # taken from mpmath at the ambient mp.prec
     Mutant("phase-at-ambient-precision", "modsums.py",
-           "_cos_sin_pi(2 * key, self.k, self.wp)", "_cos_sin_pi(2 * key, self.k, mp.prec)",
-           ("tests/test_modsums.py::test_unit_phase_reduction",
+           "_cos_sin_pi(num, den, self.wp)", "_cos_sin_pi(num, den, mp.prec)",
+           (_ROOT_BITS,
             "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision",
             *_KERNEL_BITS,
             "tests/test_asymptotic.py::test_outputs_independent_of_ambient_precision")),
+    # the arc's fixed-point root table
+    Mutant("root-tie-guard-removed", "modsums.py",
+           "    if -guard <= rem - half <= guard:\n", "    if False:\n",
+           (_ROOT_BITS, _HALF_TABLE,
+            "tests/test_modsums.py::test_kloosterman_D_bits_equal_direct")),
+    Mutant("root-delta-dropped", "modsums.py",
+           "        d = self.pi * (", "        d = 0 * (",
+           (_ROOT_BITS, _HALF_TABLE, "tests/test_modsums.py::test_unit_phase_reduction",
+            "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision",
+            *_KERNEL_BITS)),
+    Mutant("root-conjugate-sign-flipped", "modsums.py",
+           "[(c, -s) for c, s in reversed(", "[(c, s) for c, s in reversed(",
+           (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS,
+            "tests/test_acceptance.py::test_criterion_09_asymptotic_sanity")),
+    Mutant("root-twelfth-dropped", "modsums.py",
+           "        if N % 12:\n", "        if False:\n",
+           (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS)),
     # secondary_terms, each arc's branch and its exact (delta_r, m_r)
     Mutant("high-branch-without-the-mirror", "modsums.py",
            "divmod(sign * a * k1, c1)", "divmod(a * k1, c1)",

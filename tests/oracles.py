@@ -55,9 +55,9 @@ from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series
 from overrank.counts import (_BLOCK_ROWS, _CHECKSUM_DOMAIN, _ROW, TABLE_FORMAT_VERSION,
                              RankClassTable, _block_fault, _checksum_hash, _read_checksum_line,
                              _read_header)
-from overrank.modsums import (DEFAULT_PRECISION, KernelTables, _multipliers, _to_mpc,
-                              coprime_residues, kloosterman_B, kloosterman_D, mod_inverse,
-                              omega)
+from overrank.modsums import (DEFAULT_PRECISION, KernelTables, _ArcRoots, _multipliers,
+                              _to_mpc, coprime_residues, kloosterman_B, kloosterman_D,
+                              mod_inverse, omega)
 
 
 def pbar_series_product(n_max: int) -> list[int]:
@@ -535,7 +535,7 @@ def pbar_zuckerman(n: int) -> int:
         total = mpf(0)
         for k in range(1, math.isqrt(n) + 1, 2):
             A = sum(_to_mpc(r) * mp.expjpi(mpf(-2 * (n * h % k)) / k)
-                    for h, _, r in _multipliers(k, mp.prec))
+                    for h, _, r in _multipliers(_ArcRoots(k, mp.prec)))
             x = mp.pi * s / k
             total += (mp.sqrt(k) * A.real
                       * (mp.pi / (2 * k * n) * mp.cosh(x) - mp.sinh(x) / (2 * n * s)))

@@ -132,12 +132,12 @@ def counting(monkeypatch, owner, name):
 
 def test_nbar_builds_each_arc_multipliers_once(monkeypatch):
     # both residues of c = 3 share one walk, so the multipliers cost what
-    # one residue's do, one omega per class of each arc, where a walk per
-    # residue pays twice
-    calls = counting(monkeypatch, modsums, "omega")
+    # one residue's do, one omega (one Dedekind sum) per class of each arc,
+    # where a walk per residue pays twice
+    calls = counting(monkeypatch, modsums, "dedekind_sum")
     a_asymptotic(1, 3, 5000)
     single = len(calls)
-    arcs = {k for _, k, _ in calls}
+    arcs = {k for _, k in calls}
     assert single == sum(len(multiplier_classes(k)) for k in arcs) > 0
     for a in range(3):
         calls.clear()

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_man_exp, fzero, mpc_add, mpc_div, mpc_div_mpf, mpc_mul,
-                          mpc_pow_int, mpc_zero, mpf_add, mpf_div, mpf_sub)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_add, mpc_div, mpc_div_mpf,
+                          mpc_mul, mpc_pow_int, mpc_zero, mpf_add, mpf_cos_sin_pi, mpf_div,
+                          mpf_pos, mpf_sub)
 from mpmath.libmp.libmpf import python_mpf_mul
 
 import oracles
@@ -18,7 +19,7 @@ from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
 from overrank import (a_asymptotic, arc_plan, dedekind_sum, kloosterman_B, kloosterman_D,
                       mod_inverse, omega, pbar_series, secondary_terms)
 from overrank import modsums
-from overrank.modsums import _conjugate, _multipliers, coprime_residues
+from overrank.modsums import _ArcRoots, _conjugate, _multipliers, coprime_residues
 
 
 def libmp(z):
@@ -241,16 +242,16 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
     fresh = {(a, k): kloosterman_B(a, modsums.KernelTables(3, 160), k, -100)._mpc_
              for k in (9, 15) for a in (1, 2)}
     built = []
-    omega = modsums.omega
-    monkeypatch.setattr(modsums, "omega", lambda h, k, prec: built.append(k) or omega(h, k, prec))
+    dedekind = modsums.dedekind_sum
+    monkeypatch.setattr(modsums, "dedekind_sum", lambda h, k: built.append(k) or dedekind(h, k))
     tables = modsums.KernelTables(3, 160)
     for k in (9, 15, 9):
         built.clear()
         for a in (1, 2):
             assert kloosterman_B(a, tables, k, -100)._mpc_ == fresh[a, k]
         # on a new arc the multipliers, built once for both residues with one
-        # omega per class, and the phase memo hold that arc only; a return to
-        # arc 9 builds it again
+        # omega (one Dedekind sum) per class, and the phase memo hold that arc
+        # only; a return to arc 9 builds it again
         assert built == [k] * len(multiplier_classes(k))
         assert tables.k == k
         assert [h for h, _, _ in tables.multipliers] == coprime_residues(k)
@@ -359,7 +360,7 @@ def test_multipliers_half_table_equals_per_h_form(prec, shared_omega):
                 assert w._mpc_ == om[-h % k].conjugate()._mpc_, (h, k)
             plain = [(h, mod_inverse(h, k), (w ** 2 / om[2 * h % k])._mpc_)
                      for h, w in om.items()]
-            assert [(h, hp, libmp(w)) for h, hp, w in _multipliers(k, prec)] == plain, k
+            assert [(h, hp, libmp(w)) for h, hp, w in _multipliers(_ArcRoots(k, prec))] == plain, k
 
 
 def test_dedekind_sum_class_symmetry():
@@ -371,17 +372,48 @@ def test_dedekind_sum_class_symmetry():
             assert row[-h % k] == -s, (h, k)
 
 
-def test_multipliers_evaluate_omega_once_per_class(monkeypatch, shared_omega):
-    omega = modsums.omega
+def test_multipliers_evaluate_omega_once_per_class(monkeypatch):
+    # one omega is one Dedekind sum and one root of the arc's table
+    dedekind = modsums.dedekind_sum
     called = []
-    monkeypatch.setattr(modsums, "omega",
-                        lambda h, k, prec: called.append(h) or omega(h, k, prec))
+    monkeypatch.setattr(modsums, "dedekind_sum", lambda h, k: called.append(h) or dedekind(h, k))
     for k in range(1, 402, 2):
         called.clear()
-        _multipliers(k, 64)
+        _multipliers(_ArcRoots(k, 64))
         classes = multiplier_classes(k)
         assert len(called) == len(classes), k
         assert all(sum(h in cls for h in called) == 1 for cls in classes), k
+
+
+def test_arc_roots_have_the_bits_of_mpmath(monkeypatch):
+    # every linear phase e(j/k) and every omega_{h,k} of odd k < 200, at the
+    # kernels' working precisions 94 and 190, has the bits of _cos_sin_pi and
+    # omega; the arc's table gives all but the few near a rounding tie
+    cos_sin_pi = modsums._cos_sin_pi
+    cases = []
+    for wp in (94, 190):
+        for k in range(1, 200, 2):
+            hs = coprime_residues(k)
+            args = ([(2 * j, k) for j in range(k)]
+                    + [dedekind_sum(h, k).as_integer_ratio() for h in hs])
+            want = ([modsums._from_mpc(cos_sin_pi(2 * j, k, wp)) for j in range(k)]
+                    + [modsums._from_mpc(omega(h, k, wp)._mpc_) for h in hs])
+            cases.append((_ArcRoots(k, wp), args, want))
+    fallbacks = []
+    monkeypatch.setattr(modsums, "_cos_sin_pi",
+                        lambda *args: fallbacks.append(args) or cos_sin_pi(*args))
+    for roots, args, want in cases:
+        assert [roots(*a) for a in args] == want, (roots.k, roots.wp)
+    assert len(fallbacks) < sum(len(args) for _, args, _ in cases) // 20
+    # mpmath's own value is not the correctly rounded cos/sin of its argument
+    # x = RN_wp(2j/k) here: the table would round the other way, and the guard
+    # hands the part to mpmath
+    for j, k, wp, part in ((4, 49, 94, 1), (66, 83, 190, 0)):
+        mine = cos_sin_pi(2 * j, k, wp)
+        x = mpf_div(from_int(2 * j), from_int(k), wp, "n")
+        nearest = mpf_pos(mpf_cos_sin_pi(x, wp + 100, "n")[part], wp, "n")
+        assert mine[part] != nearest, (j, k, wp)
+        assert _ArcRoots(k, wp)(2 * j, k) == modsums._from_mpc(mine), (j, k, wp)
 
 
 def test_multipliers_give_the_exact_overpartition_counts(monkeypatch):
@@ -394,9 +426,9 @@ def test_multipliers_give_the_exact_overpartition_counts(monkeypatch):
     for n in (10000, 19321):
         assert oracles.pbar_zuckerman(n) == pbar[n], n
 
-    def planted(k, prec):
-        rows = _multipliers(k, prec)
-        if k == 15:
+    def planted(roots):
+        rows = _multipliers(roots)
+        if roots.k == 15:
             h, hp, r = rows[1]
             rows[1] = (h, hp, _conjugate(r))
         return rows
