@@ -115,21 +115,24 @@ def _arc_walk(residues, c: int, n: int, prec: int):
     tables = KernelTables(c, prec + 20)
     with mp.workprec(prec + 20):
         root = mp.sqrt(mpf(2) / n)
+        # the arc-independent factors, with the bits each arc would give them
+        iroot, root2 = mpc(0, 1) * root, 2 * root
+        pi_sqrt_n, four_pi = mp.pi * mp.sqrt(n), 4 * mp.pi
         for arcs in zip(*plans, strict=True):
             k = arcs[0][0]
             sqrt_k = mp.sqrt(k)
             if arcs[0][2] is None:  # a B arc, for every residue
-                growth = mp.sinh(mp.pi * mp.sqrt(n) / k)
+                growth = mp.sinh(pi_sqrt_n / k)
             for a, (_, sign, rterms) in zip(residues, arcs):
                 if rterms is None:
                     B = kloosterman_B(a, tables, k, -n)
-                    terms[a].append((k, mpc(0, 1) * root * B / sqrt_k * growth))
+                    terms[a].append((k, iroot * B / sqrt_k * growth))
                     continue
                 tk = mpc(0)
                 for d, e in rterms:
                     D = kloosterman_D(a, tables, k, -n, e, sign)
-                    tk += (2 * root * D / sqrt_k
-                           * mp.sinh(4 * mp.pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
+                    tk += (root2 * D / sqrt_k
+                           * mp.sinh(four_pi * mp.sqrt(mpf(d.numerator) / d.denominator * n) / k))
                 if tk != 0:
                     terms[a].append((k, tk))
         totals = {a: sum((t for _, t in terms[a]), mpc(0)) for a in residues}

@@ -52,10 +52,13 @@ _ARC_PLAN = "tests/test_modsums.py::test_arc_plan_matches_the_branch_oracle"
 _FRACTION_ORACLE = "tests/test_modsums.py::test_secondary_terms_match_the_fraction_oracle"
 _ARC_WALK = ("tests/test_asymptotic.py::test_arc_walk_bits_equal_per_residue_loops[160]",
              "tests/test_asymptotic.py::test_arc_walk_bits_equal_per_residue_loops[64]")
-_KERNEL_BITS = ("tests/test_modsums.py::test_kloosterman_B_bits_equal_direct",
-                "tests/test_modsums.py::test_kloosterman_D_bits_equal_direct",
-                "tests/test_asymptotic.py::test_estimates_bits_equal_direct_kernels")
+_B_BITS = "tests/test_modsums.py::test_kloosterman_B_bits_equal_direct"
+_ESTIMATE_BITS = "tests/test_asymptotic.py::test_estimates_bits_equal_direct_kernels"
+_KERNEL_BITS = (_B_BITS, "tests/test_modsums.py::test_kloosterman_D_bits_equal_direct",
+                _ESTIMATE_BITS)
 _ROOT_BITS = "tests/test_modsums.py::test_arc_roots_have_the_bits_of_mpmath"
+_MODULUS_BITS = "tests/test_modsums.py::test_modulus_roots_have_the_bits_of_mpmath"
+_OWN_PRECISION = "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision"
 _HALF_TABLE = "tests/test_modsums.py::test_multipliers_half_table_equals_per_h_form"
 _ZUCKERMAN = "tests/test_modsums.py::test_multipliers_give_the_exact_overpartition_counts"
 _LOWERED_LIMIT = ("tests/test_counts.py::"
@@ -75,8 +78,7 @@ MUTANTS = (
            "self.c, self.prec, self.wp = c, prec, prec + 10",
            "self.c, self.prec, self.wp = c, prec, prec",
            ("tests/test_modsums.py::test_unit_phase_reduction",
-            "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision",
-            *_KERNEL_BITS)),
+            _OWN_PRECISION, *_KERNEL_BITS)),
     Mutant("phase-key-not-reduced", "modsums.py",
            "        key = num % self.k\n", "        key = num\n",
            ("tests/test_modsums.py::test_kernel_tables_hold_one_arc_of_one_modulus_and_precision",
@@ -85,9 +87,7 @@ MUTANTS = (
     # taken from mpmath at the ambient mp.prec
     Mutant("phase-at-ambient-precision", "modsums.py",
            "_cos_sin_pi(num, den, self.wp)", "_cos_sin_pi(num, den, mp.prec)",
-           (_ROOT_BITS,
-            "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision",
-            *_KERNEL_BITS,
+           (_ROOT_BITS, _MODULUS_BITS, _OWN_PRECISION, *_KERNEL_BITS,
             "tests/test_asymptotic.py::test_outputs_independent_of_ambient_precision")),
     # the arc's fixed-point root table
     Mutant("root-tie-guard-removed", "modsums.py",
@@ -96,9 +96,8 @@ MUTANTS = (
             "tests/test_modsums.py::test_kloosterman_D_bits_equal_direct")),
     Mutant("root-delta-dropped", "modsums.py",
            "        d = self.pi * (", "        d = 0 * (",
-           (_ROOT_BITS, _HALF_TABLE, "tests/test_modsums.py::test_unit_phase_reduction",
-            "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision",
-            *_KERNEL_BITS)),
+           (_ROOT_BITS, _MODULUS_BITS, _HALF_TABLE,
+            "tests/test_modsums.py::test_unit_phase_reduction", _OWN_PRECISION, *_KERNEL_BITS)),
     Mutant("root-conjugate-sign-flipped", "modsums.py",
            "[(c, -s) for c, s in reversed(", "[(c, s) for c, s in reversed(",
            (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS,
@@ -106,6 +105,20 @@ MUTANTS = (
     Mutant("root-twelfth-dropped", "modsums.py",
            "        if N % 12:\n", "        if False:\n",
            (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS)),
+    Mutant("large-argument-guard-removed", "modsums.py",
+           " or 3 * top > 2 * wp - 64:", ":",
+           ("tests/test_modsums.py::test_sines_past_the_argument_bound_come_from_mpmath",)),
+    # the modulus's roots: sines, quadratic phases and the final scale
+    Mutant("sine-takes-the-cosine", "modsums.py",
+           "self._modulus_root(x)[2:]", "self._modulus_root(x)[:2]",
+           (_MODULUS_BITS, _OWN_PRECISION, _B_BITS, _ESTIMATE_BITS)),
+    Mutant("quad-sign-flipped", "modsums.py",
+           "self._modulus_root(-r)", "self._modulus_root(r)",
+           (_MODULUS_BITS, _OWN_PRECISION, _B_BITS, _ESTIMATE_BITS)),
+    # the scale factor memo keyed by a alone: the first region sign's factor
+    # serves both branches of a residue's D arcs
+    Mutant("scale-factor-without-its-sign", "modsums.py",
+           "    key = sign, a\n", "    key = a\n", (_ESTIMATE_BITS,)),
     # secondary_terms, each arc's branch and its exact (delta_r, m_r)
     Mutant("high-branch-without-the-mirror", "modsums.py",
            "divmod(sign * a * k1, c1)", "divmod(a * k1, c1)",

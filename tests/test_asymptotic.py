@@ -152,10 +152,11 @@ def test_nbar_builds_each_arc_multipliers_once(monkeypatch):
 def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     # the sine weight depends on a*h' alone, so a walk evaluates it once
     # per distinct value instead of once per summand; an evaluation is a
-    # cos/sin call made by KernelTables.sine
+    # root taken by KernelTables.sine, from the modulus's table or, where
+    # the table refuses it, from mpmath
     arcs = range(c, isqrt(n) + 1, 2 * c)
     summands = [a * mod_inverse(h, k) for k in arcs for h in coprime_residues(k)]
-    calls = counting(monkeypatch, modsums, "_cos_sin_pi")
+    calls = counting(monkeypatch, modsums._ArcRoots, "__call__")
     evaluations = []
     sine = modsums.KernelTables.sine
 
