@@ -19,11 +19,10 @@ and each quadratic phase once per residue mod 2c, all at the table's own
 precision.  The tables are each call's one source of modulus and precision;
 sharing them changes which values are recomputed, never a result bit.  An
 arc's multipliers and linear phases are roots of unity of order dividing 12k,
-and the sines and quadratic phases roots of order dividing 2c: they come from
-one fixed-point table of e(j/12k) per arc and one of e(j/12c) for the modulus
-(`_ArcRoots`), rounded to the bits mpmath's cos/sin gives them, or from
-mpmath itself where a value lies too near a rounding tie to tell or outside
-the table's analysed range.  The multiplier ratios, the summand loops and the
+and so, on a B arc (c | k), are its sines and quadratic phases: they all come
+from one fixed-point table of e(j/12k) per arc (`_ArcRoots`), rounded to the
+bits mpmath's cos/sin gives them, or from mpmath itself where a value lies too
+near a rounding tie to tell.  The multiplier ratios, the summand loops and the
 table entries run on plain integers: a value is a pair (signed odd mantissa,
 exponent), zero is (0, 0), and a complex value is two such pairs.  Private
 helpers round these exactly as libmp rounds in the operations the mpc
@@ -272,14 +271,14 @@ def _to_mpc(z: tuple) -> mpc:
 
 
 class _ArcRoots:
-    """exp(pi*i*num/den) for den | 6k at the working precision wp of one arc k, or
-    of the modulus k = c, with the bits of `_cos_sin_pi(num, den, wp)`.
+    """exp(pi*i*num/den) for den | 6k at the working precision wp of one arc k,
+    with the bits of `_cos_sin_pi(num, den, wp)`.
 
     6k*s(h,k) is an integer, so every multiplier omega_{h,k} and every linear
     phase e(j/k) (num/den = 2j/k) is e(N/12k) for N = 6k*num/den mod 12k =
-    12q + r, that is e(q/k)*e(r/12k); so is every sine sin(pi*x/c) (the
-    imaginary part at num/den = x/c) and quadratic phase exp(-pi*i*r/c)
-    (num/den = -r/c) of a modulus table.  The table holds e(q/k) for 0 <= q < k
+    12q + r, that is e(q/k)*e(r/12k); so, on a B arc (c | k), is every sine
+    sin(pi*x/c) (the imaginary part at num/den = x/c) and quadratic phase
+    exp(-pi*i*r/c) (num/den = -r/c).  The table holds e(q/k) for 0 <= q < k
     as fixed-point integers at W = wp + 64 bits, powers of e(1/k) up to k/2
     and the rest their exact conjugates, and e(r/12k) for r < 12.  Both come
     from one mpmath value of e(1/12k) at W + 26 bits, powered at W + 16 bits.
@@ -314,24 +313,23 @@ class _ArcRoots:
       angle doublings multiply that by 4**m; sin, the root of 1 - cos**2,
       divides it by sin(pi*r) >= 0.45*2**xmag; and extra >= 10 + m - xmag
       guard bits leave at most 386*2**(m - 10) + 1.01 units.
-    The table errs by at most 0.71k + 6 units of 2**-W per part: 1.42 per power
-    of e(1/k), 0.71 each for e(r/12k) and the product's rounding, 3.02 for
-    delta's first two orders, and below 0.65 for the third while |x| < 2**T,
-    T = floor((2*wp - 64)/3).  For |x| < 2**t, |delta| is at most half an ulp,
-    2**(t - wp - 1), so the third order, |pi*delta|**3/6, is at most
-    pi**3/48 * 2**(3t - 3wp) < 0.65 * 2**-W once 3t <= 2*wp - 64.  Multipliers
-    (|x| = |s(h,k)| < k/12 < 2**17) and linear phases (|x| < 2) lie inside for
-    every table; a sine's |x| = a*h'/c reaches a*k/c, and an argument with
-    |x| >= 2**T (2**41 at wp 94, 2**105 at wp 190) goes to `_cos_sin_pi`.
-    Inside, num < 2**(T + 23) < 2**wp, so mpmath's x = RN_wp(num/den) is
-    `_div`'s.  So the guard is E*2**(W - p) + k + 9 units of 2**-W.  Below
+    Every caller keeps |x| = |num/den| < k: multipliers |s(h,k)| < k/12, linear
+    phases and quadratic phases below 2, and sines a*h'/c < k (a < c, h' < k).
+    A table exists only for k < 2**20 and wp >= 64, so a nonzero x lies in
+    1/(6k) <= |x| < 2**20: clear of mpmath's tiny-argument branch
+    (|x| < 2**-(wp + 10)), and num < 2**43 < 2**wp, so mpmath's
+    x = RN_wp(num/den) is `_div`'s.  The table errs by at most 0.71k + 6 units
+    of 2**-W per part: 1.42 per power of e(1/k), 0.71 each for e(r/12k) and
+    the product's rounding, 3.02 for delta's first two orders, and below 0.65
+    for the third, |pi*delta|**3/6 with |delta| at most half an ulp of x,
+    2**(19 - wp), so at most pi**3/48 * 2**(60 - 3wp) < 0.65 * 2**-W, as
+    wp >= 62.  So the guard is E*2**(W - p) + k + 9 units of 2**-W.  Below
     COS_SIN_CACHE_PREC, 2**-p is at most 2**-11 ulp of either part, so the
     guard is at most 0.0152 ulp besides the table's tiny share; where p is near
     2*wp, only the table's share is left.
     Every other value goes to `_cos_sin_pi`: num = 0 and x a multiple of 1/2
-    (both exact in mpmath), |x| < 2**-(wp + 10), |x| >= 2**T,
-    p >= EXP_SERIES_U_CUTOFF, and every value of a table with wp < 64 or
-    k >= 2**20, which builds none.
+    (both exact in mpmath), p >= EXP_SERIES_U_CUTOFF, and every value of a
+    table with wp < 64 or k >= 2**20, which builds none.
     """
 
     def __init__(self, k: int, wp: int):
@@ -364,8 +362,7 @@ class _ArcRoots:
         wp, W = self.wp, self.W
         xm, exp = _div(num, 0, den, 0, wp)
         man = abs(xm)
-        top = man.bit_length() + exp  # |x| < 2**top
-        if not man or exp >= -1 or top < -wp - 10 or 3 * top > 2 * wp - 64:
+        if not man or exp >= -1:
             return None
         n = ((man >> (-exp - 2)) + 1) >> 1
         p = wp + 10 - bitcount(man - (n << (-exp - 1))) - exp
@@ -450,15 +447,15 @@ class KernelTables:
     takes them at wp, not at mp.prec.  It keeps one arc k's root table
     (`_ArcRoots`: e(q/k) and e(r/12k) at wp + 64 bits), multipliers and linear
     phases, dropped as soon as a call moves to another arc.  For as long as it
-    lives it keeps the modulus's root table (`_ArcRoots` of k = c, built on the
-    first sine or quadratic phase), sin(pi*x/c) by x = a*h', the quadratic
-    phase exp(-pi*i*r/c) by r mod 2c, and `_scale`'s factor by (sign, a).  The
+    lives it keeps sin(pi*x/c) by x = a*h' and the quadratic phase
+    exp(-pi*i*r/c) by r mod 2c, each from the root table of the B arc entered
+    when it was first asked for, and `_scale`'s factor by (sign, a).  The
     multipliers take one omega, that is one Dedekind sum and one root, per
     class {h, h', k-h, k-h'} (see `_multipliers`).  A linear phase is keyed by
     num mod k, so one memo serves every residue and r-term of an arc.  A root
-    within its error bound of a rounding tie, or past the table's argument
-    bound, is taken from `_cos_sin_pi` (see `_ArcRoots`), so every entry has
-    the bits a call would compute for itself.
+    within its error bound of a rounding tie is taken from `_cos_sin_pi` (see
+    `_ArcRoots`), so every entry has the bits a call would compute for itself,
+    whichever arc's table gave it.
     """
 
     def __init__(self, c: int, prec: int = DEFAULT_PRECISION):
@@ -467,7 +464,6 @@ class KernelTables:
         self.roots: _ArcRoots | None = None
         self.multipliers: list[tuple[int, int, tuple]] = []
         self.phases: dict[int, tuple] = {}
-        self.modulus_roots: _ArcRoots | None = None
         self.sines: dict[int, tuple] = {}
         self.quads: dict[int, tuple] = {}
         self.scales: dict[tuple[int, int], mpf] = {}
@@ -493,25 +489,21 @@ class KernelTables:
 
     def sine(self, x: int) -> tuple[int, int]:
         """sin(pi*x/c) at the working precision, as (mantissa, exponent): the
-        imaginary part of the modulus's root exp(pi*i*x/c)."""
+        imaginary part of exp(pi*i*x/c) from the root table of the B arc k
+        entered last, for 0 < x < c*k."""
         value = self.sines.get(x)
         if value is None:
-            value = self.sines[x] = self._modulus_root(x)[2:]
+            value = self.sines[x] = self.roots(x, self.c)[2:]
         return value
 
     def quad(self, r: int) -> tuple:
-        """exp(-pi*i*r/c) at the working precision, for 0 <= r < 2c."""
+        """exp(-pi*i*r/c) at the working precision, for 0 <= r < 2c, from the root
+        table of the B arc entered last."""
         value = self.quads.get(r)
         if value is None:
             # -mpf(r)/c rounds as mpf(-r)/c: rounding to nearest is symmetric
-            value = self.quads[r] = self._modulus_root(-r)
+            value = self.quads[r] = self.roots(-r, self.c)
         return value
-
-    def _modulus_root(self, num: int) -> tuple:
-        """exp(pi*i*num/c) from the modulus's root table, built on first use."""
-        if self.modulus_roots is None:
-            self.modulus_roots = _ArcRoots(self.c, self.wp)
-        return self.modulus_roots(num, self.c)
 
 
 def _scale(total: tuple, sign: int, a: int, tables: KernelTables) -> mpc:

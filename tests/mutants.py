@@ -105,16 +105,18 @@ MUTANTS = (
     Mutant("root-twelfth-dropped", "modsums.py",
            "        if N % 12:\n", "        if False:\n",
            (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS)),
-    Mutant("large-argument-guard-removed", "modsums.py",
-           " or 3 * top > 2 * wp - 64:", ":",
-           ("tests/test_modsums.py::test_sines_past_the_argument_bound_come_from_mpmath",)),
-    # the modulus's roots: sines, quadratic phases and the final scale
+    # B's roots of order 2c: sines, quadratic phases and the final scale
     Mutant("sine-takes-the-cosine", "modsums.py",
-           "self._modulus_root(x)[2:]", "self._modulus_root(x)[:2]",
+           "self.roots(x, self.c)[2:]", "self.roots(x, self.c)[:2]",
            (_MODULUS_BITS, _OWN_PRECISION, _B_BITS, _ESTIMATE_BITS)),
     Mutant("quad-sign-flipped", "modsums.py",
-           "self._modulus_root(-r)", "self._modulus_root(r)",
+           "self.roots(-r, self.c)", "self.roots(r, self.c)",
            (_MODULUS_BITS, _OWN_PRECISION, _B_BITS, _ESTIMATE_BITS)),
+    # the same sine, at an argument past the arc table's analysed range
+    Mutant("sine-argument-past-its-arc", "modsums.py",
+           "tables.sine(a * hp)", "tables.sine(a * hp + 2 * c * k)",
+           ("tests/test_asymptotic.py::test_kernel_root_arguments_stay_below_their_arc",
+            _B_BITS, _ESTIMATE_BITS)),
     # the scale factor memo keyed by a alone: the first region sign's factor
     # serves both branches of a residue's D arcs
     Mutant("scale-factor-without-its-sign", "modsums.py",

@@ -1,5 +1,7 @@
 """Main-term asymptotics against the exact tables, and the two-arc estimate."""
 
+import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -152,7 +154,7 @@ def test_nbar_builds_each_arc_multipliers_once(monkeypatch):
 def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     # the sine weight depends on a*h' alone, so a walk evaluates it once
     # per distinct value instead of once per summand; an evaluation is a
-    # root taken by KernelTables.sine, from the modulus's table or, where
+    # root taken by KernelTables.sine, from its B arc's table or, where
     # the table refuses it, from mpmath
     arcs = range(c, isqrt(n) + 1, 2 * c)
     summands = [a * mod_inverse(h, k) for k in arcs for h in coprime_residues(k)]
@@ -169,6 +171,23 @@ def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     a_asymptotic(a, c, n)
     assert len(evaluations) == len(summands)
     assert sum(evaluations) == len(set(summands)) < len(summands)
+
+
+def test_kernel_root_arguments_stay_below_their_arc(monkeypatch):
+    # every root an arc table gives has |x| = |num/den| < k: multipliers below
+    # k/12, linear and quadratic phases below 2, sines a*h'/c below k; this
+    # keeps _ArcRoots inside its analysed range, which has no guard of its own
+    rng = random.Random(0)
+    calls = counting(monkeypatch, modsums._ArcRoots, "_rounded")
+    for c in (3, 5, 7, 9):
+        for _ in range(2):
+            a = rng.choice(coprime_residues(c))
+            a_asymptotic(a, c, rng.randrange(2000, 20000))
+    nbar_asymptotic(rng.randrange(5), 5, rng.randrange(2000, 20000))
+    ratios = [abs(Fraction(num, den)) / roots.k for roots, num, den in calls]
+    assert max(ratios) < 1
+    # the sines reach past every other kind's 2/k, so they were among the calls
+    assert max(r for r, (roots, _, _) in zip(ratios, calls) if roots.k >= 5) > Fraction(1, 2)
 
 
 def test_outputs_independent_of_ambient_precision(pbar3000, table3):

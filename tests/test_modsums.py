@@ -417,45 +417,29 @@ def test_arc_roots_have_the_bits_of_mpmath(monkeypatch):
 
 
 def test_modulus_roots_have_the_bits_of_mpmath(monkeypatch):
-    # every sine sin(pi*x/c) with x < 1500 prime to c and every quadratic
-    # phase exp(-pi*i*r/c), r < 2c, of c = 3..13 at the kernels' working
-    # precisions 94 and 190 has the bits of _cos_sin_pi; the modulus's table
-    # gives all but the few near a rounding tie (each table's seed is one
-    # more call)
+    # on every B arc k <= 5c of odd c = 3..13 (even c has none), every sine
+    # sin(pi*a*h'/c), a a unit mod c, and every quadratic phase exp(-pi*i*r/c),
+    # r < 2c, at the kernels' working precisions 94 and 190 has the bits of
+    # _cos_sin_pi; the arc's table gives all but the few near a rounding tie
     cos_sin_pi = modsums._cos_sin_pi
     cases = []
     for wp in (94, 190):
-        for c in range(3, 14):
-            xs = [x for x in range(1, 1500) if gcd(x, c) == 1]
-            want = ([modsums._from_mpf(cos_sin_pi(x, c, wp)[1]) for x in xs]
-                    + [modsums._from_mpc(cos_sin_pi(-r, c, wp)) for r in range(2 * c)])
-            cases.append((modsums.KernelTables(c, wp - 10), xs, want))
+        for c in range(3, 14, 2):
+            for k in (c, 3 * c, 5 * c):
+                xs = [a * mod_inverse(h, k) for a in coprime_residues(c)
+                      for h in coprime_residues(k)]
+                want = ([modsums._from_mpf(cos_sin_pi(x, c, wp)[1]) for x in xs]
+                        + [modsums._from_mpc(cos_sin_pi(-r, c, wp)) for r in range(2 * c)])
+                tables = modsums.KernelTables(c, wp - 10)
+                tables.enter(k)
+                cases.append((tables, xs, want))
     fallbacks = []
     monkeypatch.setattr(modsums, "_cos_sin_pi",
                         lambda *args: fallbacks.append(args) or cos_sin_pi(*args))
     for tables, xs, want in cases:
         got = [tables.sine(x) for x in xs] + [tables.quad(r) for r in range(2 * tables.c)]
-        assert got == want, (tables.c, tables.wp)
+        assert got == want, (tables.c, tables.k, tables.wp)
     assert len(fallbacks) < sum(len(want) for _, _, want in cases) // 20
-
-
-@pytest.mark.parametrize("wp", (94, 190))
-def test_sines_past_the_argument_bound_come_from_mpmath(monkeypatch, wp):
-    # the table's delta correction stops at second order, which holds to a
-    # unit of 2**-(wp + 64) while |x| < 2**T, T = (2*wp - 64)//3; a larger
-    # argument is taken from mpmath, and 30 binades up the table's own value
-    # would be many ulps off
-    cos_sin_pi = modsums._cos_sin_pi
-    tables = modsums.KernelTables(7, wp - 10)
-    tables.sine(1)  # builds the modulus's table
-    called = []
-    monkeypatch.setattr(modsums, "_cos_sin_pi",
-                        lambda *args: called.append(args[0]) or cos_sin_pi(*args))
-    T = (2 * wp - 64) // 3
-    for e, fallback in ((T - 1, False), (T, True), (T + 30, True)):
-        for x in (7 * 2 ** e + j for j in (1, 2, 3)):
-            assert tables.sine(x) == modsums._from_mpf(cos_sin_pi(x, 7, wp)[1]), (e, x)
-            assert (x in called) == fallback, (e, x)
 
 
 def test_multipliers_give_the_exact_overpartition_counts(monkeypatch):
