@@ -74,8 +74,6 @@ def a_exact(j: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION
     c = table.c
     if not 0 <= j < c:
         raise ValueError("j out of range")
-    if not 0 <= n <= table.n_max:
-        raise ValueError("n out of table range")
     row = table.row(n)
     data_bits = max(v.bit_length() for v in row)
     work = max(prec, data_bits + prec // 2 + 16)

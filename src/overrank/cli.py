@@ -4,18 +4,15 @@
 `asymptotic` and `bounds` import the analytic layer when they run, and
 only they use --precision, the working precision of their mpmath evaluations.
 
-Every common flag but --jobs, which has no effect, can also be supplied
-through an OVERRANK_-prefixed environment variable (flag --n-max ->
-OVERRANK_N_MAX, and so on); explicit flags win.  The variables are read on
-every `main` call, while in-process callers share one argument parser,
-built by the first call.  Exit codes: 0 all verdicts pass, 1 violations or
-inconclusive verdicts present, 2 usage errors, bad input or any other failure.
+Every setting comes from the command line.  In-process callers share one
+argument parser, built by the first call.  Exit codes: 0 all verdicts pass,
+1 violations or inconclusive verdicts present, 2 usage errors, bad input or
+any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,53 +22,17 @@ from .counts import load_table, pbar_series, rank_class_table, save_table
 from .report import Report, RunConfig, environment_fingerprint, fmt_value
 from .verify import verify_subadditivity
 
-ENV_PREFIX = "OVERRANK_"
-FORMATS = ("text", "json-lines")
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    # defaults are None: _config fills them from the environment on every call
-    p.add_argument("--n-max", type=int,
+    p.add_argument("--n-max", type=int, default=RunConfig.n_max,
                    help=f"table depth for exact computations (default {RunConfig.n_max})")
-    p.add_argument("--precision", type=int,
+    p.add_argument("--precision", type=int, default=RunConfig.precision_bits,
                    help=f"working precision in mantissa bits (default {RunConfig.precision_bits})")
     p.add_argument("--cache", help="path of the rank-class table cache file")
     p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--report", help="write the full report to this path")
-    p.add_argument("--format", choices=FORMATS, help="report format (default text)")
-
-
-# common flag -> its value when neither the flag nor a non-empty OVERRANK_
-# variable is given; a flag with an int default takes an integer
-_COMMON_DEFAULTS = {"n_max": RunConfig.n_max, "precision": RunConfig.precision_bits,
-                    "cache": None, "report": None, "format": "text"}
-
-
-def _apply_env(args) -> None:
-    """Fill each common flag not given on the command line from the environment."""
-    for dest, default in _COMMON_DEFAULTS.items():
-        if getattr(args, dest) is not None:
-            continue
-        name = ENV_PREFIX + dest.upper()
-        value = os.environ.get(name)
-        if not value:
-            value = default
-        elif isinstance(default, int):
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        setattr(args, dest, value)
-
-
-def _config(args) -> RunConfig:
-    _apply_env(args)
-    # argparse checks `choices` only on the command line, not on a value
-    # taken from the environment
-    if args.format not in FORMATS:
-        raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {args.format!r}")
-    return RunConfig(precision_bits=args.precision, n_max=args.n_max,
-                     cache_path=args.cache)
+    p.add_argument("--format", choices=("text", "json-lines"), default="text",
+                   help="report format (default text)")
 
 
 def _get_table(report: Report, c: int, need_n: int):
@@ -174,7 +135,7 @@ def cmd_asymptotic(args, report: Report) -> list[str]:
 
 
 def cmd_bounds(args, report: Report) -> list[str]:
-    from decimal import Decimal
+    import decimal
 
     from mpmath import mp, mpf
 
@@ -197,9 +158,15 @@ def cmd_bounds(args, report: Report) -> list[str]:
         rr = r_ratio(c, n, prec)
         report.add("r_ratio", value=fmt_value(rr))
         th = sandwich_threshold(c, prec)
+        # n_min = man * 2**e with man < 2**prec: decimal's 2**e and product take
+        # near-linear time where Decimal(n_min) takes quadratic, pass int's digit
+        # limit, and are exact in bit_length/3 + 2 > log10(n_min) + 1 digits
+        e = (th.n_min & -th.n_min).bit_length() - 1
+        ctx = decimal.Context(prec=th.n_min.bit_length() // 3 + 2, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact])
+        n_min = ctx.multiply(decimal.Decimal(th.n_min >> e), ctx.power(2, e))
         report.add("threshold", lower_coef=fmt_value(th.lower_coef),
-                   upper_coef=fmt_value(th.upper_coef),
-                   n_min=format(Decimal(th.n_min), "f"))  # no int-to-str digit limit
+                   upper_coef=fmt_value(th.upper_coef), n_min=format(n_min, "f"))
         if c in TABULATED:
             # the sandwich coefficients must absorb the ratio at the threshold
             rr_th = r_ratio(c, th.n_min, prec)
@@ -299,7 +266,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        report = Report(command=args.command, config=_config(args))
+        report = Report(command=args.command, config=RunConfig(
+            precision_bits=args.precision, n_max=args.n_max, cache_path=args.cache))
         t0 = time.perf_counter()
         # looked up per call, so a replaced cmd_* runs
         verdicts = globals()[f"cmd_{args.command}"](args, report)

@@ -208,6 +208,8 @@ class RankClassTable:
 
     def column(self, r: int) -> list[int]:
         """The counts of residue r for n = 0..n_max; a loaded column converts on first read."""
+        if not 0 <= r < self.c:
+            raise ValueError(f"residue r={r} is outside the table's 0..{self.c - 1}")
         col = self._columns[r]
         if type(col[0]) is bytes:
             try:
@@ -220,6 +222,8 @@ class RankClassTable:
 
     def row(self, n: int) -> list[int]:
         """The c counts of n, converting only those of a loaded column not yet read."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n={n} is outside the table's 0..{self.n_max}")
         try:
             return [int(col[n]) for col in self._columns]  # int() of an int is that int
         except ValueError:

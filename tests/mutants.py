@@ -63,6 +63,7 @@ _HALF_TABLE = "tests/test_modsums.py::test_multipliers_half_table_equals_per_h_f
 _ZUCKERMAN = "tests/test_modsums.py::test_multipliers_give_the_exact_overpartition_counts"
 _LOWERED_LIMIT = ("tests/test_counts.py::"
                   "test_count_past_a_lowered_int_str_limit_names_its_row_at_first_read")
+_INDICES = "tests/test_counts.py::test_table_indices_outside_the_table_are_refused"
 _AIMED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader_on_aimed_edits"
 _UNREAD_COUNTS = "tests/test_counts.py::test_load_checks_the_counts_no_command_reads"
 _TABLE_BUILD = ("tests/test_counts.py::test_table_matches_dp_oracle_at_division_edges",
@@ -156,6 +157,11 @@ MUTANTS = (
     Mutant("d-phase-of-item-15", "modsums.py",
            "int(2 * m) % k", "-m.numerator * pow(m.denominator, -1, k) % k",
            ("tests/test_asymptotic.py::test_estimates_meet_exact_coefficients", _ARC_PLAN)),
+    # the table's index guards: a negative index would wrap to the far end
+    Mutant("row-index-unchecked", "counts.py",
+           "        if not 0 <= n <= self.n_max:\n", "        if False:\n", (_INDICES,)),
+    Mutant("column-index-unchecked", "counts.py",
+           "        if not 0 <= r < self.c:\n", "        if False:\n", (_INDICES,)),
     # the loaded columns' digit-limit message
     Mutant("column-limit-error-unnamed", "counts.py",
            "            except ValueError:  # int()'s digit limit fell since the load\n",
@@ -263,6 +269,10 @@ MUTANTS = (
            "    if c < 1:\n", "    if c < 2:\n",
            ("tests/test_counts.py::test_one_column_table_round_trips",
             "tests/test_cli.py::test_malformed_cache_exits_2_with_one_line[header-c-one]")),
+    # bounds' n_min in a decimal context too narrow to hold it exactly
+    Mutant("n-min-context-too-narrow", "cli.py",
+           "th.n_min.bit_length() // 3 + 2", "th.n_min.bit_length() // 4",
+           ("tests/test_cli.py::test_bounds_prints_giant_threshold_in_full",)),
     # an envelope whose working precision follows the ambient mp.prec
     Mutant("sandwich-at-ambient-precision", "bounds.py",
            "    with mp.workprec(prec + 10):\n        s = mp.sqrt(mpf(n))\n        base",

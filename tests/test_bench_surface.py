@@ -11,7 +11,6 @@ give the output digest that `bench/run.py` pins.
 import ast
 import importlib.util
 import inspect
-import os
 import sys
 from collections import Counter
 from math import isqrt
@@ -183,8 +182,6 @@ def test_seed0_outputs_match_the_pins(name, tmp_path, monkeypatch):
     # otherwise show only in a full benchmark run
     if mpmath.libmp.BACKEND != "python":
         pytest.skip(f"the pins were taken on mpmath's python backend, not {mpmath.libmp.BACKEND}")
-    for key in [k for k in os.environ if k.startswith("OVERRANK_")]:
-        monkeypatch.delenv(key)
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     import workloads

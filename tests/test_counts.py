@@ -159,6 +159,22 @@ def test_table_checksum_matches_dp_oracle(n_max, c):
     assert rank_class_table(n_max, c).checksum() == DP_CHECKSUMS[n_max, c]
 
 
+def test_table_indices_outside_the_table_are_refused():
+    # no negative index wraps around to the far end of the table
+    table = rank_class_table(10, 3)
+    for read, index, message in (
+            (table.row, -1, "n=-1 is outside the table's 0..10"),
+            (table.row, 11, "n=11 is outside the table's 0..10"),
+            (table.row_sum, -1, "n=-1 is outside the table's 0..10"),
+            (lambda n: a_exact(0, n, table), 11, "n=11 is outside the table's 0..10"),
+            (table.column, -1, "residue r=-1 is outside the table's 0..2"),
+            (table.column, 3, "residue r=3 is outside the table's 0..2")):
+        with pytest.raises(ValueError) as info:
+            read(index)
+        assert str(info.value) == message
+    assert table.row(10) == table.counts[10] and table.column(2)[0] == 0
+
+
 def test_table_matches_oracle(small_tables):
     for c, table in small_tables.items():
         for n in range(19):
