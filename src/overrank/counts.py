@@ -212,22 +212,14 @@ class RankClassTable:
             raise ValueError(f"residue r={r} is outside the table's 0..{self.c - 1}")
         col = self._columns[r]
         if type(col[0]) is bytes:
-            try:
-                col = self._columns[r] = list(map(int, col))
-            except ValueError:  # int()'s digit limit fell since the load
-                limit = sys.get_int_max_str_digits()
-                n = next(n for n, v in enumerate(col) if len(v.lstrip(b"\n")) > limit)
-                raise ValueError(_long_count(n)) from None
+            col = self._columns[r] = list(map(int, col))
         return col
 
     def row(self, n: int) -> list[int]:
         """The c counts of n, converting only those of a loaded column not yet read."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} is outside the table's 0..{self.n_max}")
-        try:
-            return [int(col[n]) for col in self._columns]  # int() of an int is that int
-        except ValueError:
-            raise ValueError(_long_count(n)) from None
+        return [int(col[n]) for col in self._columns]  # int() of an int is that int
 
     @property
     def counts(self) -> list[list[int]]:
@@ -323,8 +315,6 @@ def rank_class_table(n_max: int, c: int) -> RankClassTable:
     """
     if c < 2:
         raise ValueError("modulus c must be >= 2")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     pbar = pbar_series(n_max)
     width = (pbar[-1].bit_length() + 7) // 8
     slot, size, half = 8 * width, width * (n_max + 1), c // 2
@@ -423,37 +413,31 @@ def save_table(table: RankClassTable, path) -> None:
 
 
 _HEADER_KEYS = ("c", "format_version", "n_max")
-# a canonical count or header value: ASCII digits without sign, separator or
-# leading zero, and a canonical row line: counts, each followed by a comma,
-# then a newline.  `_ROW` names a bad row once a block has failed
-# `_block_values`, whose checks of a whole block amount to it.
-_COUNT = "0|[1-9][0-9]*"
-_DECIMAL = re.compile(_COUNT)
-_ROW = re.compile(f"(?:(?:{_COUNT}),)+\n".encode())
+# a canonical header value: ASCII digits without sign, separator or leading zero
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 _ROW_BYTES = b"0123456789,\n"
 # a count with a leading zero, or an empty count, in the newline-free stream
 # of rows, where a comma precedes every count but the first
 _BAD_COUNT = re.compile(rb",(?:0[0-9]|,)")
 
 
-def _block_values(lines: list[bytes], block: bytes, stream: bytes, size: int,
-                  c: int) -> list[bytes] | None:
+def _block_values(block: bytes, stream: bytes, size: int, c: int) -> list[bytes] | None:
     """The decimal counts of `block` if it is `size` canonical rows of c counts, else None.
 
-    `block` is `lines` joined, and `stream` is `block` without its newlines.
-    The block splits at its commas into c * size counts and a last value; it
-    holds only digits, commas and newlines; and it holds `size` newlines that
-    each follow a comma (there are at most `size`, one per line read), so
-    each leads a value, which holds no other.  Those values are the ones at
-    c, 2c, ..., c * size, so the last is the final newline alone and every
-    row holds c counts.  In the stream a comma precedes every count but the
-    first, so a leading zero shows as ",0" and a digit, and an empty count as
-    ",,", there or at its start.  No count may have more digits than int()
-    converts (sys.get_int_max_str_digits()), which only a line that long can
-    hold; a newline leading a count is not one of them.  These are every
-    check that int() made, so the counts, a newline leading the first of each
-    row after the block's first, stay unconverted.  Each check is a C-level
-    pass over the block or its lines.
+    The cache's one row grammar: a canonical count is ASCII digits without
+    sign, separator or leading zero, and a row is counts, each followed by a
+    comma, then a newline.  `block` is lines read from the file joined, and
+    `stream` is `block` without its newlines.  The block splits at its commas
+    into c * size counts and a last value; it holds only digits, commas and
+    newlines; and it holds `size` newlines that each follow a comma (there
+    are at most `size`, one per line read), so each leads a value, which
+    holds no other.  Those values are the ones at c, 2c, ..., c * size, so
+    the last is the final newline alone and every row holds c counts.  In the
+    stream a comma precedes every count but the first, so a leading zero
+    shows as ",0" and a digit, and an empty count as ",,", there or at its
+    start.  With `_too_long` these are every check that int() made, so the
+    counts, a newline leading the first of each row after the block's first,
+    stay unconverted.  Each check is a C-level pass over the block.
     """
     values = block.split(b",")
     if (len(values) != c * size + 1 or block.translate(None, _ROW_BYTES)
@@ -461,26 +445,32 @@ def _block_values(lines: list[bytes], block: bytes, stream: bytes, size: int,
             or _BAD_COUNT.search(stream) or _BAD_COUNT.match(b"," + stream[:2])):
         return None
     del values[-1]
-    limit = sys.get_int_max_str_digits()
-    if limit and max(map(len, lines)) > limit and any(
-            len(v.lstrip(b"\n")) > limit for v in values):
-        return None
     return values
 
 
+def _too_long(lines: list[bytes], values: list[bytes]) -> bool:
+    """Whether a count of `values`, from `lines`, has more digits than int() converts.
+
+    The limit is sys.get_int_max_str_digits(); only a line that long can hold
+    such a count, and a newline leading a count is not one of its digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and max(map(len, lines)) > limit and any(
+        len(v.lstrip(b"\n")) > limit for v in values)
+
+
 def _block_fault(lines: list[bytes], start: int, size: int, c: int) -> str:
-    """The first bad row of a block that `_block_values` refused, named.
+    """The first bad row of a block that the load refused, named.
 
     The block was to hold rows start, ..., start + size - 1; `lines` may stop
-    short at the end of the file.  A row of canonical form can still hold a
-    count longer than int() converts (sys.get_int_max_str_digits()).
+    short at the end of the file.  Each row takes the block's checks on its
+    own, so the first it fails names it.
     """
     for n, line in enumerate(lines + [b""] * (size - len(lines)), start):
-        if line.count(b",") != c or not _ROW.fullmatch(line):
+        values = _block_values(line, line.replace(b"\n", b""), 1, c)
+        if values is None:
             return _row_fault(n, line, c)
-        try:
-            list(map(int, line.split(b",")[:-1]))
-        except ValueError:
+        if _too_long([line], values):
             return _long_count(n)
 
 
@@ -527,7 +517,8 @@ def _read_checksum_line(fh, digest: str, n_max: int) -> None:
     """Check that the rest of the file in `fh` is the checksum line of `digest`."""
     last = fh.readline()
     if last != f"checksum sha256:{digest}\n".encode():
-        if _ROW.fullmatch(last):
+        # a canonical row of any width
+        if _block_values(last, last.replace(b"\n", b""), 1, max(1, last.count(b","))):
             raise ValueError(f"cache row n={n_max + 1} lies beyond n_max={n_max}")
         raise ValueError("cache checksum mismatch" if last else
                          "cache file truncated: the checksum line is missing")
@@ -540,13 +531,13 @@ def load_table(path) -> RankClassTable:
 
     Every check runs over the whole file here, and none is left for a later
     read.  Rows are read in blocks of `_BLOCK_ROWS`.  `_block_values` checks
-    each block to be canonical rows of c counts, each one int() converts, in
-    a few C-level passes; its newline-free stream is hashed, and the verified
-    digest becomes the table's checksum.  A block that fails the check is
-    scanned again line by line, so the error names its first bad row.  The
-    counts stay decimal: each column converts when a command first reads it
-    (see `RankClassTable`), and the columns are split out only once every
-    block has passed.
+    each block to be canonical rows of c counts, and `_too_long` each count
+    to be one int() converts, in a few C-level passes; its newline-free
+    stream is hashed, and the verified digest becomes the table's checksum.
+    A block that fails is checked again row by row, so the error names its
+    first bad row.  The counts stay decimal: each column converts when a
+    command first reads it (see `RankClassTable`), and the columns are split
+    out only once every block has passed.
     """
     with open(path, "rb") as fh:
         c, n_max = _read_header(fh)
@@ -557,8 +548,8 @@ def load_table(path) -> RankClassTable:
             lines = list(islice(fh, size))
             block = b"".join(lines)
             stream = block.replace(b"\n", b"")
-            checked = _block_values(lines, block, stream, size, c)
-            if checked is None:
+            checked = _block_values(block, stream, size, c)
+            if checked is None or _too_long(lines, checked):
                 raise ValueError(_block_fault(lines, start, size, c))
             h.update(stream)
             values += checked

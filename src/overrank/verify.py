@@ -136,9 +136,6 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
     by the symmetry z <-> 1/z, so `--a-list all` sweeps each mirrored pair of
     columns once.
     """
-    c = table.c
-    if not 0 <= a < c:
-        raise ValueError("residue a out of range")
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
     if table.n_max < 2 * n_hi:
@@ -154,6 +151,6 @@ def verify_subadditivity(table: RankClassTable, a: int, n_lo: int,
         found = _sweep_rows(column, n_lo, n_hi)
         swept.append((column, (*found[:2], 0)))
     violations, min_margin, compared = found
-    return Certificate(c=c, a=a, n_lo=n_lo, n_hi=n_hi,
+    return Certificate(c=table.c, a=a, n_lo=n_lo, n_hi=n_hi,
                        violations=list(violations), min_margin=min_margin,
                        table_checksum=table.checksum(), pairs_compared=compared)

@@ -61,14 +61,15 @@ _MODULUS_BITS = "tests/test_modsums.py::test_modulus_roots_have_the_bits_of_mpma
 _OWN_PRECISION = "tests/test_modsums.py::test_kernel_tables_take_entries_at_their_own_precision"
 _HALF_TABLE = "tests/test_modsums.py::test_multipliers_half_table_equals_per_h_form"
 _ZUCKERMAN = "tests/test_modsums.py::test_multipliers_give_the_exact_overpartition_counts"
-_LOWERED_LIMIT = ("tests/test_counts.py::"
-                  "test_count_past_a_lowered_int_str_limit_names_its_row_at_first_read")
+_ROW_SCAN = "tests/test_counts.py::test_valid_cache_loads_without_a_line_by_line_scan"
+_SURPLUS_ROW = "tests/test_counts.py::test_surplus_canonical_row_of_any_width_lies_beyond_n_max"
 _INDICES = "tests/test_counts.py::test_table_indices_outside_the_table_are_refused"
 _AIMED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader_on_aimed_edits"
 _UNREAD_COUNTS = "tests/test_counts.py::test_load_checks_the_counts_no_command_reads"
 _TABLE_BUILD = ("tests/test_counts.py::test_table_matches_dp_oracle_at_division_edges",
                 "tests/test_counts.py::test_c4_columns_meet_the_square_rule",
-                "tests/test_counts.py::test_c2_and_c4_columns_meet_lovejoys_a_half")
+                "tests/test_counts.py::test_c2_and_c4_columns_meet_lovejoys_a_half",
+                "tests/test_counts.py::test_rank_row_equals_every_row_of_the_depth_300_tables")
 
 MUTANTS = (
     # the kernel tables
@@ -162,15 +163,6 @@ MUTANTS = (
            "        if not 0 <= n <= self.n_max:\n", "        if False:\n", (_INDICES,)),
     Mutant("column-index-unchecked", "counts.py",
            "        if not 0 <= r < self.c:\n", "        if False:\n", (_INDICES,)),
-    # the loaded columns' digit-limit message
-    Mutant("column-limit-error-unnamed", "counts.py",
-           "            except ValueError:  # int()'s digit limit fell since the load\n",
-           "            except KeyError:  # int()'s digit limit fell since the load\n",
-           (_LOWERED_LIMIT,)),
-    Mutant("row-limit-error-unnamed", "counts.py",
-           "        except ValueError:\n            raise ValueError(_long_count(n)) from None\n",
-           "        except KeyError:\n            raise ValueError(_long_count(n)) from None\n",
-           (_LOWERED_LIMIT,)),
     # the sweep memo of verify_subadditivity
     Mutant("sweep-memo-hit-on-any-column", "verify.py",
            "for vals, result in swept if vals == column)", "for vals, result in swept if True)",
@@ -254,16 +246,26 @@ MUTANTS = (
            '_BAD_COUNT = re.compile(rb",(?:0[0-9]|,)")', '_BAD_COUNT = re.compile(rb",0[0-9]")',
            (f"{_UNREAD_COUNTS}[empty-count]",)),
     Mutant("count-digit-limit-unchecked", "counts.py",
-           "    if limit and max(map(len, lines)) > limit and any(\n",
-           "    if False and any(\n",
+           "    return bool(limit) and max(map(len, lines)) > limit and any(\n",
+           "    return False and any(\n",
            (f"{_UNREAD_COUNTS}[past-the-int-str-limit]",)),
+    # the scan of a refused block checks it whole at each row, so its first
+    # row takes the blame for any fault of the block
+    Mutant("row-scan-at-block-size", "counts.py",
+           'line.replace(b"\\n", b""), 1, c)', 'line.replace(b"\\n", b""), size, c)',
+           (_ROW_SCAN,)),
+    # a surplus row after row n_max is recognized at the header's width only
+    # (read from the loader's frame), so a wider one reads as a checksum mismatch
+    Mutant("surplus-row-at-width-c-only", "counts.py",
+           'max(1, last.count(b","))', 'sys._getframe(1).f_locals["c"]',
+           (f"{_SURPLUS_ROW}[c-plus-one-counts]", f"{_SURPLUS_ROW}[one-count]")),
     Mutant("save-row-scan-skipped", "counts.py",
            "            for n, row in enumerate(zip(*block), start):\n",
            "            for n, row in ():\n",
            ("tests/test_counts.py::test_count_past_the_int_str_limit_names_its_row",)),
     Mutant("row-returns-bytes", "counts.py",
-           "            return [int(col[n]) for col in self._columns]",
-           "            return [col[n] for col in self._columns]",
+           "        return [int(col[n]) for col in self._columns]",
+           "        return [col[n] for col in self._columns]",
            ("tests/test_cli.py::test_warm_commands_convert_only_the_counts_they_read",)),
     Mutant("one-column-header-refused", "counts.py",
            "    if c < 1:\n", "    if c < 2:\n",

@@ -4,10 +4,13 @@ The counting oracles are direct and independent of the generating functions
 the library uses: the truncated product for the overpartition series, and
 the O(c N^2) dynamic program over the largest part for the rank-class table.
 With the brute-force enumeration `overrank.counts.brute_force_rank_counts`,
-they are what the production counts are checked against.  The per-row cache
+they are what the production counts are checked against.  The row oracle
+builds one row of a rank-class table alone, from the per-rank form of
+Lovejoy's bracket, so rows deeper than any table a test builds can be
+checked exactly.  The per-row cache
 writer writes and hashes one row at a time, as `overrank.counts.save_table`
 did before it wrote blocks of rows; the bytes must agree.  The regex
-cache loader checks each block of rows with one whole-block pattern match, as
+cache loader checks each block of rows with one whole-block pattern of its own, as
 `overrank.counts.load_table` did before it checked blocks in C-level passes;
 both must load the same tables and refuse the same files with the same
 message.  The sweep oracle
@@ -44,7 +47,8 @@ import math
 import re
 from collections import defaultdict
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add, sub
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -52,7 +56,7 @@ from mpmath import mp, mpc, mpf
 from overrank.asymptotic import AsymptoticEstimate, engel_pbar
 from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series_params,
                              _tail_integral, cbar2, cbar4)
-from overrank.counts import (_BLOCK_ROWS, _CHECKSUM_DOMAIN, _ROW, TABLE_FORMAT_VERSION,
+from overrank.counts import (_BLOCK_ROWS, _CHECKSUM_DOMAIN, TABLE_FORMAT_VERSION,
                              RankClassTable, _block_fault, _checksum_hash, _read_checksum_line,
                              _read_header)
 from overrank.modsums import (DEFAULT_PRECISION, KernelTables, _ArcRoots, _multipliers,
@@ -131,8 +135,9 @@ def save_table_per_row(table: RankClassTable, path) -> None:
         fh.write(f"checksum sha256:{h.hexdigest()}\n".encode())
 
 
-# one or more canonical row lines
-_ROWS = re.compile(b"(?:%s)+" % _ROW.pattern)
+# one or more canonical row lines: counts in plain decimal, without sign,
+# separator or leading zero, each followed by a comma, then a newline
+_ROWS = re.compile(rb"(?:(?:(?:0|[1-9][0-9]*),)+\n)+")
 
 
 def load_table_regex(path) -> RankClassTable:
@@ -518,6 +523,47 @@ def a_half(ns, pbar: list[int]) -> dict[int, int]:
         m += 1
     terms = sorted((e, v) for e, v in bracket.items() if v)
     return {n: sum(v * pbar[n - e] for e, v in terms if e <= n) for n in ns}
+
+
+def rank_row(c: int, n: int, pbar: list[int]) -> list[int]:
+    """Row n of the rank-class table mod c, [N(r, c, n) for r in range(c)], built alone.
+
+    From the per-rank form of Lovejoy's bracket in the docstring of
+    `overrank.counts.rank_class_table`: term m of the bracket is
+    2 (-1)^m q^(m^2 + m) times, at z^j, 2/(1 + x) for j = 0 and
+    -x^(|j|-1) (1 - x)/(1 + x) for j != 0, with x = q^m.  Summed over the ranks
+    j = r (mod c) it is 2 (-1)^(m+1) q^(m^2) f_r(x)/(1 + x), where
+
+        f_r(x) = (1 - x) sum_{j = r (mod c), j != 0} x^|j| - [r = 0] 2x
+               = (1 - x)(x^a + x^b)/(1 - x^c) - [r = 0] 2x,  a = r or c, b = c - r or c.
+
+    Moving the 1/(1 + x) onto pbar, with p_s = pbar(n - m^2 - m s) and
+    Q_i = sum_{s >= i} (-1)^(s-i) p_s, the coefficient of q^n is
+
+        N(r, c, n) = [r = 0] pbar(n)
+                     + 2 sum_{m^2 + m <= n} (-1)^(m+1) sum_{i >= 1} f_i[r] Q_i,
+
+    and the sum over i is d_a + d_b - [r = 0] 2 Q_1, with
+    d_e = sum_{k >= 0} (Q_(e + kc) - Q_(e + kc + 1)).  a and b swap between r
+    and c - r, so the two get one count; nothing else is shared between
+    residues, and nothing is taken from the production build's factoring
+    over D_c, its packing or its doubling products.  The bracket is the
+    build's, so this checks those, not Lovejoy's identity, which the DP and
+    brute-force oracles check at small n.  `pbar` holds pbar(0..n) at least.
+    """
+    d = [0] * c  # d[e - 1], summed over m with sign (-1)^(m+1)
+    q1 = 0  # Q_1, the same
+    m = 1
+    while m * m + m <= n:
+        q = pbar[n - m * m::-m]  # p_s for s = 0, 1, ...
+        q[1::2] = [-v for v in q[1::2]]
+        q = list(accumulate(reversed(q)))[::-1]  # sum_{s >= i} (-1)^s p_s
+        q[1::2] = [-v for v in q[1::2]]  # Q_i
+        step = add if m & 1 else sub
+        d = list(map(step, d, [sum(q[e::c]) - sum(q[e + 1::c]) for e in range(1, c + 1)]))
+        q1 = step(q1, q[1])
+        m += 1
+    return [pbar[n] + 4 * (d[c - 1] - q1)] + [2 * (d[r - 1] + d[c - r - 1]) for r in range(1, c)]
 
 
 def pbar_zuckerman(n: int) -> int:

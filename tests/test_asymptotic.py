@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import (a_asymptotic_per_residue, kloosterman_B_direct, kloosterman_D_direct,
-                     multiplier_classes, nbar_asymptotic_per_residue)
+                     multiplier_classes, nbar_asymptotic_per_residue, rank_row)
 from overrank import (a_asymptotic, a_exact, asymptotic, aux_inequalities_selftest, bounds,
                       cbar2, cbar4, const_C, engel_pbar, error_pieces, error_term_bound,
                       kloosterman_B, kloosterman_D, m_c, m_c_prime, main_term_bound, modsums,
@@ -60,6 +60,12 @@ def test_estimates_meet_exact_coefficients():
                     est = a_asymptotic(a, c, n, prec=64)
                     exact = a_exact(a, n, table, prec=64).real
                     misses[a, c, n] = abs(est.value - exact)
+    # a deep point from the row oracle: A(2/5; 40120) = 1,779,916.419..., which
+    # today's estimate misses by 1.8e6 and the mended phase by 0.31
+    row = rank_row(5, 40120, pbar_series(40120))
+    with mp.workprec(max(map(int.bit_length, row)) + 160):
+        exact = sum(v * mp.cospi(mpf(4 * r) / 5) for r, v in enumerate(row))
+    misses[2, 5, 40120] = abs(a_asymptotic(2, 5, 40120, prec=160).value - exact)
     assert max(misses.values()) < 20, max(misses.items(), key=lambda item: item[1])
 
 

@@ -5,7 +5,7 @@ import hashlib
 import io
 import os
 import random
-import sys
+import re
 import tempfile
 import tracemalloc
 from math import isqrt
@@ -668,6 +668,9 @@ def _load_outcome(load, path):
     try:
         table = load(path)
     except ValueError as exc:
+        # the refusal names one of the loader's faults, never None or another
+        # exception's words
+        assert LOADER_FAULT.fullmatch(str(exc)), str(exc)
         return "refused", str(exc)
     return "loaded", table, table.checksum()
 
@@ -720,6 +723,25 @@ def _delete_row(lines, n):
 
 
 NOT_CANONICAL = "is not canonical: counts must be plain decimal, each followed by a comma"
+
+# every message with which load_table refuses a file
+LOADER_FAULT = re.compile("|".join((
+    "not a rank-class table cache file",
+    "cache header must set exactly c, format_version, n_max; got .+",
+    "bad cache header: (?:c|format_version|n_max)=.* is not a plain decimal integer",
+    r"cache format_version=\d+ is unsupported \(this version reads 2\); "
+    "delete the file to rebuild it",
+    r"bad cache header: c=0 is below 1",
+    r"cache file truncated in row n=\d+",
+    r"cache row n=\d+ is missing",
+    r"cache row n=\d+ holds \d+ counts, not c=\d+",
+    rf"cache row n=\d+ {NOT_CANONICAL}",
+    r"cache row n=\d+ has a count above \d+ decimal digits, "
+    "Python's limit for str-to-int conversion",
+    r"cache row n=\d+ lies beyond n_max=\d+",
+    "cache checksum mismatch",
+    "cache file truncated: the checksum line is missing",
+    "cache has data after its checksum line")))
 
 
 # the first and last rows of each of the depth-300 cache's three blocks
@@ -866,58 +888,67 @@ def test_load_checks_the_counts_no_command_reads(tmp_path, capsys, change):
     assert code == 2 and capsys.readouterr().err == f"error: {outcome[1]}\n"
 
 
-_ROW = counts._ROW
+_BLOCK_VALUES = counts._block_values
 
 
-class _CountingRow:
-    """`counts._ROW` with a tally of the rows matched against it one by one."""
+class _CountingCheck:
+    """`counts._block_values` with a tally of the blocks and the single rows it checks."""
 
     def __init__(self):
-        self.rows = 0
+        self.blocks = self.rows = 0
 
-    def fullmatch(self, line):
-        self.rows += 1
-        return _ROW.fullmatch(line)
+    def __call__(self, block, stream, size, c):
+        if size == 1:
+            self.rows += 1
+        else:
+            self.blocks += 1
+        return _BLOCK_VALUES(block, stream, size, c)
 
 
 def test_valid_cache_loads_without_a_line_by_line_scan(tmp_path, monkeypatch):
     # every block of a good depth-1600 cache passes the block checks, so no
-    # row is matched on its own; a bad row sends only its block to the scan
+    # row is checked on its own; a bad row sends only its block to the scan
     path = tmp_path / "c5.tbl"
     table = rank_class_table(1600, 5)
     save_table(table, path)
-    tally = _CountingRow()
-    monkeypatch.setattr(counts, "_ROW", tally)
-    assert load_table(path) == table and tally.rows == 0
+    tally = _CountingCheck()
+    monkeypatch.setattr(counts, "_block_values", tally)
+    assert load_table(path) == table and (tally.blocks, tally.rows) == (13, 0)
     lines = path.read_bytes().splitlines(keepends=True)
     _leading_zero(lines, 300)
     path.write_bytes(b"".join(lines))
+    tally.blocks = 0
     with pytest.raises(ValueError, match=f"^cache row n=300 {NOT_CANONICAL}$"):
         load_table(path)
     # rows 256..300 of the third block, and no row of the first two
-    assert tally.rows == 300 - 2 * counts._BLOCK_ROWS + 1
+    assert tally.blocks == 3 and tally.rows == 300 - 2 * counts._BLOCK_ROWS + 1
 
 
-def test_count_past_a_lowered_int_str_limit_names_its_row_at_first_read(tmp_path):
-    # the load checks every count against the limit of its own time; a count
-    # left decimal that a later, lower limit refuses names its row when read
-    cols = columns(rank_class_table(300, 3))
-    cols[0][1] = cols[1][270] = 10 ** 1000
-    save_table(RankClassTable(cols), tmp_path / "big.tbl")
-    table = load_table(tmp_path / "big.tbl")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        for read, n in ((lambda: table.column(0), 1), (lambda: table.row(1), 1),
-                        (lambda: table.column(1), 270)):
-            with pytest.raises(ValueError, match=rf"^cache row n={n} has a count above 640 "
-                                                 r"decimal digits, Python's limit for "
-                                                 r"str-to-int conversion$"):
-                read()
-        assert table.column(2) == cols[2] and table.row(2) == [c[2] for c in cols]
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert table.column(0) == cols[0] and table.column(1) == cols[1]
+@pytest.mark.parametrize("row", [b"7,\n", b"1,2,3,\n", b"1,2,3,4,\n",
+                                 b"0,1,1%s,\n" % (b"0" * 5000)],
+                         ids=["one-count", "c-counts", "c-plus-one-counts", "long-count"])
+def test_surplus_canonical_row_of_any_width_lies_beyond_n_max(tmp_path, row):
+    # a canonical row where the checksum line should be is named as a row,
+    # whatever its width and however long its counts
+    path = tmp_path / "t3.tbl"
+    save_table(rank_class_table(30, 3), path)
+    data = path.read_bytes()
+    cut = data.rindex(b"checksum")
+    path.write_bytes(data[:cut] + row + data[cut:])
+    with pytest.raises(ValueError) as raised:
+        load_table(path)
+    assert str(raised.value) == "cache row n=31 lies beyond n_max=30"
+
+
+def test_rank_row_equals_every_row_of_the_depth_300_tables():
+    # the row oracle builds each row alone from the per-rank form, and each
+    # row sums to pbar(n)
+    pbar = pbar_series(300)
+    for c in range(2, 14):
+        table = rank_class_table(300, c)
+        for n in range(301):
+            row = oracles.rank_row(c, n, pbar)
+            assert row == table.row(n) and sum(row) == pbar[n], (c, n)
 
 
 def test_count_past_the_int_str_limit_in_a_cache_names_its_row(tmp_path):

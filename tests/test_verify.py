@@ -65,8 +65,8 @@ def test_table_depth_guard(table3_small):
 
 
 @pytest.mark.parametrize("a, n_lo, n_hi, message", [
-    (3, 1, 5, "residue a out of range"),
-    (-1, 1, 5, "residue a out of range"),
+    (3, 1, 5, "residue r=3 is outside the table's 0..2"),
+    (-1, 1, 5, "residue r=-1 is outside the table's 0..2"),
     (0, 6, 5, "need 1 <= n_lo <= n_hi"),
 ], ids=["a-is-c", "a-negative", "n-lo-above-n-hi"])
 def test_sweep_names_a_bad_argument(table3_small, a, n_lo, n_hi, message):
