@@ -22,8 +22,7 @@ DEFAULT_PRECISION = 160  # the analytic layer's working precision, in mantissa b
 
 from importlib import import_module as _import_module
 
-from .counts import (RankClassTable, RankDistribution, brute_force_rank_counts,
-                     load_table, pbar_series, rank_class_table, save_table)
+from .counts import RankClassTable, load_table, pbar_series, rank_class_table, save_table
 from .report import Report, RunConfig
 from .verify import Certificate, verify_subadditivity
 
@@ -36,8 +35,8 @@ _LAZY = {name: module for module, names in {
                "error_pieces", "error_term_bound", "m_c", "m_c_prime", "main_term_bound",
                "pbar_sandwich", "r_ratio", "sandwich_threshold", "strict_verdict",
                "t_inequality"),
-    "modsums": ("arc_plan", "dedekind_sum", "kloosterman_B", "kloosterman_D", "mod_inverse",
-                "modsums", "omega", "secondary_terms"),
+    "modsums": ("arc_plan", "dedekind_sum", "kloosterman_B", "kloosterman_D", "modsums",
+                "secondary_terms"),
 }.items() for name in names}
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))

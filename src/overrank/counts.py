@@ -44,10 +44,7 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
     "RankClassTable",
-    "RankDistribution",
-    "brute_force_rank_counts",
     "load_table",
     "pbar_series",
     "rank_class_table",
@@ -118,8 +115,9 @@ class RankDistribution:
 def brute_force_rank_counts(n: int) -> RankDistribution:
     """Oracle: enumerate every partition of n, weight 2^{#distinct parts}.
 
-    Independent of the generating functions; kept deliberately naive.  Rejects
-    n above BRUTE_FORCE_LIMIT because the enumeration grows superpolynomially.
+    Independent of the generating functions; kept deliberately naive, and
+    not exported from `overrank`.  Rejects n above BRUTE_FORCE_LIMIT because
+    the enumeration grows superpolynomially.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -48,12 +48,9 @@ __all__ = [
     "DEFAULT_PRECISION",
     "KernelTables",
     "arc_plan",
-    "coprime_residues",
     "dedekind_sum",
     "kloosterman_B",
     "kloosterman_D",
-    "mod_inverse",
-    "omega",
     "secondary_terms",
 ]
 
@@ -87,22 +84,11 @@ def _cos_sin_pi(num: int, den: int, prec: int) -> tuple:
 
 
 def omega(h: int, k: int, prec: int = DEFAULT_PRECISION) -> mpc:
-    """Multiplier omega_{h,k} = exp(pi*i*s(h,k)); unit modulus."""
+    """Multiplier omega_{h,k} = exp(pi*i*s(h,k)); unit modulus.
+
+    Not exported: the kernels take omega from their arc's root table, and the
+    tests check those roots against this."""
     return mp.make_mpc(_cos_sin_pi(*dedekind_sum(h, k).as_integer_ratio(), prec))
-
-
-def mod_inverse(h: int, k: int) -> int:
-    """Representative h' in [0,k) with h*h' == 1 (mod k); h' = 0 when k = 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if gcd(h, k) != 1:
-        raise ValueError("h and k must be coprime")
-    return pow(h, -1, k)
-
-
-def coprime_residues(k: int) -> list[int]:
-    """The primed-sum index set: 0 <= h < k with gcd(h,k) = 1."""
-    return [h for h in range(k) if gcd(h, k) == 1]
 
 
 def secondary_terms(a: int, c: int, k: int) -> tuple[int, list[tuple[Fraction, Fraction]]]:
@@ -422,8 +408,8 @@ def _multipliers(roots: _ArcRoots) -> list[tuple[int, int, tuple]]:
     quotient mpc_div's (see `_cdiv`).
     """
     k, prec = roots.k, roots.wp
-    hs = coprime_residues(k)
-    inverse = {h: mod_inverse(h, k) for h in hs}
+    hs = [h for h in range(k) if gcd(h, k) == 1]
+    inverse = {h: pow(h, -1, k) for h in hs}
     om: dict[int, tuple] = {}
     for h in hs:
         if h not in om:

@@ -65,6 +65,7 @@ _ROW_SCAN = "tests/test_counts.py::test_valid_cache_loads_without_a_line_by_line
 _SURPLUS_ROW = "tests/test_counts.py::test_surplus_canonical_row_of_any_width_lies_beyond_n_max"
 _INDICES = "tests/test_counts.py::test_table_indices_outside_the_table_are_refused"
 _AIMED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader_on_aimed_edits"
+_FUZZED_EDITS = "tests/test_counts.py::test_load_table_equals_the_regex_loader"
 _UNREAD_COUNTS = "tests/test_counts.py::test_load_checks_the_counts_no_command_reads"
 _TABLE_BUILD = ("tests/test_counts.py::test_table_matches_dp_oracle_at_division_edges",
                 "tests/test_counts.py::test_c4_columns_meet_the_square_rule",
@@ -104,6 +105,12 @@ MUTANTS = (
            "[(c, -s) for c, s in reversed(", "[(c, s) for c, s in reversed(",
            (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS,
             "tests/test_acceptance.py::test_criterion_09_asymptotic_sanity")),
+    # each multiplier's h' taken as h itself: the ratios keep their bits (h' has
+    # the Dedekind sum of h), but h' and the classes sharing one omega do not
+    Mutant("multiplier-inverse-is-h", "modsums.py",
+           "inverse = {h: pow(h, -1, k) for h in hs}", "inverse = {h: h for h in hs}",
+           (_HALF_TABLE, "tests/test_modsums.py::test_multipliers_evaluate_omega_once_per_class",
+            *_KERNEL_BITS)),
     Mutant("root-twelfth-dropped", "modsums.py",
            "        if N % 12:\n", "        if False:\n",
            (_ROOT_BITS, _HALF_TABLE, _ZUCKERMAN, *_KERNEL_BITS)),
@@ -253,7 +260,7 @@ MUTANTS = (
     # row takes the blame for any fault of the block
     Mutant("row-scan-at-block-size", "counts.py",
            'line.replace(b"\\n", b""), 1, c)', 'line.replace(b"\\n", b""), size, c)',
-           (_ROW_SCAN,)),
+           (_ROW_SCAN, _FUZZED_EDITS)),
     # a surplus row after row n_max is recognized at the header's width only
     # (read from the loader's frame), so a wider one reads as a checksum mismatch
     Mutant("surplus-row-at-width-c-only", "counts.py",

@@ -11,9 +11,10 @@ checked exactly.  The per-row cache
 writer writes and hashes one row at a time, as `overrank.counts.save_table`
 did before it wrote blocks of rows; the bytes must agree.  The regex
 cache loader checks each block of rows with one whole-block pattern of its own, as
-`overrank.counts.load_table` did before it checked blocks in C-level passes;
-both must load the same tables and refuse the same files with the same
-message.  The sweep oracle
+`overrank.counts.load_table` did before it checked blocks in C-level passes,
+and names a refused block's first bad row, or a row after row n_max, with
+one-row patterns of its own; both loaders must load the same tables and
+refuse the same files with the same message.  The sweep oracle
 compares every pair of the subadditivity triangle exactly, with no row
 pruning; `overrank.verify.verify_subadditivity` is checked against it.  The
 Dedekind oracles sum s(h,k) from its definition, in O(k) per value, to check
@@ -45,6 +46,7 @@ minimum; the records must agree.
 import hashlib
 import math
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -57,11 +59,14 @@ from overrank.asymptotic import AsymptoticEstimate, engel_pbar
 from overrank.bounds import (_PIECE_COEFS, TABULATED, CertifiedConstant, _series_params,
                              _tail_integral, cbar2, cbar4)
 from overrank.counts import (_BLOCK_ROWS, _CHECKSUM_DOMAIN, TABLE_FORMAT_VERSION,
-                             RankClassTable, _block_fault, _checksum_hash, _read_checksum_line,
-                             _read_header)
+                             RankClassTable, _checksum_hash, _read_header)
 from overrank.modsums import (DEFAULT_PRECISION, KernelTables, _ArcRoots, _multipliers,
-                              _to_mpc, coprime_residues, kloosterman_B, kloosterman_D,
-                              mod_inverse, omega)
+                              _to_mpc, kloosterman_B, kloosterman_D, omega)
+
+
+def units(k: int) -> list[int]:
+    """The coprime residues 0 <= h < k of k, in ascending order: the primed-sum index set."""
+    return [h for h in range(k) if math.gcd(h, k) == 1]
 
 
 def pbar_series_product(n_max: int) -> list[int]:
@@ -135,9 +140,29 @@ def save_table_per_row(table: RankClassTable, path) -> None:
         fh.write(f"checksum sha256:{h.hexdigest()}\n".encode())
 
 
-# one or more canonical row lines: counts in plain decimal, without sign,
+# a canonical row line of any width: counts in plain decimal, without sign,
 # separator or leading zero, each followed by a comma, then a newline
-_ROWS = re.compile(rb"(?:(?:(?:0|[1-9][0-9]*),)+\n)+")
+_ROW = re.compile(rb"(?:(?:0|[1-9][0-9]*),)+\n")
+_ROWS = re.compile(b"(?:%s)+" % _ROW.pattern)
+
+
+def _first_bad_row(lines: list[bytes], start: int, size: int, c: int) -> str:
+    """The first of rows start, ..., start + size - 1 that is not c canonical counts
+    each int() converts, named in the loader's words; `lines` may stop short."""
+    limit = sys.get_int_max_str_digits()
+    for n, line in enumerate(lines + [b""] * (size - len(lines)), start):
+        if not line.endswith(b"\n"):
+            return f"cache file truncated in row n={n}"
+        if line.startswith(b"checksum "):
+            return f"cache row n={n} is missing"
+        if line.count(b",") != c:
+            return f"cache row n={n} holds {line.count(b',')} counts, not c={c}"
+        if not _ROW.fullmatch(line):
+            return (f"cache row n={n} is not canonical: counts must be plain decimal, "
+                    "each followed by a comma")
+        if limit and any(len(v) > limit for v in line[:-2].split(b",")):
+            return (f"cache row n={n} has a count above {limit} decimal digits, "
+                    "Python's limit for str-to-int conversion")
 
 
 def load_table_regex(path) -> RankClassTable:
@@ -155,14 +180,21 @@ def load_table_regex(path) -> RankClassTable:
             # ..., c * size, and no value holds two
             if (len(values) != c * size + 1 or not _ROWS.fullmatch(block)
                     or b"".join(values[c::c]).count(b"\n") != size):
-                raise ValueError(_block_fault(lines, start, size, c))
+                raise ValueError(_first_bad_row(lines, start, size, c))
             h.update(block.replace(b"\n", b""))
             try:
                 counts += map(int, values[:-1])
             except ValueError:  # a count longer than int() converts
-                raise ValueError(_block_fault(lines, start, size, c)) from None
+                raise ValueError(_first_bad_row(lines, start, size, c)) from None
         digest = h.hexdigest()
-        _read_checksum_line(fh, digest, n_max)
+        last = fh.readline()
+        if last != f"checksum sha256:{digest}\n".encode():
+            if _ROW.fullmatch(last):
+                raise ValueError(f"cache row n={n_max + 1} lies beyond n_max={n_max}")
+            raise ValueError("cache checksum mismatch" if last else
+                             "cache file truncated: the checksum line is missing")
+        if fh.read(1):
+            raise ValueError("cache has data after its checksum line")
     table = RankClassTable([counts[r::c] for r in range(c)])
     table._checksum = digest
     return table
@@ -217,7 +249,7 @@ def dedekind_sums_direct_row(k: int) -> dict[int, Fraction]:
     """
     if not 1 <= k < 1 << 21:
         raise ValueError("need 1 <= k < 2^21")
-    hs = [h for h in range(k) if math.gcd(h, k) == 1]
+    hs = units(k)
     u = np.arange(1, k, dtype=np.int64)
     v = (np.array(hs, dtype=np.int64)[:, None] * u) % k
     acc = (2 * v - k) @ (2 * u - k)
@@ -229,7 +261,7 @@ def multiplier_classes(k: int) -> list[set[int]]:
     each grown by inversion and negation until it is closed."""
     classes: list[set[int]] = []
     seen: set[int] = set()
-    for h in coprime_residues(k):
+    for h in units(k):
         if h in seen:
             continue
         cls = {h}
@@ -258,8 +290,8 @@ def kloosterman_B_direct(a: int, c: int, k: int, n: int,
     k1 = k // c
     with mp.workprec(prec + 10):
         total = mpc(0)
-        for h in coprime_residues(k):
-            hp = mod_inverse(h, k)
+        for h in units(k):
+            hp = pow(h, -1, k)
             w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
             term = w / mp.sinpi(mpf(a * hp) / c)
             term *= mp.expjpi(-mpf((a * a * k1 * (c - 2) * hp) % (2 * c)) / c)
@@ -281,8 +313,8 @@ def kloosterman_D_direct(a: int, c: int, k: int, n: int, e: int, region_sign: in
         raise ValueError("need 0 < a < c coprime")
     with mp.workprec(prec + 10):
         total = mpc(0)
-        for h in coprime_residues(k):
-            hp = mod_inverse(h, k)
+        for h in units(k):
+            hp = pow(h, -1, k)
             w = omega(h, k, prec + 10) ** 2 / omega((2 * h) % k, k, prec + 10)
             total += w * rational_phase(Fraction(n * h, k) + e * Fraction(hp, k), prec + 10)
         total *= region_sign / mp.sqrt(2) * mp.tan(mp.pi * a / c)

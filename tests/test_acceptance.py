@@ -10,11 +10,11 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from oracles import dedekind_sums_direct_row
-from overrank import (a_asymptotic, a_exact, brute_force_rank_counts, const_C,
-                      dedekind_sum, engel_pbar, m_c, m_c_prime, pbar_sandwich,
-                      r_ratio, rank_class_table, sandwich_threshold, t_inequality,
-                      verify_subadditivity)
+from overrank import (a_asymptotic, a_exact, const_C, dedekind_sum, engel_pbar, m_c,
+                      m_c_prime, pbar_sandwich, r_ratio, rank_class_table, sandwich_threshold,
+                      t_inequality, verify_subadditivity)
 from overrank.bounds import strict_verdict
+from overrank.counts import brute_force_rank_counts
 
 
 def gate(number: int, label: str, ok: bool, detail: str = "") -> None:

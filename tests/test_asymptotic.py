@@ -2,19 +2,19 @@
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt, log, pi, sqrt
 
 import pytest
 from mpmath import mp, mpf
 
 from oracles import (a_asymptotic_per_residue, kloosterman_B_direct, kloosterman_D_direct,
-                     multiplier_classes, nbar_asymptotic_per_residue, rank_row)
+                     multiplier_classes, nbar_asymptotic_per_residue, rank_row, units)
 from overrank import (a_asymptotic, a_exact, asymptotic, aux_inequalities_selftest, bounds,
                       cbar2, cbar4, const_C, engel_pbar, error_pieces, error_term_bound,
                       kloosterman_B, kloosterman_D, m_c, m_c_prime, main_term_bound, modsums,
                       nbar_asymptotic, pbar_sandwich, pbar_series, r_ratio, rank_class_table,
                       sandwich_threshold, t_inequality)
-from overrank.modsums import KernelTables, coprime_residues, mod_inverse
+from overrank.modsums import KernelTables
 
 
 def test_first_sum_empty_below_c_squared():
@@ -43,6 +43,33 @@ def test_deviation_at_1600(table3):
     assert dev < mpf("1e-12")
     envelope = error_term_bound(3, 1600)
     assert abs(est.value - exact.real) < envelope
+
+
+@pytest.mark.parametrize("prec, bound", [(30, mpf("1e-8")), (800, mpf("1e-16"))],
+                         ids=["no-table", "past-the-cutoff"])
+def test_deviation_at_1600_with_roots_from_mpmath(table3, prec, bound):
+    # the roots an arc's table does not give: at prec 30 (working precision
+    # 60) no table is built, and at prec 800 arguments past mpmath's
+    # EXP_SERIES_U_CUTOFF take mpmath's value; deviations read 7.5e-10, the
+    # 30-bit rounding, and 7.6e-18, the 160-bit test's
+    est = a_asymptotic(1, 3, 1600, prec=prec)
+    exact = a_exact(1, 1600, table3, prec=prec + 100)
+    assert abs(est.value - exact.real) / abs(exact.real) < bound
+
+
+def test_c3_main_terms_round_to_the_exact_counts_through_16000():
+    # N(a, 3, n) = (pbar(n) + Re sum_{j=1,2} e(-aj/3) A(j/3; n)) / 3 exactly;
+    # with A from the main terms the residual reads 0.050, 0.019, 0.039 and
+    # 0.136 at these n, and 0.287 at n = 20000, so the range stops at 16000
+    pbar = pbar_series(16000)
+    for n in (4000, 8000, 12000, 16000):
+        prec = ceil(pi * sqrt(n) / (3 * log(2))) + 60
+        row = rank_row(3, n, pbar)
+        values = [a_asymptotic(j, 3, n, prec).value for j in (1, 2)]
+        with mp.workprec(prec):
+            for a in range(3):
+                main = sum(mp.cospi(mpf(2 * a * j) / 3) * v for j, v in zip((1, 2), values))
+                assert abs(main - (3 * row[a] - pbar[n])) < mpf(3) / 4, (a, n)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the secondary sum D takes a "
@@ -163,7 +190,7 @@ def test_b_evaluates_each_sine_once(monkeypatch, a, c, n):
     # root taken by KernelTables.sine, from its B arc's table or, where
     # the table refuses it, from mpmath
     arcs = range(c, isqrt(n) + 1, 2 * c)
-    summands = [a * mod_inverse(h, k) for k in arcs for h in coprime_residues(k)]
+    summands = [a * pow(h, -1, k) for k in arcs for h in units(k)]
     calls = counting(monkeypatch, modsums._ArcRoots, "__call__")
     evaluations = []
     sine = modsums.KernelTables.sine
@@ -187,7 +214,7 @@ def test_kernel_root_arguments_stay_below_their_arc(monkeypatch):
     calls = counting(monkeypatch, modsums._ArcRoots, "_rounded")
     for c in (3, 5, 7, 9):
         for _ in range(2):
-            a = rng.choice(coprime_residues(c))
+            a = rng.choice(units(c))
             a_asymptotic(a, c, rng.randrange(2000, 20000))
     nbar_asymptotic(rng.randrange(5), 5, rng.randrange(2000, 20000))
     ratios = [abs(Fraction(num, den)) / roots.k for roots, num, den in calls]

@@ -21,7 +21,6 @@ import pytest
 
 import oracles
 from overrank import asymptotic, bounds, cli, counts, verify
-from overrank.modsums import coprime_residues
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = {"asymptotic": asymptotic, "bounds": bounds, "cli": cli, "counts": counts,
@@ -154,7 +153,7 @@ def test_tracer_sees_every_kernel_call():
     assert spans == Counter(name for name, _ in expected)
     assert totals["modsums.kloosterman_B.calls"] == spans["modsums.kloosterman_B"]
     assert totals["modsums.kloosterman_D.calls"] == spans["modsums.kloosterman_D"] > 0
-    assert totals["modsums.summands"] == sum(len(coprime_residues(k)) for _, k in expected)
+    assert totals["modsums.summands"] == sum(len(oracles.units(k)) for _, k in expected)
 
 
 def test_tracer_spans_commands_that_import_the_analytic_layer_when_run(capsys):

@@ -18,11 +18,10 @@ import oracles
 from oracles import (load_table_regex, pbar_series_product, rank_class_table_dp,
                      save_table_per_row)
 
-from overrank import (a_exact, brute_force_rank_counts, load_table, pbar_series,
-                      rank_class_table, save_table)
+from overrank import a_exact, load_table, pbar_series, rank_class_table, save_table
 from overrank import counts
 from overrank.cli import main
-from overrank.counts import RankClassTable
+from overrank.counts import RankClassTable, brute_force_rank_counts
 
 # RankClassTable.checksum() of the O(c N^2) DP oracle's tables
 DP_CHECKSUMS = {
@@ -949,6 +948,14 @@ def test_rank_row_equals_every_row_of_the_depth_300_tables():
         for n in range(301):
             row = oracles.rank_row(c, n, pbar)
             assert row == table.row(n) and sum(row) == pbar[n], (c, n)
+
+
+def test_rank_row_equals_spaced_rows_of_the_depth_3000_tables(pbar3000, table3, table4,
+                                                              table5):
+    ns = sorted({0, 1, 2, 9, *range(0, 3001, 250), 2999, 3000})
+    for table in (table3, table4, table5):
+        for n in ns:
+            assert oracles.rank_row(table.c, n, pbar3000) == table.row(n), (table.c, n)
 
 
 def test_count_past_the_int_str_limit_in_a_cache_names_its_row(tmp_path):

@@ -15,11 +15,11 @@ from mpmath.libmp.libmpf import python_mpf_mul
 
 import oracles
 from oracles import (dedekind_sum_direct, dedekind_sums_direct_row,
-                     kloosterman_B_direct, kloosterman_D_direct, multiplier_classes)
+                     kloosterman_B_direct, kloosterman_D_direct, multiplier_classes, units)
 from overrank import (a_asymptotic, arc_plan, dedekind_sum, kloosterman_B, kloosterman_D,
-                      mod_inverse, omega, pbar_series, secondary_terms)
+                      pbar_series, secondary_terms)
 from overrank import modsums
-from overrank.modsums import _ArcRoots, _conjugate, _multipliers, coprime_residues
+from overrank.modsums import _ArcRoots, _conjugate, _multipliers, omega
 
 
 def libmp(z):
@@ -46,7 +46,7 @@ def test_dedekind_rejects_non_coprime():
         dedekind_sum(2, 4)
 
 
-@pytest.mark.parametrize("f", [dedekind_sum, mod_inverse])
+@pytest.mark.parametrize("f", [dedekind_sum])
 def test_modulus_below_one_is_refused(f):
     with pytest.raises(ValueError) as raised:
         f(1, 0)
@@ -63,7 +63,7 @@ def test_direct_row_oracle_equals_scalar_oracle():
     # the int64 matrix form against the plain-integer loop, every coprime h
     for k in (1, 2, 3, 12, 97, 120, 499, 500):
         assert dedekind_sums_direct_row(k) == {
-            h: dedekind_sum_direct(h, k) for h in coprime_residues(k)}, k
+            h: dedekind_sum_direct(h, k) for h in units(k)}, k
 
 
 def test_dedekind_reciprocity():
@@ -88,18 +88,9 @@ def test_omega_values():
 
 def test_omega_unit_modulus():
     for k in (1, 3, 7, 24, 101):
-        for h in coprime_residues(k):
+        for h in units(k):
             with mp.workprec(400):
                 assert abs(abs(omega(h, k)) - 1) < mpf(2) ** -140
-
-
-def test_mod_inverse():
-    assert mod_inverse(1, 5) == 1
-    assert mod_inverse(2, 5) == 3
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(0, 1) == 0
-    with pytest.raises(ValueError):
-        mod_inverse(2, 4)
 
 
 def test_secondary_terms_examples():
@@ -215,8 +206,8 @@ def test_delta_decreasing_and_enumeration_bound():
 # ---------------------------------------------------------------------------
 
 def test_b_summand_count():
-    assert len(coprime_residues(3)) == 2
-    assert len(coprime_residues(5)) == 4
+    assert len(units(3)) == 2
+    assert len(units(5)) == 4
 
 
 def test_b_consistent_pinned_value():
@@ -235,7 +226,7 @@ def test_b_precondition_checks():
 
 def phase_keys(k, n, e=0):
     """The linear phase keys, num mod k, that one kernel call at arc k uses."""
-    return {(n * h + e * mod_inverse(h, k)) % k for h in coprime_residues(k)}
+    return {(n * h + e * pow(h, -1, k)) % k for h in units(k)}
 
 
 def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
@@ -254,7 +245,7 @@ def test_kernel_tables_hold_one_arc_of_one_modulus_and_precision(monkeypatch):
         # only; a return to arc 9 builds it again
         assert built == [k] * len(multiplier_classes(k))
         assert tables.k == k
-        assert [h for h, _, _ in tables.multipliers] == coprime_residues(k)
+        assert [h for h, _, _ in tables.multipliers] == units(k)
         assert set(tables.phases) == phase_keys(k, -100)
     # each call checks its residue against the tables' modulus
     with pytest.raises(ValueError, match="need 0 < a < c coprime"):
@@ -338,7 +329,7 @@ def test_kernel_tables_take_entries_at_their_own_precision():
         entries = ([w for _, _, w in tables.enter(9)], tables.phase(2), tables.quad(5),
                    [tables.sine(x) for x in (1, 2, 4)])
     with mp.workprec(170):
-        om = {h: omega(h, 9, 170) for h in coprime_residues(9)}
+        om = {h: omega(h, 9, 170) for h in units(9)}
         expect = ([(om[h] ** 2 / om[2 * h % 9])._mpc_ for h in om],
                   mp.expjpi(2 * mpf(2) / 9)._mpc_, mp.expjpi(-mpf(5) / 3)._mpc_,
                   [mp.sinpi(mpf(x) / 3)._mpf_ for x in (1, 2, 4)])
@@ -354,11 +345,11 @@ def test_multipliers_half_table_equals_per_h_form(prec, shared_omega):
     # table behind _multipliers must give the plain per-h form's bits
     for k in range(1, 402, 2):
         with mp.workprec(prec):
-            om = {h: modsums.omega(h, k, prec) for h in coprime_residues(k)}
+            om = {h: modsums.omega(h, k, prec) for h in units(k)}
             for h, w in om.items():
-                assert w._mpc_ == om[mod_inverse(h, k)]._mpc_, (h, k)
+                assert w._mpc_ == om[pow(h, -1, k)]._mpc_, (h, k)
                 assert w._mpc_ == om[-h % k].conjugate()._mpc_, (h, k)
-            plain = [(h, mod_inverse(h, k), (w ** 2 / om[2 * h % k])._mpc_)
+            plain = [(h, pow(h, -1, k), (w ** 2 / om[2 * h % k])._mpc_)
                      for h, w in om.items()]
             assert [(h, hp, libmp(w)) for h, hp, w in _multipliers(_ArcRoots(k, prec))] == plain, k
 
@@ -368,7 +359,7 @@ def test_dedekind_sum_class_symmetry():
     for k in range(1, 402, 2):
         row = dedekind_sums_direct_row(k)
         for h, s in row.items():
-            assert row[mod_inverse(h, k)] == s, (h, k)
+            assert row[pow(h, -1, k)] == s, (h, k)
             assert row[-h % k] == -s, (h, k)
 
 
@@ -393,7 +384,7 @@ def test_arc_roots_have_the_bits_of_mpmath(monkeypatch):
     cases = []
     for wp in (94, 190):
         for k in range(1, 200, 2):
-            hs = coprime_residues(k)
+            hs = units(k)
             args = ([(2 * j, k) for j in range(k)]
                     + [dedekind_sum(h, k).as_integer_ratio() for h in hs])
             want = ([modsums._from_mpc(cos_sin_pi(2 * j, k, wp)) for j in range(k)]
@@ -426,8 +417,8 @@ def test_modulus_roots_have_the_bits_of_mpmath(monkeypatch):
     for wp in (94, 190):
         for c in range(3, 14, 2):
             for k in (c, 3 * c, 5 * c):
-                xs = [a * mod_inverse(h, k) for a in coprime_residues(c)
-                      for h in coprime_residues(k)]
+                xs = [a * pow(h, -1, k) for a in units(c)
+                      for h in units(k)]
                 want = ([modsums._from_mpf(cos_sin_pi(x, c, wp)[1]) for x in xs]
                         + [modsums._from_mpc(cos_sin_pi(-r, c, wp)) for r in range(2 * c)])
                 tables = modsums.KernelTables(c, wp - 10)
