@@ -22,7 +22,8 @@ DEFAULT_PRECISION = 160  # the analytic layer's working precision, in mantissa b
 
 from importlib import import_module as _import_module
 
-from .counts import RankClassTable, load_table, pbar_series, rank_class_table, save_table
+from .counts import (RankClassTable, load_table, pbar_series, rank_class_table, rank_row,
+                     save_table)
 from .report import Report, RunConfig
 from .verify import Certificate, verify_subadditivity
 

@@ -1,7 +1,7 @@
 """Main-term asymptotics for the rank-class deviation coefficients.
 
 The coefficients are A(a/c;n) = sum_r counts[n][r] zeta_c^{a r}.  `a_exact`
-evaluates one from a row of exact counts, with c the table's modulus;
+evaluates one from a row of exact counts, with c the row's length;
 `a_asymptotic` evaluates the two main sums of its circle-method expansion: a
 sine-weighted sum over arc denominators k with c | k, k odd, and a secondary
 sum over odd k with c not dividing k, one term per (delta_r, e_r) that
@@ -29,7 +29,6 @@ from math import gcd
 from mpmath import mp, mpc, mpf
 
 from . import DEFAULT_PRECISION
-from .counts import RankClassTable
 from .modsums import KernelTables, arc_plan, kloosterman_B, kloosterman_D
 
 __all__ = [
@@ -64,17 +63,17 @@ def _estimate(total: mpc, terms: list[tuple[int, mpc]], prec: int) -> Asymptotic
                                   k_terms=[(k, +t) for k, t in terms])
 
 
-def a_exact(j: int, n: int, table: RankClassTable, prec: int = DEFAULT_PRECISION) -> mpc:
-    """Evaluate sum_r counts[n][r] * zeta_c^{j r} in high precision, c = table.c.
+def a_exact(j: int, row: list[int], prec: int = DEFAULT_PRECISION) -> mpc:
+    """Evaluate sum_r row[r] * zeta_c^{j r} in high precision, c = len(row).
 
-    The integers in the table may need more mantissa bits than `prec`; the
-    evaluation runs at enough bits to represent them exactly and rounds only
-    at the end, so precision is never silently lost to the data.
+    `row` is one row of exact counts, `rank_row(n, c)` or `table.row(n)`.  The
+    counts may need more mantissa bits than `prec`; the evaluation runs at
+    enough bits to represent them exactly and rounds only at the end, so
+    precision is never silently lost to the data.
     """
-    c = table.c
+    c = len(row)
     if not 0 <= j < c:
         raise ValueError("j out of range")
-    row = table.row(n)
     data_bits = max(v.bit_length() for v in row)
     work = max(prec, data_bits + prec // 2 + 16)
     with mp.workprec(work):

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .counts import load_table, pbar_series, rank_class_table, save_table
+from .counts import load_table, pbar_series, rank_class_table, rank_row, save_table
 from .report import Report, RunConfig, environment_fingerprint, fmt_value
 from .verify import verify_subadditivity
 
@@ -41,7 +41,9 @@ def _get_table(report: Report, c: int, need_n: int):
     Reports in timings, never in outputs: where the table came from as
     `table_cache` (hit: read from the cache; built: built and written to it;
     none: built, no cache asked for), the depth built or loaded as
-    `table_n_max`, its checksum as `table_sha256`, and `table_s`.
+    `table_n_max`, its checksum as `table_sha256`, and `table_s`.  A command
+    that reads one row without a cache takes no table: `_get_row` builds the
+    row alone and reports only `row_s`.
     """
     cfg = report.config
     t0 = time.perf_counter()
@@ -66,6 +68,16 @@ def _get_table(report: Report, c: int, need_n: int):
     return table
 
 
+def _get_row(report: Report, c: int, n: int) -> list[int]:
+    """Row n mod c: from the table of `_get_table` with a cache, else from `rank_row`."""
+    if report.config.cache_path:
+        return _get_table(report, c, n).row(n)
+    t0 = time.perf_counter()
+    row = rank_row(n, c)
+    report.timings["row_s"] = round(time.perf_counter() - t0, 6)
+    return row
+
+
 def _emit(report: Report, args) -> None:
     text = report.to_json_lines() if args.format == "json-lines" else report.to_text()
     if args.report:
@@ -86,9 +98,8 @@ def cmd_count(args, report: Report) -> list[str]:
         series = pbar_series(n)
         report.add("count", kind="pbar", n=n, value=str(series[n]))
     else:
-        table = _get_table(report, args.c, n)
+        row = _get_row(report, args.c, n)
         residues = range(args.c) if args.a is None else [args.a % args.c]
-        row = table.row(n)
         for r in residues:
             report.add("count", kind="rank_class", n=n, c=args.c, a=r, value=str(row[r]))
     return []
@@ -113,8 +124,7 @@ def cmd_asymptotic(args, report: Report) -> list[str]:
                "k_terms": len(est.k_terms)}
         verdicts = []
         if n <= report.config.n_max:
-            table = _get_table(report, c, n)
-            exact = a_exact(a, n, table, prec=prec)
+            exact = a_exact(a, _get_row(report, c, n), prec=prec)
             diff = abs(exact.real - est.value)
             row["exact"] = fmt_value(exact.real)
             row["abs_deviation"] = fmt_value(diff)

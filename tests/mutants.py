@@ -191,15 +191,12 @@ MUTANTS = (
            "violations=list(violations)", "violations=violations",
            ("tests/test_verify.py::test_mutating_a_certificate_leaves_later_results_alone",)),
     # each check of a cache block, dropped in turn
-    Mutant("block-value-count-unchecked", "counts.py",
-           "    if (len(values) != c * size + 1 or ", "    if (", (_AIMED_EDITS,)),
     Mutant("block-bytes-unchecked", "counts.py",
-           " or block.translate(None, _ROW_BYTES)\n", "\n", (_AIMED_EDITS,)),
-    Mutant("block-line-ends-unchecked", "counts.py",
-           "            or block.count(b\",\\n\") != size or ", "            or ",
+           "    if (block.translate(None, _ROW_BYTES)\n            or ", "    if (",
            (_AIMED_EDITS,)),
-    Mutant("block-row-lengths-unchecked", "counts.py",
-           " or b\"\".join(values[c::c]).count(b\"\\n\") != size\n", "\n", (_AIMED_EDITS,)),
+    Mutant("block-row-starts-unchecked", "counts.py",
+           "            or b\"\".join(map(itemgetter(slice(1)), values[c::c])) != b\"\\n\" * size\n",
+           "", (_AIMED_EDITS,)),
     Mutant("block-inner-counts-unchecked", "counts.py",
            "            or _BAD_COUNT.search(stream) or ", "            or ", (_AIMED_EDITS,)),
     Mutant("block-first-count-unchecked", "counts.py",
@@ -221,6 +218,12 @@ MUTANTS = (
     Mutant("n0-x-to-the-c-dropped", "counts.py",
            "((1, -2), (c, 2))", "((1, -2),)",
            (*_TABLE_BUILD, "tests/test_counts.py::test_table_matches_oracle")),
+    # the lone row from the same bracket, without its [r = 0] term in Q_1
+    Mutant("lone-row-without-its-q1-term", "counts.py",
+           "[pbar[n] + 4 * (d[c - 1] - q1)]", "[pbar[n] + 4 * d[c - 1]]",
+           ("tests/test_counts.py::test_rank_row_equals_every_row_of_the_depth_300_tables",
+            "tests/test_counts.py::test_rank_row_equals_spaced_rows_of_the_depth_3000_tables",
+            "tests/test_cli.py::test_lone_row_prints_the_records_of_the_table_path")),
     # an IndexError for c = 3 and 5 and a wrong table for c = 4: the tables the
     # cache tests share are built inside them, so the module still collects
     Mutant("mirror-exponent-off-by-one", "counts.py",
@@ -247,7 +250,7 @@ MUTANTS = (
            "RankClassTable([list(map(int, values[r::c])) for r in range(c)])",
            ("tests/test_cli.py::test_warm_commands_convert_only_the_counts_they_read",)),
     Mutant("count-reads-every-row", "cli.py",
-           "        row = table.row(n)\n", "        row = table.counts[n]\n",
+           "_get_table(report, c, n).row(n)", "_get_table(report, c, n).counts[n]",
            ("tests/test_cli.py::test_warm_commands_convert_only_the_counts_they_read",)),
     Mutant("empty-count-allowed", "counts.py",
            '_BAD_COUNT = re.compile(rb",(?:0[0-9]|,)")', '_BAD_COUNT = re.compile(rb",0[0-9]")',

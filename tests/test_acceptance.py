@@ -142,7 +142,7 @@ def test_criterion_09_asymptotic_sanity(table3):
     residual_ok = True
     for n in (500, 2000):
         est = a_asymptotic(1, 3, n)
-        exact = a_exact(1, n, table3, prec=300)
+        exact = a_exact(1, table3.row(n), prec=300)
         devs[n] = abs(est.value - exact.real) / abs(exact.real)
         if est.imag_residual > mpf(10) ** -10 * max(abs(t) for _, t in est.k_terms):
             residual_ok = False

@@ -8,12 +8,12 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import (a_asymptotic_per_residue, kloosterman_B_direct, kloosterman_D_direct,
-                     multiplier_classes, nbar_asymptotic_per_residue, rank_row, units)
+                     multiplier_classes, nbar_asymptotic_per_residue, units)
 from overrank import (a_asymptotic, a_exact, asymptotic, aux_inequalities_selftest, bounds,
                       cbar2, cbar4, const_C, engel_pbar, error_pieces, error_term_bound,
                       kloosterman_B, kloosterman_D, m_c, m_c_prime, main_term_bound, modsums,
                       nbar_asymptotic, pbar_sandwich, pbar_series, r_ratio, rank_class_table,
-                      sandwich_threshold, t_inequality)
+                      rank_row, sandwich_threshold, t_inequality)
 from overrank.modsums import KernelTables
 
 
@@ -38,7 +38,7 @@ def test_deviation_at_1600(table3):
     # unevaluated remainder is O(1)-small here; envelope check plus a frozen
     # empirical ceiling several orders above observed (~1e-17)
     est = a_asymptotic(1, 3, 1600)
-    exact = a_exact(1, 1600, table3, prec=300)
+    exact = a_exact(1, table3.row(1600), prec=300)
     dev = abs(est.value - exact.real) / abs(exact.real)
     assert dev < mpf("1e-12")
     envelope = error_term_bound(3, 1600)
@@ -53,7 +53,7 @@ def test_deviation_at_1600_with_roots_from_mpmath(table3, prec, bound):
     # EXP_SERIES_U_CUTOFF take mpmath's value; deviations read 7.5e-10, the
     # 30-bit rounding, and 7.6e-18, the 160-bit test's
     est = a_asymptotic(1, 3, 1600, prec=prec)
-    exact = a_exact(1, 1600, table3, prec=prec + 100)
+    exact = a_exact(1, table3.row(1600), prec=prec + 100)
     assert abs(est.value - exact.real) / abs(exact.real) < bound
 
 
@@ -61,15 +61,14 @@ def test_c3_main_terms_round_to_the_exact_counts_through_16000():
     # N(a, 3, n) = (pbar(n) + Re sum_{j=1,2} e(-aj/3) A(j/3; n)) / 3 exactly;
     # with A from the main terms the residual reads 0.050, 0.019, 0.039 and
     # 0.136 at these n, and 0.287 at n = 20000, so the range stops at 16000
-    pbar = pbar_series(16000)
     for n in (4000, 8000, 12000, 16000):
         prec = ceil(pi * sqrt(n) / (3 * log(2))) + 60
-        row = rank_row(3, n, pbar)
+        row = rank_row(n, 3)  # sums to pbar(n)
         values = [a_asymptotic(j, 3, n, prec).value for j in (1, 2)]
         with mp.workprec(prec):
             for a in range(3):
                 main = sum(mp.cospi(mpf(2 * a * j) / 3) * v for j, v in zip((1, 2), values))
-                assert abs(main - (3 * row[a] - pbar[n])) < mpf(3) / 4, (a, n)
+                assert abs(main - (3 * row[a] - sum(row))) < mpf(3) / 4, (a, n)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the secondary sum D takes a "
@@ -85,13 +84,11 @@ def test_estimates_meet_exact_coefficients():
             for a in range(1, c // 2 + 1):
                 if gcd(a, c) == 1:
                     est = a_asymptotic(a, c, n, prec=64)
-                    exact = a_exact(a, n, table, prec=64).real
+                    exact = a_exact(a, table.row(n), prec=64).real
                     misses[a, c, n] = abs(est.value - exact)
-    # a deep point from the row oracle: A(2/5; 40120) = 1,779,916.419..., which
+    # a deep point from the lone row: A(2/5; 40120) = 1,779,916.419..., which
     # today's estimate misses by 1.8e6 and the mended phase by 0.31
-    row = rank_row(5, 40120, pbar_series(40120))
-    with mp.workprec(max(map(int.bit_length, row)) + 160):
-        exact = sum(v * mp.cospi(mpf(4 * r) / 5) for r, v in enumerate(row))
+    exact = a_exact(2, rank_row(40120, 5), prec=160).real
     misses[2, 5, 40120] = abs(a_asymptotic(2, 5, 40120, prec=160).value - exact)
     assert max(misses.values()) < 20, max(misses.items(), key=lambda item: item[1])
 
@@ -257,7 +254,7 @@ def test_outputs_independent_of_ambient_precision(pbar3000, table3):
         out += [(e.estimate._mpf_, e.certified_bound._mpf_)
                 for e in map(engel_pbar, (1, 434, 3000))]
         out += [(t.holds, t.margin._mpf_) for t in (t_inequality(109, 3), t_inequality(5000, 7))]
-        out.append(a_exact(1, 1600, table3)._mpc_)
+        out.append(a_exact(1, table3.row(1600))._mpc_)
         for prec in (64, 160):
             bounds._grid_checks.cache_clear()  # else the first ambient's checks are reused
             out.append(aux_inequalities_selftest(prec))

@@ -296,11 +296,40 @@ def test_count_reports_table_cache(capsys, tmp_path):
     cache = ["--cache", str(tmp_path / "t3.tbl")]
     runs = [Report.from_json_lines(run_cli(capsys, *args)[1])
             for args in (argv, argv + cache, argv + cache)]
-    assert [r.timings["table_cache"] for r in runs] == ["none", "built", "hit"]
-    for report in runs:
+    # without a cache the row is built alone, and no table is named
+    assert set(runs[0].timings) == {"row_s", "total_s"}
+    assert 0 <= runs[0].timings["row_s"] <= runs[0].timings["total_s"]
+    assert [r.timings["table_cache"] for r in runs[1:]] == ["built", "hit"]
+    for report in runs[1:]:
         assert 0 <= report.timings["table_s"] <= report.timings["total_s"]
-    # where the table came from shows in the timings only
+    # where the row came from shows in the timings only
     assert runs[0].outputs == runs[1].outputs == runs[2].outputs
+
+
+def output_lines(out: str) -> list[str]:
+    """The json-lines of a report without its config and timings records,
+    the only ones that name a cache or a source."""
+    return [line for line in out.splitlines()
+            if json.loads(line)["record"] not in ("config", "timings")]
+
+
+@pytest.mark.parametrize("c", range(2, 8))
+def test_lone_row_prints_the_records_of_the_table_path(capsys, tmp_path, c):
+    # count and asymptotic without --cache read rank_row's row; with --cache
+    # they read the table's; every other record is byte for byte the same.
+    # The estimate needs c > 2 and n > 1.
+    cache = ["--cache", str(tmp_path / f"t{c}.tbl")]
+    for n in (0, 1, 9, 300, 1600):
+        commands = [["count", "--c", str(c), "--n", str(n)],
+                    ["count", "--c", str(c), "--a", str(c - 1), "--n", str(n)]]
+        commands += [["asymptotic", "--a", str(a), "--c", str(c), "--n", str(n)]
+                     for a in (1, c - 1) if c > 2 and n > 1]
+        for argv in commands:
+            argv += ["--n-max", "1600", "--format", "json-lines"]
+            code, lone = run_cli(capsys, *argv)
+            cached_code, table = run_cli(capsys, *argv, *cache)
+            assert code == cached_code and output_lines(lone) == output_lines(table), argv
+            assert '"row_s"' in lone and '"table_s"' in table, argv
 
 
 def test_table_depth_and_checksum_in_timings_only(capsys, tmp_path):
@@ -309,14 +338,20 @@ def test_table_depth_and_checksum_in_timings_only(capsys, tmp_path):
     table = rank_class_table(60, 3)
     cache = ["--cache", str(tmp_path / "t3.tbl"), "--n-max", "60"]
     for argv, depth in [
-            (["count", "--n", "7", "--c", "3"], 7),
-            (["asymptotic", "--a", "1", "--c", "3", "--n", "20"], 20),
+            (["count", "--n", "7", "--c", "3"], None),
+            (["asymptotic", "--a", "1", "--c", "3", "--n", "20"], None),
             (["verify", "--c", "3", "--n-lo", "9", "--n-hi", "30"], 60)]:
         runs = [Report.from_json_lines(run_cli(capsys, *argv, *extra, "--format", "json-lines")[1])
                 for extra in (["--n-max", "60"], cache, cache)]
-        assert [r.timings["table_cache"] for r in runs] == ["none", "built", "hit"], argv
-        assert [r.timings["table_n_max"] for r in runs] == [depth, 60, 60], argv
-        assert runs[0].timings["table_sha256"] == rank_class_table(depth, 3).checksum()
+        if depth is None:  # without a cache, a lone row and no table
+            assert "row_s" in runs[0].timings, argv
+            assert not any(key.startswith("table_") for key in runs[0].timings), argv
+        else:
+            assert runs[0].timings["table_cache"] == "none"
+            assert runs[0].timings["table_n_max"] == depth
+            assert runs[0].timings["table_sha256"] == rank_class_table(depth, 3).checksum()
+        assert [r.timings["table_cache"] for r in runs[1:]] == ["built", "hit"], argv
+        assert [r.timings["table_n_max"] for r in runs[1:]] == [60, 60], argv
         assert runs[1].timings["table_sha256"] == runs[2].timings["table_sha256"] == table.checksum()
         assert runs[0].outputs == runs[1].outputs == runs[2].outputs, argv
         for record in runs[0].outputs:

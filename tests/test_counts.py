@@ -18,7 +18,7 @@ import oracles
 from oracles import (load_table_regex, pbar_series_product, rank_class_table_dp,
                      save_table_per_row)
 
-from overrank import a_exact, load_table, pbar_series, rank_class_table, save_table
+from overrank import a_exact, load_table, pbar_series, rank_class_table, rank_row, save_table
 from overrank import counts
 from overrank.cli import main
 from overrank.counts import RankClassTable, brute_force_rank_counts
@@ -165,7 +165,7 @@ def test_table_indices_outside_the_table_are_refused():
             (table.row, -1, "n=-1 is outside the table's 0..10"),
             (table.row, 11, "n=11 is outside the table's 0..10"),
             (table.row_sum, -1, "n=-1 is outside the table's 0..10"),
-            (lambda n: a_exact(0, n, table), 11, "n=11 is outside the table's 0..10"),
+            (lambda n: a_exact(0, table.row(n)), 11, "n=11 is outside the table's 0..10"),
             (table.column, -1, "residue r=-1 is outside the table's 0..2"),
             (table.column, 3, "residue r=3 is outside the table's 0..2")):
         with pytest.raises(ValueError) as info:
@@ -225,14 +225,14 @@ def test_c2_and_c4_columns_meet_lovejoys_a_half(table4):
 
 def test_a_exact_values(small_tables):
     t3 = small_tables[3]
-    v = a_exact(1, 2, t3)
+    v = a_exact(1, t3.row(2))
     assert abs(v - (-2)) < mpf(2) ** -140  # classes [0,2,2]: 2(zeta+zeta^2) = -2
-    assert abs(a_exact(1, 0, t3) - 1) < mpf(2) ** -140
+    assert abs(a_exact(1, t3.row(0)) - 1) < mpf(2) ** -140
     series = pbar_series(40)
     for c in (3, 5):
         t = small_tables[c]
         for n in (0, 7, 23):
-            assert abs(a_exact(0, n, t) - series[n]) < mpf(2) ** -130
+            assert abs(a_exact(0, t.row(n)) - series[n]) < mpf(2) ** -130
 
 
 def test_a_exact_conjugacy(small_tables):
@@ -240,25 +240,25 @@ def test_a_exact_conjugacy(small_tables):
         t = small_tables[c]
         for n in (11, 30):
             for j in range(1, c):
-                lhs = a_exact(c - j, n, t)
-                rhs = a_exact(j, n, t).conjugate()
+                lhs = a_exact(c - j, t.row(n))
+                rhs = a_exact(j, t.row(n)).conjugate()
                 assert abs(lhs - rhs) < mpf(2) ** -130
 
 
 def test_a_exact_precision_scales_with_data(table3):
     # entries near n=2500 need ~200 mantissa bits; a 160-bit request must not
     # corrupt the evaluation
-    v160 = a_exact(1, 2500, table3, prec=160)
-    v400 = a_exact(1, 2500, table3, prec=400)
+    v160 = a_exact(1, table3.row(2500), prec=160)
+    v400 = a_exact(1, table3.row(2500), prec=400)
     assert abs(v160 - v400) / abs(v400) < mpf(2) ** -150
 
 
 def test_a_exact_range_checks(small_tables):
     t = small_tables[3]
     with pytest.raises(ValueError):
-        a_exact(3, 2, t)
+        a_exact(3, t.row(2))
     with pytest.raises(ValueError):
-        a_exact(0, 61, t)
+        a_exact(-1, t.row(2))
 
 
 def test_orthogonality_sweep(small_tables):
@@ -268,7 +268,7 @@ def test_orthogonality_sweep(small_tables):
         series = pbar_series(60)
         for c, table in small_tables.items():
             for n in range(61):
-                coeffs = [a_exact(j, n, table) for j in range(1, c)]
+                coeffs = [a_exact(j, table.row(n)) for j in range(1, c)]
                 for a in range(c):
                     total = series[n] + sum(
                         coeffs[j - 1] * mp.expjpi(mpf(-2 * ((a * j) % c)) / c)
@@ -280,7 +280,7 @@ def test_orthogonality_at_zero(small_tables):
     # only the empty overpartition: rank 0, so A(j/c;0) = 1 for every j
     for c, table in small_tables.items():
         assert table.counts[0] == [1] + [0] * (c - 1), c
-        assert all(a_exact(j, 0, table) == 1 for j in range(c)), c
+        assert all(a_exact(j, table.row(0)) == 1 for j in range(c)), c
 
 
 def test_cache_round_trip(tmp_path):
@@ -940,22 +940,32 @@ def test_surplus_canonical_row_of_any_width_lies_beyond_n_max(tmp_path, row):
 
 
 def test_rank_row_equals_every_row_of_the_depth_300_tables():
-    # the row oracle builds each row alone from the per-rank form, and each
-    # row sums to pbar(n)
+    # the lone row and the table build are each other's oracle: each row is
+    # built alone from the per-rank form, and each sums to pbar(n)
     pbar = pbar_series(300)
     for c in range(2, 14):
         table = rank_class_table(300, c)
         for n in range(301):
-            row = oracles.rank_row(c, n, pbar)
+            row = rank_row(n, c)
             assert row == table.row(n) and sum(row) == pbar[n], (c, n)
 
 
-def test_rank_row_equals_spaced_rows_of_the_depth_3000_tables(pbar3000, table3, table4,
-                                                              table5):
+def test_rank_row_equals_spaced_rows_of_the_depth_3000_tables(table3, table4, table5):
     ns = sorted({0, 1, 2, 9, *range(0, 3001, 250), 2999, 3000})
     for table in (table3, table4, table5):
         for n in ns:
-            assert oracles.rank_row(table.c, n, pbar3000) == table.row(n), (table.c, n)
+            assert rank_row(n, table.c) == table.row(n), (table.c, n)
+
+
+@pytest.mark.parametrize("n,c", [(5, 1), (5, 0), (-1, 3), (-1, 1)])
+def test_rank_row_refuses_what_the_table_build_refuses(n, c):
+    # c is checked first, then n, by both paths, with the same message
+    with pytest.raises(ValueError) as table_error:
+        rank_class_table(n, c)
+    with pytest.raises(ValueError) as row_error:
+        rank_row(n, c)
+    assert str(row_error.value) == str(table_error.value)
+    assert str(row_error.value) == ("modulus c must be >= 2" if c < 2 else "n_max must be >= 0")
 
 
 def test_count_past_the_int_str_limit_in_a_cache_names_its_row(tmp_path):

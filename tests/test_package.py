@@ -31,7 +31,7 @@ EXPORTS = [
     "dedekind_sum", "engel_pbar", "error_pieces", "error_term_bound", "kloosterman_B",
     "kloosterman_D", "load_table", "m_c", "m_c_prime", "main_term_bound", "modsums",
     "nbar_asymptotic", "pbar_sandwich", "pbar_series", "r_ratio", "rank_class_table",
-    "report", "sandwich_threshold", "save_table", "secondary_terms", "strict_verdict",
+    "rank_row", "report", "sandwich_threshold", "save_table", "secondary_terms", "strict_verdict",
     "t_inequality", "verify", "verify_subadditivity",
 ]
 
