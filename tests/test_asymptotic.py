@@ -60,15 +60,17 @@ def test_deviation_at_1600_with_roots_from_mpmath(table3, prec, bound):
 def test_c3_main_terms_round_to_the_exact_counts_through_16000():
     # N(a, 3, n) = (pbar(n) + Re sum_{j=1,2} e(-aj/3) A(j/3; n)) / 3 exactly;
     # with A from the main terms the residual reads 0.050, 0.019, 0.039 and
-    # 0.136 at these n, and 0.287 at n = 20000, so the range stops at 16000
+    # 0.136 at these n, and 0.287 at n = 20000, so the range stops at 16000;
+    # pbar(n) comes from its own series, so the row's total is checked too
+    pbar = pbar_series(16000)
     for n in (4000, 8000, 12000, 16000):
         prec = ceil(pi * sqrt(n) / (3 * log(2))) + 60
-        row = rank_row(n, 3)  # sums to pbar(n)
+        row = rank_row(n, 3)
         values = [a_asymptotic(j, 3, n, prec).value for j in (1, 2)]
         with mp.workprec(prec):
             for a in range(3):
                 main = sum(mp.cospi(mpf(2 * a * j) / 3) * v for j, v in zip((1, 2), values))
-                assert abs(main - (3 * row[a] - sum(row))) < mpf(3) / 4, (a, n)
+                assert abs(main - (3 * row[a] - pbar[n])) < mpf(3) / 4, (a, n)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the secondary sum D takes a "
